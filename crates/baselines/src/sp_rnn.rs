@@ -12,7 +12,7 @@
 
 use crate::greedy::{greedy_assemble, SpDetection};
 use lead_core::config::LeadConfig;
-use lead_core::features::{FeatureExtractor, Normalizer};
+use lead_core::features::{raw_features, FeatureExtractor, Normalizer};
 use lead_core::label::truth_stay_indices;
 use lead_core::pipeline::TrainSample;
 use lead_core::poi::PoiDatabase;
@@ -127,17 +127,15 @@ impl SpRnn {
         assert!(!stays.is_empty(), "no training sample survived processing");
 
         // Normalisation over the training stay points' features.
-        let fx0 = FeatureExtractor::new(poi_db, lead_config, true);
         let mut rows = Vec::new();
         for (proc, _) in &stays {
             for p in proc.cleaned.points() {
-                rows.push(fx0.raw_features(p));
+                rows.push(raw_features(poi_db, lead_config.poi_radius_m, true, p));
             }
         }
         let normalizer = Normalizer::fit(&rows);
         drop(rows);
-        let mut fx = fx0;
-        fx.set_normalizer(normalizer.clone());
+        let fx = FeatureExtractor::new(poi_db, lead_config, true, &normalizer);
 
         // Feature sequences per stay point.
         let mut items: Vec<(Matrix, f32)> = Vec::new();
@@ -244,8 +242,7 @@ impl SpRnn {
         if n < 2 {
             return None;
         }
-        let mut fx = FeatureExtractor::new(poi_db, &self.lead_config, self.use_poi);
-        fx.set_normalizer(self.normalizer.clone());
+        let fx = FeatureExtractor::new(poi_db, &self.lead_config, self.use_poi, &self.normalizer);
         let flags: Vec<bool> = processed
             .stay_points
             .iter()

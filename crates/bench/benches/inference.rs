@@ -26,8 +26,8 @@ fn bench_inference(c: &mut Criterion) {
     cfg.detector_max_epochs = 1;
     cfg.ae_samples_per_trajectory = 2;
     let train = to_train_samples(&ds.train);
-    let (lead, _) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
+    let (lead, _) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
     let spr = SpR::fit(&train, &cfg);
 
     // One representative test trajectory per bucket.

@@ -158,7 +158,7 @@ fn bench_parallel_batch_detection(c: &mut Criterion) {
         let mut cfg = LeadConfig::fast_test();
         cfg.num_threads = threads;
         let (model, _) =
-            Lead::fit(&train, &db, &cfg, LeadOptions::full()).expect("training failed");
+            Lead::fit(&train, &[], &db, &cfg, LeadOptions::full()).expect("training failed");
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| black_box(model.detect_batch(&batch, &db)))
         });

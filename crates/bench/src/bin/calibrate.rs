@@ -40,8 +40,8 @@ fn main() {
     let train = to_train_samples(&ds.train);
 
     let t = Instant::now();
-    let (lead, report) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
+    let (lead, report) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
     let fit_s = t.elapsed().as_secs_f64();
     println!(
         "LEAD fit (2+2 epochs): {fit_s:.1}s  used={} skipped={} ae_curve={:?}",

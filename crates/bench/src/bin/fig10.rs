@@ -17,8 +17,8 @@ fn main() {
     println!("Figure 10 reproduction — scale `{}`", scale.name());
     let ds = generate_dataset(&synth);
     let train = to_train_samples(&ds.train);
-    let (_lead, report) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
+    let (_lead, report) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
 
     let mut csv = String::from("series,epoch,loss\n");
     for (name, curve) in [

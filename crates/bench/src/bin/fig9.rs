@@ -6,7 +6,7 @@
 
 use lead_bench::{write_result, Scale};
 use lead_core::encoding::{Autoencoder, EncoderKind};
-use lead_core::features::{FeatureExtractor, Normalizer};
+use lead_core::features::{raw_features, FeatureExtractor, Normalizer};
 use lead_core::processing::ProcessedTrajectory;
 use lead_eval::report::curve_csv;
 use lead_synth::generate_dataset;
@@ -29,15 +29,15 @@ fn main() {
         .map(|s| ProcessedTrajectory::from_raw(&s.raw, &cfg))
         .filter(|p| p.num_stay_points() >= 2)
         .collect();
-    let mut fx = FeatureExtractor::new(&ds.city.poi_db, &cfg, true);
     let mut rows = Vec::new();
     for proc in &processed {
         for p in proc.cleaned.points() {
-            rows.push(fx.raw_features(p));
+            rows.push(raw_features(&ds.city.poi_db, cfg.poi_radius_m, true, p));
         }
     }
-    fx.set_normalizer(Normalizer::fit(&rows));
+    let normalizer = Normalizer::fit(&rows);
     drop(rows);
+    let fx = FeatureExtractor::new(&ds.city.poi_db, &cfg, true, &normalizer);
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut samples = Vec::new();

@@ -33,9 +33,8 @@ fn main() {
     let train = to_train_samples(&ds.train);
     let val = to_train_samples(&ds.val);
     let t = Instant::now();
-    let (lead, report) =
-        Lead::fit_with_val(&train, &val, &ds.city.poi_db, &cfg, LeadOptions::full())
-            .expect("training failed");
+    let (lead, report) = Lead::fit(&train, &val, &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
     println!(
         "fit in {:.1}s; used={} skipped={}",
         t.elapsed().as_secs_f64(),

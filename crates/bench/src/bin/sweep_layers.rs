@@ -33,9 +33,8 @@ fn main() {
         let mut cfg = scale.lead_config();
         cfg.detector_layers = layers;
         let t = Instant::now();
-        let (model, _) =
-            Lead::fit_with_val(&train, &val, &ds.city.poi_db, &cfg, LeadOptions::full())
-                .expect("training failed");
+        let (model, _) = Lead::fit(&train, &val, &ds.city.poi_db, &cfg, LeadOptions::full())
+            .expect("training failed");
         let secs = t.elapsed().as_secs_f64();
 
         let mut hits = 0;

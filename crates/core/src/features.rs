@@ -73,14 +73,14 @@ impl Normalizer {
         }
     }
 
-    /// Rebuilds a normaliser from stored statistics (persistence).
-    ///
-    /// # Panics
-    /// Panics if the vectors disagree in length or any std is non-positive.
-    pub fn from_parts(mean: Vec<f32>, std: Vec<f32>) -> Self {
-        assert_eq!(mean.len(), std.len(), "mean/std width mismatch");
-        assert!(std.iter().all(|&s| s > 0.0), "std must be positive");
-        Self { mean, std }
+    /// Rebuilds a normaliser from stored statistics (persistence). Returns
+    /// `None` unless the vectors agree in length, every mean is finite and
+    /// every std is finite and positive.
+    pub fn from_parts(mean: Vec<f32>, std: Vec<f32>) -> Option<Self> {
+        let valid = mean.len() == std.len()
+            && mean.iter().all(|m| m.is_finite())
+            && std.iter().all(|&s| s.is_finite() && s > 0.0);
+        valid.then_some(Self { mean, std })
     }
 
     /// The per-dimension means (persistence).
@@ -115,71 +115,66 @@ impl Normalizer {
     }
 }
 
-/// Extracts (and optionally normalises) point features against a POI
-/// database.
+/// The raw (unnormalised) feature vector of one GPS point: the rows
+/// [`Normalizer::fit`] is fit on. `use_poi = false` reproduces the
+/// `LEAD-NoPoi` ablation: the POI block is zero padding, keeping the feature
+/// width constant.
+pub fn raw_features(
+    poi_db: &PoiDatabase,
+    poi_radius_m: f64,
+    use_poi: bool,
+    p: &GpsPoint,
+) -> Vec<f32> {
+    let mut f = Vec::with_capacity(FEATURE_DIM);
+    f.push(lead_nn::num::narrow_f64(p.lat));
+    f.push(lead_nn::num::narrow_f64(p.lng));
+    // Seconds within the day: absolute epoch offsets would swamp the
+    // z-score statistics without adding information for one-day samples.
+    f.push(lead_nn::num::exact_i64_f32(p.t.rem_euclid(86_400)));
+    if use_poi {
+        let counts = poi_db.category_counts_within(p.lat, p.lng, poi_radius_m);
+        f.extend(counts.iter().map(|&c| lead_nn::num::exact_u32_f32(c)));
+    } else {
+        f.extend(std::iter::repeat_n(0.0, NUM_POI_CATEGORIES));
+    }
+    f
+}
+
+/// Extracts normalised point features against a POI database.
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor<'a> {
     poi_db: &'a PoiDatabase,
     poi_radius_m: f64,
-    /// `false` reproduces the `LEAD-NoPoi` ablation: the POI block is zero
-    /// padding, keeping the feature width constant.
+    /// `false` reproduces the `LEAD-NoPoi` ablation (see [`raw_features`]).
     use_poi: bool,
-    normalizer: Option<Normalizer>,
+    normalizer: &'a Normalizer,
 }
 
 impl<'a> FeatureExtractor<'a> {
-    /// Creates an extractor with the configured 100 m radius.
-    pub fn new(poi_db: &'a PoiDatabase, config: &LeadConfig, use_poi: bool) -> Self {
+    /// Creates an extractor with the configured 100 m radius and the
+    /// normaliser fit on the training split's [`raw_features`].
+    ///
+    /// # Panics
+    /// Panics if the normaliser's width is not [`FEATURE_DIM`].
+    pub fn new(
+        poi_db: &'a PoiDatabase,
+        config: &LeadConfig,
+        use_poi: bool,
+        normalizer: &'a Normalizer,
+    ) -> Self {
+        assert_eq!(normalizer.dim(), FEATURE_DIM, "normaliser width mismatch");
         Self {
             poi_db,
             poi_radius_m: config.poi_radius_m,
             use_poi,
-            normalizer: None,
+            normalizer,
         }
-    }
-
-    /// Installs normalisation statistics (fit them with [`Self::raw_features`]
-    /// over the training split first).
-    pub fn set_normalizer(&mut self, n: Normalizer) {
-        assert_eq!(n.dim(), FEATURE_DIM, "normaliser width mismatch");
-        self.normalizer = Some(n);
-    }
-
-    /// The installed normaliser, if any.
-    pub fn normalizer(&self) -> Option<&Normalizer> {
-        self.normalizer.as_ref()
-    }
-
-    /// The raw (unnormalised) feature vector of one GPS point.
-    pub fn raw_features(&self, p: &GpsPoint) -> Vec<f32> {
-        let mut f = Vec::with_capacity(FEATURE_DIM);
-        f.push(lead_nn::num::narrow_f64(p.lat));
-        f.push(lead_nn::num::narrow_f64(p.lng));
-        // Seconds within the day: absolute epoch offsets would swamp the
-        // z-score statistics without adding information for one-day samples.
-        f.push(lead_nn::num::exact_i64_f32(p.t.rem_euclid(86_400)));
-        if self.use_poi {
-            let counts = self
-                .poi_db
-                .category_counts_within(p.lat, p.lng, self.poi_radius_m);
-            f.extend(counts.iter().map(|&c| lead_nn::num::exact_u32_f32(c)));
-        } else {
-            f.extend(std::iter::repeat_n(0.0, NUM_POI_CATEGORIES));
-        }
-        f
     }
 
     /// The normalised feature vector of one GPS point.
-    ///
-    /// # Panics
-    /// Panics if no normaliser is installed.
     pub fn features(&self, p: &GpsPoint) -> Vec<f32> {
-        let mut f = self.raw_features(p);
-        self.normalizer
-            .as_ref()
-            // lint: allow(panic, panic-path): documented # Panics precondition — the pipeline installs the normaliser before any feature call
-            .expect("normaliser not fitted")
-            .normalize(&mut f);
+        let mut f = raw_features(self.poi_db, self.poi_radius_m, self.use_poi, p);
+        self.normalizer.normalize(&mut f);
         f
     }
 
@@ -377,8 +372,12 @@ mod tests {
     fn raw_features_have_poi_counts() {
         let db = db_with_factory_at(32.0, 120.9);
         let cfg = LeadConfig::paper();
-        let fx = FeatureExtractor::new(&db, &cfg, true);
-        let f = fx.raw_features(&GpsPoint::new(32.0, 120.9, 3_600));
+        let f = raw_features(
+            &db,
+            cfg.poi_radius_m,
+            true,
+            &GpsPoint::new(32.0, 120.9, 3_600),
+        );
         assert_eq!(f.len(), FEATURE_DIM);
         assert_eq!(f[0], 32.0);
         assert_eq!(f[1], 120.9);
@@ -391,8 +390,7 @@ mod tests {
     fn no_poi_mode_zero_pads() {
         let db = db_with_factory_at(32.0, 120.9);
         let cfg = LeadConfig::paper();
-        let fx = FeatureExtractor::new(&db, &cfg, false);
-        let f = fx.raw_features(&GpsPoint::new(32.0, 120.9, 0));
+        let f = raw_features(&db, cfg.poi_radius_m, false, &GpsPoint::new(32.0, 120.9, 0));
         assert_eq!(f.len(), FEATURE_DIM);
         assert!(f[3..].iter().all(|&v| v == 0.0));
     }
@@ -401,8 +399,12 @@ mod tests {
     fn time_feature_wraps_at_midnight() {
         let db = db_with_factory_at(32.0, 120.9);
         let cfg = LeadConfig::paper();
-        let fx = FeatureExtractor::new(&db, &cfg, true);
-        let f = fx.raw_features(&GpsPoint::new(32.0, 120.9, 86_400 + 60));
+        let f = raw_features(
+            &db,
+            cfg.poi_radius_m,
+            true,
+            &GpsPoint::new(32.0, 120.9, 86_400 + 60),
+        );
         assert_eq!(f[2], 60.0);
     }
 
@@ -464,8 +466,8 @@ mod tests {
         assert_eq!(proc.num_stay_points(), 2);
 
         let db = db_with_factory_at(32.0, 120.9);
-        let mut fx = FeatureExtractor::new(&db, &cfg, true);
-        fx.set_normalizer(Normalizer::identity(FEATURE_DIM));
+        let normalizer = Normalizer::identity(FEATURE_DIM);
+        let fx = FeatureExtractor::new(&db, &cfg, true, &normalizer);
         let cf = fx.candidate_features(&proc, proc.candidates[0]);
         cf.validate();
         assert_eq!(cf.sp_seqs.len(), 2);

@@ -29,7 +29,7 @@
 //! binary container format), and [`streaming`]
 //! (online detection over live GPS feeds — an extension beyond the paper's
 //! batch pipeline). Hot paths accept a `lead_obs` probe
-//! ([`pipeline::DetectOptions`], [`pipeline::Lead::fit_opts`]) for
+//! ([`pipeline::DetectOptions`], [`pipeline::FitOptions`]) for
 //! per-stage spans and counters; metrics are write-only and never change
 //! results.
 

@@ -8,7 +8,7 @@
 //! (bit-exact, via [`lead_nn::io`]).
 
 use crate::config::LeadConfig;
-use crate::features::Normalizer;
+use crate::features::{Normalizer, FEATURE_DIM};
 use crate::pipeline::{DetectorChoice, Lead, LeadOptions};
 use lead_nn::io::{read_params, write_params, ReadError};
 use std::io::{BufRead, Write};
@@ -138,19 +138,9 @@ impl Lead {
         writeln!(w, "normalizer {}", n.dim())?;
         writeln!(w, "{}", hex_row(n.mean()))?;
         writeln!(w, "{}", hex_row(n.std()))?;
-        writeln!(w, "section autoencoder")?;
-        write_params(self.autoencoder_ref().params(), w)?;
-        if let Some(det) = self.forward_det_ref() {
-            writeln!(w, "section forward_detector")?;
-            write_params(det.params(), w)?;
-        }
-        if let Some(det) = self.backward_det_ref() {
-            writeln!(w, "section backward_detector")?;
-            write_params(det.params(), w)?;
-        }
-        if let Some(det) = self.mlp_ref() {
-            writeln!(w, "section mlp_detector")?;
-            write_params(det.params(), w)?;
+        for (name, params) in self.weight_sections() {
+            writeln!(w, "section {name}")?;
+            write_params(params, w)?;
         }
         writeln!(w, "end-model")?;
         Ok(())
@@ -171,9 +161,13 @@ impl Lead {
     /// Reads a model written by [`Self::write_to`].
     ///
     /// # Errors
-    /// Returns [`LoadError::Io`] when the reader fails and
+    /// Returns [`LoadError::Io`] when the reader fails,
     /// [`LoadError::Format`] when the stream is not a valid model dump
-    /// (wrong header, malformed lines, or an invalid stored configuration).
+    /// (wrong header, malformed lines, an invalid normaliser, or weight
+    /// sections other than exactly the variant's, in order),
+    /// [`LoadError::Params`] when a weight section does not match the
+    /// architecture, and [`LoadError::Config`] on an invalid stored
+    /// configuration.
     pub fn read_from<R: BufRead>(r: &mut R) -> Result<Lead, LoadError> {
         let mut line = String::new();
         let mut next_line = |r: &mut R| -> Result<String, LoadError> {
@@ -239,53 +233,41 @@ impl Lead {
             return Err(LoadError::Format(format!("bad normalizer line `{n_line}`")));
         };
         let dim = parse_usize(dim)?;
+        if dim != FEATURE_DIM {
+            return Err(LoadError::Format(format!(
+                "normalizer width {dim}, expected {FEATURE_DIM}"
+            )));
+        }
         let mean = parse_hex_row(&next_line(r)?)?;
         let std = parse_hex_row(&next_line(r)?)?;
         if mean.len() != dim || std.len() != dim {
             return Err(LoadError::Format("normalizer width mismatch".into()));
         }
-        let normalizer = Normalizer::from_parts(mean, std);
+        let normalizer = Normalizer::from_parts(mean, std).ok_or_else(|| {
+            LoadError::Format("normalizer needs finite means and positive finite stds".into())
+        })?;
 
         // Rebuild the architecture, then fill weights section by section. The
         // stored knobs are validated like any other configuration: a tampered
-        // or hand-edited file yields a typed error, never a panic.
+        // or hand-edited file yields a typed error, never a panic. The file
+        // must hold exactly the variant's sections in the order `write_to`
+        // writes them, so a missing, repeated or foreign section is rejected
+        // instead of leaving freshly initialised weights in place.
         let mut lead = Lead::new_untrained(&config, options, normalizer)?;
-        loop {
+        for (name, params) in lead.weight_sections_mut() {
             let section = next_line(r)?;
-            if section == "end-model" {
-                break;
-            }
-            let Some(name) = section.strip_prefix("section ") else {
+            if section.strip_prefix("section ") != Some(name) {
                 return Err(LoadError::Format(format!(
-                    "expected section, got `{section}`"
+                    "expected `section {name}`, got `{section}`"
                 )));
-            };
-            match name {
-                "autoencoder" => read_params(lead.autoencoder_mut().params_mut(), r)?,
-                "forward_detector" => {
-                    let det = lead.forward_det_mut().ok_or_else(|| {
-                        LoadError::Format(
-                            "forward detector section without forward detector".into(),
-                        )
-                    })?;
-                    read_params(det.params_mut(), r)?;
-                }
-                "backward_detector" => {
-                    let det = lead.backward_det_mut().ok_or_else(|| {
-                        LoadError::Format(
-                            "backward detector section without backward detector".into(),
-                        )
-                    })?;
-                    read_params(det.params_mut(), r)?;
-                }
-                "mlp_detector" => {
-                    let det = lead.mlp_mut().ok_or_else(|| {
-                        LoadError::Format("mlp section without mlp detector".into())
-                    })?;
-                    read_params(det.params_mut(), r)?;
-                }
-                other => return Err(LoadError::Format(format!("unknown section `{other}`"))),
             }
+            read_params(params, r)?;
+        }
+        let end = next_line(r)?;
+        if end != "end-model" {
+            return Err(LoadError::Format(format!(
+                "expected `end-model`, got `{end}`"
+            )));
         }
         Ok(lead)
     }
@@ -373,7 +355,7 @@ mod tests {
             LeadOptions::no_gro(),
             LeadOptions::no_bac(),
         ] {
-            let (lead, _) = Lead::fit(&samples, &db, &cfg, options).expect("fit");
+            let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, options).expect("fit");
             let mut buf = Vec::new();
             lead.write_to(&mut buf).unwrap();
             let loaded = Lead::read_from(&mut buf.as_slice()).unwrap();
@@ -397,7 +379,7 @@ mod tests {
     fn save_and_load_through_a_file() {
         let (samples, db) = tiny_world();
         let cfg = LeadConfig::fast_test();
-        let (lead, _) = Lead::fit(&samples, &db, &cfg, LeadOptions::full()).expect("fit");
+        let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("fit");
         let path = std::env::temp_dir().join(format!("lead-model-{}.lead", std::process::id()));
         lead.save(&path).unwrap();
         let loaded = Lead::load(&path).unwrap();
@@ -405,6 +387,85 @@ mod tests {
         let a = lead.detect(&samples[0].raw, &db).map(|r| r.detected);
         let b = loaded.detect(&samples[0].raw, &db).map(|r| r.detected);
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a, 64 bit.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Pins every variant's trained weights and detections across commits:
+    /// the parity suites compare runs within one build, so only a stored
+    /// digest catches a change that shifts an RNG draw or a rounding.
+    #[test]
+    fn golden_digests_of_every_variant() {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        let (samples, db) = tiny_world();
+        let cfg = LeadConfig::fast_test();
+        let golden: [(LeadOptions, u64, u64); 7] = [
+            (
+                LeadOptions::full(),
+                0x7d0d_830f_6f18_c573,
+                0xf50f_07c2_8c66_6254,
+            ),
+            (
+                LeadOptions::no_poi(),
+                0x16d6_6aa8_af54_d304,
+                0x7560_2dc3_3f01_19f4,
+            ),
+            (
+                LeadOptions::no_sel(),
+                0xabba_2f64_b293_b9e7,
+                0xcc23_7fde_5df4_89c2,
+            ),
+            (
+                LeadOptions::no_hie(),
+                0xca5d_94f8_9bf5_181c,
+                0x94a0_a813_6598_ce2e,
+            ),
+            (
+                LeadOptions::no_gro(),
+                0x3415_81e9_ba64_aed5,
+                0x715a_b1e7_3d8e_9480,
+            ),
+            (
+                LeadOptions::no_for(),
+                0x7edc_e3d1_eb2d_e21f,
+                0xdf8f_4878_010f_2312,
+            ),
+            (
+                LeadOptions::no_bac(),
+                0x15d1_64de_f805_b436,
+                0x4098_79bf_f3fa_0bc2,
+            ),
+        ];
+        for (options, model_digest, detect_digest) in golden {
+            let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, options).expect("fit");
+            let mut bytes = Vec::new();
+            lead.write_to(&mut bytes).unwrap();
+            let mut model = FNV_OFFSET;
+            fnv1a(&mut model, &bytes);
+            let mut detect = FNV_OFFSET;
+            for s in &samples {
+                let r = lead
+                    .detect(&s.raw, &db)
+                    .expect("tiny_world days are detectable");
+                fnv1a(&mut detect, &(r.detected.start_sp as u64).to_le_bytes());
+                fnv1a(&mut detect, &(r.detected.end_sp as u64).to_le_bytes());
+                for p in &r.probabilities {
+                    fnv1a(&mut detect, &p.to_bits().to_le_bytes());
+                }
+            }
+            assert_eq!(
+                (model, detect),
+                (model_digest, detect_digest),
+                "{} digests moved",
+                options.name()
+            );
+        }
     }
 
     #[test]
@@ -420,7 +481,7 @@ mod tests {
     fn truncated_file_is_rejected() {
         let (samples, db) = tiny_world();
         let cfg = LeadConfig::fast_test();
-        let (lead, _) = Lead::fit(&samples, &db, &cfg, LeadOptions::full()).expect("fit");
+        let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("fit");
         let mut buf = Vec::new();
         lead.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
@@ -434,7 +495,7 @@ mod tests {
         TEXT.get_or_init(|| {
             let (samples, db) = tiny_world();
             let cfg = LeadConfig::fast_test();
-            let (lead, _) = Lead::fit(&samples, &db, &cfg, LeadOptions::full()).expect("fit");
+            let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("fit");
             let mut buf = Vec::new();
             lead.write_to(&mut buf).unwrap();
             String::from_utf8(buf).unwrap()
@@ -535,7 +596,7 @@ mod tests {
         // section onto it must be rejected, not silently mis-assigned.
         let (samples, db) = tiny_world();
         let cfg = LeadConfig::fast_test();
-        let (lead, _) = Lead::fit(&samples, &db, &cfg, LeadOptions::no_bac()).expect("fit");
+        let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, LeadOptions::no_bac()).expect("fit");
         let mut buf = Vec::new();
         lead.write_to(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -548,10 +609,79 @@ mod tests {
     }
 
     #[test]
+    fn invalid_stored_normalizer_is_a_typed_error() {
+        let lines: Vec<String> = model_text().lines().map(str::to_string).collect();
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with("normalizer "))
+            .expect("normalizer line");
+        let mut cases = Vec::new();
+        for (what, std) in [
+            ("zero std", 0.0f32),
+            ("negative std", -1.0),
+            ("NaN std", f32::NAN),
+        ] {
+            let mut tampered = lines.clone();
+            let mut row: Vec<String> = tampered[at + 2]
+                .split_whitespace()
+                .map(str::to_string)
+                .collect();
+            row[0] = format!("{:08x}", std.to_bits());
+            tampered[at + 2] = row.join(" ");
+            cases.push((what, tampered));
+        }
+        // Consistent with itself, but narrower than a feature row.
+        let mut short = lines.clone();
+        short[at] = "normalizer 3".to_string();
+        for row in &mut short[at + 1..=at + 2] {
+            *row = row.split_whitespace().take(3).collect::<Vec<_>>().join(" ");
+        }
+        cases.push(("short normalizer", short));
+        for (what, tampered) in cases {
+            match Lead::read_from(&mut tampered.join("\n").as_bytes()) {
+                Err(LoadError::Format(m)) => assert!(m.contains("normalizer"), "{what}: {m}"),
+                Err(other) => panic!("{what}: unexpected error kind {other}"),
+                Ok(_) => panic!("{what}: model accepted"),
+            }
+        }
+    }
+
+    #[test]
+    fn missing_or_duplicated_section_is_a_typed_error() {
+        let (samples, db) = tiny_world();
+        let cfg = LeadConfig::fast_test();
+        for options in [LeadOptions::full(), LeadOptions::no_gro()] {
+            let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, options).expect("fit");
+            let mut buf = Vec::new();
+            lead.write_to(&mut buf).unwrap();
+            let text = String::from_utf8(buf).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            let end = lines.len() - 1;
+            assert_eq!(lines[end], "end-model");
+            let starts: Vec<usize> = (0..end)
+                .filter(|&i| lines[i].starts_with("section "))
+                .collect();
+            let name = options.name();
+            for (k, &a) in starts.iter().enumerate() {
+                let b = starts.get(k + 1).copied().unwrap_or(end);
+                let missing = [&lines[..a], &lines[b..]].concat();
+                let duplicated = [&lines[..b], &lines[a..]].concat();
+                for (what, tampered) in [("missing", missing), ("duplicated", duplicated)] {
+                    match Lead::read_from(&mut tampered.join("\n").as_bytes()) {
+                        Err(LoadError::Format(m)) => assert!(m.contains("expected"), "{m}"),
+                        Err(other) => panic!("{name}, {what} `{}`: {other}", lines[a]),
+                        Ok(_) => panic!("{name}: model with {what} `{}` accepted", lines[a]),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn invalid_stored_config_is_a_typed_error() {
         let (samples, db) = tiny_world();
         let cfg = LeadConfig::fast_test();
-        let (lead, _) = Lead::fit(&samples, &db, &cfg, LeadOptions::full()).expect("fit");
+        let (lead, _) = Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("fit");
         let mut buf = Vec::new();
         lead.write_to(&mut buf).unwrap();
         // Tamper with the config line: zero out ae_hidden (5th field after

@@ -1,9 +1,10 @@
-//! The end-to-end LEAD framework: offline training ([`Lead::fit`]) and online
+//! The end-to-end LEAD framework: offline training ([`Lead::fit`] on
+//! in-RAM slices, [`Lead::fit_streaming`] on sharded sources) and online
 //! detection ([`Lead::detect`]), plus the ablation-variant switchboard
 //! ([`LeadOptions`]).
 //!
 //! Both stages are fallible ([`crate::error::LeadError`]) and observable:
-//! [`Lead::fit_opts`] and [`DetectOptions::probe`] accept a `lead_obs` probe
+//! [`FitOptions::probe`] and [`DetectOptions::probe`] accept a `lead_obs` probe
 //! that receives per-stage spans, counters, and training curves. Metrics are
 //! write-only — attaching a recording probe never changes a result bit
 //! (pinned by `crates/core/tests/obs_parity.rs`).
@@ -15,12 +16,12 @@ use crate::detection::{
 };
 use crate::encoding::{Autoencoder, EncoderKind};
 use crate::error::LeadError;
-use crate::features::{FeatureExtractor, Normalizer, TrajectoryFeatures};
+use crate::features::{raw_features, FeatureExtractor, Normalizer, TrajectoryFeatures};
 use crate::label::{truth_stay_indices, TruthLabel};
 use crate::poi::PoiDatabase;
 use crate::processing::{Candidate, ProcessedTrajectory};
 use crate::source::{SampleSource, SliceSamples};
-use lead_nn::Matrix;
+use lead_nn::{Matrix, ParamSet};
 use lead_obs::clock;
 use lead_obs::probe::{Probe, NOOP};
 use rand::rngs::StdRng;
@@ -210,7 +211,7 @@ impl DetectionResult {
 /// #         poi_db: PoiDatabase, raw: lead_geo::Trajectory) -> Result<(), LeadError> {
 /// // Offline stage: learn from the historical archive.
 /// let (model, report) =
-///     Lead::fit_with_val(&train, &val, &poi_db, &LeadConfig::paper(), LeadOptions::full())?;
+///     Lead::fit(&train, &val, &poi_db, &LeadConfig::paper(), LeadOptions::full())?;
 /// println!("autoencoder converged to MSE {:?}", report.ae_curve.last());
 ///
 /// // Persist for the online service.
@@ -227,15 +228,54 @@ impl DetectionResult {
 /// ```
 pub struct Lead {
     config: LeadConfig,
-    options: LeadOptions,
+    use_poi: bool,
+    use_attention: bool,
+    hierarchical: bool,
     normalizer: Normalizer,
     autoencoder: Autoencoder,
-    forward_det: Option<GroupDetector>,
-    backward_det: Option<GroupDetector>,
-    mlp: Option<MlpDetector>,
+    detector: Detector,
+}
+
+/// The trained detector set: exactly one of the four Section VI-A choices,
+/// so a model always holds the detectors its variant scores with.
+enum Detector {
+    Both {
+        forward: GroupDetector,
+        backward: GroupDetector,
+    },
+    Forward(GroupDetector),
+    Backward(GroupDetector),
+    Mlp(MlpDetector),
+}
+
+fn new_autoencoder(config: &LeadConfig, options: LeadOptions, rng: &mut StdRng) -> Autoencoder {
+    let kind = if options.hierarchical {
+        EncoderKind::Hierarchical
+    } else {
+        EncoderKind::Flat
+    };
+    Autoencoder::new(config, kind, options.use_attention, rng)
 }
 
 impl Lead {
+    fn from_parts(
+        config: &LeadConfig,
+        options: LeadOptions,
+        normalizer: Normalizer,
+        autoencoder: Autoencoder,
+        detector: Detector,
+    ) -> Self {
+        Lead {
+            config: config.clone(),
+            use_poi: options.use_poi,
+            use_attention: options.use_attention,
+            hierarchical: options.hierarchical,
+            normalizer,
+            autoencoder,
+            detector,
+        }
+    }
+
     /// Builds an untrained model with freshly initialised weights — the
     /// skeleton [`crate::persist`] fills when loading a saved model. Rejects
     /// invalid configurations (including ones read from a model file).
@@ -246,160 +286,111 @@ impl Lead {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let kind = if options.hierarchical {
-            EncoderKind::Hierarchical
-        } else {
-            EncoderKind::Flat
-        };
-        let autoencoder = Autoencoder::new(config, kind, options.use_attention, &mut rng);
+        let autoencoder = new_autoencoder(config, options, &mut rng);
         let c_dim = autoencoder.c_vec_dim();
-        let (mut forward_det, mut backward_det, mut mlp) = (None, None, None);
-        match options.detector {
-            DetectorChoice::Both => {
-                forward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-                backward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-            }
-            DetectorChoice::ForwardOnly => {
-                forward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-            }
-            DetectorChoice::BackwardOnly => {
-                backward_det = Some(GroupDetector::new(config, c_dim, &mut rng));
-            }
-            DetectorChoice::Mlp => {
-                mlp = Some(MlpDetector::new(c_dim, &mut rng));
-            }
-        }
-        Ok(Lead {
-            config: config.clone(),
+        let mut group = || GroupDetector::new(config, c_dim, &mut rng);
+        let detector = match options.detector {
+            DetectorChoice::Both => Detector::Both {
+                forward: group(),
+                backward: group(),
+            },
+            DetectorChoice::ForwardOnly => Detector::Forward(group()),
+            DetectorChoice::BackwardOnly => Detector::Backward(group()),
+            DetectorChoice::Mlp => Detector::Mlp(MlpDetector::new(c_dim, &mut rng)),
+        };
+        Ok(Self::from_parts(
+            config,
             options,
             normalizer,
             autoencoder,
-            forward_det,
-            backward_det,
-            mlp,
-        })
+            detector,
+        ))
     }
 
     pub(crate) fn normalizer_ref(&self) -> &Normalizer {
         &self.normalizer
     }
 
-    pub(crate) fn autoencoder_ref(&self) -> &Autoencoder {
-        &self.autoencoder
+    /// The trained weights as named sections, in the order
+    /// [`Self::write_to`] stores them: the autoencoder, then the variant's
+    /// detectors.
+    pub(crate) fn weight_sections(&self) -> Vec<(&'static str, &ParamSet)> {
+        let mut out = vec![("autoencoder", self.autoencoder.params())];
+        match &self.detector {
+            Detector::Both { forward, backward } => {
+                out.push(("forward_detector", forward.params()));
+                out.push(("backward_detector", backward.params()));
+            }
+            Detector::Forward(det) => out.push(("forward_detector", det.params())),
+            Detector::Backward(det) => out.push(("backward_detector", det.params())),
+            Detector::Mlp(det) => out.push(("mlp_detector", det.params())),
+        }
+        out
     }
 
-    pub(crate) fn autoencoder_mut(&mut self) -> &mut Autoencoder {
-        &mut self.autoencoder
+    /// [`Self::weight_sections`] for loading weights in place.
+    pub(crate) fn weight_sections_mut(&mut self) -> Vec<(&'static str, &mut ParamSet)> {
+        let mut out = vec![("autoencoder", self.autoencoder.params_mut())];
+        match &mut self.detector {
+            Detector::Both { forward, backward } => {
+                out.push(("forward_detector", forward.params_mut()));
+                out.push(("backward_detector", backward.params_mut()));
+            }
+            Detector::Forward(det) => out.push(("forward_detector", det.params_mut())),
+            Detector::Backward(det) => out.push(("backward_detector", det.params_mut())),
+            Detector::Mlp(det) => out.push(("mlp_detector", det.params_mut())),
+        }
+        out
     }
 
-    pub(crate) fn forward_det_ref(&self) -> Option<&GroupDetector> {
-        self.forward_det.as_ref()
-    }
-
-    pub(crate) fn forward_det_mut(&mut self) -> Option<&mut GroupDetector> {
-        self.forward_det.as_mut()
-    }
-
-    pub(crate) fn backward_det_ref(&self) -> Option<&GroupDetector> {
-        self.backward_det.as_ref()
-    }
-
-    pub(crate) fn backward_det_mut(&mut self) -> Option<&mut GroupDetector> {
-        self.backward_det.as_mut()
-    }
-
-    pub(crate) fn mlp_ref(&self) -> Option<&MlpDetector> {
-        self.mlp.as_ref()
-    }
-
-    pub(crate) fn mlp_mut(&mut self) -> Option<&mut MlpDetector> {
-        self.mlp.as_mut()
-    }
-
-    /// The offline stage: trains the hierarchical autoencoder
-    /// (self-supervised) and the detector(s) (supervised by archived loaded
-    /// trajectories) on the training split. Early stopping observes the
-    /// training loss; prefer [`Self::fit_with_val`] when a validation split
-    /// is available (the paper's protocol).
+    /// The offline stage on in-RAM samples: trains the hierarchical
+    /// autoencoder (self-supervised) and the detector(s) (supervised by
+    /// archived loaded trajectories) on `samples`. With a non-empty
+    /// `val_samples`, early stopping observes the validation losses and the
+    /// best-validation-epoch weights are restored after each training stage
+    /// (the paper's Early Stopping protocol); with `&[]` it observes the
+    /// training loss. Slice convenience for [`Self::fit_streaming`] with
+    /// [`FitOptions::default`].
     ///
     /// # Errors
     /// [`LeadError::Config`] on an invalid configuration;
     /// [`LeadError::NoTrainableSamples`] when no sample survives processing.
     pub fn fit(
         samples: &[TrainSample],
-        poi_db: &PoiDatabase,
-        config: &LeadConfig,
-        options: LeadOptions,
-    ) -> Result<(Self, TrainingReport), LeadError> {
-        Self::fit_opts(samples, &[], poi_db, config, options, &NOOP)
-    }
-
-    /// [`Self::fit`] with a validation split: early stopping observes the
-    /// validation losses and the best-validation-epoch weights are restored
-    /// after each training stage (the paper's Early Stopping protocol).
-    ///
-    /// # Errors
-    /// [`LeadError::Config`] on an invalid configuration;
-    /// [`LeadError::NoTrainableSamples`] when no sample survives processing.
-    pub fn fit_with_val(
-        samples: &[TrainSample],
         val_samples: &[TrainSample],
         poi_db: &PoiDatabase,
         config: &LeadConfig,
         options: LeadOptions,
     ) -> Result<(Self, TrainingReport), LeadError> {
-        Self::fit_opts(samples, val_samples, poi_db, config, options, &NOOP)
-    }
-
-    /// [`Self::fit_with_val`] with an observability probe. The probe
-    /// receives stage spans (`fit`, `fit.features`, `fit.autoencoder`,
-    /// `fit.encode`, `fit.detectors`), per-trajectory processing counters,
-    /// per-epoch losses (`ae.epoch_mse`, `det.fwd.epoch_kld`, …), and
-    /// gradient norms from the trainer. Metrics are write-only: the trained
-    /// model and report are bit-identical for any probe.
-    ///
-    /// # Errors
-    /// [`LeadError::Config`] on an invalid configuration;
-    /// [`LeadError::NoTrainableSamples`] when no sample survives processing.
-    pub fn fit_opts(
-        samples: &[TrainSample],
-        val_samples: &[TrainSample],
-        poi_db: &PoiDatabase,
-        config: &LeadConfig,
-        options: LeadOptions,
-        probe: &dyn Probe,
-    ) -> Result<(Self, TrainingReport), LeadError> {
-        let mut train = SliceSamples::new(samples);
-        let mut val = SliceSamples::new(val_samples);
-        Self::fit_core(
-            &mut train,
-            Some(&mut val),
+        Self::fit_streaming(
+            &mut SliceSamples::new(samples),
+            Some(&mut SliceSamples::new(val_samples)),
             poi_db,
             config,
             options,
-            probe,
-            None,
+            &FitOptions::new(),
         )
     }
 
-    /// The offline stage over streaming [`SampleSource`]s: identical
-    /// training to [`Self::fit_opts`], but raw samples are ingested one
-    /// shard at a time, so peak raw-sample memory is bounded by the largest
-    /// shard instead of the whole dataset. For the same seed and dataset the
-    /// trained model, loss curves, and report are **bit-identical** to the
-    /// in-RAM path at any shard size (pinned by
-    /// `crates/core/tests/streaming_parity.rs`).
+    /// The offline stage over streaming [`SampleSource`]s, and the single
+    /// fitting core. Raw samples are ingested one shard at a time, so peak
+    /// raw-sample memory is bounded by the largest shard instead of the
+    /// whole dataset. For the same seed and dataset the trained model, loss
+    /// curves, and report are **bit-identical** at any shard size (pinned by
+    /// `crates/core/tests/streaming_parity.rs`). `val = None` trains without
+    /// a validation split.
     ///
-    /// When `val` is `None`, [`FitOptions::val_fraction`] can carve a
-    /// validation split off the tail of the ingested training set (by raw
-    /// sample count, before processing drops unusable samples).
+    /// The [`FitOptions::probe`] receives stage spans (`fit`,
+    /// `fit.features`, `fit.autoencoder`, `fit.encode`, `fit.detectors`),
+    /// per-trajectory processing counters, per-epoch losses
+    /// (`ae.epoch_mse`, `det.fwd.epoch_kld`, …), and gradient norms from the
+    /// trainer. Metrics are write-only: the trained model and report are
+    /// bit-identical for any probe.
     ///
     /// # Errors
-    /// [`LeadError::Config`] on an invalid configuration or
-    /// [`FitOptions::val_fraction`] outside `[0, 1)` (or combined with an
-    /// explicit `val` source); [`LeadError::Source`] when a source fails to
-    /// read or validate; [`LeadError::NoTrainableSamples`] when no sample
-    /// survives processing.
+    /// [`LeadError::Config`] on an invalid configuration;
+    /// [`LeadError::Source`] when a source fails to read or validate;
+    /// [`LeadError::NoTrainableSamples`] when no sample survives processing.
     pub fn fit_streaming(
         train: &mut dyn SampleSource,
         val: Option<&mut dyn SampleSource>,
@@ -408,21 +399,6 @@ impl Lead {
         options: LeadOptions,
         fit: &FitOptions<'_>,
     ) -> Result<(Self, TrainingReport), LeadError> {
-        if let Some(f) = fit.val_fraction {
-            if !(0.0..1.0).contains(&f) {
-                return Err(LeadError::Config(ConfigError {
-                    field: "val_fraction",
-                    reason: "validation fraction must lie in [0, 1)",
-                }));
-            }
-            if val.is_some() {
-                return Err(LeadError::Config(ConfigError {
-                    field: "val_fraction",
-                    reason:
-                        "cannot combine a validation fraction with an explicit validation source",
-                }));
-            }
-        }
         let cfg_override;
         let config = if let Some(t) = fit.num_threads {
             let mut cfg = config.clone();
@@ -432,31 +408,8 @@ impl Lead {
         } else {
             config
         };
-        Self::fit_core(
-            train,
-            val,
-            poi_db,
-            config,
-            options,
-            fit.probe,
-            fit.val_fraction,
-        )
-    }
-
-    /// The single fitting core every public `fit*` entry point delegates to.
-    /// Generalises only ingestion: everything downstream of the processed
-    /// sample vectors (normaliser, autoencoder, detectors, every RNG draw)
-    /// is byte-for-byte the historical in-RAM path.
-    fn fit_core(
-        train: &mut dyn SampleSource,
-        val: Option<&mut dyn SampleSource>,
-        poi_db: &PoiDatabase,
-        config: &LeadConfig,
-        options: LeadOptions,
-        probe: &dyn Probe,
-        val_fraction: Option<f64>,
-    ) -> Result<(Self, TrainingReport), LeadError> {
         config.validate()?;
+        let probe = fit.probe;
         let _fit_span = clock::span(probe, "fit");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut report = TrainingReport::default();
@@ -466,7 +419,7 @@ impl Lead {
         // RAM at once. `par_map` is order-preserving and per-item
         // independent, so concatenating per-shard results equals one
         // `par_map` over the whole dataset — every downstream stage (and
-        // every RNG draw) is bit-identical to the in-RAM path.
+        // every RNG draw) is bit-identical at any shard size.
         let process_source = |src: &mut dyn SampleSource| -> Result<
             Vec<Option<(ProcessedTrajectory, Candidate)>>,
             LeadError,
@@ -488,15 +441,10 @@ impl Lead {
             }
             Ok(out)
         };
-        let mut maybe_train = process_source(train)?;
+        let maybe_train = process_source(train)?;
         let maybe_val = match val {
             Some(v) => process_source(v)?,
-            None => {
-                let n_val = val_fraction
-                    .map(|f| ((maybe_train.len() as f64) * f).floor() as usize)
-                    .unwrap_or(0);
-                maybe_train.split_off(maybe_train.len() - n_val)
-            }
+            None => Vec::new(),
         };
         let skipped = maybe_train
             .iter()
@@ -519,48 +467,40 @@ impl Lead {
 
         // ---- feature normalisation ----------------------------------------
         let feature_span = clock::span(probe, "fit.features");
-        let mut fx = FeatureExtractor::new(poi_db, config, options.use_poi);
         // Rows are extracted per trajectory in parallel and flattened in
         // trajectory order, so the fitted normaliser is thread-count
         // independent.
-        let rows: Vec<Vec<f32>> = {
-            let fx_ref = &fx;
+        let rows: Vec<Vec<f32>> =
             lead_nn::par::par_map(config.num_threads, &processed, |_, (proc, _)| {
                 proc.cleaned
                     .points()
                     .iter()
-                    .map(|p| fx_ref.raw_features(p))
+                    .map(|p| raw_features(poi_db, config.poi_radius_m, options.use_poi, p))
                     .collect::<Vec<_>>()
             })
             .into_iter()
             .flatten()
-            .collect()
-        };
-        fx.set_normalizer(Normalizer::fit(&rows));
+            .collect();
+        let normalizer = Normalizer::fit(&rows);
         drop(rows);
 
         // ---- per-trajectory features ---------------------------------------
         // Outer loop over trajectories is parallel; the inner extraction runs
         // serial (threads = 1) to avoid nested thread spawning.
-        let fx_ref = &fx;
+        let fx = FeatureExtractor::new(poi_db, config, options.use_poi, &normalizer);
         let features: Vec<TrajectoryFeatures> =
             lead_nn::par::par_map(config.num_threads, &processed, |_, (proc, _)| {
-                fx_ref.trajectory_features_probed(proc, 1, probe)
+                fx.trajectory_features_probed(proc, 1, probe)
             });
         let val_features: Vec<TrajectoryFeatures> =
             lead_nn::par::par_map(config.num_threads, &val_processed, |_, (proc, _)| {
-                fx_ref.trajectory_features_probed(proc, 1, probe)
+                fx.trajectory_features_probed(proc, 1, probe)
             });
         drop(feature_span);
 
         // ---- autoencoder (self-supervised) ----------------------------------
         let ae_span = clock::span(probe, "fit.autoencoder");
-        let kind = if options.hierarchical {
-            EncoderKind::Hierarchical
-        } else {
-            EncoderKind::Flat
-        };
-        let mut autoencoder = Autoencoder::new(config, kind, options.use_attention, &mut rng);
+        let mut autoencoder = new_autoencoder(config, options, &mut rng);
         let sample_candidates = |set: &[(ProcessedTrajectory, Candidate)],
                                  tfs: &[TrajectoryFeatures],
                                  rng: &mut StdRng| {
@@ -603,9 +543,6 @@ impl Lead {
         // ---- detectors ---------------------------------------------------------
         let detector_span = clock::span(probe, "fit.detectors");
         let c_dim = autoencoder.c_vec_dim();
-        let mut forward_det = None;
-        let mut backward_det = None;
-        let mut mlp = None;
         let detector_items = |set: &[(ProcessedTrajectory, Candidate)],
                               enc: &[Vec<Matrix>],
                               forward: bool|
@@ -633,40 +570,34 @@ impl Lead {
                 (group, label)
             })
         };
-        let train_group_detector = |forward: bool,
-                                    rng: &mut StdRng|
-         -> (GroupDetector, Vec<f32>, Vec<f32>) {
-            let mut det = GroupDetector::new(config, c_dim, rng);
-            let items = detector_items(&processed, &encoded, forward);
-            let val_items = detector_items(&val_processed, &val_encoded, forward);
-            let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
-            let scope = if forward { "det.fwd" } else { "det.bwd" };
-            let (curve, val_curve) = det.train_probed(&items, val_opt, config, rng, probe, scope);
-            (det, curve, val_curve)
-        };
+        let train_group_detector =
+            |forward: bool, rng: &mut StdRng, report: &mut TrainingReport| -> GroupDetector {
+                let mut det = GroupDetector::new(config, c_dim, rng);
+                let items = detector_items(&processed, &encoded, forward);
+                let val_items = detector_items(&val_processed, &val_encoded, forward);
+                let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
+                let scope = if forward { "det.fwd" } else { "det.bwd" };
+                let curves = det.train_probed(&items, val_opt, config, rng, probe, scope);
+                if forward {
+                    (report.forward_kld_curve, report.forward_val_kld_curve) = curves;
+                } else {
+                    (report.backward_kld_curve, report.backward_val_kld_curve) = curves;
+                }
+                det
+            };
 
-        match options.detector {
-            DetectorChoice::Both => {
-                let (d, c, v) = train_group_detector(true, &mut rng);
-                forward_det = Some(d);
-                report.forward_kld_curve = c;
-                report.forward_val_kld_curve = v;
-                let (d, c, v) = train_group_detector(false, &mut rng);
-                backward_det = Some(d);
-                report.backward_kld_curve = c;
-                report.backward_val_kld_curve = v;
-            }
+        // Field initialisers run in source order: the forward detector is
+        // built and trained before the backward one draws from `rng`.
+        let detector = match options.detector {
+            DetectorChoice::Both => Detector::Both {
+                forward: train_group_detector(true, &mut rng, &mut report),
+                backward: train_group_detector(false, &mut rng, &mut report),
+            },
             DetectorChoice::ForwardOnly => {
-                let (d, c, v) = train_group_detector(true, &mut rng);
-                forward_det = Some(d);
-                report.forward_kld_curve = c;
-                report.forward_val_kld_curve = v;
+                Detector::Forward(train_group_detector(true, &mut rng, &mut report))
             }
             DetectorChoice::BackwardOnly => {
-                let (d, c, v) = train_group_detector(false, &mut rng);
-                backward_det = Some(d);
-                report.backward_kld_curve = c;
-                report.backward_val_kld_curve = v;
+                Detector::Backward(train_group_detector(false, &mut rng, &mut report))
             }
             DetectorChoice::Mlp => {
                 let mut det = MlpDetector::new(c_dim, &mut rng);
@@ -686,27 +617,28 @@ impl Lead {
                 let val_items = mlp_items(&val_processed, &val_encoded);
                 let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
                 report.mlp_curve = det.train_probed(&items, val_opt, config, &mut rng, probe).0;
-                mlp = Some(det);
+                Detector::Mlp(det)
             }
-        }
+        };
         drop(detector_span);
 
-        let lead = Lead {
-            config: config.clone(),
-            options,
-            // lint: allow(panic, panic-path): construction invariant — fit() installs the normaliser before building Lead
-            normalizer: fx.normalizer().expect("normaliser fitted above").clone(),
-            autoencoder,
-            forward_det,
-            backward_det,
-            mlp,
-        };
+        let lead = Self::from_parts(config, options, normalizer, autoencoder, detector);
         Ok((lead, report))
     }
 
     /// The configured variant.
     pub fn options(&self) -> LeadOptions {
-        self.options
+        LeadOptions {
+            use_poi: self.use_poi,
+            use_attention: self.use_attention,
+            hierarchical: self.hierarchical,
+            detector: match self.detector {
+                Detector::Both { .. } => DetectorChoice::Both,
+                Detector::Forward(_) => DetectorChoice::ForwardOnly,
+                Detector::Backward(_) => DetectorChoice::BackwardOnly,
+                Detector::Mlp(_) => DetectorChoice::Mlp,
+            },
+        }
     }
 
     /// The framework configuration.
@@ -789,7 +721,7 @@ impl Lead {
     /// Scores an already-processed trajectory (used by [`Self::detect_opts`]
     /// and by [`crate::streaming::StreamingDetector`], which maintains its
     /// own incremental processing state).
-    pub fn detect_processed_opts(
+    pub(crate) fn detect_processed_opts(
         &self,
         proc: ProcessedTrajectory,
         poi_db: &PoiDatabase,
@@ -808,8 +740,7 @@ impl Lead {
             probe.count("detect.calls", 1);
             probe.observe("detect.stay_points", n as f64);
         }
-        let mut fx = FeatureExtractor::new(poi_db, &self.config, self.options.use_poi);
-        fx.set_normalizer(self.normalizer.clone());
+        let fx = FeatureExtractor::new(poi_db, &self.config, self.use_poi, &self.normalizer);
         let tf = fx.trajectory_features_probed(&proc, num_threads, probe);
         let cvecs = {
             let _span = clock::span(probe, "encode");
@@ -817,61 +748,30 @@ impl Lead {
                 .encode_all(&tf, &proc.candidates, num_threads)
         };
         let by_cand = candidate_index_map(n);
+        let run = |det: &GroupDetector, side: &[Vec<Candidate>]| -> Vec<f32> {
+            let refs: Vec<Vec<&Matrix>> = side
+                .iter()
+                .map(|sub| sub.iter().map(|c| &cvecs[by_cand(*c)]).collect())
+                .collect();
+            det.probabilities(&refs)
+        };
 
         let score_span = clock::span(probe, "detect.score");
-        let probabilities = match self.options.detector {
-            DetectorChoice::Mlp => {
-                // lint: allow(panic, panic-path): construction invariant — fit() trains the detector selected by `options.detector`
-                let det = self.mlp.as_ref().expect("MLP detector trained");
-                det.probabilities(&cvecs)
-            }
-            choice => {
+        let probabilities = match &self.detector {
+            Detector::Both { forward, backward } => {
                 let groups = build_groups(n);
-                let run = |det: &GroupDetector, side: &[Vec<Candidate>]| -> Vec<f32> {
-                    let refs: Vec<Vec<&Matrix>> = side
-                        .iter()
-                        .map(|sub| sub.iter().map(|c| &cvecs[by_cand(*c)]).collect())
-                        .collect();
-                    det.probabilities(&refs)
-                };
-                match choice {
-                    DetectorChoice::Both => {
-                        let f = run(
-                            // lint: allow(panic, panic-path): construction invariant — fit() trains both detectors for Both
-                            self.forward_det.as_ref().expect("forward detector trained"),
-                            &groups.forward,
-                        );
-                        let b = run(
-                            self.backward_det
-                                .as_ref()
-                                // lint: allow(panic, panic-path): construction invariant — fit() trains both detectors for Both
-                                .expect("backward detector trained"),
-                            &groups.backward,
-                        );
-                        let _merge_span = clock::span(probe, "detect.merge");
-                        merge_probabilities(n, &f, &b)
-                    }
-                    DetectorChoice::ForwardOnly => run(
-                        // lint: allow(panic, panic-path): construction invariant — fit() trains the forward detector for ForwardOnly
-                        self.forward_det.as_ref().expect("forward detector trained"),
-                        &groups.forward,
-                    ),
-                    DetectorChoice::BackwardOnly => {
-                        // Backward probabilities come in backward flattening;
-                        // re-order to canonical.
-                        let b = run(
-                            self.backward_det
-                                .as_ref()
-                                // lint: allow(panic, panic-path): construction invariant — fit() trains the backward detector for BackwardOnly
-                                .expect("backward detector trained"),
-                            &groups.backward,
-                        );
-                        reorder_backward_to_canonical(n, &b)
-                    }
-                    // lint: allow(panic, panic-path): Mlp is matched by the outer arm; this arm only completes the nested match
-                    DetectorChoice::Mlp => unreachable!("handled above"),
-                }
+                let f = run(forward, &groups.forward);
+                let b = run(backward, &groups.backward);
+                let _merge_span = clock::span(probe, "detect.merge");
+                merge_probabilities(n, &f, &b)
             }
+            Detector::Forward(det) => run(det, &build_groups(n).forward),
+            // Backward probabilities come in backward flattening; re-order
+            // to canonical.
+            Detector::Backward(det) => {
+                reorder_backward_to_canonical(n, &run(det, &build_groups(n).backward))
+            }
+            Detector::Mlp(det) => det.probabilities(&cvecs),
         };
         drop(score_span);
 
@@ -885,7 +785,7 @@ impl Lead {
 }
 
 /// Options for one detection call ([`Lead::detect_opts`],
-/// [`Lead::detect_batch_opts`], [`Lead::detect_processed_opts`]).
+/// [`Lead::detect_batch_opts`], [`crate::streaming::StreamingDetector`]).
 ///
 /// The `Default` instance reproduces [`Lead::detect`] exactly: the model's
 /// configured thread count and no instrumentation.
@@ -935,26 +835,20 @@ impl<'p> DetectOptions<'p> {
     }
 }
 
-/// Options for one streaming fit ([`Lead::fit_streaming`]).
+/// Options for one fit ([`Lead::fit_streaming`]).
 ///
-/// The `Default` instance reproduces [`Lead::fit_with_val`] exactly: the
-/// configuration's thread count, no instrumentation, no carved validation
-/// split.
+/// The `Default` instance is what [`Lead::fit`] uses: the configuration's
+/// thread count and no instrumentation.
 #[derive(Clone, Copy)]
 pub struct FitOptions<'p> {
     /// Worker threads for the sample-parallel stages; `None` uses
     /// `config.num_threads`. Every value yields bit-identical results (the
     /// `lead_nn::par` contract).
     pub num_threads: Option<usize>,
-    /// Observability sink receiving the same spans, counters, and curves as
-    /// [`Lead::fit_opts`]. Metrics are write-only: the trained model is
-    /// bit-identical for any probe.
+    /// Observability sink receiving per-stage spans, counters, and training
+    /// curves. Metrics are write-only: the trained model is bit-identical
+    /// for any probe.
     pub probe: &'p dyn Probe,
-    /// When no explicit validation source is given, carve this fraction
-    /// (`[0, 1)`) off the tail of the ingested training set — by raw sample
-    /// count, before processing drops unusable samples — and use it as the
-    /// validation split. `None` (or `Some(0.0)`) trains without validation.
-    pub val_fraction: Option<f64>,
 }
 
 impl Default for FitOptions<'_> {
@@ -962,13 +856,12 @@ impl Default for FitOptions<'_> {
         FitOptions {
             num_threads: None,
             probe: &NOOP,
-            val_fraction: None,
         }
     }
 }
 
 impl<'p> FitOptions<'p> {
-    /// Default options: configured thread count, no probe, no carved split.
+    /// Default options: configured thread count, no probe.
     pub fn new() -> Self {
         Self::default()
     }
@@ -986,15 +879,7 @@ impl<'p> FitOptions<'p> {
         FitOptions {
             num_threads: self.num_threads,
             probe,
-            val_fraction: self.val_fraction,
         }
-    }
-
-    /// Carves a validation split off the ingested training set.
-    #[must_use]
-    pub fn with_val_fraction(mut self, fraction: f64) -> Self {
-        self.val_fraction = Some(fraction);
-        self
     }
 }
 

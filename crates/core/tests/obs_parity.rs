@@ -8,8 +8,9 @@
 //! sets surface as typed [`LeadError`]s, never panics.
 
 use lead_core::config::LeadConfig;
-use lead_core::pipeline::{DetectOptions, Lead, LeadOptions, TrainSample};
+use lead_core::pipeline::{DetectOptions, FitOptions, Lead, LeadOptions, TrainSample};
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};
+use lead_core::source::SliceSamples;
 use lead_core::LeadError;
 use lead_geo::distance::meters_to_lng_deg;
 use lead_geo::{GpsPoint, Trajectory};
@@ -78,12 +79,18 @@ fn probed_fit_and_detect_are_bit_identical() {
     let cfg = LeadConfig::fast_test();
 
     let (plain, plain_report) =
-        Lead::fit(&samples, &db, &cfg, LeadOptions::full()).expect("plain fit");
+        Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("plain fit");
 
     let recorder = Recorder::new();
-    let (probed, probed_report) =
-        Lead::fit_opts(&samples, &[], &db, &cfg, LeadOptions::full(), &recorder)
-            .expect("probed fit");
+    let (probed, probed_report) = Lead::fit_streaming(
+        &mut SliceSamples::new(&samples),
+        None,
+        &db,
+        &cfg,
+        LeadOptions::full(),
+        &FitOptions::new().with_probe(&recorder),
+    )
+    .expect("probed fit");
 
     // Identical weights, bit for bit, through the persisted byte stream.
     assert_eq!(model_bytes(&plain), model_bytes(&probed));
@@ -141,7 +148,7 @@ fn probed_fit_and_detect_are_bit_identical() {
 fn batch_detection_records_throughput() {
     let (samples, db) = tiny_world();
     let cfg = LeadConfig::fast_test();
-    let (model, _) = Lead::fit(&samples, &db, &cfg, LeadOptions::full()).expect("fit");
+    let (model, _) = Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("fit");
 
     let recorder = Recorder::new();
     let raws: Vec<_> = samples.iter().map(|s| s.raw.clone()).collect();
@@ -182,13 +189,19 @@ fn cross_backend_probed_fit_is_byte_identical() {
 
     lead_nn::simd::force_backend(Some(lead_nn::simd::Backend::Scalar));
     let recorder = Recorder::new();
-    let (scalar_probed, _) =
-        Lead::fit_opts(&samples, &[], &db, &cfg, LeadOptions::full(), &recorder)
-            .expect("probed scalar fit");
+    let (scalar_probed, _) = Lead::fit_streaming(
+        &mut SliceSamples::new(&samples),
+        None,
+        &db,
+        &cfg,
+        LeadOptions::full(),
+        &FitOptions::new().with_probe(&recorder),
+    )
+    .expect("probed scalar fit");
 
     lead_nn::simd::force_backend(None);
     let (auto_plain, _) =
-        Lead::fit(&samples, &db, &cfg, LeadOptions::full()).expect("plain auto fit");
+        Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("plain auto fit");
 
     assert_eq!(
         model_bytes(&scalar_probed),
@@ -216,7 +229,7 @@ fn invalid_config_is_an_error_not_a_panic() {
     let (samples, db) = tiny_world();
     let mut cfg = LeadConfig::fast_test();
     cfg.d_max_m = -1.0;
-    match Lead::fit(&samples, &db, &cfg, LeadOptions::full()) {
+    match Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()) {
         Err(LeadError::Config(e)) => assert_eq!(e.field, "d_max_m"),
         Err(other) => panic!("expected LeadError::Config, got {other}"),
         Ok(_) => panic!("invalid config accepted"),
@@ -242,7 +255,7 @@ fn unusable_training_set_is_an_error_not_a_panic() {
             unload_end_s: 1_000,
         },
     }];
-    match Lead::fit(&samples, &db, &cfg, LeadOptions::full()) {
+    match Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()) {
         Err(LeadError::NoTrainableSamples { skipped }) => assert_eq!(skipped, 1),
         Err(other) => panic!("expected NoTrainableSamples, got {other}"),
         Ok(_) => panic!("unusable training set accepted"),

@@ -89,7 +89,7 @@ fn fit_with_threads(num_threads: usize) -> (Lead, lead_core::pipeline::TrainingR
     let (train, val) = train_val_sets();
     let mut config = LeadConfig::fast_test();
     config.num_threads = num_threads;
-    Lead::fit_with_val(&train, &val, &poi_db(), &config, LeadOptions::full()).expect("fit")
+    Lead::fit(&train, &val, &poi_db(), &config, LeadOptions::full()).expect("fit")
 }
 
 fn bits(curve: &[f32]) -> Vec<u32> {

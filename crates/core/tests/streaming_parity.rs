@@ -4,7 +4,7 @@
 //! `par_map` concatenation equals one whole-dataset `par_map`, so for the
 //! same seed every downstream stage — normaliser, autoencoder sampling,
 //! detector training, every RNG draw — must be **bit-identical** to
-//! [`Lead::fit_with_val`], at any shard size, from any source (in-RAM
+//! [`Lead::fit`] on the whole in-RAM slices, at any shard size, from any source (in-RAM
 //! slices or binary shard files). These tests pin that contract on
 //! serialized model bytes, training curves, and detections, and pin the
 //! constant-memory claim itself on a high-water-mark counting source.
@@ -132,7 +132,7 @@ fn streaming_fit_is_bit_identical_to_in_ram_fit_at_any_shard_size() {
     let (held_out, _) = synthetic_day(4, 9);
 
     let (ref_model, ref_report) =
-        Lead::fit_with_val(&train, &val, &db, &cfg, LeadOptions::full()).expect("in-RAM fit");
+        Lead::fit(&train, &val, &db, &cfg, LeadOptions::full()).expect("in-RAM fit");
     let ref_fp = footprint(&ref_model, &ref_report);
     let ref_det = detection_fingerprint(&ref_model.detect(&held_out, &db));
     assert!(ref_det.is_some(), "held-out day must be detectable");
@@ -168,7 +168,7 @@ fn binary_shard_fit_is_bit_identical_to_in_ram_fit() {
     let cfg = config();
 
     let (ref_model, ref_report) =
-        Lead::fit_with_val(&train, &val, &db, &cfg, LeadOptions::full()).expect("in-RAM fit");
+        Lead::fit(&train, &val, &db, &cfg, LeadOptions::full()).expect("in-RAM fit");
     let ref_fp = footprint(&ref_model, &ref_report);
 
     let dir = std::env::temp_dir().join("lead-core-streaming-parity");
@@ -198,78 +198,6 @@ fn binary_shard_fit_is_bit_identical_to_in_ram_fit() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn val_fraction_split_matches_explicit_tail_split() {
-    let db = poi_db();
-    let (train, val) = train_val_sets();
-    // The carved-split semantics: the last floor(n·f) raw samples become
-    // the validation set. Build the equivalent explicit split and compare.
-    let mut all = train.clone();
-    all.extend(val.iter().cloned());
-    let f = 2.0 / 7.0 + 1e-9; // carves exactly the 2 val samples off 7
-    let n_val = ((all.len() as f64) * f).floor() as usize;
-    assert_eq!(n_val, 2);
-    let cfg = config();
-
-    let (ref_model, ref_report) = Lead::fit_with_val(
-        &all[..all.len() - n_val],
-        &all[all.len() - n_val..],
-        &db,
-        &cfg,
-        LeadOptions::full(),
-    )
-    .expect("explicit split fit");
-    let ref_fp = footprint(&ref_model, &ref_report);
-
-    let mut src = SliceSamples::with_shard_size(&all, 3);
-    let (model, report) = Lead::fit_streaming(
-        &mut src,
-        None,
-        &db,
-        &cfg,
-        LeadOptions::full(),
-        &FitOptions::new().with_val_fraction(f),
-    )
-    .expect("val-fraction fit");
-    assert_eq!(footprint(&model, &report), ref_fp);
-}
-
-#[test]
-fn fit_options_validation_is_typed() {
-    let db = poi_db();
-    let (train, val) = train_val_sets();
-    let cfg = config();
-
-    let mut src = SliceSamples::new(&train);
-    match Lead::fit_streaming(
-        &mut src,
-        None,
-        &db,
-        &cfg,
-        LeadOptions::full(),
-        &FitOptions::new().with_val_fraction(1.0),
-    ) {
-        Err(LeadError::Config(e)) => assert_eq!(e.field, "val_fraction"),
-        Err(other) => panic!("wanted Config error for val_fraction=1.0, got {other:?}"),
-        Ok(_) => panic!("val_fraction=1.0 fit unexpectedly succeeded"),
-    }
-
-    let mut src = SliceSamples::new(&train);
-    let mut val_src = SliceSamples::new(&val);
-    match Lead::fit_streaming(
-        &mut src,
-        Some(&mut val_src),
-        &db,
-        &cfg,
-        LeadOptions::full(),
-        &FitOptions::new().with_val_fraction(0.2),
-    ) {
-        Err(LeadError::Config(e)) => assert_eq!(e.field, "val_fraction"),
-        Err(other) => panic!("wanted Config error for fraction+explicit val, got {other:?}"),
-        Ok(_) => panic!("fraction+explicit val fit unexpectedly succeeded"),
-    }
 }
 
 #[test]

@@ -7,9 +7,12 @@ use crate::timing::{BucketTiming, Stopwatch};
 use lead_baselines::{RnnKind, SpR, SpRnn, SpRnnConfig};
 use lead_core::config::LeadConfig;
 use lead_core::label::truth_stay_indices;
-use lead_core::pipeline::{DetectOptions, Lead, LeadOptions, TrainSample, TrainingReport};
+use lead_core::pipeline::{
+    DetectOptions, FitOptions, Lead, LeadOptions, TrainSample, TrainingReport,
+};
 use lead_core::poi::PoiDatabase;
 use lead_core::processing::{Candidate, ProcessedTrajectory};
+use lead_core::source::SliceSamples;
 use lead_core::LeadError;
 use lead_obs::probe::{Probe, NOOP};
 use lead_synth::{Dataset, Sample};
@@ -231,7 +234,14 @@ pub fn train_method(
             (ModelImpl::Rnn(m), TrainingReport::default())
         }
         Method::Lead(options) => {
-            let (m, report) = Lead::fit_opts(&train, &val, poi_db, lead_config, options, probe)?;
+            let (m, report) = Lead::fit_streaming(
+                &mut SliceSamples::new(&train),
+                Some(&mut SliceSamples::new(&val)),
+                poi_db,
+                lead_config,
+                options,
+                &FitOptions::new().with_probe(probe),
+            )?;
             (ModelImpl::Lead(Box::new(m)), report)
         }
     };

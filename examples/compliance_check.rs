@@ -61,8 +61,14 @@ fn main() {
     config.detector_max_epochs = 12;
     println!("training LEAD…");
     let train = to_train_samples(&dataset.train);
-    let (lead, _) = Lead::fit(&train, &dataset.city.poi_db, &config, LeadOptions::full())
-        .expect("training failed");
+    let (lead, _) = Lead::fit(
+        &train,
+        &[],
+        &dataset.city.poi_db,
+        &config,
+        LeadOptions::full(),
+    )
+    .expect("training failed");
 
     println!("\nauditing loaded trajectories of the test fleet:\n");
     let mut flagged = 0;

@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example observability`
 
 use lead::core::config::LeadConfig;
-use lead::core::pipeline::{DetectOptions, Lead, LeadOptions};
+use lead::core::pipeline::{DetectOptions, FitOptions, Lead, LeadOptions};
+use lead::core::source::SliceSamples;
 use lead::eval::runner::to_train_samples;
 use lead::obs::{emit, Recorder};
 use lead::synth::{generate_dataset, SynthConfig};
@@ -30,13 +31,13 @@ fn main() {
     let recorder = Recorder::new();
     let train = to_train_samples(&dataset.train);
     println!("training LEAD with a recording probe…");
-    let (lead, _report) = Lead::fit_opts(
-        &train,
-        &[],
+    let (lead, _report) = Lead::fit_streaming(
+        &mut SliceSamples::new(&train),
+        None,
         &dataset.city.poi_db,
         &config,
         LeadOptions::full(),
-        &recorder,
+        &FitOptions::new().with_probe(&recorder),
     )
     .expect("training failed");
 

@@ -43,8 +43,14 @@ fn main() {
     // 3. Offline stage: train LEAD on the training split.
     println!("\ntraining LEAD (offline stage)…");
     let train = to_train_samples(&dataset.train);
-    let (lead, report) = Lead::fit(&train, &dataset.city.poi_db, &config, LeadOptions::full())
-        .expect("training failed");
+    let (lead, report) = Lead::fit(
+        &train,
+        &[],
+        &dataset.city.poi_db,
+        &config,
+        LeadOptions::full(),
+    )
+    .expect("training failed");
     // A curve can legitimately be empty (e.g. an ablation without that
     // stage), so endpoints are printed as "n/a" rather than unwrapped.
     let endpoint = |v: Option<&f32>| v.map_or("n/a".to_string(), |x| format!("{x:.4}"));

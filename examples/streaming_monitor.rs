@@ -26,8 +26,14 @@ fn main() {
     config.detector_max_epochs = 12;
     println!("training LEAD…");
     let train = to_train_samples(&dataset.train);
-    let (model, _) = Lead::fit(&train, &dataset.city.poi_db, &config, LeadOptions::full())
-        .expect("training failed");
+    let (model, _) = Lead::fit(
+        &train,
+        &[],
+        &dataset.city.poi_db,
+        &config,
+        LeadOptions::full(),
+    )
+    .expect("training failed");
 
     // Replay the first test day with a mappable ground truth.
     let sample = dataset

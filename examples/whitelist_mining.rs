@@ -47,8 +47,14 @@ fn main() {
     config.detector_max_epochs = 12;
     println!("training LEAD…");
     let train = to_train_samples(&dataset.train);
-    let (lead, _) = Lead::fit(&train, &dataset.city.poi_db, &config, LeadOptions::full())
-        .expect("training failed");
+    let (lead, _) = Lead::fit(
+        &train,
+        &[],
+        &dataset.city.poi_db,
+        &config,
+        LeadOptions::full(),
+    )
+    .expect("training failed");
 
     // The registry of *known* facilities: the city's official loading and
     // unloading sites. In reality this is the licensed-facility database.

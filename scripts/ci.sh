@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
+# The benchmark drives lead-core only through its public API from its own
+# package; building it here makes a breaking API change fail CI, not the
+# benchmark run.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -117,7 +117,7 @@ fn train(args: &Args) -> Result<(), String> {
         train.samples.len(),
         val.samples.len()
     );
-    let (model, report) = Lead::fit_with_val(&train.samples, &val.samples, &poi_db, &cfg, options)
+    let (model, report) = Lead::fit(&train.samples, &val.samples, &poi_db, &cfg, options)
         .map_err(|e| e.to_string())?;
     println!(
         "autoencoder MSE {:.4} → {:.4} over {} epochs; skipped {} unusable samples",

@@ -25,8 +25,8 @@ fn lead_full_trains_and_detects() {
     let ds = micro_dataset();
     let cfg = LeadConfig::fast_test();
     let train = to_train_samples(&ds.train);
-    let (lead, report) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
+    let (lead, report) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
 
     assert!(report.used_samples > 0);
     assert!(!report.ae_curve.is_empty());
@@ -66,7 +66,7 @@ fn every_variant_trains_and_detects() {
     ];
     for options in variants {
         let (lead, report) =
-            Lead::fit(&train, &ds.city.poi_db, &cfg, options).expect("training failed");
+            Lead::fit(&train, &[], &ds.city.poi_db, &cfg, options).expect("training failed");
         assert_eq!(lead.options(), options);
         assert!(!report.ae_curve.is_empty(), "{}", options.name());
         // Detector curves appear exactly where expected.
@@ -104,10 +104,10 @@ fn training_is_deterministic_under_fixed_seed() {
     let ds = micro_dataset();
     let cfg = LeadConfig::fast_test();
     let train = to_train_samples(&ds.train);
-    let (lead_a, report_a) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
-    let (lead_b, report_b) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
+    let (lead_a, report_a) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
+    let (lead_b, report_b) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
     assert_eq!(report_a.ae_curve, report_b.ae_curve);
     assert_eq!(report_a.forward_kld_curve, report_b.forward_kld_curve);
     let s = &ds.test[0];
@@ -213,8 +213,8 @@ fn streaming_matches_batch_detection() {
     let ds = micro_dataset();
     let cfg = LeadConfig::fast_test();
     let train = to_train_samples(&ds.train);
-    let (model, _) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
+    let (model, _) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
 
     let mut compared = 0;
     for s in ds.test.iter().chain(&ds.val) {
@@ -246,8 +246,8 @@ fn persisted_model_streams_identically() {
     let ds = micro_dataset();
     let cfg = LeadConfig::fast_test();
     let train = to_train_samples(&ds.train);
-    let (model, _) =
-        Lead::fit(&train, &ds.city.poi_db, &cfg, LeadOptions::full()).expect("training failed");
+    let (model, _) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
+        .expect("training failed");
     let mut buf = Vec::new();
     model.write_to(&mut buf).unwrap();
     let loaded = Lead::read_from(&mut buf.as_slice()).unwrap();
