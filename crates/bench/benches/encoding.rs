@@ -51,7 +51,7 @@ fn bench_encoding(c: &mut Criterion) {
     let mut g = c.benchmark_group("encode_all_28_candidates");
     g.sample_size(10);
     g.bench_function("shared_phase1_cache", |b| {
-        b.iter(|| black_box(hier.encode_all(&tf, &cands, 1)))
+        b.iter(|| black_box(hier.encode_all(&tf, &cands)))
     });
     g.bench_function("per_candidate_naive", |b| {
         b.iter(|| {

@@ -1,19 +1,16 @@
 //! Scaling benchmarks of the data-parallel hot paths: 1 worker thread vs.
-//! all available cores on candidate encoding, detector training, and batch
-//! detection. On a multi-core machine the N-thread rows should approach a
-//! cores-fold speedup; on one core both rows match (the 1-thread row takes
-//! the exact serial code path). Results are bit-identical either way — the
+//! all available cores on detector training and batch detection. On a
+//! multi-core machine the N-thread rows should approach a cores-fold
+//! speedup; on one core both rows match (the 1-thread row takes the exact
+//! serial code path). Results are bit-identical either way — the
 //! parallel layer reduces in a fixed order (see `lead_nn::par`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lead_core::config::LeadConfig;
 use lead_core::detection::{build_groups, forward_flat_order, smoothed_label, GroupDetector};
-use lead_core::encoding::{Autoencoder, EncoderKind};
-use lead_core::features::{TrajectoryFeatures, FEATURE_DIM};
 use lead_core::label::TruthLabel;
 use lead_core::pipeline::{Lead, LeadOptions, TrainSample};
 use lead_core::poi::PoiDatabase;
-use lead_core::processing::enumerate_candidates;
 use lead_geo::distance::meters_to_lng_deg;
 use lead_geo::{GpsPoint, Trajectory};
 use lead_nn::Matrix;
@@ -32,35 +29,6 @@ fn thread_counts() -> Vec<usize> {
     } else {
         vec![1]
     }
-}
-
-fn features(n: usize, len_sp: usize, len_mp: usize) -> TrajectoryFeatures {
-    let mk = |rows: usize, salt: usize| {
-        Matrix::from_fn(rows, FEATURE_DIM, |r, c| {
-            (((salt * 31 + r * 7 + c) as f32) * 0.13).sin() * 0.5
-        })
-    };
-    TrajectoryFeatures {
-        sp_seqs: (0..n).map(|k| mk(len_sp, k)).collect(),
-        mp_seqs: (0..n - 1).map(|k| mk(len_mp, 100 + k)).collect(),
-    }
-}
-
-fn bench_parallel_encoding(c: &mut Criterion) {
-    let cfg = LeadConfig::paper();
-    let mut rng = StdRng::seed_from_u64(9);
-    let hier = Autoencoder::new(&cfg, EncoderKind::Hierarchical, true, &mut rng);
-    let tf = features(8, 10, 14);
-    let cands = enumerate_candidates(8);
-
-    let mut g = c.benchmark_group("parallel_encode_all_28_candidates");
-    g.sample_size(10);
-    for threads in thread_counts() {
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(hier.encode_all(&tf, &cands, t)))
-        });
-    }
-    g.finish();
 }
 
 fn bench_parallel_detector_training(c: &mut Criterion) {
@@ -168,7 +136,6 @@ fn bench_parallel_batch_detection(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_parallel_encoding,
     bench_parallel_detector_training,
     bench_parallel_batch_detection
 );

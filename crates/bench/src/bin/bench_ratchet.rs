@@ -203,7 +203,7 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
             cands.len()
         ),
         measure(sample_ms, || {
-            std::hint::black_box(hier.encode_all(&tf, &cands, 1));
+            std::hint::black_box(hier.encode_all(&tf, &cands));
         }),
     );
 

@@ -7,6 +7,7 @@
 //! the two "share the same structure" but not parameters.
 
 use crate::config::LeadConfig;
+use lead_nn::infer::{Packing, Scratch};
 use lead_nn::layers::{Linear, StackedBiLstm};
 use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
@@ -82,11 +83,43 @@ impl GroupDetector {
         forward_graph_parts(&self.stack, &self.out, g, subgroups)
     }
 
-    /// The flat probability distribution over one group, as values.
+    /// The flat probability distribution over one group, as values, without
+    /// a tape; bit-identical to [`Self::forward_graph`].
+    ///
+    /// All subgroups run through the stacked BiLSTM as one packed batch
+    /// (subgroups stay independent sequences), then through the output
+    /// layer in one product; the softmax is over the concatenated logits.
+    ///
+    /// # Panics
+    /// Panics if the group or any subgroup is empty.
     pub fn probabilities(&self, subgroups: &[Vec<&Matrix>]) -> Vec<f32> {
-        let mut g = Graph::new(&self.params);
-        let p = self.forward_graph(&mut g, subgroups);
-        g.value(p).data().to_vec()
+        assert!(!subgroups.is_empty(), "empty group");
+        assert!(
+            subgroups.iter().all(|sub| !sub.is_empty()),
+            "empty subgroup"
+        );
+        let lens: Vec<usize> = subgroups.iter().map(Vec::len).collect();
+        // Subgroups back to back: the input order is the flattening order,
+        // and so is the order of the logits.
+        let xs: Vec<f32> = subgroups
+            .iter()
+            .flatten()
+            .flat_map(|m| m.data().iter().copied())
+            .collect();
+        let (mut hs, mut logits) = (Vec::new(), Vec::new());
+        self.stack.infer(
+            &self.params,
+            &Packing::back_to_back(&lens),
+            &xs,
+            &mut hs,
+            &mut Scratch::new(),
+        );
+        self.out.infer(&self.params, &hs, &mut logits);
+        let m = logits.len();
+        Matrix::from_vec(1, m, logits)
+            .softmax_rows()
+            .data()
+            .to_vec()
     }
 
     /// Trains against ε-smoothed labels with the KLD loss (Equations

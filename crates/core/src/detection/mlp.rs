@@ -7,9 +7,17 @@
 use crate::config::LeadConfig;
 use lead_nn::layers::Linear;
 use lead_nn::optim::Adam;
+use lead_nn::simd::Kernel;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
+
+/// `max(v, 0)` in place, the tape's `relu`.
+fn relu(x: &mut [f32]) {
+    for v in x {
+        *v = v.max(0.0);
+    }
+}
 
 /// The per-candidate MLP scorer.
 pub struct MlpDetector {
@@ -60,17 +68,26 @@ impl MlpDetector {
         self.l4.forward(g, c)
     }
 
-    /// The sigmoid probability of a single candidate.
-    pub fn probability(&self, c_vec: &Matrix) -> f32 {
-        let mut g = Graph::new(&self.params);
-        let z = self.logit(&mut g, c_vec);
-        let p = g.sigmoid(z);
-        g.value(p).at(0, 0)
-    }
-
-    /// Probabilities of a whole candidate list (still independent scores).
+    /// Probabilities of a whole candidate list (still independent scores):
+    /// every layer runs once over all candidates as rows of one matrix,
+    /// without a tape; bit-identical to `sigmoid(logit)` on the tape.
     pub fn probabilities(&self, c_vecs: &[Matrix]) -> Vec<f32> {
-        c_vecs.iter().map(|c| self.probability(c)).collect()
+        let ps = &self.params;
+        let xs: Vec<f32> = c_vecs
+            .iter()
+            .flat_map(|m| m.data().iter().copied())
+            .collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.l1.infer(ps, &xs, &mut a);
+        relu(&mut a);
+        self.l2.infer(ps, &a, &mut b);
+        relu(&mut b);
+        self.l3.infer(ps, &b, &mut a);
+        relu(&mut a);
+        self.l4.infer(ps, &a, &mut b);
+        let mut p = vec![0.0; b.len()];
+        lead_nn::simd::active().sigmoid(&b, &mut p);
+        p
     }
 
     /// Trains with per-candidate binary cross-entropy: the loaded candidate
@@ -196,8 +213,24 @@ mod tests {
     fn probability_in_unit_interval() {
         let mut rng = StdRng::seed_from_u64(1);
         let det = MlpDetector::new(8, &mut rng);
-        let p = det.probability(&cvec(0.5, 8, 1));
-        assert!((0.0..=1.0).contains(&p));
+        let p = det.probabilities(&[cvec(0.5, 8, 1)]);
+        assert!(p.len() == 1 && p.iter().all(|p| (0.0..=1.0).contains(p)));
+    }
+
+    #[test]
+    fn probabilities_match_the_tape_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let det = MlpDetector::new(8, &mut rng);
+        let c_vecs: Vec<Matrix> = (0..7).map(|s| cvec(0.1 * s as f32 - 0.3, 8, s)).collect();
+        let got = det.probabilities(&c_vecs);
+        assert_eq!(got.len(), c_vecs.len());
+        for (c, p) in c_vecs.iter().zip(&got) {
+            let mut g = Graph::new(&det.params);
+            let z = det.logit(&mut g, c);
+            let want = g.sigmoid(z);
+            assert_eq!(p.to_bits(), g.value(want).at(0, 0).to_bits());
+        }
+        assert!(det.probabilities(&[]).is_empty());
     }
 
     #[test]
@@ -219,8 +252,7 @@ mod tests {
             .collect();
         let curve = det.train(&items, &cfg, &mut rng);
         assert!(curve.last().unwrap() < &curve[0]);
-        let p_pos = det.probability(&cvec(0.8, dim, 1234));
-        let p_neg = det.probability(&cvec(-0.2, dim, 4321));
-        assert!(p_pos > p_neg, "pos {p_pos} vs neg {p_neg}");
+        let p = det.probabilities(&[cvec(0.8, dim, 1234), cvec(-0.2, dim, 4321)]);
+        assert!(p[0] > p[1], "pos {} vs neg {}", p[0], p[1]);
     }
 }

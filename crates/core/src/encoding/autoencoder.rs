@@ -21,10 +21,12 @@
 use crate::config::LeadConfig;
 use crate::features::{CandidateFeatures, TrajectoryFeatures, FEATURE_DIM};
 use crate::processing::Candidate;
+use lead_nn::infer::{Packing, Scratch};
 use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
+use std::ops::Range;
 
 /// Which encoder architecture to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,30 +370,48 @@ impl Autoencoder {
         lead_nn::num::narrow_f64(total / samples.len() as f64)
     }
 
-    /// Encodes a single candidate into its `c-vec` value (no gradients kept).
+    /// Encodes a single candidate into its `c-vec` value, without a tape;
+    /// bit-identical to [`Self::encode`].
+    ///
+    /// # Panics
+    /// Panics if `input` breaks the stay/move interleaving or has no move
+    /// point.
     pub fn encode_value(&self, input: &CandidateFeatures) -> Matrix {
-        let mut g = Graph::new(&self.params);
-        let v = self.encode(&mut g, input);
-        g.value(v).clone()
+        input.validate();
+        let n = input.sp_seqs.len();
+        assert!(n >= 2, "compression of an empty sequence");
+        self.encode_candidates(&input.sp_seqs, &input.mp_seqs, &[Candidate::new(0, n - 1)])
     }
 
-    /// Encodes every candidate of a trajectory, sharing the phase-1
-    /// compression of each stay/move point across candidates.
+    /// Encodes every candidate of a trajectory without a tape, sharing all
+    /// work that candidates have in common; bit-identical to
+    /// [`Self::encode`] on each candidate. Results are in candidate order.
     ///
-    /// The hierarchy makes this exact: a candidate's `c-vec` depends on its
-    /// stay/move points only through their phase-1 vectors, which are
-    /// identical across candidates. The flat variant has no such structure
-    /// and falls back to per-candidate encoding.
-    ///
-    /// Phase 1 runs once; the per-candidate phase-2 passes run on
-    /// `num_threads` workers (0 = all cores). Results are returned in
-    /// candidate order and are bit-identical for every thread count.
-    pub fn encode_all(
+    /// A candidate `(s, e)`'s sequence is a prefix of `(s, e + 1)`'s, and an
+    /// LSTM's first `t` hidden states depend only on its first `t` inputs,
+    /// so every LSTM over candidate sequences runs once per start stay
+    /// point `s`, over the longest sequence any candidate from `s` needs,
+    /// and each candidate reads its prefix of that run. The hierarchical
+    /// variant first compresses each stay and move point once, in one
+    /// packed pass per kind (phase 1), and applies this to its phase-2
+    /// LSTMs over those vectors; the flat variant applies it to the
+    /// interleaved GPS points.
+    pub fn encode_all(&self, tf: &TrajectoryFeatures, candidates: &[Candidate]) -> Vec<Matrix> {
+        let c_vecs = self.encode_candidates(&tf.sp_seqs, &tf.mp_seqs, candidates);
+        (0..c_vecs.rows())
+            .map(|r| Matrix::row_vector(c_vecs.row(r).to_vec()))
+            .collect()
+    }
+
+    /// The c-vecs of `candidates` over one trajectory's stay and move point
+    /// sequences, one row per candidate (see [`Self::encode_all`]).
+    fn encode_candidates(
         &self,
-        tf: &TrajectoryFeatures,
+        sp_seqs: &[Matrix],
+        mp_seqs: &[Matrix],
         candidates: &[Candidate],
-        num_threads: usize,
-    ) -> Vec<Matrix> {
+    ) -> Matrix {
+        let ps = &self.params;
         match &self.arch {
             Arch::Hierarchical {
                 comp_sp1,
@@ -400,47 +420,113 @@ impl Autoencoder {
                 comp_mp2,
                 ..
             } => {
-                // Phase 1 once, keeping only the values: candidates need the
-                // phase-1 vectors, not their tape nodes.
-                let mut g = Graph::new(&self.params);
-                let sp_vals: Vec<Matrix> = tf
-                    .sp_seqs
-                    .iter()
-                    .map(|m| {
-                        let v = comp_sp1.compress_matrix(&mut g, m);
-                        g.value(v).clone()
-                    })
-                    .collect();
-                let mp_vals: Vec<Matrix> = tf
-                    .mp_seqs
-                    .iter()
-                    .map(|m| {
-                        let v = comp_mp1.compress_matrix(&mut g, m);
-                        g.value(v).clone()
-                    })
-                    .collect();
-                drop(g);
-                lead_nn::par::par_map(num_threads, candidates, |_, c| {
-                    let mut g = Graph::new(&self.params);
-                    let sp_vecs: Vec<Var> = sp_vals[c.start_sp..=c.end_sp]
-                        .iter()
-                        .map(|m| g.constant(m.clone()))
-                        .collect();
-                    let mp_vecs: Vec<Var> = mp_vals[c.start_sp..c.end_sp]
-                        .iter()
-                        .map(|m| g.constant(m.clone()))
-                        .collect();
-                    let sp_c = comp_sp2.compress_vars(&mut g, &sp_vecs);
-                    let mp_c = comp_mp2.compress_vars(&mut g, &mp_vecs);
-                    let v = g.concat_cols(&[sp_c, mp_c]);
-                    g.value(v).clone()
-                })
+                let sp = encode_half(ps, comp_sp1, comp_sp2, sp_seqs, candidates, 1);
+                let mp = encode_half(ps, comp_mp1, comp_mp2, mp_seqs, candidates, 0);
+                let (ws, wm) = (comp_sp2.out_dim(), comp_mp2.out_dim());
+                let mut c_vecs = Matrix::zeros(candidates.len(), ws + wm);
+                for (r, (s, m)) in sp.chunks_exact(ws).zip(mp.chunks_exact(wm)).enumerate() {
+                    let row = c_vecs.row_mut(r);
+                    row[..ws].copy_from_slice(s);
+                    row[ws..].copy_from_slice(m);
+                }
+                c_vecs
             }
-            Arch::Flat { .. } => lead_nn::par::par_map(num_threads, candidates, |_, &c| {
-                self.encode_value(&tf.candidate(c))
-            }),
+            Arch::Flat { comp, .. } => {
+                // The interleaved trajectory, and the rows of each stay
+                // point in it.
+                let (mut xs, mut row) = (Vec::new(), 0);
+                let mut sp_rows = Vec::with_capacity(sp_seqs.len());
+                for (k, sp) in sp_seqs.iter().enumerate() {
+                    sp_rows.push(row..row + sp.rows());
+                    row += sp.rows();
+                    xs.extend_from_slice(sp.data());
+                    if let Some(mp) = mp_seqs.get(k) {
+                        row += mp.rows();
+                        xs.extend_from_slice(mp.data());
+                    }
+                }
+                let out = compress_spans(ps, comp, &xs, candidates, |c| {
+                    sp_rows[c.start_sp].start..sp_rows[c.end_sp].end
+                });
+                Matrix::from_vec(candidates.len(), comp.out_dim(), out)
+            }
         }
     }
+}
+
+/// Compresses each of `seqs` whole with `comp`, in one packed pass; one
+/// `out_dim`-wide row per sequence.
+fn compress_whole(ps: &ParamSet, comp: &CompressionOperator, seqs: &[Matrix]) -> Matrix {
+    let lens: Vec<usize> = seqs.iter().map(Matrix::rows).collect();
+    let xs: Vec<f32> = seqs.iter().flat_map(|m| m.data().iter().copied()).collect();
+    let whole: Vec<(usize, usize)> = lens.iter().copied().enumerate().collect();
+    let mut out = Vec::new();
+    comp.infer(
+        ps,
+        &Packing::back_to_back(&lens),
+        &xs,
+        &whole,
+        &mut out,
+        &mut Scratch::new(),
+    );
+    Matrix::from_vec(seqs.len(), comp.out_dim(), out)
+}
+
+/// Compresses with `comp` the input rows `span(c)` of `xs` for every
+/// candidate `c`, where candidates with the same start stay point start at
+/// the same row. The LSTM runs once per start stay point, over a window as
+/// long as its longest span, and each candidate reads its prefix of that
+/// run ([`CompressionOperator::infer`]). One `out_dim`-wide row per
+/// candidate.
+fn compress_spans(
+    ps: &ParamSet,
+    comp: &CompressionOperator,
+    xs: &[f32],
+    candidates: &[Candidate],
+    span: impl Fn(&Candidate) -> Range<usize>,
+) -> Vec<f32> {
+    let starts = candidates.iter().map(|c| c.start_sp + 1).max().unwrap_or(0);
+    let mut window_of: Vec<Option<usize>> = vec![None; starts];
+    let mut windows: Vec<(usize, usize)> = Vec::new();
+    let mut prefixes = Vec::with_capacity(candidates.len());
+    for c in candidates {
+        let rows = span(c);
+        let w = *window_of[c.start_sp].get_or_insert_with(|| {
+            windows.push((rows.start, 0));
+            windows.len() - 1
+        });
+        windows[w].1 = windows[w].1.max(rows.len());
+        prefixes.push((w, rows.len()));
+    }
+    let mut out = Vec::new();
+    comp.infer(
+        ps,
+        &Packing::windows(&windows),
+        xs,
+        &prefixes,
+        &mut out,
+        &mut Scratch::new(),
+    );
+    out
+}
+
+/// One half (stay or move) of the hierarchical compressor over every
+/// candidate: phase 1 over all of `seqs`, then phase 2 once per start index.
+/// Candidate `(s, e)` reads `e − s + extra` phase-1 vectors from index `s`
+/// (stay points `extra = 1`, move points 0). Returns one `hidden`-wide row
+/// per candidate.
+fn encode_half(
+    ps: &ParamSet,
+    phase1: &CompressionOperator,
+    phase2: &CompressionOperator,
+    seqs: &[Matrix],
+    candidates: &[Candidate],
+    extra: usize,
+) -> Vec<f32> {
+    let vecs = compress_whole(ps, phase1, seqs);
+    compress_spans(ps, phase2, vecs.data(), candidates, |c| {
+        c.start_sp..c.end_sp + extra
+    })
 }
 
 #[cfg(test)]
@@ -513,24 +599,24 @@ mod tests {
     fn encode_all_matches_per_candidate_encoding() {
         let cfg = small_cfg();
         let mut rng = StdRng::seed_from_u64(4);
-        let ae = Autoencoder::new(&cfg, EncoderKind::Hierarchical, true, &mut rng);
         let cf = toy_candidate(7, 4);
         let tf = TrajectoryFeatures {
             sp_seqs: cf.sp_seqs.clone(),
             mp_seqs: cf.mp_seqs.clone(),
         };
         let candidates = crate::processing::enumerate_candidates(4);
-        let cached = ae.encode_all(&tf, &candidates, 1);
-        for threads in [2, 4] {
-            let par = ae.encode_all(&tf, &candidates, threads);
-            for (a, b) in cached.iter().zip(par.iter()) {
-                assert_eq!(a.data(), b.data(), "threads={threads}");
-            }
-        }
-        for (c, cv) in candidates.iter().zip(cached.iter()) {
-            let direct = ae.encode_value(&tf.candidate(*c));
-            for (a, b) in cv.data().iter().zip(direct.data().iter()) {
-                assert!((a - b).abs() < 1e-5, "cache mismatch for {c:?}");
+        for kind in [EncoderKind::Hierarchical, EncoderKind::Flat] {
+            let ae = Autoencoder::new(&cfg, kind, true, &mut rng);
+            let cached = ae.encode_all(&tf, &candidates);
+            for (c, cv) in candidates.iter().zip(cached.iter()) {
+                let direct = ae.encode_value(&tf.candidate(*c));
+                let mut g = Graph::new(&ae.params);
+                let v = ae.encode(&mut g, &tf.candidate(*c));
+                for want in [&direct, g.value(v)] {
+                    let bits =
+                        |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(cv), bits(want), "{kind:?}: cache mismatch for {c:?}");
+                }
             }
         }
     }

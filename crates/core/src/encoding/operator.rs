@@ -11,7 +11,9 @@
 //! fully connected layers with a final `tanh` (Equation (6)), recovering a
 //! sequence of the requested length.
 
+use lead_nn::infer::{Packing, Scratch};
 use lead_nn::layers::{Linear, Lstm, SelfAttention};
+use lead_nn::simd::Kernel;
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
 
@@ -70,6 +72,74 @@ impl CompressionOperator {
         let a = self.fc1.forward(g, h);
         let b = self.fc2.forward(g, a);
         g.tanh(b)
+    }
+
+    /// Compresses many sequence prefixes at once, without a tape.
+    ///
+    /// `xs` holds the input rows (`in_dim` wide) that `pack` reads. Entry
+    /// `(s, len)` of `prefixes` asks for the compression of the first `len`
+    /// steps of sequence `s`, and row `i` of `out` (`hidden` wide) receives
+    /// it. The LSTM runs once over every sequence: the hidden states of a
+    /// prefix are the first `len` states of its sequence, so every prefix
+    /// of one sequence shares them, and its key projections. Only the
+    /// query, scores, softmax, weighted sum and the two FC layers run per
+    /// prefix. Bit-identical to [`Self::compress_vars`] on each prefix.
+    ///
+    /// # Panics
+    /// Panics if a prefix is empty or longer than its sequence.
+    pub fn infer(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        prefixes: &[(usize, usize)],
+        out: &mut Vec<f32>,
+        scratch: &mut Scratch,
+    ) {
+        assert!(
+            prefixes
+                .iter()
+                .all(|&(s, len)| len > 0 && len <= pack.seq_len(s)),
+            "compression of an empty sequence"
+        );
+        let h = self.out_dim();
+        let mut hs = Vec::new();
+        self.lstm.infer(ps, pack, xs, false, &mut hs, scratch);
+        let rows_of = |&(s, len): &(usize, usize)| {
+            let start = pack.output_start(s);
+            start..start + len
+        };
+        // The last hidden state of every prefix: the query source, or the
+        // aggregate itself without attention.
+        let mut pooled: Vec<f32> = prefixes
+            .iter()
+            .flat_map(|p| {
+                let last = rows_of(p).end - 1;
+                hs[last * h..(last + 1) * h].iter().copied()
+            })
+            .collect();
+        if let Some(att) = &self.attention {
+            let (mut keys, mut queries, mut scores) = (Vec::new(), Vec::new(), Vec::new());
+            let kd = att.key_dim();
+            att.infer_keys(ps, &hs, &mut keys);
+            att.infer_queries(ps, &pooled, &mut queries);
+            for (i, (p, query)) in prefixes.iter().zip(queries.chunks_exact(kd)).enumerate() {
+                let rows = rows_of(p);
+                att.infer_pool(
+                    query,
+                    &keys[rows.start * kd..rows.end * kd],
+                    &hs[rows.start * h..rows.end * h],
+                    &mut scores,
+                    &mut pooled[i * h..(i + 1) * h],
+                );
+            }
+        }
+        let mut a = Vec::new();
+        self.fc1.infer(ps, &pooled, &mut a);
+        self.fc2.infer(ps, &a, &mut pooled);
+        out.clear();
+        out.resize(pooled.len(), 0.0);
+        lead_nn::simd::active().tanh(&pooled, out);
     }
 
     /// Compresses a (T × in_dim) feature matrix (recorded as a constant).

@@ -526,17 +526,16 @@ impl Lead {
         drop(ae_span);
 
         // ---- candidate encoding (compressor frozen) --------------------------
-        // Parallel across trajectories; the per-trajectory encoding runs
-        // serial (threads = 1) so threads are never nested.
+        // Parallel across trajectories; each trajectory encodes serially.
         let encode_span = clock::span(probe, "fit.encode");
         let ae_ref = &autoencoder;
         let encoded: Vec<Vec<Matrix>> =
             lead_nn::par::par_map(config.num_threads, &features, |i, tf| {
-                ae_ref.encode_all(tf, &processed[i].0.candidates, 1)
+                ae_ref.encode_all(tf, &processed[i].0.candidates)
             });
         let val_encoded: Vec<Vec<Matrix>> =
             lead_nn::par::par_map(config.num_threads, &val_features, |i, tf| {
-                ae_ref.encode_all(tf, &val_processed[i].0.candidates, 1)
+                ae_ref.encode_all(tf, &val_processed[i].0.candidates)
             });
         drop(encode_span);
 
@@ -744,8 +743,7 @@ impl Lead {
         let tf = fx.trajectory_features_probed(&proc, num_threads, probe);
         let cvecs = {
             let _span = clock::span(probe, "encode");
-            self.autoencoder
-                .encode_all(&tf, &proc.candidates, num_threads)
+            self.autoencoder.encode_all(&tf, &proc.candidates)
         };
         let by_cand = candidate_index_map(n);
         let run = |det: &GroupDetector, side: &[Vec<Candidate>]| -> Vec<f32> {
@@ -791,7 +789,7 @@ impl Lead {
 /// configured thread count and no instrumentation.
 #[derive(Clone, Copy)]
 pub struct DetectOptions<'p> {
-    /// Worker threads for the candidate-parallel stages; `None` uses the
+    /// Worker threads for per-segment feature extraction; `None` uses the
     /// model's `config.num_threads`. Callers that already parallelise across
     /// trajectories (an evaluation sweep, [`Lead::detect_batch_opts`])
     /// should pass `Some(1)` so thread pools are never nested. Every value

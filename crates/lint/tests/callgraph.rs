@@ -103,7 +103,13 @@ fn transitive_two_hops_reports_the_full_witness_path() {
 #[test]
 fn cross_crate_panic_path_through_a_declared_dep() {
     let root = ws("cg-cross-panic");
-    crate_manifest(&root, "crates/eval", "lead-eval", "result-lib", &["lead-synth"]);
+    crate_manifest(
+        &root,
+        "crates/eval",
+        "lead-eval",
+        "result-lib",
+        &["lead-synth"],
+    );
     crate_manifest(&root, "crates/synth", "lead-synth", "lib", &[]);
     write(
         &root.join("crates/eval/src/lib.rs"),
@@ -214,9 +220,9 @@ fn hashset_reached_through_a_helper_fires_r13() {
     let diags = lead_lint::scan_source("crates/eval/src/lib.rs", src);
     assert_eq!(rules_of(&diags), vec!["determinism-taint"], "{diags:?}");
     assert!(
-        diags[0]
-            .message
-            .contains("entry → helper: tainted at crates/eval/src/lib.rs:9 (`HashSet` iteration order)"),
+        diags[0].message.contains(
+            "entry → helper: tainted at crates/eval/src/lib.rs:9 (`HashSet` iteration order)"
+        ),
         "{}",
         diags[0].message
     );
@@ -225,7 +231,13 @@ fn hashset_reached_through_a_helper_fires_r13() {
 #[test]
 fn clock_laundered_through_a_helper_crate_fires_r13() {
     let root = ws("cg-cross-clock");
-    crate_manifest(&root, "crates/eval", "lead-eval", "result-lib", &["lead-synth"]);
+    crate_manifest(
+        &root,
+        "crates/eval",
+        "lead-eval",
+        "result-lib",
+        &["lead-synth"],
+    );
     crate_manifest(&root, "crates/synth", "lead-synth", "lib", &[]);
     write(
         &root.join("crates/eval/src/lib.rs"),
@@ -249,9 +261,9 @@ fn clock_laundered_through_a_helper_crate_fires_r13() {
     assert_eq!(rules_of(&diags), vec!["determinism-taint"], "{diags:?}");
     assert_eq!(diags[0].file, "crates/eval/src/lib.rs");
     assert!(
-        diags[0]
-            .message
-            .contains("entry → now_ms: tainted at crates/synth/src/lib.rs:7 (`Instant` wall-clock read)"),
+        diags[0].message.contains(
+            "entry → now_ms: tainted at crates/synth/src/lib.rs:7 (`Instant` wall-clock read)"
+        ),
         "{}",
         diags[0].message
     );
@@ -353,7 +365,11 @@ fn run_bare(args: &[&str]) -> (i32, String, String) {
 fn explain_without_a_target_lists_the_whole_catalog() {
     let (code, stdout, _) = run_bare(&["explain"]);
     assert_eq!(code, 0);
-    for (num, id) in [("R1", "hash-order"), ("R12", "panic-path"), ("R13", "determinism-taint")] {
+    for (num, id) in [
+        ("R1", "hash-order"),
+        ("R12", "panic-path"),
+        ("R13", "determinism-taint"),
+    ] {
         assert!(stdout.contains(num), "{stdout}");
         assert!(stdout.contains(id), "{stdout}");
     }

@@ -7,8 +7,10 @@
 //! contributes to the aggregated vector — the paper's remedy for long-range
 //! feature sequences.
 
+use crate::infer::affine;
 use crate::init::xavier_uniform;
 use crate::params::{ParamId, ParamSet};
+use crate::simd::Kernel;
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -58,6 +60,11 @@ impl SelfAttention {
         self.hidden
     }
 
+    /// Width of the queries and keys.
+    pub fn key_dim(&self) -> usize {
+        self.key_dim
+    }
+
     /// Aggregates a sequence of 1×hidden states into a single 1×hidden vector.
     ///
     /// Per Equation (3): `q = h_last·Wq + bq`, `K = H·Wk + bk`,
@@ -87,6 +94,63 @@ impl SelfAttention {
         );
         let s = g.softmax_rows(scores); // 1 × T
         g.matmul(s, h_mat) // 1 × hidden
+    }
+
+    /// The key projections `H·Wk + bk` of every row of `hs` (`hidden`
+    /// wide), without a tape. Keys depend only on their own row, so one
+    /// projection serves every sequence (and every prefix) the rows belong
+    /// to.
+    ///
+    /// # Panics
+    /// Panics if `hs` is not a whole number of rows.
+    pub fn infer_keys(&self, ps: &ParamSet, hs: &[f32], keys: &mut Vec<f32>) {
+        affine(hs, ps.value(self.wk), ps.value(self.bk), keys);
+    }
+
+    /// The query projections `h·Wq + bq` of every row of `lasts` (each the
+    /// last hidden state of the sequence it aggregates), without a tape.
+    ///
+    /// # Panics
+    /// Panics if `lasts` is not a whole number of rows.
+    pub fn infer_queries(&self, ps: &ParamSet, lasts: &[f32], queries: &mut Vec<f32>) {
+        affine(lasts, ps.value(self.wq), ps.value(self.bq), queries);
+    }
+
+    /// Aggregates one sequence from its query (`key_dim` wide), its keys
+    /// and its hidden states (one row per step), writing the 1×hidden
+    /// output into `out`: the scores, softmax and weighted sum of
+    /// [`Self::aggregate`], kernel for kernel. `scores` is scratch.
+    ///
+    /// # Panics
+    /// Panics if `keys` and `values` disagree on the number of steps or
+    /// hold none.
+    pub fn infer_pool(
+        &self,
+        query: &[f32],
+        keys: &[f32],
+        values: &[f32],
+        scores: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        let steps = values.len() / self.hidden;
+        assert!(
+            steps > 0 && keys.len() == steps * self.key_dim,
+            "attention over an empty or ragged sequence"
+        );
+        let kernel = crate::simd::active();
+        scores.clear();
+        // `0.0 + dot`, as the tape's zero-initialised q·Kᵀ accumulates it.
+        scores.extend(
+            keys.chunks_exact(self.key_dim)
+                .map(|k| 0.0 + kernel.dot(query, k)),
+        );
+        kernel.scale(
+            scores,
+            1.0 / crate::num::exact_usize_f32(self.key_dim).sqrt(),
+        );
+        crate::matrix::softmax_in_place(scores);
+        out.fill(0.0);
+        kernel.matmul_acc(scores, values, out, 1, steps, self.hidden);
     }
 
     /// The attention distribution over steps (for diagnostics/tests).

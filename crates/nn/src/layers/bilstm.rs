@@ -1,6 +1,7 @@
 //! Bidirectional and stacked-bidirectional LSTMs (the paper's detectors,
 //! Section V-B).
 
+use crate::infer::{zeroed, Packing, Scratch};
 use crate::layers::{Linear, Lstm};
 use crate::params::ParamSet;
 use crate::tape::{Graph, Var};
@@ -68,6 +69,35 @@ impl BiLstm {
             })
             .collect()
     }
+
+    /// Runs both directions over every sequence of a packed batch and
+    /// merges per step, without a tape; `out` is laid out as the packing's
+    /// output, `hidden` wide. Bit-identical to [`Self::forward`] on each
+    /// sequence.
+    ///
+    /// # Panics
+    /// Panics if `xs` does not hold the rows the packing reads.
+    pub fn infer(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        out: &mut Vec<f32>,
+        scratch: &mut Scratch,
+    ) {
+        let h = self.hidden;
+        self.fwd
+            .infer_with(ps, pack, xs, false, &mut scratch.fwd, &mut scratch.cell);
+        self.bwd
+            .infer_with(ps, pack, xs, true, &mut scratch.bwd, &mut scratch.cell);
+        let rows = pack.output_rows();
+        zeroed(&mut scratch.cat, rows * 2 * h);
+        for (r, cat) in scratch.cat.chunks_exact_mut(2 * h).enumerate() {
+            cat[..h].copy_from_slice(&scratch.fwd[r * h..(r + 1) * h]);
+            cat[h..].copy_from_slice(&scratch.bwd[r * h..(r + 1) * h]);
+        }
+        self.merge.infer(ps, &scratch.cat, out);
+    }
 }
 
 /// A stack of [`BiLstm`] layers (the paper uses `L = 4`), each consuming the
@@ -119,6 +149,37 @@ impl StackedBiLstm {
             seq = layer.forward(g, &seq);
         }
         seq
+    }
+
+    /// Runs the whole stack over every sequence of a packed batch without a
+    /// tape; `out` is laid out as the packing's output. Bit-identical to
+    /// [`Self::forward`] on each sequence.
+    ///
+    /// # Panics
+    /// Panics unless the packing reads its input back to back (each
+    /// layer's output is the next layer's input, in the same layout).
+    pub fn infer(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        out: &mut Vec<f32>,
+        scratch: &mut Scratch,
+    ) {
+        assert!(
+            pack.reads_back_to_back(),
+            "stacked BiLSTM layers chain outputs back to back"
+        );
+        let mut input = std::mem::take(&mut scratch.stack);
+        for (i, layer) in self.layers.iter().enumerate() {
+            if i == 0 {
+                layer.infer(ps, pack, xs, out, scratch);
+            } else {
+                std::mem::swap(&mut input, out);
+                layer.infer(ps, pack, &input, out, scratch);
+            }
+        }
+        scratch.stack = input;
     }
 }
 

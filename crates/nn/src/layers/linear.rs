@@ -58,6 +58,15 @@ impl Linear {
         let xw = g.matmul(x, w);
         g.add_row_broadcast(xw, b)
     }
+
+    /// Applies the layer to every row of `x` (`in_dim` wide) without a tape,
+    /// writing `out` (`out_dim` wide); bit-identical to [`Self::forward`].
+    ///
+    /// # Panics
+    /// Panics if `x` is not a whole number of `in_dim`-wide rows.
+    pub fn infer(&self, ps: &ParamSet, x: &[f32], out: &mut Vec<f32>) {
+        crate::infer::affine(x, ps.value(self.w), ps.value(self.b), out);
+    }
 }
 
 #[cfg(test)]

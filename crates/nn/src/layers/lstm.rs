@@ -1,9 +1,11 @@
 //! Long short-term memory recurrence (Hochreiter & Schmidhuber 1997), the
 //! paper's Equation (2).
 
+use crate::infer::{zeroed, CellScratch, Packing, Scratch};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
+use crate::simd::Kernel;
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -161,6 +163,110 @@ impl Lstm {
             hs.push(h);
         }
         hs
+    }
+
+    /// Runs the recurrence over every sequence of a packed batch without a
+    /// tape: `xs` holds the input rows (`in_dim` wide) the packing reads,
+    /// and `out` receives one hidden row per step, laid out as the
+    /// packing's output. With `reverse` every sequence is read right to
+    /// left, and the hidden state after reading step `t` is stored at
+    /// step `t`, as the backward direction of a BiLSTM does.
+    ///
+    /// Bit-identical to [`Self::forward`] on each sequence (see
+    /// [`crate::infer`]).
+    ///
+    /// # Panics
+    /// Panics if `xs` has fewer rows than the packing reads or is not a
+    /// whole number of rows.
+    pub fn infer(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        reverse: bool,
+        out: &mut Vec<f32>,
+        scratch: &mut Scratch,
+    ) {
+        self.infer_with(ps, pack, xs, reverse, out, &mut scratch.cell);
+    }
+
+    /// [`Self::infer`] over the per-direction buffers alone, so a BiLSTM can
+    /// hand each direction its own output buffer from the same scratch.
+    pub(crate) fn infer_with(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        reverse: bool,
+        out: &mut Vec<f32>,
+        cell: &mut CellScratch,
+    ) {
+        let (d, h) = (self.in_dim, self.hidden);
+        let g4 = 4 * h;
+        assert!(
+            xs.len().is_multiple_of(d) && xs.len() / d >= pack.input_rows(),
+            "lstm input shape"
+        );
+        let kernel = crate::simd::active();
+        let rows = xs.len() / d;
+        // Input projections of every row at once; only h·Wh is sequential.
+        zeroed(&mut cell.gx, rows * g4);
+        kernel.matmul_acc(xs, ps.value(self.wx).data(), &mut cell.gx, rows, d, g4);
+        let wh = ps.value(self.wh).data();
+        let bias = ps.value(self.b).data();
+        let (bi, bf, bg, bo) = (
+            &bias[..h],
+            &bias[h..2 * h],
+            &bias[2 * h..3 * h],
+            &bias[3 * h..g4],
+        );
+        let batch = pack.active(0);
+        for buf in [
+            &mut cell.i,
+            &mut cell.f,
+            &mut cell.g,
+            &mut cell.o,
+            &mut cell.fc,
+            &mut cell.ig,
+            &mut cell.tc,
+            &mut cell.h,
+            &mut cell.c,
+        ] {
+            zeroed(buf, batch * h);
+        }
+        zeroed(&mut cell.gh, batch * g4);
+        zeroed(&mut cell.pre, batch * g4);
+        zeroed(out, pack.output_rows() * h);
+        for t in 0..pack.max_len() {
+            let active = pack.active(t);
+            let (ah, ag) = (active * h, active * g4);
+            let gh = &mut cell.gh[..ag];
+            gh.fill(0.0);
+            kernel.matmul_acc(&cell.h[..ah], wh, gh, active, h, g4);
+            for rank in 0..active {
+                let (src, _) = pack.step_rows(rank, t, reverse);
+                let (o4, o1) = (rank * g4, rank * h);
+                let pre = &mut cell.pre[o4..o4 + g4];
+                kernel.add(
+                    &cell.gx[src * g4..(src + 1) * g4],
+                    &cell.gh[o4..o4 + g4],
+                    pre,
+                );
+                kernel.sigmoid_gate(&pre[..h], bi, &mut cell.i[o1..o1 + h]);
+                kernel.sigmoid_gate(&pre[h..2 * h], bf, &mut cell.f[o1..o1 + h]);
+                kernel.tanh_gate(&pre[2 * h..3 * h], bg, &mut cell.g[o1..o1 + h]);
+                kernel.sigmoid_gate(&pre[3 * h..], bo, &mut cell.o[o1..o1 + h]);
+            }
+            kernel.mul(&cell.f[..ah], &cell.c[..ah], &mut cell.fc[..ah]);
+            kernel.mul(&cell.i[..ah], &cell.g[..ah], &mut cell.ig[..ah]);
+            kernel.add(&cell.fc[..ah], &cell.ig[..ah], &mut cell.c[..ah]);
+            kernel.tanh(&cell.c[..ah], &mut cell.tc[..ah]);
+            kernel.mul(&cell.o[..ah], &cell.tc[..ah], &mut cell.h[..ah]);
+            for rank in 0..active {
+                let (_, dst) = pack.step_rows(rank, t, reverse);
+                out[dst * h..(dst + 1) * h].copy_from_slice(&cell.h[rank * h..(rank + 1) * h]);
+            }
+        }
     }
 }
 

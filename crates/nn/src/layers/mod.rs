@@ -2,9 +2,10 @@
 //!
 //! Layers are plain structs of [`crate::ParamId`] handles; they register their
 //! parameters in a [`crate::ParamSet`] at construction and replay their
-//! computation onto a [`crate::Graph`] per forward pass. Sequences are slices
-//! of 1×d nodes — the paper runs everything at batch size 1, so a "sequence"
-//! is simply the list of per-timestep row vectors.
+//! computation onto a [`crate::Graph`] per forward pass. On the tape, a
+//! sequence is a slice of 1×d nodes, one per timestep, and each tape holds
+//! one training sample. The `infer` methods evaluate the same layers
+//! without a tape over a packed batch of sequences ([`crate::infer`]).
 
 mod attention;
 mod bilstm;

@@ -3,11 +3,15 @@
 //! The LEAD paper trains three neural systems — a hierarchical LSTM
 //! autoencoder with self-attention, two stacked-BiLSTM detectors, and
 //! GRU/LSTM baselines. No deep-learning dependency is available (or needed:
-//! all models are tiny, hidden sizes 32–128, batch size 1), so this crate
-//! implements the full stack:
+//! all models are tiny, hidden sizes 32–128). Training runs one sample per
+//! tape and accumulates gradients over `B` samples; inference packs many
+//! variable-length sequences into one batch. This crate implements the
+//! full stack:
 //!
 //! - [`matrix`] — dense row-major `f32` matrices with the kernels the tape needs;
 //! - [`tape`] — eager reverse-mode autodiff ([`Graph`], [`Var`]);
+//! - [`infer`] — forward-only evaluation over packed batches of sequences,
+//!   bit-identical to the tape;
 //! - [`params`] — parameter arena ([`ParamSet`]) and gradient buffers;
 //! - [`init`] — Xavier/uniform initialisation;
 //! - [`layers`] — `Linear`, `Lstm`, `Gru`, `BiLstm`, `StackedBiLstm`,
@@ -50,6 +54,7 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod infer;
 pub mod init;
 pub mod io;
 pub mod layers;

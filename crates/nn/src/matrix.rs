@@ -1,10 +1,11 @@
 //! Dense row-major `f32` matrices and the handful of kernels the autodiff
 //! tape needs.
 //!
-//! Everything in the LEAD paper is small (hidden sizes 32–128, batch size 1),
-//! so kernels favour low per-call overhead over cache blocking: `matmul` uses
-//! the i-k-j loop order, which is the right shape for the tall-times-small
-//! products that dominate LSTM steps.
+//! Everything in the LEAD paper is small (hidden sizes 32–128), so kernels
+//! favour low per-call overhead over cache blocking: `matmul` uses the i-k-j
+//! loop order, which is the right shape for the tall-times-small products
+//! that dominate LSTM steps (the AVX2 backend register-blocks it without
+//! changing any element's evaluation order).
 //!
 //! All floating-point hot paths — the three matmul kernels, elementwise
 //! arithmetic, activations/gates and their backwards, and the in-place
@@ -501,20 +502,7 @@ impl Matrix {
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
         for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                z += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= z;
-            }
-            debug_assert!(
-                row.iter().all(|v| v.is_finite()),
-                "softmax produced a non-finite entry (all-(-inf) or NaN input row?)"
-            );
+            softmax_in_place(out.row_mut(r));
         }
         out
     }
@@ -523,6 +511,24 @@ impl Matrix {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
+}
+
+/// Softmax of one row in place, with the max-subtraction trick: the single
+/// definition behind [`Matrix::softmax_rows`] and the tape-free attention.
+pub(crate) fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        z += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= z;
+    }
+    debug_assert!(
+        row.iter().all(|v| v.is_finite()),
+        "softmax produced a non-finite entry (all-(-inf) or NaN input row?)"
+    );
 }
 
 #[cfg(test)]

@@ -17,6 +17,10 @@
 //! - The gate kernels ([`sigmoid_gate`], [`tanh_gate`]) vectorise only the
 //!   exactly-rounded bias add; the transcendental activation is the same
 //!   scalar libm call the reference makes, element by element.
+//! - [`matmul_acc`] is register-blocked (4 rows × 16 columns held in
+//!   registers across the `k` loop), which reorders only *which* element is
+//!   updated when, never the per-element sequence of exactly rounded
+//!   multiply-then-add steps in ascending `k` or the exact-zero skip.
 //! - Every kernel delegates its sub-chunk tail to the scalar reference
 //!   itself, so tails are identical by definition rather than by imitation.
 //!
@@ -306,8 +310,22 @@ pub(super) unsafe fn tanh_bwd(g: &[f32], y: &[f32], out: &mut [f32]) {
     scalar::tanh_bwd(cg.remainder(), cy.remainder(), co.into_remainder());
 }
 
-/// Blocked `out += a × b` in the same i-k-j / axpy loop nest as the scalar
-/// reference, including the exact-zero sparsity skip.
+/// Rows per register tile of [`matmul_acc`].
+const TILE_ROWS: usize = 4;
+
+/// Columns per register tile of [`matmul_acc`]: two vectors.
+const TILE_COLS: usize = 2 * LANES;
+
+/// Register-blocked `out += a × b`, bit-identical to the scalar i-k-j /
+/// axpy loop nest.
+///
+/// Each tile keeps a 4-row × 16-column block of `out` in eight vector
+/// registers while `k` ascends, so every output element still receives its
+/// `a[i][k] * b[k][j]` products one at a time in ascending `k`, each as a
+/// separate multiply then add (no FMA), and every `(i, k)` with an exact
+/// zero `a[i][k]` is skipped for its whole row — the reference's sparsity
+/// skip. Rows past the last full tile run as one-row tiles; columns past the
+/// last 16-wide tile run as one 8-wide vector and then the scalar axpy tail.
 ///
 /// # Safety
 ///
@@ -323,16 +341,122 @@ pub(super) unsafe fn matmul_acc(
     k: usize,
     n: usize,
 ) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
-            if aik == 0.0 {
-                continue;
+    if n == 0 {
+        return;
+    }
+    let mut i = 0;
+    while i + TILE_ROWS <= m {
+        let rows = i..i + TILE_ROWS;
+        // SAFETY: in an AVX2 context (this fn's own target_feature).
+        unsafe {
+            row_tile::<TILE_ROWS>(
+                &a[rows.start * k..rows.end * k],
+                b,
+                &mut out[rows.start * n..rows.end * n],
+                k,
+                n,
+            )
+        };
+        i += TILE_ROWS;
+    }
+    while i < m {
+        // SAFETY: in an AVX2 context (this fn's own target_feature).
+        unsafe {
+            row_tile::<1>(
+                &a[i * k..(i + 1) * k],
+                b,
+                &mut out[i * n..(i + 1) * n],
+                k,
+                n,
+            )
+        };
+        i += 1;
+    }
+}
+
+/// `out[R×n] += a[R×k] × b[k×n]` for one block of `R` rows; see
+/// [`matmul_acc`] for the evaluation order it preserves.
+///
+/// # Safety
+///
+/// The caller must be in an AVX2 `target_feature` context, and `n > 0`.
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the AVX2 context.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_tile<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let a_rows: [&[f32]; R] = core::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let b_rows = || b.chunks_exact(n).take(k).enumerate();
+    let mut j = 0;
+    while j + TILE_COLS <= n {
+        let mut lo = [_mm256_setzero_ps(); R];
+        let mut hi = [_mm256_setzero_ps(); R];
+        for ((l, h), o) in lo.iter_mut().zip(hi.iter_mut()).zip(out.chunks_exact(n)) {
+            let o = &o[j..j + TILE_COLS];
+            // SAFETY: in an AVX2 context; both halves are exactly LANES long.
+            unsafe { (*l, *h) = (load(&o[..LANES]), load(&o[LANES..])) };
+        }
+        for (kk, b_row) in b_rows() {
+            let bt = &b_row[j..j + TILE_COLS];
+            // SAFETY: in an AVX2 context; both halves are exactly LANES long.
+            let (b0, b1) = unsafe { (load(&bt[..LANES]), load(&bt[LANES..])) };
+            for ((l, h), a_row) in lo.iter_mut().zip(hi.iter_mut()).zip(a_rows) {
+                let aik = a_row[kk];
+                // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
+                if aik == 0.0 {
+                    continue;
+                }
+                let va = _mm256_set1_ps(aik);
+                // Same operand order as `axpy`: acc + (a * b), never FMA.
+                *l = _mm256_add_ps(*l, _mm256_mul_ps(va, b0));
+                *h = _mm256_add_ps(*h, _mm256_mul_ps(va, b1));
             }
-            // SAFETY: in an AVX2 context (this fn's own target_feature).
-            unsafe { axpy(aik, &b[kk * n..(kk + 1) * n], out_row) };
+        }
+        for ((l, h), o) in lo.iter().zip(hi.iter()).zip(out.chunks_exact_mut(n)) {
+            let o = &mut o[j..j + TILE_COLS];
+            let (o0, o1) = o.split_at_mut(LANES);
+            // SAFETY: in an AVX2 context; both halves are exactly LANES long.
+            unsafe {
+                store(o0, *l);
+                store(o1, *h);
+            }
+        }
+        j += TILE_COLS;
+    }
+    if j + LANES <= n {
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (v, o) in acc.iter_mut().zip(out.chunks_exact(n)) {
+            // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
+            *v = unsafe { load(&o[j..j + LANES]) };
+        }
+        for (kk, b_row) in b_rows() {
+            // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
+            let b0 = unsafe { load(&b_row[j..j + LANES]) };
+            for (v, a_row) in acc.iter_mut().zip(a_rows) {
+                let aik = a_row[kk];
+                // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
+                if aik == 0.0 {
+                    continue;
+                }
+                *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set1_ps(aik), b0));
+            }
+        }
+        for (v, o) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
+            unsafe { store(&mut o[j..j + LANES], *v) };
+        }
+        j += LANES;
+    }
+    if j < n {
+        for (o, a_row) in out.chunks_exact_mut(n).zip(a_rows) {
+            for (kk, b_row) in b_rows() {
+                let aik = a_row[kk];
+                // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
+                if aik == 0.0 {
+                    continue;
+                }
+                scalar::axpy(aik, &b_row[j..], &mut o[j..]);
+            }
         }
     }
 }

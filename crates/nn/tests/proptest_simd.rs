@@ -232,19 +232,57 @@ proptest! {
 
     #[test]
     fn matmul_acc_is_bit_identical_to_scalar_on_every_backend(
-        dims in (0..6usize, 0..6usize, 0..37usize),
-        a in prop::collection::vec(wild_f32(), 30),
-        b in prop::collection::vec(wild_f32(), 216),
-        init in prop::collection::vec(wild_f32(), 216),
+        // m < 10 draws two 4-row tiles plus a row remainder; n < 70 draws
+        // several 16-column tiles, the 8-wide column step and scalar tails.
+        dims in (0..10usize, 0..6usize, 0..70usize),
+        a in prop::collection::vec(wild_f32(), 9 * 5),
+        // Without zeros every `(i, k)` contributes to its row tile; the
+        // zoo's zeros make most tiles take the skip.
+        dense in prop::collection::vec(prop::num::f32::NORMAL | prop::num::f32::SUBNORMAL, 9 * 5),
+        b in prop::collection::vec(wild_f32(), 5 * 69),
+        init in prop::collection::vec(wild_f32(), 9 * 69),
     ) {
         let (m, kk, n) = dims;
         for backend in Backend::available() {
-            prop_assert!(
-                !matmul_diverges(&backend, &a, &b, &init, m, kk, n),
-                "backend `{}` diverged from scalar at {}x{}x{}",
-                backend.name(), m, kk, n
-            );
+            for a in [&a, &dense] {
+                prop_assert!(
+                    !matmul_diverges(&backend, a, &b, &init, m, kk, n),
+                    "backend `{}` diverged from scalar at {}x{}x{}",
+                    backend.name(), m, kk, n
+                );
+            }
         }
+    }
+
+    #[test]
+    fn scalar_matmul_acc_is_the_naive_per_element_loop(
+        dims in (0..10usize, 0..6usize, 0..70usize),
+        a in prop::collection::vec(wild_f32(), 9 * 5),
+        b in prop::collection::vec(wild_f32(), 5 * 69),
+        init in prop::collection::vec(wild_f32(), 9 * 69),
+    ) {
+        // The reference contract spelled out element by element: start from
+        // the destination, add each `a[i][k] * b[k][j]` in ascending `k` as
+        // a separate multiply then add, and skip every exact-zero `a[i][k]`
+        // (so a `-0.0` destination with only zero coefficients stays `-0.0`).
+        let (m, kk, n) = dims;
+        let mut got = init[..m * n].to_vec();
+        Backend::Scalar.matmul_acc(&a[..m * kk], &b[..kk * n], &mut got, m, kk, n);
+        let mut want = init[..m * n].to_vec();
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = want[i * n + j];
+                for p in 0..kk {
+                    let aip = a[i * kk + p];
+                    if aip == 0.0 {
+                        continue;
+                    }
+                    acc += aip * b[p * n + j];
+                }
+                want[i * n + j] = acc;
+            }
+        }
+        prop_assert!(bits_of(&got) == bits_of(&want), "shape {}x{}x{}", m, kk, n);
     }
 
     #[test]
@@ -476,5 +514,44 @@ fn real_backends_pass_the_planted_divergence_inputs() {
     let b = test_vector(0xbeef_0002, 257);
     for backend in Backend::available() {
         assert_eq!(first_divergence(&backend, &a, &b, 0.3), None);
+    }
+}
+
+#[test]
+fn matmul_acc_zero_skip_keeps_signed_zeros_on_every_backend() {
+    // 5 rows (one 4-row tile plus a remainder row) × 2 × 17 columns (one
+    // 16-column tile plus a scalar tail). Row 0 has only zero coefficients,
+    // so its `-0.0` destination must survive the skip; row 1 multiplies a
+    // non-zero coefficient by `+0.0`, so `-0.0 + 0.0` must round to `+0.0`.
+    let (m, k, n) = (5, 2, 17);
+    let a = [0.0, -0.0, 2.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.5, 0.0];
+    let mut b = vec![0.0f32; k * n];
+    for (j, v) in b.iter_mut().enumerate().skip(n) {
+        *v = j as f32 - 20.0;
+    }
+    let init = vec![-0.0f32; m * n];
+    for backend in Backend::available() {
+        let mut out = init.clone();
+        backend.matmul_acc(&a, &b, &mut out, m, k, n);
+        assert!(
+            out[..n].iter().all(|v| v.to_bits() == (-0.0f32).to_bits()),
+            "backend `{}` rewrote a skipped -0.0",
+            backend.name()
+        );
+        assert!(
+            out[n..2 * n]
+                .iter()
+                .all(|v| v.to_bits() == 0.0f32.to_bits()),
+            "backend `{}`: -0.0 + 2.0 * +0.0 must be +0.0",
+            backend.name()
+        );
+        let mut want = init.clone();
+        Backend::Scalar.matmul_acc(&a, &b, &mut want, m, k, n);
+        assert_eq!(
+            bits_of(&out),
+            bits_of(&want),
+            "backend `{}`",
+            backend.name()
+        );
     }
 }

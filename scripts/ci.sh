@@ -25,8 +25,12 @@ cargo test --workspace -q
 # The SIMD determinism contract is only as good as its weakest backend: run
 # the NN suite again pinned to the scalar reference, so a bug that only the
 # scalar path has (or that AVX2 masks) cannot slip through on AVX2 machines.
+# The tape-free inference parity suite rides along: detection must match the
+# tape bit for bit on the reference backend too.
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity
 
 # Planted-divergence self-test: the parity battery must actually catch a
 # kernel whose rounding differs (an FMA'd dot). If this test vanishes or
