@@ -84,42 +84,43 @@ impl GroupDetector {
     }
 
     /// The flat probability distribution over one group, as values, without
-    /// a tape; bit-identical to [`Self::forward_graph`].
-    ///
-    /// All subgroups run through the stacked BiLSTM as one packed batch
-    /// (subgroups stay independent sequences), then through the output
-    /// layer in one product; the softmax is over the concatenated logits.
+    /// a tape; bit-identical to [`Self::forward_graph`]: the softmax of
+    /// [`Self::logits`] over the subgroups concatenated.
     ///
     /// # Panics
     /// Panics if the group or any subgroup is empty.
     pub fn probabilities(&self, subgroups: &[Vec<&Matrix>]) -> Vec<f32> {
         assert!(!subgroups.is_empty(), "empty group");
-        assert!(
-            subgroups.iter().all(|sub| !sub.is_empty()),
-            "empty subgroup"
-        );
         let lens: Vec<usize> = subgroups.iter().map(Vec::len).collect();
-        // Subgroups back to back: the input order is the flattening order,
-        // and so is the order of the logits.
         let xs: Vec<f32> = subgroups
             .iter()
             .flatten()
             .flat_map(|m| m.data().iter().copied())
             .collect();
+        softmax(self.logits(&lens, &xs))
+    }
+
+    /// The logits of subgroups whose c-vecs are stored back to back in
+    /// `xs`, subgroup `i` holding `lens[i]` rows, in the same order. All
+    /// subgroups run through the stacked BiLSTM as one packed batch (they
+    /// stay independent sequences), then through the output layer in one
+    /// product. A subgroup's logits depend on its own members only, so they
+    /// are the same bits in any batch.
+    ///
+    /// # Panics
+    /// Panics if a subgroup is empty or `xs` does not hold the rows.
+    pub(crate) fn logits(&self, lens: &[usize], xs: &[f32]) -> Vec<f32> {
+        assert!(lens.iter().all(|&len| len > 0), "empty subgroup");
         let (mut hs, mut logits) = (Vec::new(), Vec::new());
         self.stack.infer(
             &self.params,
-            &Packing::back_to_back(&lens),
-            &xs,
+            &Packing::back_to_back(lens),
+            xs,
             &mut hs,
             &mut Scratch::new(),
         );
         self.out.infer(&self.params, &hs, &mut logits);
-        let m = logits.len();
-        Matrix::from_vec(1, m, logits)
-            .softmax_rows()
-            .data()
-            .to_vec()
+        logits
     }
 
     /// Trains against ε-smoothed labels with the KLD loss (Equations
@@ -310,6 +311,16 @@ fn forward_graph_parts(
     }
     let row = g.concat_cols(&logits);
     g.softmax_rows(row)
+}
+
+/// The softmax over a whole flattened group of logits: the distribution a
+/// detector side outputs (see [`GroupDetector::forward_graph`]).
+pub(crate) fn softmax(logits: Vec<f32>) -> Vec<f32> {
+    let m = logits.len();
+    Matrix::from_vec(1, m, logits)
+        .softmax_rows()
+        .data()
+        .to_vec()
 }
 
 /// Standard normal sample (Box–Muller) for the c-vec augmentation.

@@ -72,13 +72,18 @@ impl MlpDetector {
     /// every layer runs once over all candidates as rows of one matrix,
     /// without a tape; bit-identical to `sigmoid(logit)` on the tape.
     pub fn probabilities(&self, c_vecs: &[Matrix]) -> Vec<f32> {
-        let ps = &self.params;
         let xs: Vec<f32> = c_vecs
             .iter()
             .flat_map(|m| m.data().iter().copied())
             .collect();
+        self.row_probabilities(&xs)
+    }
+
+    /// [`Self::probabilities`] of c-vecs stored back to back in `xs`.
+    pub(crate) fn row_probabilities(&self, xs: &[f32]) -> Vec<f32> {
+        let ps = &self.params;
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        self.l1.infer(ps, &xs, &mut a);
+        self.l1.infer(ps, xs, &mut a);
         relu(&mut a);
         self.l2.infer(ps, &a, &mut b);
         relu(&mut b);

@@ -7,6 +7,7 @@ mod group;
 mod labels;
 mod mlp;
 
+pub(crate) use detector::softmax;
 pub use detector::GroupDetector;
 pub use group::{backward_flat_order, build_groups, forward_flat_order, Groups};
 pub use labels::smoothed_label;

@@ -21,12 +21,11 @@
 use crate::config::LeadConfig;
 use crate::features::{CandidateFeatures, TrajectoryFeatures, FEATURE_DIM};
 use crate::processing::Candidate;
-use lead_nn::infer::{Packing, Scratch};
+use lead_nn::infer::{LstmState, Packing, Scratch};
 use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
 use lead_nn::{Graph, Matrix, ParamSet, Var};
 use rand::Rng;
-use std::ops::Range;
 
 /// Which encoder architecture to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,39 +379,117 @@ impl Autoencoder {
         input.validate();
         let n = input.sp_seqs.len();
         assert!(n >= 2, "compression of an empty sequence");
-        self.encode_candidates(&input.sp_seqs, &input.mp_seqs, &[Candidate::new(0, n - 1)])
+        let mut encoder = CandidateEncoder::default();
+        let c_vecs = encoder.append(self, &input.sp_seqs, &input.mp_seqs);
+        let w = self.c_vec_dim();
+        let row = end_major_index(Candidate::new(0, n - 1));
+        Matrix::row_vector(c_vecs[row * w..(row + 1) * w].to_vec())
     }
 
     /// Encodes every candidate of a trajectory without a tape, sharing all
     /// work that candidates have in common; bit-identical to
-    /// [`Self::encode`] on each candidate. Results are in candidate order.
+    /// [`Self::encode`] on each candidate. Results follow `candidates`,
+    /// which may list any candidates of the trajectory in any order.
     ///
-    /// A candidate `(s, e)`'s sequence is a prefix of `(s, e + 1)`'s, and an
-    /// LSTM's first `t` hidden states depend only on its first `t` inputs,
-    /// so every LSTM over candidate sequences runs once per start stay
-    /// point `s`, over the longest sequence any candidate from `s` needs,
-    /// and each candidate reads its prefix of that run. The hierarchical
-    /// variant first compresses each stay and move point once, in one
-    /// packed pass per kind (phase 1), and applies this to its phase-2
-    /// LSTMs over those vectors; the flat variant applies it to the
+    /// This is the all-at-once case of [`CandidateEncoder`]: one
+    /// [`CandidateEncoder::append`] of every stay point. A candidate
+    /// `(s, e)`'s sequence is a prefix of `(s, e + 1)`'s, and an LSTM's
+    /// first `t` hidden states depend only on its first `t` inputs, so
+    /// every LSTM over candidate sequences runs once per start stay point
+    /// `s`, and each candidate reads its prefix of that run. The
+    /// hierarchical variant first compresses each stay and move point once,
+    /// in one packed pass per kind (phase 1), and applies this to its
+    /// phase-2 LSTMs over those vectors; the flat variant applies it to the
     /// interleaved GPS points.
+    ///
+    /// # Panics
+    /// Panics if a candidate is not one of the trajectory's.
     pub fn encode_all(&self, tf: &TrajectoryFeatures, candidates: &[Candidate]) -> Vec<Matrix> {
-        let c_vecs = self.encode_candidates(&tf.sp_seqs, &tf.mp_seqs, candidates);
-        (0..c_vecs.rows())
-            .map(|r| Matrix::row_vector(c_vecs.row(r).to_vec()))
+        let mut encoder = CandidateEncoder::default();
+        let c_vecs = encoder.append(self, &tf.sp_seqs, &tf.mp_seqs);
+        let w = self.c_vec_dim();
+        candidates
+            .iter()
+            .map(|&c| {
+                assert!(c.end_sp < encoder.stays, "candidate out of range");
+                let row = end_major_index(c);
+                Matrix::row_vector(c_vecs[row * w..(row + 1) * w].to_vec())
+            })
             .collect()
     }
+}
 
-    /// The c-vecs of `candidates` over one trajectory's stay and move point
-    /// sequences, one row per candidate (see [`Self::encode_all`]).
-    fn encode_candidates(
-        &self,
+/// The position of candidate `(s, e)` in the order [`CandidateEncoder::append`]
+/// emits c-vecs: by ending stay point, then by starting stay point, so the
+/// candidates a new stay point adds come last.
+pub(crate) fn end_major_index(c: Candidate) -> usize {
+    c.end_sp * c.end_sp.saturating_sub(1) / 2 + c.start_sp
+}
+
+/// The compressor's state over one trajectory whose stay points arrive in
+/// order (DESIGN.md §16): the per-start LSTM runs of the phase-2 operators
+/// (or of the flat operator), so that a new stay point costs the encoding
+/// of its new candidates only.
+///
+/// Every cached value is bit-identical to what a one-shot encoding of the
+/// whole trajectory computes: LSTM runs are causal and resume from their
+/// stored state through the same code path
+/// ([`lead_nn::infer::LstmState`]), and every other layer computes each
+/// row from its own input row only.
+#[derive(Default)]
+pub(crate) struct CandidateEncoder {
+    /// Stay points appended so far.
+    stays: usize,
+    /// The runs of the operator whose run `s` starts at stay point `s`:
+    /// the phase-2 stay operator over the phase-1 stay vectors, or the flat
+    /// operator over the interleaved GPS feature rows.
+    runs: Runs,
+    /// The runs of the phase-2 move operator over the phase-1 move vectors,
+    /// run `s` starting at move point `s` (unused by the flat
+    /// architecture).
+    move_runs: Runs,
+}
+
+impl CandidateEncoder {
+    /// Appends the next stay points (`sp_seqs`, their feature sequences)
+    /// and the move points that end at them (`mp_seqs`: one per new stay
+    /// point, except none before the first stay point of the trajectory),
+    /// and returns the c-vecs of the candidates they complete: every
+    /// `(s, e)` with `e` a new stay point, by `e` then `s`, one
+    /// `c_vec_dim`-wide row each.
+    ///
+    /// Only the new segments run phase 1, each run steps over the new
+    /// vectors (or rows) once, and only the new candidates pool. Appending
+    /// a trajectory in any number of calls yields the same bits.
+    ///
+    /// # Panics
+    /// Panics if the move count does not match the stay points, or a
+    /// sequence is empty or of the wrong width.
+    pub(crate) fn append(
+        &mut self,
+        ae: &Autoencoder,
         sp_seqs: &[Matrix],
         mp_seqs: &[Matrix],
-        candidates: &[Candidate],
-    ) -> Matrix {
-        let ps = &self.params;
-        match &self.arch {
+    ) -> Vec<f32> {
+        let (old, new) = (self.stays, self.stays + sp_seqs.len());
+        // The first stay point of a trajectory has no move point before it.
+        let skip = usize::from(old == 0);
+        assert_eq!(
+            mp_seqs.len() + skip,
+            new - old,
+            "one move point between consecutive stay points"
+        );
+        if new == old {
+            return Vec::new();
+        }
+        self.stays = new;
+        let candidates: Vec<Candidate> = (old..new)
+            .flat_map(|e| (0..e).map(move |s| Candidate::new(s, e)))
+            .collect();
+        let ps = &ae.params;
+        let mut scratch = Scratch::new();
+        let runs = &mut self.runs;
+        match &ae.arch {
             Arch::Hierarchical {
                 comp_sp1,
                 comp_mp1,
@@ -420,113 +497,213 @@ impl Autoencoder {
                 comp_mp2,
                 ..
             } => {
-                let sp = encode_half(ps, comp_sp1, comp_sp2, sp_seqs, candidates, 1);
-                let mp = encode_half(ps, comp_mp1, comp_mp2, mp_seqs, candidates, 0);
+                // Phase 1 over the new segments only. Run `s` of either
+                // kind starts at vector `s`, and a stay run needs its own
+                // start vector, so the last stay vector is kept.
+                let sp_vecs = compress_whole(ps, comp_sp1, sp_seqs);
+                let mp_vecs = compress_whole(ps, comp_mp1, mp_seqs);
+                let starts: Vec<usize> = (runs.runs.len()..new - 1).collect();
+                let move_runs = &mut self.move_runs;
+                runs.extend(ps, comp_sp2, &sp_vecs, &starts, new - 1, &mut scratch);
+                move_runs.extend(ps, comp_mp2, &mp_vecs, &starts, new - 1, &mut scratch);
+                // Candidate (s, e) reads stay vectors s..=e and move
+                // vectors s..e.
+                let sp = runs.pool(
+                    ps,
+                    comp_sp2,
+                    candidates.iter().map(|c| (c.start_sp, c.end_sp + 1)),
+                );
+                let mp = move_runs.pool(
+                    ps,
+                    comp_mp2,
+                    candidates.iter().map(|c| (c.start_sp, c.end_sp)),
+                );
                 let (ws, wm) = (comp_sp2.out_dim(), comp_mp2.out_dim());
-                let mut c_vecs = Matrix::zeros(candidates.len(), ws + wm);
-                for (r, (s, m)) in sp.chunks_exact(ws).zip(mp.chunks_exact(wm)).enumerate() {
-                    let row = c_vecs.row_mut(r);
-                    row[..ws].copy_from_slice(s);
-                    row[ws..].copy_from_slice(m);
-                }
-                c_vecs
+                sp.chunks_exact(ws)
+                    .zip(mp.chunks_exact(wm))
+                    .flat_map(|(s, m)| s.iter().chain(m).copied())
+                    .collect()
             }
             Arch::Flat { comp, .. } => {
-                // The interleaved trajectory, and the rows of each stay
-                // point in it.
-                let (mut xs, mut row) = (Vec::new(), 0);
-                let mut sp_rows = Vec::with_capacity(sp_seqs.len());
+                // The new rows of the interleaved trajectory, and the rows
+                // each new stay point spans in it.
+                let (mut xs, mut row) = (Vec::new(), runs.rows);
+                let mut spans = Vec::with_capacity(new - old);
                 for (k, sp) in sp_seqs.iter().enumerate() {
-                    sp_rows.push(row..row + sp.rows());
-                    row += sp.rows();
-                    xs.extend_from_slice(sp.data());
-                    if let Some(mp) = mp_seqs.get(k) {
+                    if let Some(mp) = k.checked_sub(skip).map(|i| &mp_seqs[i]) {
                         row += mp.rows();
                         xs.extend_from_slice(mp.data());
                     }
+                    spans.push(row..row + sp.rows());
+                    row += sp.rows();
+                    xs.extend_from_slice(sp.data());
                 }
-                let out = compress_spans(ps, comp, &xs, candidates, |c| {
-                    sp_rows[c.start_sp].start..sp_rows[c.end_sp].end
-                });
-                Matrix::from_vec(candidates.len(), comp.out_dim(), out)
+                // A run starting at the last old stay point begins in the
+                // rows kept from the previous append.
+                let first_row = |s: usize| {
+                    if s < old {
+                        runs.tail_start
+                    } else {
+                        spans[s - old].start
+                    }
+                };
+                let starts: Vec<usize> = (runs.runs.len()..new - 1).map(first_row).collect();
+                let keep_from = spans[new - 1 - old].start;
+                runs.extend(ps, comp, &xs, &starts, keep_from, &mut scratch);
+                runs.pool(
+                    ps,
+                    comp,
+                    candidates
+                        .iter()
+                        .map(|c| (c.start_sp, spans[c.end_sp - old].end)),
+                )
             }
         }
     }
 }
 
+/// The runs of one compression operator over a growing sequence of input
+/// rows. Run `s` reads the rows from its start row to the end of the
+/// sequence; every run keeps its LSTM state and the hidden rows and keys of
+/// all its steps, so any prefix of it can be pooled.
+#[derive(Default)]
+struct Runs {
+    /// Input rows appended so far.
+    rows: usize,
+    /// The input rows from row `tail_start` on, where a run started by a
+    /// later append may begin.
+    tail: Vec<f32>,
+    tail_start: usize,
+    runs: Vec<Run>,
+    /// The LSTM state of every run, in run order.
+    state: LstmState,
+}
+
+struct Run {
+    /// First input row.
+    start: usize,
+    /// Hidden rows of every step so far.
+    hs: Vec<f32>,
+    /// Attention keys of every step so far (empty without attention).
+    keys: Vec<f32>,
+}
+
+impl Runs {
+    /// Appends the input rows `xs`, starts a run at each of the rows
+    /// `starts` (ascending, none before the kept tail), steps every run
+    /// over the new rows in one packed pass, and keeps the input rows from
+    /// row `keep_from` on for runs that later appends start.
+    fn extend(
+        &mut self,
+        ps: &ParamSet,
+        op: &CompressionOperator,
+        xs: &[f32],
+        starts: &[usize],
+        keep_from: usize,
+        scratch: &mut Scratch,
+    ) {
+        let (in_dim, h, kd) = (op.in_dim(), op.out_dim(), op.key_dim());
+        let (base, end) = (self.tail_start, self.rows + xs.len() / in_dim);
+        assert!(
+            starts.iter().all(|&g| (base..end).contains(&g)) && (base..=end).contains(&keep_from),
+            "runs start inside the kept rows"
+        );
+        let mut input = std::mem::take(&mut self.tail);
+        input.extend_from_slice(xs);
+        // Old runs continue over the new rows; new runs read from their
+        // start. All windows overlap in `input`, so each row's input
+        // projection is computed once.
+        let mut spans: Vec<(usize, usize)> =
+            vec![(self.rows - base, end - self.rows); self.runs.len()];
+        for &g in starts {
+            spans.push((g - base, end - g));
+            self.runs.push(Run {
+                start: g,
+                hs: Vec::new(),
+                keys: Vec::new(),
+            });
+        }
+        self.state.push_zeros(starts.len(), h);
+        if !spans.is_empty() && end > self.rows {
+            let pack = Packing::windows(&spans);
+            let (mut hs, mut keys) = (Vec::new(), Vec::new());
+            op.infer_steps(
+                ps,
+                &pack,
+                &input,
+                &mut self.state,
+                &mut hs,
+                &mut keys,
+                scratch,
+            );
+            for (i, run) in self.runs.iter_mut().enumerate() {
+                let rows = pack.output_start(i)..pack.output_start(i) + pack.seq_len(i);
+                run.hs.extend_from_slice(&hs[rows.start * h..rows.end * h]);
+                run.keys
+                    .extend_from_slice(&keys[rows.start * kd..rows.end * kd]);
+            }
+        }
+        self.rows = end;
+        input.drain(..(keep_from - base) * in_dim);
+        self.tail = input;
+        self.tail_start = keep_from;
+    }
+
+    /// Compresses the prefix of run `s` that ends before row `end`, for
+    /// every `(s, end)` of `prefixes`; one `hidden`-wide row each.
+    fn pool(
+        &self,
+        ps: &ParamSet,
+        op: &CompressionOperator,
+        prefixes: impl Iterator<Item = (usize, usize)>,
+    ) -> Vec<f32> {
+        let (h, kd) = (op.out_dim(), op.key_dim());
+        let seqs: Vec<(&[f32], &[f32])> = prefixes
+            .map(|(s, end)| {
+                let run = &self.runs[s];
+                let len = end - run.start;
+                (&run.hs[..len * h], &run.keys[..len * kd])
+            })
+            .collect();
+        let mut out = Vec::new();
+        op.infer_pool(ps, &seqs, &mut out);
+        out
+    }
+}
+
 /// Compresses each of `seqs` whole with `comp`, in one packed pass; one
 /// `out_dim`-wide row per sequence.
-fn compress_whole(ps: &ParamSet, comp: &CompressionOperator, seqs: &[Matrix]) -> Matrix {
+fn compress_whole(ps: &ParamSet, comp: &CompressionOperator, seqs: &[Matrix]) -> Vec<f32> {
+    let mut out = Vec::new();
+    if seqs.is_empty() {
+        return out;
+    }
     let lens: Vec<usize> = seqs.iter().map(Matrix::rows).collect();
     let xs: Vec<f32> = seqs.iter().flat_map(|m| m.data().iter().copied()).collect();
-    let whole: Vec<(usize, usize)> = lens.iter().copied().enumerate().collect();
-    let mut out = Vec::new();
-    comp.infer(
+    let pack = Packing::back_to_back(&lens);
+    let (h, kd) = (comp.out_dim(), comp.key_dim());
+    let mut state = LstmState::zeros(seqs.len(), h);
+    let (mut hs, mut keys) = (Vec::new(), Vec::new());
+    comp.infer_steps(
         ps,
-        &Packing::back_to_back(&lens),
+        &pack,
         &xs,
-        &whole,
-        &mut out,
+        &mut state,
+        &mut hs,
+        &mut keys,
         &mut Scratch::new(),
     );
-    Matrix::from_vec(seqs.len(), comp.out_dim(), out)
-}
-
-/// Compresses with `comp` the input rows `span(c)` of `xs` for every
-/// candidate `c`, where candidates with the same start stay point start at
-/// the same row. The LSTM runs once per start stay point, over a window as
-/// long as its longest span, and each candidate reads its prefix of that
-/// run ([`CompressionOperator::infer`]). One `out_dim`-wide row per
-/// candidate.
-fn compress_spans(
-    ps: &ParamSet,
-    comp: &CompressionOperator,
-    xs: &[f32],
-    candidates: &[Candidate],
-    span: impl Fn(&Candidate) -> Range<usize>,
-) -> Vec<f32> {
-    let starts = candidates.iter().map(|c| c.start_sp + 1).max().unwrap_or(0);
-    let mut window_of: Vec<Option<usize>> = vec![None; starts];
-    let mut windows: Vec<(usize, usize)> = Vec::new();
-    let mut prefixes = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        let rows = span(c);
-        let w = *window_of[c.start_sp].get_or_insert_with(|| {
-            windows.push((rows.start, 0));
-            windows.len() - 1
-        });
-        windows[w].1 = windows[w].1.max(rows.len());
-        prefixes.push((w, rows.len()));
-    }
-    let mut out = Vec::new();
-    comp.infer(
-        ps,
-        &Packing::windows(&windows),
-        xs,
-        &prefixes,
-        &mut out,
-        &mut Scratch::new(),
-    );
+    let whole: Vec<(&[f32], &[f32])> = (0..seqs.len())
+        .map(|s| {
+            let rows = pack.output_start(s)..pack.output_start(s) + pack.seq_len(s);
+            (
+                &hs[rows.start * h..rows.end * h],
+                &keys[rows.start * kd..rows.end * kd],
+            )
+        })
+        .collect();
+    comp.infer_pool(ps, &whole, &mut out);
     out
-}
-
-/// One half (stay or move) of the hierarchical compressor over every
-/// candidate: phase 1 over all of `seqs`, then phase 2 once per start index.
-/// Candidate `(s, e)` reads `e − s + extra` phase-1 vectors from index `s`
-/// (stay points `extra = 1`, move points 0). Returns one `hidden`-wide row
-/// per candidate.
-fn encode_half(
-    ps: &ParamSet,
-    phase1: &CompressionOperator,
-    phase2: &CompressionOperator,
-    seqs: &[Matrix],
-    candidates: &[Candidate],
-    extra: usize,
-) -> Vec<f32> {
-    let vecs = compress_whole(ps, phase1, seqs);
-    compress_spans(ps, phase2, vecs.data(), candidates, |c| {
-        c.start_sp..c.end_sp + extra
-    })
 }
 
 #[cfg(test)]
@@ -616,6 +793,33 @@ mod tests {
                     let bits =
                         |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(cv), bits(want), "{kind:?}: cache mismatch for {c:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appending_in_chunks_matches_one_append() {
+        let cfg = small_cfg();
+        let mut rng = StdRng::seed_from_u64(8);
+        let cf = toy_candidate(11, 7);
+        let n = cf.sp_seqs.len();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in [EncoderKind::Hierarchical, EncoderKind::Flat] {
+            for attention in [true, false] {
+                let ae = Autoencoder::new(&cfg, kind, attention, &mut rng);
+                let want = CandidateEncoder::default().append(&ae, &cf.sp_seqs, &cf.mp_seqs);
+                // One stay point at a time, the streaming case; then uneven
+                // chunks, including two and three stay points at once.
+                for chunks in [vec![1; n], vec![2, 1, 3, 1], vec![1, 2, 4]] {
+                    let mut enc = CandidateEncoder::default();
+                    let (mut got, mut at) = (Vec::new(), 0usize);
+                    for len in chunks {
+                        let moves = at.saturating_sub(1)..(at + len - 1);
+                        got.extend(enc.append(&ae, &cf.sp_seqs[at..at + len], &cf.mp_seqs[moves]));
+                        at += len;
+                    }
+                    assert_eq!(bits(&got), bits(&want), "{kind:?}, attention={attention}");
                 }
             }
         }

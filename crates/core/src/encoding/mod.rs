@@ -4,5 +4,6 @@
 mod autoencoder;
 mod operator;
 
+pub(crate) use autoencoder::{end_major_index, CandidateEncoder};
 pub use autoencoder::{Autoencoder, EncoderKind};
 pub use operator::{CompressionOperator, DecompressionOperator};

@@ -11,7 +11,7 @@
 //! fully connected layers with a final `tanh` (Equation (6)), recovering a
 //! sequence of the requested length.
 
-use lead_nn::infer::{Packing, Scratch};
+use lead_nn::infer::{LstmState, Packing, Scratch};
 use lead_nn::layers::{Linear, Lstm, SelfAttention};
 use lead_nn::simd::Kernel;
 use lead_nn::{Graph, Matrix, ParamSet, Var};
@@ -47,6 +47,11 @@ impl CompressionOperator {
         }
     }
 
+    /// Input row width.
+    pub(crate) fn in_dim(&self) -> usize {
+        self.lstm.in_dim()
+    }
+
     /// Output width.
     pub fn out_dim(&self) -> usize {
         self.lstm.hidden()
@@ -74,61 +79,75 @@ impl CompressionOperator {
         g.tanh(b)
     }
 
-    /// Compresses many sequence prefixes at once, without a tape.
-    ///
-    /// `xs` holds the input rows (`in_dim` wide) that `pack` reads. Entry
-    /// `(s, len)` of `prefixes` asks for the compression of the first `len`
-    /// steps of sequence `s`, and row `i` of `out` (`hidden` wide) receives
-    /// it. The LSTM runs once over every sequence: the hidden states of a
-    /// prefix are the first `len` states of its sequence, so every prefix
-    /// of one sequence shares them, and its key projections. Only the
-    /// query, scores, softmax, weighted sum and the two FC layers run per
-    /// prefix. Bit-identical to [`Self::compress_vars`] on each prefix.
+    /// Width of the attention keys [`Self::infer_steps`] writes (0 without
+    /// attention).
+    pub(crate) fn key_dim(&self) -> usize {
+        self.attention.as_ref().map_or(0, SelfAttention::key_dim)
+    }
+
+    /// Steps the LSTM over every sequence of `pack` without a tape,
+    /// starting each from its row of `state` and leaving its final state
+    /// there ([`Lstm::infer`]). `hs` receives the hidden row of every step
+    /// and `keys` its attention key (nothing without attention), both laid
+    /// out as the packing's output. A key depends on its own hidden row
+    /// only, so the keys of a run split over several calls are the keys of
+    /// the whole run, and any prefix of a sequence can be pooled from the
+    /// first rows of its outputs ([`Self::infer_pool`]).
     ///
     /// # Panics
-    /// Panics if a prefix is empty or longer than its sequence.
-    pub fn infer(
+    /// Panics if `xs` does not hold the rows the packing reads or `state`
+    /// does not hold one row per sequence.
+    pub(crate) fn infer_steps(
         &self,
         ps: &ParamSet,
         pack: &Packing,
         xs: &[f32],
-        prefixes: &[(usize, usize)],
-        out: &mut Vec<f32>,
+        state: &mut LstmState,
+        hs: &mut Vec<f32>,
+        keys: &mut Vec<f32>,
         scratch: &mut Scratch,
     ) {
+        self.lstm.infer(ps, pack, xs, false, state, hs, scratch);
+        match &self.attention {
+            Some(att) => att.infer_keys(ps, hs, keys),
+            None => keys.clear(),
+        }
+    }
+
+    /// Compresses sequences from their LSTM outputs: entry `i` of `seqs`
+    /// holds one sequence's hidden rows and keys ([`Self::infer_steps`];
+    /// the keys empty without attention), and row `i` of `out` (`hidden`
+    /// wide) receives its compression. The last hidden row is the query
+    /// source, or the aggregate itself without attention; the queries and
+    /// the two FC layers run once over all sequences. Together with
+    /// [`Self::infer_steps`], bit-identical to [`Self::compress_vars`] on
+    /// each sequence.
+    ///
+    /// # Panics
+    /// Panics if a sequence has no hidden row, or its keys do not match its
+    /// hidden rows.
+    pub(crate) fn infer_pool(&self, ps: &ParamSet, seqs: &[(&[f32], &[f32])], out: &mut Vec<f32>) {
+        let h = self.out_dim();
         assert!(
-            prefixes
-                .iter()
-                .all(|&(s, len)| len > 0 && len <= pack.seq_len(s)),
+            seqs.iter().all(|(hs, _)| !hs.is_empty()),
             "compression of an empty sequence"
         );
-        let h = self.out_dim();
-        let mut hs = Vec::new();
-        self.lstm.infer(ps, pack, xs, false, &mut hs, scratch);
-        let rows_of = |&(s, len): &(usize, usize)| {
-            let start = pack.output_start(s);
-            start..start + len
-        };
-        // The last hidden state of every prefix: the query source, or the
-        // aggregate itself without attention.
-        let mut pooled: Vec<f32> = prefixes
+        let mut pooled: Vec<f32> = seqs
             .iter()
-            .flat_map(|p| {
-                let last = rows_of(p).end - 1;
-                hs[last * h..(last + 1) * h].iter().copied()
-            })
+            .flat_map(|(hs, _)| hs[hs.len() - h..].iter().copied())
             .collect();
         if let Some(att) = &self.attention {
-            let (mut keys, mut queries, mut scores) = (Vec::new(), Vec::new(), Vec::new());
-            let kd = att.key_dim();
-            att.infer_keys(ps, &hs, &mut keys);
+            let (mut queries, mut scores) = (Vec::new(), Vec::new());
             att.infer_queries(ps, &pooled, &mut queries);
-            for (i, (p, query)) in prefixes.iter().zip(queries.chunks_exact(kd)).enumerate() {
-                let rows = rows_of(p);
+            for (i, ((hs, keys), query)) in seqs
+                .iter()
+                .zip(queries.chunks_exact(att.key_dim()))
+                .enumerate()
+            {
                 att.infer_pool(
                     query,
-                    &keys[rows.start * kd..rows.end * kd],
-                    &hs[rows.start * h..rows.end * h],
+                    keys,
+                    hs,
                     &mut scores,
                     &mut pooled[i * h..(i + 1) * h],
                 );

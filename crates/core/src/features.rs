@@ -4,7 +4,7 @@
 
 use crate::config::LeadConfig;
 use crate::poi::{PoiDatabase, NUM_POI_CATEGORIES};
-use crate::processing::{Candidate, ProcessedTrajectory};
+use crate::processing::{Candidate, ProcessedTrajectory, StayPoint};
 use lead_geo::GpsPoint;
 use lead_nn::Matrix;
 
@@ -183,11 +183,16 @@ impl<'a> FeatureExtractor<'a> {
     pub fn range_features(&self, proc: &ProcessedTrajectory, a: usize, b: usize) -> Matrix {
         let pts = proc.cleaned.points();
         assert!(a <= b && b < pts.len(), "range out of bounds");
-        let mut data = Vec::with_capacity((b - a + 1) * FEATURE_DIM);
-        for p in &pts[a..=b] {
+        self.points_features(&pts[a..=b])
+    }
+
+    /// The feature matrix (rows = points) of `pts`.
+    fn points_features(&self, pts: &[GpsPoint]) -> Matrix {
+        let mut data = Vec::with_capacity(pts.len() * FEATURE_DIM);
+        for p in pts {
             data.extend(self.features(p));
         }
-        Matrix::from_vec(b - a + 1, FEATURE_DIM, data)
+        Matrix::from_vec(pts.len(), FEATURE_DIM, data)
     }
 
     /// The structured features of one candidate trajectory: one matrix per
@@ -265,17 +270,7 @@ impl<'a> FeatureExtractor<'a> {
         proc: &ProcessedTrajectory,
         num_threads: usize,
     ) -> TrajectoryFeatures {
-        let n = proc.num_stay_points();
-        let sp_seqs = lead_nn::par::par_map(num_threads, &proc.stay_points, |_, sp| {
-            self.range_features(proc, sp.start, sp.end)
-        });
-        let mp_ranges: Vec<(usize, usize)> = (0..n.saturating_sub(1))
-            .map(|k| proc.move_point_range(k))
-            .collect();
-        let mp_seqs = lead_nn::par::par_map(num_threads, &mp_ranges, |_, &(a, b)| {
-            self.range_features(proc, a, b)
-        });
-        TrajectoryFeatures { sp_seqs, mp_seqs }
+        self.trajectory_features_probed(proc, num_threads, &lead_obs::probe::NOOP)
     }
 
     /// [`Self::trajectory_features_par`] with an observability probe:
@@ -287,18 +282,47 @@ impl<'a> FeatureExtractor<'a> {
         num_threads: usize,
         probe: &dyn lead_obs::probe::Probe,
     ) -> TrajectoryFeatures {
+        let (points, stays) = (proc.cleaned.points(), &proc.stay_points);
+        self.segment_features(points, stays, 0, num_threads, probe)
+    }
+
+    /// [`Self::trajectory_features_probed`] for the stay points
+    /// `stays[from..]` of a trajectory whose cleaned points are `points`,
+    /// and the move points that end at them: `mp_seqs` starts at move point
+    /// `from − 1` (at 0 when `from = 0`, the whole trajectory). A segment's
+    /// features depend on its own points only, so extracting a trajectory
+    /// in several calls as its stay points complete gives the same
+    /// matrices.
+    ///
+    /// # Panics
+    /// Panics if a stay point lies outside `points` or `from` exceeds the
+    /// stay points.
+    pub(crate) fn segment_features(
+        &self,
+        points: &[GpsPoint],
+        stays: &[StayPoint],
+        from: usize,
+        num_threads: usize,
+        probe: &dyn lead_obs::probe::Probe,
+    ) -> TrajectoryFeatures {
         let _span = lead_obs::clock::span(probe, "features");
-        let tf = self.trajectory_features_par(proc, num_threads);
+        let sp_seqs = lead_nn::par::par_map(num_threads, &stays[from..], |_, sp| {
+            self.points_features(&points[sp.start..=sp.end])
+        });
+        let mp_ranges: Vec<(usize, usize)> = stays
+            .iter()
+            .zip(stays.iter().skip(1))
+            .skip(from.saturating_sub(1))
+            .map(|(a, b)| (a.end, b.start))
+            .collect();
+        let mp_seqs = lead_nn::par::par_map(num_threads, &mp_ranges, |_, &(a, b)| {
+            self.points_features(&points[a..=b])
+        });
         if probe.enabled() {
-            let rows: usize = tf
-                .sp_seqs
-                .iter()
-                .chain(tf.mp_seqs.iter())
-                .map(lead_nn::Matrix::rows)
-                .sum();
+            let rows: usize = sp_seqs.iter().chain(&mp_seqs).map(Matrix::rows).sum();
             probe.count("features.rows", u64::try_from(rows).unwrap_or(u64::MAX));
         }
-        tf
+        TrajectoryFeatures { sp_seqs, mp_seqs }
     }
 }
 

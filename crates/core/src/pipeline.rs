@@ -11,8 +11,8 @@
 
 use crate::config::{ConfigError, LeadConfig};
 use crate::detection::{
-    argmax_candidate, backward_flat_order, build_groups, forward_flat_order, merge_probabilities,
-    smoothed_label, GroupDetector, MlpDetector,
+    backward_flat_order, build_groups, forward_flat_order, smoothed_label, GroupDetector,
+    MlpDetector,
 };
 use crate::encoding::{Autoencoder, EncoderKind};
 use crate::error::LeadError;
@@ -27,6 +27,9 @@ use lead_obs::probe::{Probe, NOOP};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+mod day;
+pub(crate) use day::DayScorer;
 
 /// Which detector(s) score the candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -674,6 +677,10 @@ impl Lead {
     /// (`detect`, `processing`, `features`, `encode`, `detect.score`,
     /// `detect.merge`) and counters. Results are bit-identical for every
     /// thread count and probe.
+    ///
+    /// Scoring is the all-at-once case of the per-day state that
+    /// [`crate::streaming::StreamingDetector`] extends stay by stay
+    /// (DESIGN.md §16): every stay point is appended in one call.
     pub fn detect_opts(
         &self,
         raw: &lead_geo::Trajectory,
@@ -681,8 +688,19 @@ impl Lead {
         opts: &DetectOptions<'_>,
     ) -> Option<DetectionResult> {
         let _span = clock::span(opts.probe, "detect");
-        let proc = ProcessedTrajectory::from_raw_probed(raw, &self.config, opts.probe);
-        self.detect_processed_opts(proc, poi_db, opts)
+        let processed = ProcessedTrajectory::from_raw_probed(raw, &self.config, opts.probe);
+        let scored = DayScorer::new(self).score(
+            self,
+            processed.cleaned.points(),
+            &processed.stay_points,
+            poi_db,
+            opts,
+        )?;
+        Some(DetectionResult {
+            processed,
+            probabilities: scored.probabilities,
+            detected: scored.detected?,
+        })
     }
 
     /// [`Self::detect_batch`] with explicit [`DetectOptions`]; additionally
@@ -715,70 +733,6 @@ impl Lead {
             }
         }
         results
-    }
-
-    /// Scores an already-processed trajectory (used by [`Self::detect_opts`]
-    /// and by [`crate::streaming::StreamingDetector`], which maintains its
-    /// own incremental processing state).
-    pub(crate) fn detect_processed_opts(
-        &self,
-        proc: ProcessedTrajectory,
-        poi_db: &PoiDatabase,
-        opts: &DetectOptions<'_>,
-    ) -> Option<DetectionResult> {
-        let probe = opts.probe;
-        let num_threads = opts.num_threads.unwrap_or(self.config.num_threads);
-        let n = proc.num_stay_points();
-        if n < 2 {
-            if probe.enabled() {
-                probe.count("detect.no_candidates", 1);
-            }
-            return None;
-        }
-        if probe.enabled() {
-            probe.count("detect.calls", 1);
-            probe.observe("detect.stay_points", n as f64);
-        }
-        let fx = FeatureExtractor::new(poi_db, &self.config, self.use_poi, &self.normalizer);
-        let tf = fx.trajectory_features_probed(&proc, num_threads, probe);
-        let cvecs = {
-            let _span = clock::span(probe, "encode");
-            self.autoencoder.encode_all(&tf, &proc.candidates)
-        };
-        let by_cand = candidate_index_map(n);
-        let run = |det: &GroupDetector, side: &[Vec<Candidate>]| -> Vec<f32> {
-            let refs: Vec<Vec<&Matrix>> = side
-                .iter()
-                .map(|sub| sub.iter().map(|c| &cvecs[by_cand(*c)]).collect())
-                .collect();
-            det.probabilities(&refs)
-        };
-
-        let score_span = clock::span(probe, "detect.score");
-        let probabilities = match &self.detector {
-            Detector::Both { forward, backward } => {
-                let groups = build_groups(n);
-                let f = run(forward, &groups.forward);
-                let b = run(backward, &groups.backward);
-                let _merge_span = clock::span(probe, "detect.merge");
-                merge_probabilities(n, &f, &b)
-            }
-            Detector::Forward(det) => run(det, &build_groups(n).forward),
-            // Backward probabilities come in backward flattening; re-order
-            // to canonical.
-            Detector::Backward(det) => {
-                reorder_backward_to_canonical(n, &run(det, &build_groups(n).backward))
-            }
-            Detector::Mlp(det) => det.probabilities(&cvecs),
-        };
-        drop(score_span);
-
-        let detected = argmax_candidate(n, &probabilities)?;
-        Some(DetectionResult {
-            processed: proc,
-            probabilities,
-            detected,
-        })
     }
 }
 

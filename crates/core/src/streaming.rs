@@ -5,17 +5,26 @@
 //! immediately" — but the batch pipeline needs the whole one-day trajectory.
 //! [`StreamingDetector`] closes that gap: GPS points are pushed as they
 //! arrive, noise filtering and stay-point extraction run incrementally, and
-//! every time a stay point *completes* the trained model re-scores the
-//! candidates seen so far, yielding a running hypothesis of the loaded
-//! trajectory.
+//! every time a stay point *completes* the trained model updates a running
+//! hypothesis of the loaded trajectory.
 //!
-//! The incremental processing is **exactly equivalent** to the batch
-//! component: feeding a trajectory point-by-point and then calling
-//! [`StreamingDetector::finish`] yields the same cleaned points and the same
-//! stay points as [`ProcessedTrajectory::from_raw`] (a property test pins
-//! this down).
+//! The update is incremental too (DESIGN.md §16). The detector keeps the
+//! day's scoring state: the compressor's per-start LSTM runs, the c-vec of
+//! every candidate, and the detector outputs no later stay point can
+//! change. A completed stay point then costs the features and phase-1
+//! encoding of its own segments, the encoding of the candidates it
+//! completes, its one new backward subgroup and a re-run of the forward
+//! side — not a re-encoding of the day.
+//!
+//! Both halves are **exactly equivalent** to the batch pipeline. Feeding a
+//! trajectory point-by-point and then calling [`StreamingDetector::finish`]
+//! yields the same cleaned points and the same stay points as
+//! [`ProcessedTrajectory::from_raw`] (a property test pins this down), and
+//! every hypothesis has the bits of [`Lead::detect_opts`] on the same
+//! prefix, because batch detection runs the same scoring state with all
+//! stay points appended at once (`crates/core/tests/incremental_parity.rs`).
 
-use crate::pipeline::{DetectOptions, DetectionResult, Lead};
+use crate::pipeline::{DayScorer, DetectOptions, DetectionResult, Lead};
 use crate::poi::PoiDatabase;
 use crate::processing::{enumerate_candidates, ProcessedTrajectory, StayPoint};
 use lead_geo::{GpsPoint, Trajectory};
@@ -168,6 +177,8 @@ pub struct StreamingDetector<'m, 'p> {
     extractor: IncrementalStayExtractor,
     v_max_mps: f64,
     probe: &'p dyn Probe,
+    /// The day's scoring state, extended on every rescore.
+    day: DayScorer,
 }
 
 impl<'m, 'p> StreamingDetector<'m, 'p> {
@@ -179,8 +190,12 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
     /// [`Self::new`] with an observability probe: records
     /// `stream.points_in` / `stream.points_filtered` /
     /// `stream.stays_completed` / `stream.rescores` counters as the stream
-    /// advances. Metrics are write-only — updates and detections are
-    /// identical for any probe.
+    /// advances, `stream.candidates_encoded` (the candidates a rescore
+    /// encodes: those its new stay points complete) and
+    /// `stream.subgroups_scored` (the detector subgroups it runs), and the
+    /// detection spans and counters of [`Lead::detect_opts`] per rescore.
+    /// Metrics are write-only — updates and detections are identical for
+    /// any probe.
     pub fn with_probe(model: &'m Lead, poi_db: &'p PoiDatabase, probe: &'p dyn Probe) -> Self {
         let v_max_mps = model.config().v_max_kmh / 3.6;
         let extractor =
@@ -193,6 +208,7 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
             extractor,
             v_max_mps,
             probe,
+            day: DayScorer::new(model),
         }
     }
 
@@ -259,13 +275,31 @@ impl<'m, 'p> StreamingDetector<'m, 'p> {
         }
     }
 
-    fn score(&self) -> Option<DetectionResult> {
-        if self.probe.enabled() {
+    /// Appends the newly completed stay points to the day's scoring state
+    /// and scores it.
+    fn score(&mut self) -> Option<DetectionResult> {
+        let probing = self.probe.enabled();
+        if probing {
             self.probe.count("stream.rescores", 1);
         }
         let opts = DetectOptions::new().with_probe(self.probe);
-        self.model
-            .detect_processed_opts(self.current_processed(), self.poi_db, &opts)
+        let scored = self
+            .day
+            .score(self.model, &self.points, &self.stays, self.poi_db, &opts)?;
+        if probing {
+            let count = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+            self.probe.count(
+                "stream.candidates_encoded",
+                count(scored.candidates_encoded),
+            );
+            self.probe
+                .count("stream.subgroups_scored", count(scored.subgroups_scored));
+        }
+        Some(DetectionResult {
+            processed: self.current_processed(),
+            probabilities: scored.probabilities,
+            detected: scored.detected?,
+        })
     }
 
     /// Ends the stream: closes a qualifying trailing run (the batch
@@ -453,6 +487,32 @@ mod tests {
         let result = stream.finish().expect("three stays → detectable");
         assert!(result.processed.num_stay_points() >= 2);
         assert!(result.detected.start_sp < result.detected.end_sp);
+    }
+
+    #[test]
+    fn a_finished_day_encodes_each_candidate_once() {
+        let (model, db) = dummy_model();
+        let rec = lead_obs::Recorder::new();
+        let mut stream = StreamingDetector::with_probe(&model, &db, &rec);
+        let mut rescores = 0;
+        for &p in &demo_points() {
+            rescores += u64::from(stream.push(p).hypothesis.is_some());
+        }
+        let n = stream
+            .finish()
+            .expect("three stays")
+            .processed
+            .num_stay_points() as u64;
+        assert_eq!(n, 3);
+        assert_eq!(rec.counter("stream.rescores"), Some(rescores + 1));
+        assert_eq!(
+            rec.counter("stream.candidates_encoded"),
+            Some(n * (n - 1) / 2)
+        );
+        // Every forward subgroup on every rescore (at 2 stays, at 3, and at
+        // finish), each backward subgroup once.
+        assert_eq!(rescores, 2);
+        assert_eq!(rec.counter("stream.subgroups_scored"), Some(1 + 2 + 2 + 2));
     }
 
     #[test]

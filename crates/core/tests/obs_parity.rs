@@ -168,6 +168,49 @@ fn batch_detection_records_throughput() {
     assert!(recorder.gauge_value("batch.throughput_per_s").is_some());
 }
 
+/// A probed stream replay must match a `NOOP` one update for update, bit
+/// for bit, and its counters must describe the incremental work: each
+/// candidate of a finished day is encoded exactly once.
+#[test]
+fn probed_stream_replay_is_bit_identical() {
+    use lead_core::streaming::StreamingDetector;
+    let (samples, db) = tiny_world();
+    let cfg = LeadConfig::fast_test();
+    let (model, _) = Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("fit");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let recorder = Recorder::new();
+    let mut candidates = 0u64;
+    for s in &samples {
+        let mut plain = StreamingDetector::new(&model, &db);
+        let mut probed = StreamingDetector::with_probe(&model, &db, &recorder);
+        for &p in s.raw.points() {
+            let (a, b) = (plain.push(p), probed.push(p));
+            assert_eq!(a.filtered_out, b.filtered_out);
+            assert_eq!(a.completed_stays, b.completed_stays);
+            match (a.hypothesis, b.hypothesis) {
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.detected, b.detected);
+                    assert_eq!(bits(&a.probabilities), bits(&b.probabilities));
+                }
+                (None, None) => {}
+                _ => panic!("a hypothesis changed under a probe"),
+            }
+        }
+        let (a, b) = (plain.finish(), probed.finish());
+        let (a, b) = (a.expect("detectable"), b.expect("detectable"));
+        assert_eq!(a.detected, b.detected);
+        assert_eq!(bits(&a.probabilities), bits(&b.probabilities));
+        let n = b.processed.num_stay_points() as u64;
+        candidates += n * (n - 1) / 2;
+    }
+    assert_eq!(
+        recorder.counter("stream.candidates_encoded"),
+        Some(candidates)
+    );
+    assert!(recorder.counter("stream.subgroups_scored").unwrap_or(0) > 0);
+    assert!(recorder.counter("stream.rescores").unwrap_or(0) > 0);
+}
+
 /// Restores runtime backend selection even if the test panics.
 struct BackendGuard;
 

@@ -23,6 +23,14 @@
 //! row values here, in the same order: `matmul_acc` computes every output
 //! row from its own input row only, and the elementwise kernels have no
 //! cross-element data flow, so stacking rows into one call changes no bit.
+//!
+//! # Continuation
+//!
+//! An LSTM run can stop after any step and resume later from its
+//! [`LstmState`]. The first step of a fresh run already computes `H·Wh`
+//! from a zeroed `h`, so resuming from a stored state takes the same code
+//! path as starting fresh, and a run split into chunks is `to_bits`-equal
+//! to the run in one piece.
 
 use crate::matrix::Matrix;
 use crate::simd::Kernel;
@@ -148,12 +156,47 @@ impl Packing {
         self.active.get(t).copied().unwrap_or(0)
     }
 
+    /// The sequence at rank `rank` (longest first).
+    pub(crate) fn seq_at(&self, rank: usize) -> usize {
+        self.order[rank]
+    }
+
     /// The input and output rows of rank `rank` at step `t`, reading the
     /// sequence left to right, or right to left when `reverse` is set.
     pub(crate) fn step_rows(&self, rank: usize, t: usize, reverse: bool) -> (usize, usize) {
         let s = self.order[rank];
         let pos = if reverse { self.lens[s] - 1 - t } else { t };
         (self.in_starts[s] + pos, self.out_starts[s] + pos)
+    }
+}
+
+/// The recurrent state `(h, c)` of every sequence of a packed LSTM batch:
+/// one `hidden`-wide row per sequence, in sequence order.
+///
+/// [`crate::layers::Lstm::infer`] starts each sequence from its row and
+/// leaves the state after the sequence's last step there, so a later call
+/// continues the run exactly where this one stopped.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LstmState {
+    /// Hidden state rows.
+    pub h: Vec<f32>,
+    /// Cell state rows.
+    pub c: Vec<f32>,
+}
+
+impl LstmState {
+    /// The all-zero state of `seqs` fresh sequences.
+    pub fn zeros(seqs: usize, hidden: usize) -> Self {
+        let mut state = Self::default();
+        state.push_zeros(seqs, hidden);
+        state
+    }
+
+    /// Appends the zero state of `seqs` fresh sequences.
+    pub fn push_zeros(&mut self, seqs: usize, hidden: usize) {
+        let len = self.h.len() + seqs * hidden;
+        self.h.resize(len, 0.0);
+        self.c.resize(len, 0.0);
     }
 }
 
@@ -299,7 +342,15 @@ mod parity_tests {
         let mut s = Scratch::new();
         for reverse in [false, true] {
             let mut out = Vec::new();
-            lstm.infer(&ps, &pack, &xs, reverse, &mut out, &mut s);
+            lstm.infer(
+                &ps,
+                &pack,
+                &xs,
+                reverse,
+                &mut LstmState::zeros(lens.len(), 5),
+                &mut out,
+                &mut s,
+            );
             let mut want = Vec::new();
             for (seq, &len) in lens.iter().enumerate() {
                 let mut g = Graph::new(&ps);
@@ -326,7 +377,15 @@ mod parity_tests {
         let xs = rows(2, 5, 4);
         let pack = Packing::windows(&[(0, 5), (1, 4), (3, 2)]);
         let mut out = Vec::new();
-        lstm.infer(&ps, &pack, &xs, false, &mut out, &mut Scratch::new());
+        lstm.infer(
+            &ps,
+            &pack,
+            &xs,
+            false,
+            &mut LstmState::zeros(3, 3),
+            &mut out,
+            &mut Scratch::new(),
+        );
         for (seq, (start, len)) in [(0, 5), (1, 4), (3, 2)].into_iter().enumerate() {
             let mut g = Graph::new(&ps);
             let vars = seq_vars(&mut g, &xs, start, len, 4);

@@ -86,10 +86,24 @@ impl BiLstm {
         scratch: &mut Scratch,
     ) {
         let h = self.hidden;
-        self.fwd
-            .infer_with(ps, pack, xs, false, &mut scratch.fwd, &mut scratch.cell);
-        self.bwd
-            .infer_with(ps, pack, xs, true, &mut scratch.bwd, &mut scratch.cell);
+        self.fwd.infer_with(
+            ps,
+            pack,
+            xs,
+            false,
+            None,
+            &mut scratch.fwd,
+            &mut scratch.cell,
+        );
+        self.bwd.infer_with(
+            ps,
+            pack,
+            xs,
+            true,
+            None,
+            &mut scratch.bwd,
+            &mut scratch.cell,
+        );
         let rows = pack.output_rows();
         zeroed(&mut scratch.cat, rows * 2 * h);
         for (r, cat) in scratch.cat.chunks_exact_mut(2 * h).enumerate() {

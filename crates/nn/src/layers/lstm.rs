@@ -1,7 +1,7 @@
 //! Long short-term memory recurrence (Hochreiter & Schmidhuber 1997), the
 //! paper's Equation (2).
 
-use crate::infer::{zeroed, CellScratch, Packing, Scratch};
+use crate::infer::{zeroed, CellScratch, LstmState, Packing, Scratch};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamSet};
@@ -172,32 +172,39 @@ impl Lstm {
     /// left, and the hidden state after reading step `t` is stored at
     /// step `t`, as the backward direction of a BiLSTM does.
     ///
-    /// Bit-identical to [`Self::forward`] on each sequence (see
+    /// Each sequence starts from its row of `state` ([`LstmState::zeros`]
+    /// for a fresh run), and its final state is written back there, so a
+    /// run split into consecutive calls is bit-identical to one call over
+    /// the whole sequences, and to [`Self::forward`] on each sequence (see
     /// [`crate::infer`]).
     ///
     /// # Panics
     /// Panics if `xs` has fewer rows than the packing reads or is not a
-    /// whole number of rows.
+    /// whole number of rows, or if `state` does not hold one row per
+    /// sequence.
     pub fn infer(
         &self,
         ps: &ParamSet,
         pack: &Packing,
         xs: &[f32],
         reverse: bool,
+        state: &mut LstmState,
         out: &mut Vec<f32>,
         scratch: &mut Scratch,
     ) {
-        self.infer_with(ps, pack, xs, reverse, out, &mut scratch.cell);
+        self.infer_with(ps, pack, xs, reverse, Some(state), out, &mut scratch.cell);
     }
 
     /// [`Self::infer`] over the per-direction buffers alone, so a BiLSTM can
     /// hand each direction its own output buffer from the same scratch.
+    /// Without a `state`, every sequence starts from zeros.
     pub(crate) fn infer_with(
         &self,
         ps: &ParamSet,
         pack: &Packing,
         xs: &[f32],
         reverse: bool,
+        state: Option<&mut LstmState>,
         out: &mut Vec<f32>,
         cell: &mut CellScratch,
     ) {
@@ -237,6 +244,17 @@ impl Lstm {
         zeroed(&mut cell.gh, batch * g4);
         zeroed(&mut cell.pre, batch * g4);
         zeroed(out, pack.output_rows() * h);
+        if let Some(st) = state.as_deref() {
+            assert!(
+                st.h.len() == batch * h && st.c.len() == batch * h,
+                "lstm state rows"
+            );
+            for rank in 0..batch {
+                let (r, s) = (rank * h..(rank + 1) * h, pack.seq_at(rank) * h);
+                cell.h[r.clone()].copy_from_slice(&st.h[s..s + h]);
+                cell.c[r].copy_from_slice(&st.c[s..s + h]);
+            }
+        }
         for t in 0..pack.max_len() {
             let active = pack.active(t);
             let (ah, ag) = (active * h, active * g4);
@@ -265,6 +283,15 @@ impl Lstm {
             for rank in 0..active {
                 let (_, dst) = pack.step_rows(rank, t, reverse);
                 out[dst * h..(dst + 1) * h].copy_from_slice(&cell.h[rank * h..(rank + 1) * h]);
+            }
+        }
+        // A finished sequence's rows are left alone by later steps, so they
+        // hold its final state.
+        if let Some(st) = state {
+            for rank in 0..batch {
+                let (r, s) = (rank * h..(rank + 1) * h, pack.seq_at(rank) * h);
+                st.h[s..s + h].copy_from_slice(&cell.h[r.clone()]);
+                st.c[s..s + h].copy_from_slice(&cell.c[r]);
             }
         }
     }

@@ -215,18 +215,41 @@ fn streaming_matches_batch_detection() {
     let train = to_train_samples(&ds.train);
     let (model, _) = Lead::fit(&train, &[], &ds.city.poi_db, &cfg, LeadOptions::full())
         .expect("training failed");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // Same stay points, same detection, same probability bits.
+    let assert_same =
+        |what: &str, a: &lead::core::DetectionResult, b: &lead::core::DetectionResult| {
+            assert_eq!(
+                a.processed.stay_points, b.processed.stay_points,
+                "{what}: stay points diverged"
+            );
+            assert_eq!(a.detected, b.detected, "{what}: streaming/batch diverged");
+            assert_eq!(
+                bits(&a.probabilities),
+                bits(&b.probabilities),
+                "{what}: probabilities diverged"
+            );
+        };
 
-    let mut compared = 0;
+    let (mut compared, mut intermediate) = (0, 0);
     for s in ds.test.iter().chain(&ds.val) {
         let batch = model.detect(&s.raw, &ds.city.poi_db);
         let mut stream = StreamingDetector::new(&model, &ds.city.poi_db);
         for &p in s.raw.points() {
-            stream.push(p);
+            // Every running hypothesis is the batch detection of the
+            // prefix seen so far.
+            if let Some(h) = stream.push(p).hypothesis {
+                let prefix = model
+                    .detect(&stream.snapshot().cleaned, &ds.city.poi_db)
+                    .expect("the prefix has the hypothesis' stay points");
+                assert_same("hypothesis", &h, &prefix);
+                intermediate += 1;
+            }
         }
         let streamed = stream.finish();
         match (batch, streamed) {
             (Some(a), Some(b)) => {
-                assert_eq!(a.detected, b.detected, "streaming/batch diverged");
+                assert_same("final", &b, &a);
                 compared += 1;
             }
             (None, None) => {}
@@ -238,6 +261,7 @@ fn streaming_matches_batch_detection() {
         }
     }
     assert!(compared > 0, "no comparable trajectory");
+    assert!(intermediate > 0, "no intermediate hypothesis");
 }
 
 #[test]
