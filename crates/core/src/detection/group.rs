@@ -78,7 +78,7 @@ impl Groups {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn table_ii_example() {
@@ -109,13 +109,13 @@ mod tests {
     fn each_group_covers_every_candidate_once() {
         for n in 2..12 {
             let g = build_groups(n);
-            let all: HashSet<Candidate> = enumerate_candidates(n).into_iter().collect();
+            let all: BTreeSet<Candidate> = enumerate_candidates(n).into_iter().collect();
             let fwd: Vec<Candidate> = g.forward.iter().flatten().copied().collect();
             let bwd: Vec<Candidate> = g.backward.iter().flatten().copied().collect();
             assert_eq!(fwd.len(), all.len());
             assert_eq!(bwd.len(), all.len());
-            assert_eq!(fwd.iter().copied().collect::<HashSet<_>>(), all);
-            assert_eq!(bwd.iter().copied().collect::<HashSet<_>>(), all);
+            assert_eq!(fwd.iter().copied().collect::<BTreeSet<_>>(), all);
+            assert_eq!(bwd.iter().copied().collect::<BTreeSet<_>>(), all);
         }
     }
 

@@ -390,7 +390,7 @@ mod tests {
 
     #[test]
     fn names_roundtrip_and_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for c in PoiCategory::ALL {
             assert!(seen.insert(c.name()), "duplicate name {}", c.name());
             assert_eq!(PoiCategory::from_name(c.name()), Some(c));

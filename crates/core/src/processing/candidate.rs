@@ -69,7 +69,7 @@ mod tests {
     #[test]
     fn all_pairs_distinct_and_ordered() {
         let c = enumerate_candidates(10);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for cand in &c {
             assert!(cand.start_sp < cand.end_sp);
             assert!(seen.insert(*cand), "duplicate {cand:?}");

@@ -83,13 +83,15 @@ impl IncrementalStayExtractor {
         points[anchor].distance_m(&points[j]) <= self.d_max_m
     }
 
-    /// Called after one point was appended to `points`; returns every stay
-    /// that completed (mirrors the batch algorithm's anchor walk).
+    /// Called after one point was appended to `points`; returns the stay
+    /// that completed, if any (mirrors the batch algorithm's anchor walk).
     ///
-    /// Usually zero or one stay completes per point, but re-anchoring after
-    /// an emission can reveal a second qualifying run inside the buffered
-    /// history (two dwell clusters both within `D_max` of the old anchor yet
-    /// apart from each other), so all completions are returned in order.
+    /// At most one stay completes per point, so the result holds zero or one
+    /// stay. The new point is the first break of the open run, so the only
+    /// run that can complete is the one ending just before it, and emitting
+    /// that run re-anchors at the new point. If that run is too short, every
+    /// run the re-anchored walk finds starts later and ends no later, so it
+    /// is shorter still.
     ///
     /// Cost: amortized O(1) while the run stays open — the open-run
     /// invariant (every buffered point after the anchor is within `D_max`

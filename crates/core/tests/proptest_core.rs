@@ -8,7 +8,7 @@ use lead_core::features::Normalizer;
 use lead_core::processing::{enumerate_candidates, extract_stay_points, filter_noise, Candidate};
 use lead_geo::{GpsPoint, Trajectory};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Random chronological city-scale trajectories.
 fn trajectory() -> impl Strategy<Value = Trajectory> {
@@ -110,7 +110,7 @@ proptest! {
     fn candidate_enumeration_counts_and_uniqueness(n in 0usize..25) {
         let c = enumerate_candidates(n);
         prop_assert_eq!(c.len(), n * n.saturating_sub(1) / 2);
-        let set: HashSet<Candidate> = c.iter().copied().collect();
+        let set: BTreeSet<Candidate> = c.iter().copied().collect();
         prop_assert_eq!(set.len(), c.len());
         for cand in &c {
             prop_assert!(cand.start_sp < cand.end_sp && cand.end_sp < n);
@@ -120,13 +120,13 @@ proptest! {
     #[test]
     fn groups_cover_candidates_exactly_once(n in 2usize..15) {
         let g = build_groups(n);
-        let all: HashSet<Candidate> = enumerate_candidates(n).into_iter().collect();
+        let all: BTreeSet<Candidate> = enumerate_candidates(n).into_iter().collect();
         let fwd: Vec<Candidate> = g.forward.iter().flatten().copied().collect();
         let bwd: Vec<Candidate> = g.backward.iter().flatten().copied().collect();
         prop_assert_eq!(fwd.len(), all.len());
         prop_assert_eq!(bwd.len(), all.len());
-        prop_assert_eq!(fwd.into_iter().collect::<HashSet<_>>(), all.clone());
-        prop_assert_eq!(bwd.into_iter().collect::<HashSet<_>>(), all);
+        prop_assert_eq!(fwd.into_iter().collect::<BTreeSet<_>>(), all.clone());
+        prop_assert_eq!(bwd.into_iter().collect::<BTreeSet<_>>(), all);
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod report;
 pub mod runner;
 pub mod scenarios;
 pub mod svg;
+#[expect(clippy::disallowed_types, reason = "R5: sanctioned wall-clock home")]
 pub mod timing;
 
 pub use buckets::Bucket;

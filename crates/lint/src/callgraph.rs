@@ -382,7 +382,7 @@ fn build_graph(files: &[SourceFile<'_>], manifests: &[Manifest]) -> Graph {
             });
         }
     }
-    nodes.sort_by(|a, b| (a.file, a.line, a.col).cmp(&(b.file, b.line, b.col)));
+    nodes.sort_by_key(|n| (n.file, n.line, n.col));
 
     // Lookup structures.
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -497,10 +497,13 @@ fn line_owners(nodes: &[FnNode], file: usize, nlines: usize) -> Vec<Option<usize
         if n.file != file {
             continue;
         }
-        for ln in n.open..=n.close.min(nlines) {
-            match owner[ln] {
+        let Some(span) = owner.get_mut(n.open..=n.close.min(nlines)) else {
+            continue;
+        };
+        for slot in span {
+            match *slot {
                 Some(o) if nodes[o].open >= n.open => {}
-                _ => owner[ln] = Some(i),
+                _ => *slot = Some(i),
             }
         }
     }

@@ -12,7 +12,7 @@ pub struct Diagnostic {
     /// 1-based byte column in the *code view* of the line (strings blanked,
     /// comments removed). Line-level and workspace-level findings use 1.
     pub col: usize,
-    /// The rule id (`hash-order`, `panic`, …, or `bad-waiver`/`unused-waiver`).
+    /// The rule id (`panic`, `float-eq`, …, or `bad-waiver`/`unused-waiver`).
     pub rule: &'static str,
     /// Human-readable explanation with the suggested fix.
     pub message: String,

@@ -1,6 +1,6 @@
 //! The `lead-lint` binary: scans the workspace and exits non-zero on any
 //! diagnostic. See the library docs for the rule catalog, waiver syntax,
-//! JSON output, and the baseline ratchet.
+//! and JSON output.
 
 #![forbid(unsafe_code)]
 
@@ -63,7 +63,6 @@ fn explain(target: Option<&str>) -> ExitCode {
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -86,37 +85,25 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline = Some(p),
-                None => {
-                    eprintln!("lead-lint: --baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--list-rules" => {
-                for id in lead_lint::rules::RULE_IDS {
-                    println!("{id}");
-                }
-                return ExitCode::SUCCESS;
-            }
             "explain" => {
                 let target = args.next();
                 return explain(target.as_deref());
             }
             "--help" | "-h" => {
-                // The rule range derives from the catalog so it cannot drift.
-                let last = lead_lint::rules::RULE_DOCS[lead_lint::rules::RULE_DOCS.len() - 1].num;
+                // The rule list derives from the catalog so it cannot drift.
+                let nums: Vec<&str> = lead_lint::rules::RULE_DOCS.iter().map(|d| d.num).collect();
                 println!(
-                    "usage: lead-lint [--root DIR] [--format text|json] [--baseline FILE] [--list-rules]\n\
+                    "usage: lead-lint [--root DIR] [--format text|json]\n\
                      \x20      lead-lint explain [R<N>|<rule-id>]\n\n\
                      Scans the LEAD workspace sources and fails on violations of the\n\
-                     determinism, panic-freedom, unsafe-contract, and architecture rule\n\
-                     catalog (R1-{last}, see DESIGN.md; `lead-lint explain` prints it).\n\
-                     Waive a deliberate violation with a justified line comment:\n\
-                     '// lint: allow(<rule>): <reason>'.\n\n\
-                     --baseline enables ratchet mode: diagnostics listed in FILE (one\n\
-                     'file:line:rule' per line) are suppressed, new diagnostics fail,\n\
-                     and entries that no longer fire fail as stale-baseline."
+                     determinism, panic-freedom, unsafe-contract, and architecture rules\n\
+                     that clippy and rustc cannot check:\n\
+                     \x20   {}\n\
+                     (see DESIGN.md §10; `lead-lint explain` prints them). R1, R3 and R5\n\
+                     are clippy disallowed-types/methods in the clippy.toml files, and R6\n\
+                     is rustc's missing_docs. Waive a deliberate violation with a\n\
+                     justified line comment: '// lint: allow(<rule>): <reason>'.",
+                    nums.join(", ")
                 );
                 return ExitCode::SUCCESS;
             }
@@ -150,34 +137,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut diags = match lead_lint::scan_workspace(&root) {
+    let diags = match lead_lint::scan_workspace(&root) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("lead-lint: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &baseline {
-        // The path is resolved against the cwd (as typed), but diagnostics
-        // anchor at it verbatim so `lint.baseline:3: [stale-baseline] …`
-        // stays copy-pasteable.
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("lead-lint: cannot read baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let entries = match lead_lint::baseline::parse(&source) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("lead-lint: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        diags = lead_lint::baseline::apply(diags, &entries, path);
-    }
 
     match format {
         Format::Json => print!("{}", lead_lint::diag::to_json(&diags)),

@@ -1,4 +1,4 @@
-//! The rule catalog (R1–R6) and its application to preprocessed lines.
+//! The rule catalog and its application to preprocessed lines.
 //!
 //! Rule scoping is by workspace-relative path. The catalog (mirrored in
 //! DESIGN.md) distinguishes three file classes:
@@ -8,17 +8,16 @@
 //!   on degenerate input;
 //! - **result-affecting crates** (`lead_core`, `lead_nn`, `lead_eval`,
 //!   `lead_obs`) — everything feeding the `c-vec`s, probability
-//!   distributions, and evaluation reports; must be order-deterministic (R1)
-//!   and wall-clock free (R5 — with `lead_eval::timing` and
-//!   `lead_obs::clock` as the two sanctioned wall-clock homes);
+//!   distributions, and evaluation reports; their public APIs must not reach
+//!   a panic (R12) or a nondeterminism source (R13);
 //! - **numeric kernels** (`lead_nn`, `lead_core::detection`,
 //!   `lead_core::encoding`, `lead_core::features`) — must not narrow floats
 //!   or compare them exactly without a guard (R4).
 //!
-//! R3 (thread spawning) and waiver hygiene apply to every scanned file; R6
-//! (doc comments) applies to `lead_core`, `lead_nn`, and `lead_obs`. Test
-//! code (`#[cfg(test)]` regions; `tests/` and `benches/` trees are never
-//! scanned) is exempt from everything except waiver hygiene.
+//! R1, R3, R5 and R6 are checked by clippy and rustc (see the crate docs).
+//! Waiver hygiene applies to every scanned file. Test code (`#[cfg(test)]`
+//! regions; `tests/` and `benches/` trees are never scanned) is exempt from
+//! everything except waiver hygiene.
 //!
 //! The structural rules ride on the block IR ([`crate::blocks`]): R10
 //! (`unsafe-contract`) confines `unsafe` to the sanctioned-module allowlist
@@ -53,17 +52,7 @@ pub struct RuleDoc {
 
 /// The rule catalog documentation, in catalog order. [`RULE_IDS`] is derived
 /// from this table, so the identifier list can never drift from the docs.
-pub const RULE_DOCS: [RuleDoc; 14] = [
-    RuleDoc {
-        num: "R1",
-        id: "hash-order",
-        doc: "`HashMap`/`HashSet` are banned in result-affecting crates \
-              (lead-core, lead-nn, lead-eval, lead-obs): their iteration order \
-              varies across processes and silently reorders floating-point \
-              reductions, breaking the bit-identical parity contract. Use \
-              `BTreeMap`/`BTreeSet`, or sort explicitly before iterating.",
-        waiver: "// lint: allow(hash-order): order never observed, drained via sorted keys",
-    },
+pub const RULE_DOCS: [RuleDoc; 10] = [
     RuleDoc {
         num: "R2",
         id: "panic",
@@ -73,15 +62,6 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
               Degenerate GPS days are data, not bugs — degrade to \
               `Result`/`Option` with a typed error.",
         waiver: "// lint: allow(panic): length checked two lines above",
-    },
-    RuleDoc {
-        num: "R3",
-        id: "thread-spawn",
-        doc: "`thread::spawn`/`thread::scope`/`thread::Builder` are allowed \
-              only in `lead_nn::par`, the fixed-order reduction layer; ad-hoc \
-              threads reintroduce scheduling nondeterminism that the parity \
-              tests cannot see.",
-        waiver: "// lint: allow(thread-spawn): watchdog thread, results never cross it",
     },
     RuleDoc {
         num: "R4a",
@@ -100,23 +80,6 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
               with a tolerance, use `is_finite()`-style predicates, or compare \
               bit patterns explicitly.",
         waiver: "// lint: allow(float-eq): sentinel value assigned, never computed",
-    },
-    RuleDoc {
-        num: "R5",
-        id: "wall-clock",
-        doc: "`Instant`/`SystemTime` reads are banned in result-affecting \
-              crates outside the two sanctioned timing homes \
-              (`lead_eval::timing`, `lead_obs::clock`): wall-clock values in \
-              the result path make runs irreproducible.",
-        waiver: "// lint: allow(wall-clock): feeds a log line, never a result",
-    },
-    RuleDoc {
-        num: "R6",
-        id: "missing-doc",
-        doc: "Every `pub` item of the documented crates (lead-core, lead-nn, \
-              lead-data, lead-obs) carries a doc comment; the public surface \
-              is the paper-reproduction contract and stays self-describing.",
-        waiver: "// lint: allow(missing-doc): generated shim, documented at the trait",
     },
     RuleDoc {
         num: "R7",
@@ -192,8 +155,8 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
 
 /// The machine-readable rule identifiers, as used in waivers. Derived from
 /// [`RULE_DOCS`] so the two can never drift.
-pub const RULE_IDS: [&str; 14] = {
-    let mut ids = [""; 14];
+pub const RULE_IDS: [&str; 10] = {
+    let mut ids = [""; 10];
     let mut i = 0;
     while i < RULE_DOCS.len() {
         ids[i] = RULE_DOCS[i].id;
@@ -205,8 +168,8 @@ pub const RULE_IDS: [&str; 14] = {
 /// A crate's role in the workspace, deciding which rule families apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
-    /// Library code feeding the detection results: panic-free (R2),
-    /// order-deterministic (R1), wall-clock free (R5), typed errors (R8).
+    /// Library code feeding the detection results: panic-free (R2, R12),
+    /// deterministic (R13, and clippy's R1/R5 bans), typed errors (R8).
     ResultLib,
     /// Library code off the result path: panic-free (R2), typed errors (R8).
     Lib,
@@ -240,7 +203,7 @@ pub struct CrateInfo {
     pub package: &'static str,
     /// The crate's class; `[package.metadata.lead]` must agree (R9).
     pub class: Class,
-    /// Whether R6 (`missing-doc`) and the R8 `# Errors` requirement apply.
+    /// Whether the R8 `# Errors` requirement applies.
     pub doc: bool,
     /// Sanctioned workspace dependencies (R7); ignored for `Bin`.
     pub allowed: &'static [&'static str],
@@ -343,11 +306,8 @@ const KERNEL_PATHS: [&str; 3] = [
     "crates/core/src/encoding/",
 ];
 
-/// Files where wall-clock reads are the point (R5 exemption).
+/// Files where wall-clock reads are the point (R13 exemption).
 const TIMING_FILES: [&str; 2] = ["crates/eval/src/timing.rs", "crates/obs/src/clock.rs"];
-
-/// The one module allowed to create threads (R3 exemption).
-const PAR_FILES: [&str; 1] = ["crates/nn/src/par.rs"];
 
 /// One sanctioned-unsafe module: the only places R10 permits the `unsafe`
 /// keyword, each site still requiring a `// SAFETY:` justification.
@@ -386,12 +346,11 @@ pub fn scope_paths() -> impl Iterator<Item = &'static str> {
     KERNEL_PATHS
         .iter()
         .chain(TIMING_FILES.iter())
-        .chain(PAR_FILES.iter())
         .copied()
         .chain(SANCTIONED_UNSAFE.iter().map(|s| s.path))
 }
 
-/// Whether `rel` is one of the two sanctioned wall-clock homes (R5/R13).
+/// Whether `rel` is one of the two sanctioned wall-clock homes (R13).
 pub(crate) fn is_timing_file(rel: &str) -> bool {
     TIMING_FILES.contains(&rel)
 }
@@ -409,10 +368,6 @@ pub(crate) fn class_of(rel: &str) -> Option<&'static CrateInfo> {
 
 fn is_lib(rel: &str) -> bool {
     class_of(rel).is_some_and(|c| matches!(c.class, Class::Lib | Class::ResultLib))
-}
-
-fn is_result_affecting(rel: &str) -> bool {
-    class_of(rel).is_some_and(|c| c.class == Class::ResultLib)
 }
 
 fn is_kernel(rel: &str) -> bool {
@@ -433,26 +388,12 @@ pub struct FileChecks<'a> {
     pub manifests: &'a [Manifest],
 }
 
-/// Applies the single-file catalog to one file's scan view.
-pub fn apply(rel_path: &str, view: &FileView) -> Vec<Diagnostic> {
-    apply_file(rel_path, view, None)
-}
-
-/// Applies the full catalog — the single-file rules plus, when `checks` is
-/// present, the per-import layering rule (R7) and the manifest-scoped R11 —
-/// to one file.
+/// Applies the per-file catalog — the single-file rules plus, when `checks`
+/// is present, the per-import layering rule (R7) and the manifest-scoped
+/// R11 — to one file. `pre_used` lists the `(line index, rule)` waivers
+/// already consumed by the interprocedural pass ([`crate::callgraph`]), so
+/// waiver hygiene accounts for them.
 pub fn apply_file(
-    rel_path: &str,
-    view: &FileView,
-    checks: Option<&FileChecks<'_>>,
-) -> Vec<Diagnostic> {
-    apply_file_with(rel_path, view, checks, &[])
-}
-
-/// [`apply_file`], with `(line index, rule)` waivers already consumed by the
-/// interprocedural pass ([`crate::callgraph`]) fed in so waiver hygiene
-/// accounts for them.
-pub fn apply_file_with(
     rel_path: &str,
     view: &FileView,
     checks: Option<&FileChecks<'_>>,
@@ -498,25 +439,13 @@ pub fn apply_file_with(
         }
         let code = line.code.as_str();
 
-        if is_result_affecting(rel_path) {
-            check_hash_order(code, &mut fire);
-            if !TIMING_FILES.contains(&rel_path) {
-                check_wall_clock(code, &mut fire);
-            }
-        }
         if is_lib(rel_path) {
             check_panic(code, &mut fire);
             check_error_contract(rel_path, lines, i, &mut fire);
         }
-        if !PAR_FILES.contains(&rel_path) {
-            check_thread_spawn(code, &mut fire);
-        }
         if is_kernel(rel_path) {
             check_float_cast(code, &mut fire);
             check_float_eq(code, &mut fire);
-        }
-        if is_doc_scope(rel_path) {
-            check_missing_doc(lines, i, &mut fire);
         }
     }
 
@@ -566,26 +495,6 @@ pub(crate) fn waiver_for(lines: &[Line], i: usize, rule: &str) -> Option<(usize,
         return Some((i - 1, rule.to_string()));
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// R1 — hash-order
-// ---------------------------------------------------------------------------
-
-fn check_hash_order(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
-    for name in ["HashMap", "HashSet"] {
-        if let Some(pos) = find_word(code, name) {
-            fire(
-                "hash-order",
-                pos + 1,
-                format!(
-                    "`{name}` in a result-affecting crate: iteration order is \
-                     nondeterministic and breaks the parity contract — use \
-                     `BTreeMap`/`BTreeSet` or an explicit sort"
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -671,25 +580,6 @@ fn find_literal_index(code: &str) -> Option<(usize, usize)> {
         }
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// R3 — thread-spawn
-// ---------------------------------------------------------------------------
-
-fn check_thread_spawn(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
-    for pat in ["thread::spawn", "thread::scope", "thread::Builder"] {
-        if let Some(pos) = code.find(pat) {
-            fire(
-                "thread-spawn",
-                pos + 1,
-                format!(
-                    "`{pat}` outside `lead_nn::par`: all parallelism must go \
-                     through the fixed-order reduction layer"
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -824,69 +714,6 @@ fn token_is_floaty(tok: &str) -> bool {
         .chars()
         .all(|c| c.is_ascii_digit() || c == '.' || c == '_' || c == 'e' || c == 'E' || c == '-');
     looks_numeric && (body.contains('.') || body.contains('e') || body.contains('E') || had_suffix)
-}
-
-// ---------------------------------------------------------------------------
-// R5 — wall-clock
-// ---------------------------------------------------------------------------
-
-fn check_wall_clock(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
-    for pat in ["Instant", "SystemTime"] {
-        if let Some(pos) = find_word(code, pat) {
-            fire(
-                "wall-clock",
-                pos + 1,
-                format!(
-                    "`{pat}` in result-affecting code: wall-clock reads make runs \
-                     irreproducible — timing belongs in `lead_eval::timing` \
-                     (e.g. `Stopwatch`) or the bench crate"
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R6 — missing-doc
-// ---------------------------------------------------------------------------
-
-const DOC_ITEMS: [&str; 8] = [
-    "pub fn ",
-    "pub struct ",
-    "pub enum ",
-    "pub trait ",
-    "pub type ",
-    "pub const ",
-    "pub static ",
-    "pub unsafe ",
-];
-
-fn check_missing_doc(lines: &[Line], i: usize, fire: &mut impl FnMut(&'static str, usize, String)) {
-    let trimmed = lines[i].code.trim_start();
-    if !DOC_ITEMS.iter().any(|p| trimmed.starts_with(p)) {
-        return;
-    }
-    let col = lines[i].code.len() - trimmed.len() + 1;
-    // Walk upward over attributes; the first non-attribute line decides.
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let above = &lines[j];
-        let t = above.raw.as_str();
-        if t.starts_with("#[") || t.starts_with("#![") || t == ")]" {
-            continue;
-        }
-        if above.is_doc {
-            return; // documented
-        }
-        break;
-    }
-    let item = trimmed.split('(').next().unwrap_or(trimmed).trim();
-    fire(
-        "missing-doc",
-        col,
-        format!("public item `{item}` has no doc comment (R6: every `pub` item in core/nn is documented)"),
-    );
 }
 
 // ---------------------------------------------------------------------------

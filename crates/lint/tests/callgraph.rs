@@ -2,8 +2,8 @@
 //! direct, transitive (≥ 2 hops), cross-crate, waived (site-line and
 //! declaration-line), and `#[cfg(test)]`-exempt cases for each family —
 //! per-file cases through `scan_source`, cross-crate cases through
-//! `scan_workspace` on fixture workspaces — plus the `explain` subcommand
-//! and the byte-stable witness-path JSON pin.
+//! `scan_workspace` on fixture workspaces, some through the binary — plus
+//! the `explain` subcommand and the byte-stable witness-path JSON pin.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -140,6 +140,25 @@ fn cross_crate_panic_path_through_a_declared_dep() {
     );
 }
 
+/// A `pub fn` that reaches `unwrap()` only through a private helper fails
+/// the binary, which prints the witness path.
+#[test]
+fn private_helper_panic_path_fails_the_binary() {
+    let root = ws("cg-binary-panic");
+    crate_manifest(&root, "crates/eval", "lead-eval", "result-lib", &[]);
+    write(
+        &root.join("crates/eval/src/lib.rs"),
+        &format!(
+            "//! E.\n{ATTRS}\n/// Entry.\npub fn entry(o: Option<u32>) -> u32 {{\n    \
+             helper(o)\n}}\n\nfn helper(o: Option<u32>) -> u32 {{\n    o.unwrap()\n}}\n"
+        ),
+    );
+    let (code, stdout) = run(&root, &[]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stdout.contains("[panic-path]"), "{stdout}");
+    assert!(stdout.contains("entry → helper: panics at"), "{stdout}");
+}
+
 #[test]
 fn site_waiver_covering_panic_path_silences_r12() {
     let src = "//! E.\n\npub fn entry(o: Option<u32>) -> u32 {\n    \
@@ -214,7 +233,7 @@ fn hashset_reached_through_a_helper_fires_r13() {
     let src = "//! E.\n\n\
                pub fn entry(v: &[u32]) -> usize {\n    helper(v)\n}\n\n\
                fn helper(v: &[u32]) -> usize {\n    \
-               // lint: allow(hash-order): fixture — drained via len only\n    \
+               // fixture — drained via len only\n    \
                let s: std::collections::HashSet<u32> = v.iter().copied().collect();\n    \
                s.len()\n}\n";
     let diags = lead_lint::scan_source("crates/eval/src/lib.rs", src);
@@ -230,43 +249,50 @@ fn hashset_reached_through_a_helper_fires_r13() {
 
 #[test]
 fn clock_laundered_through_a_helper_crate_fires_r13() {
-    let root = ws("cg-cross-clock");
-    crate_manifest(
-        &root,
-        "crates/eval",
-        "lead-eval",
-        "result-lib",
-        &["lead-synth"],
-    );
-    crate_manifest(&root, "crates/synth", "lead-synth", "lib", &[]);
-    write(
-        &root.join("crates/eval/src/lib.rs"),
-        &format!(
-            "//! E.\n{ATTRS}\nuse lead_synth::now_ms;\n\n\
-             pub fn entry() -> u64 {{\n    now_ms()\n}}\n"
-        ),
-    );
-    // Legal under the per-line rules: synth is not result-affecting, so R5
-    // never sees this clock read. Only the propagation catches it.
-    write(
-        &root.join("crates/synth/src/lib.rs"),
-        &format!(
-            "//! S.\n{ATTRS}\n\
-             /// Now.\npub fn now_ms() -> u64 {{\n    \
-             let t = std::time::Instant::now();\n    \
-             t.elapsed().subsec_millis() as u64\n}}\n"
-        ),
-    );
-    let diags = lead_lint::scan_workspace(&root).expect("scan");
-    assert_eq!(rules_of(&diags), vec!["determinism-taint"], "{diags:?}");
-    assert_eq!(diags[0].file, "crates/eval/src/lib.rs");
-    assert!(
-        diags[0].message.contains(
-            "entry → now_ms: tainted at crates/synth/src/lib.rs:7 (`Instant` wall-clock read)"
-        ),
-        "{}",
-        diags[0].message
-    );
+    // The helper is reached through a `use` and through a qualified call.
+    let entries = [
+        "use lead_synth::now_ms;\n\npub fn entry() -> u64 {\n    now_ms()\n}\n",
+        "pub fn entry() -> u64 {\n    lead_synth::now_ms()\n}\n",
+    ];
+    for (k, entry) in entries.iter().enumerate() {
+        let root = ws(&format!("cg-cross-clock-{k}"));
+        crate_manifest(
+            &root,
+            "crates/eval",
+            "lead-eval",
+            "result-lib",
+            &["lead-synth"],
+        );
+        crate_manifest(&root, "crates/synth", "lead-synth", "lib", &[]);
+        write(
+            &root.join("crates/eval/src/lib.rs"),
+            &format!("//! E.\n{ATTRS}\n{entry}"),
+        );
+        // Legal per line: synth is not result-affecting, so clippy's R5 ban
+        // never sees this clock read. Only the propagation catches it.
+        write(
+            &root.join("crates/synth/src/lib.rs"),
+            &format!(
+                "//! S.\n{ATTRS}\n\
+                 /// Now.\npub fn now_ms() -> u64 {{\n    \
+                 let t = std::time::Instant::now();\n    \
+                 t.elapsed().subsec_millis() as u64\n}}\n"
+            ),
+        );
+        let diags = lead_lint::scan_workspace(&root).expect("scan");
+        assert_eq!(rules_of(&diags), vec!["determinism-taint"], "{diags:?}");
+        assert_eq!(diags[0].file, "crates/eval/src/lib.rs");
+        assert!(
+            diags[0].message.contains(
+                "entry → now_ms: tainted at crates/synth/src/lib.rs:7 (`Instant` wall-clock read)"
+            ),
+            "{}",
+            diags[0].message
+        );
+        let (code, stdout) = run(&root, &[]);
+        assert_eq!(code, 1, "the binary must fail:\n{stdout}");
+        assert!(stdout.contains("entry → now_ms"), "{stdout}");
+    }
 }
 
 #[test]
@@ -295,7 +321,7 @@ fn other_env_reads_are_taint() {
 #[test]
 fn taint_site_waiver_silences_r13() {
     let src = "//! E.\n\npub fn entry(v: &[u32]) -> usize {\n    \
-               // lint: allow(hash-order, determinism-taint): fixture — len only\n    \
+               // lint: allow(determinism-taint): fixture — len only\n    \
                let s: std::collections::HashSet<u32> = v.iter().copied().collect();\n    \
                s.len()\n}\n";
     let diags = lead_lint::scan_source("crates/eval/src/lib.rs", src);
@@ -331,6 +357,7 @@ fn witness_json_is_byte_stable() {
     let (code1, out1) = run(&root, &["--format", "json"]);
     let (code2, out2) = run(&root, &["--format", "json"]);
     assert_eq!(code1, 1);
+    assert_eq!(code2, 1);
     assert_eq!(out1, out2, "JSON output must be byte-stable across runs");
     let expected = concat!(
         "{\"version\":1,\"count\":1,\"diagnostics\":[",
@@ -366,7 +393,7 @@ fn explain_without_a_target_lists_the_whole_catalog() {
     let (code, stdout, _) = run_bare(&["explain"]);
     assert_eq!(code, 0);
     for (num, id) in [
-        ("R1", "hash-order"),
+        ("R2", "panic"),
         ("R12", "panic-path"),
         ("R13", "determinism-taint"),
     ] {
@@ -412,9 +439,12 @@ fn explain_unknown_rule_is_a_usage_error() {
 }
 
 #[test]
-fn help_derives_the_rule_range_from_the_catalog() {
+fn help_derives_the_rule_list_from_the_catalog() {
     let (code, stdout, _) = run_bare(&["--help"]);
     assert_eq!(code, 0);
-    assert!(stdout.contains("R1-R13"), "{stdout}");
+    let nums: Vec<&str> = lead_lint::rules::RULE_DOCS.iter().map(|d| d.num).collect();
+    assert!(stdout.contains(&nums.join(", ")), "{stdout}");
+    assert!(!stdout.contains("R1-"), "no rule range: {stdout}");
+    assert!(!stdout.contains("--baseline"), "{stdout}");
     assert!(stdout.contains("explain"), "{stdout}");
 }

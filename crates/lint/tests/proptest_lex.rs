@@ -79,8 +79,11 @@ fn shape(src: &str) -> Vec<(TokenKind, String, usize, usize)> {
         .collect()
 }
 
+/// One item as `(kind, name, line, col, body lines)`.
+type ItemShape = (String, Option<String>, usize, usize, Option<(usize, usize)>);
+
 /// The comparable projection of the block IR's item extraction.
-fn item_shape(src: &str) -> Vec<(String, Option<String>, usize, usize, Option<(usize, usize)>)> {
+fn item_shape(src: &str) -> Vec<ItemShape> {
     lead_lint::blocks::build(&tokenize(src))
         .items
         .iter()

@@ -2,10 +2,12 @@
 //! the sanctioned-unsafe allowlist, the `// SAFETY:` discipline, the
 //! crate-attr audit, `#[allow(unsafe_code)]` placement, kernel tagging, and
 //! waiver interplay — per-file cases through `scan_source`, manifest-scoped
-//! cases through `scan_workspace` on fixture workspaces.
+//! cases through `scan_workspace` on fixture workspaces, and the binary's
+//! exit code on a workspace planting both R10 halves.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn write(path: &Path, content: &str) {
     fs::create_dir_all(path.parent().expect("file path has a parent")).expect("mkdir");
@@ -199,6 +201,46 @@ fn sanctioned_crate_with_deny_unsafe_code_is_clean() {
     );
     let diags = lead_lint::scan_workspace(&root).expect("scan");
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+/// Both R10 halves planted in one workspace and run through the binary: an
+/// un-SAFETY'd site inside the sanctioned module, and a library crate root
+/// without `#![forbid(unsafe_code)]`. Each must be reported, and the gate
+/// must fail.
+#[test]
+fn planted_unsafe_contract_violations_fail_the_binary() {
+    let root = ws("r10-binary");
+    manifest(&root, "crates/nn", "lead-nn", "result-lib", None);
+    write(
+        &root.join("crates/nn/src/lib.rs"),
+        "//! N.\n#![deny(unsafe_code)]\n#![deny(missing_docs)]\n",
+    );
+    write(
+        &root.join("crates/nn/src/simd/kernel.rs"),
+        "//! K.\n\nfn f(p: *const f32) -> f32 {\n    unsafe { *p }\n}\n",
+    );
+    manifest(&root, "crates/geo", "lead-geo", "lib", None);
+    write(
+        &root.join("crates/geo/src/lib.rs"),
+        "//! G.\n#![deny(missing_docs)]\n",
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_lead-lint"))
+        .arg("--root")
+        .arg(&root)
+        .output()
+        .expect("run lead-lint");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let found: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("[unsafe-contract]"))
+        .collect();
+    assert_eq!(found.len(), 2, "{stdout}");
+    assert!(found[0].starts_with("crates/geo/src/lib.rs:"), "{stdout}");
+    assert!(
+        found[1].starts_with("crates/nn/src/simd/kernel.rs:4:"),
+        "{stdout}"
+    );
 }
 
 // ---------------------------------------------------------------------------

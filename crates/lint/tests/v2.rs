@@ -1,7 +1,7 @@
 //! v2 gate tests: the cross-file rule families (R7 layering, R8
-//! error-contract, R9 scope-drift), JSON output, the baseline ratchet, the
-//! diagnostic sort order, and the waiver edge cases — all against synthetic
-//! workspaces under `CARGO_TARGET_TMPDIR`.
+//! error-contract, R9 scope-drift), JSON output, the diagnostic sort order,
+//! and the waiver edge cases — all against synthetic workspaces under
+//! `CARGO_TARGET_TMPDIR`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -253,7 +253,9 @@ fn metadata_class_disagreeing_with_the_table_fires_scope_drift() {
 /// One seeded violation per single-file rule family, pinned to exact
 /// `(file, line, rule)` triples: this is the R1–R6 regression against the
 /// pre-refactor line-oriented scanner, and the `(path, line, rule)` sort pin
-/// in one test.
+/// in one test. The `HashMap`, `Instant`, `thread::spawn` and undocumented
+/// `pub fn` lines are R1/R5/R3/R6 violations, which clippy and rustc own
+/// now, so `lead-lint` must stay silent on them.
 #[test]
 fn r1_to_r6_regression_workspace_pins_rules_lines_and_order() {
     let root = ws("v2-regression");
@@ -285,11 +287,7 @@ fn r1_to_r6_regression_workspace_pins_rules_lines_and_order() {
     assert_eq!(
         tuples(&diags),
         vec![
-            ("crates/core/src/lib.rs".to_string(), 4, "hash-order"),
             ("crates/core/src/lib.rs".to_string(), 5, "panic"),
-            ("crates/core/src/lib.rs".to_string(), 6, "wall-clock"),
-            ("crates/core/src/lib.rs".to_string(), 8, "thread-spawn"),
-            ("crates/core/src/lib.rs".to_string(), 11, "missing-doc"),
             ("crates/nn/src/lib.rs".to_string(), 4, "float-cast"),
             ("crates/nn/src/lib.rs".to_string(), 5, "float-eq"),
         ],
@@ -412,95 +410,4 @@ fn json_report_is_byte_stable_across_runs_and_fails_on_diagnostics() {
     );
     assert!(out1.starts_with("{\"version\":1,\"count\":1,\"diagnostics\":[{\"file\":\"crates/core/src/lib.rs\",\"line\":4,\"col\":6,\"rule\":\"panic\","), "{out1}");
     assert!(out1.ends_with("]}\n"), "{out1}");
-}
-
-// ---------------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------------
-
-fn dirty_ws(name: &str) -> PathBuf {
-    let root = ws(name);
-    write(
-        &root.join("crates/core/src/lib.rs"),
-        "//! Dirty.\n\nfn f(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n",
-    );
-    root
-}
-
-#[test]
-fn baselined_diagnostic_passes_the_gate() {
-    let root = dirty_ws("v2-ratchet-known");
-    let baseline = root.join("lint.baseline");
-    write(&baseline, "# known debt\ncrates/core/src/lib.rs:4:panic\n");
-    let (code, stdout) = run(
-        &root,
-        &["--baseline", baseline.to_str().expect("utf-8 path")],
-    );
-    assert_eq!(code, 0, "baselined diagnostic must not fail CI:\n{stdout}");
-    assert!(stdout.contains("lead-lint: clean"), "{stdout}");
-}
-
-#[test]
-fn new_diagnostic_fails_despite_a_baseline() {
-    let root = dirty_ws("v2-ratchet-new");
-    let baseline = root.join("lint.baseline");
-    write(&baseline, "# unrelated entry\nsrc/other.rs:1:panic\n");
-    let (code, stdout) = run(
-        &root,
-        &["--baseline", baseline.to_str().expect("utf-8 path")],
-    );
-    assert_eq!(code, 1, "a new diagnostic must fail:\n{stdout}");
-    assert!(
-        stdout.contains("crates/core/src/lib.rs:4:6: [panic]"),
-        "{stdout}"
-    );
-    // The unmatched entry is also stale.
-    assert!(stdout.contains("stale-baseline"), "{stdout}");
-}
-
-#[test]
-fn fixed_but_still_baselined_diagnostic_fails_as_stale() {
-    let root = ws("v2-ratchet-stale");
-    write(&root.join("crates/core/src/lib.rs"), "//! Fixed.\n");
-    let baseline = root.join("lint.baseline");
-    write(&baseline, "crates/core/src/lib.rs:4:panic\n");
-    let (code, stdout) = run(
-        &root,
-        &["--baseline", baseline.to_str().expect("utf-8 path")],
-    );
-    assert_eq!(code, 1, "a stale baseline entry must fail:\n{stdout}");
-    assert!(stdout.contains("[stale-baseline]"), "{stdout}");
-    assert!(
-        stdout.contains("crates/core/src/lib.rs:4:panic"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn missing_baseline_file_is_a_usage_error() {
-    let root = dirty_ws("v2-ratchet-missing");
-    let (code, _) = run(&root, &["--baseline", "/nonexistent/lint.baseline"]);
-    assert_eq!(code, 2);
-}
-
-#[test]
-fn list_rules_includes_the_cross_file_families() {
-    let out = Command::new(env!("CARGO_BIN_EXE_lead-lint"))
-        .arg("--list-rules")
-        .output()
-        .expect("run lead-lint");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    let rules: Vec<&str> = stdout.lines().collect();
-    assert_eq!(rules.len(), 14, "{stdout}");
-    for id in [
-        "layering",
-        "error-contract",
-        "scope-drift",
-        "unsafe-contract",
-        "hot-loop-alloc",
-        "panic-path",
-        "determinism-taint",
-    ] {
-        assert!(rules.contains(&id), "{stdout}");
-    }
 }

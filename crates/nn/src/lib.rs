@@ -61,6 +61,7 @@ pub mod layers;
 pub mod matrix;
 pub mod num;
 pub mod optim;
+#[expect(clippy::disallowed_methods, reason = "R3: sanctioned thread home")]
 pub mod par;
 pub mod params;
 #[allow(unsafe_code)]

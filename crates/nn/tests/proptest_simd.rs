@@ -111,6 +111,12 @@ fn adam_coeff_sets() -> [AdamCoeffs; 2] {
     ]
 }
 
+/// A two-input elementwise kernel call, `(kernel, a, b, out)`.
+type BinaryOp = fn(&dyn Kernel, &[f32], &[f32], &mut [f32]);
+
+/// A one-input elementwise kernel call, `(kernel, a, out)`.
+type UnaryOp = fn(&dyn Kernel, &[f32], &mut [f32]);
+
 /// Runs every same-length kernel on inputs derived from `a`/`b` (equal
 /// lengths) against the scalar reference and returns the first kernel whose
 /// output differs bitwise — `None` means full parity. This single harness
@@ -133,7 +139,7 @@ fn first_divergence(k: &dyn Kernel, a: &[f32], b: &[f32], coef: f32) -> Option<&
             return Some("axpy");
         }
     }
-    let binary: [(&'static str, fn(&dyn Kernel, &[f32], &[f32], &mut [f32])); 7] = [
+    let binary: [(&'static str, BinaryOp); 7] = [
         ("add", |k, a, b, o| k.add(a, b, o)),
         ("sub", |k, a, b, o| k.sub(a, b, o)),
         ("mul", |k, a, b, o| k.mul(a, b, o)),
@@ -160,7 +166,7 @@ fn first_divergence(k: &dyn Kernel, a: &[f32], b: &[f32], coef: f32) -> Option<&
             return Some("scale");
         }
     }
-    let unary: [(&'static str, fn(&dyn Kernel, &[f32], &mut [f32])); 2] = [
+    let unary: [(&'static str, UnaryOp); 2] = [
         ("sigmoid", |k, a, o| k.sigmoid(a, o)),
         ("tanh", |k, a, o| k.tanh(a, o)),
     ];

@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+#[expect(clippy::disallowed_types, reason = "R5: sanctioned wall-clock home")]
 pub mod clock;
 pub mod emit;
 pub mod probe;

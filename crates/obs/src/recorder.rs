@@ -220,6 +220,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R3: the test needs real threads")]
     fn recorder_is_shareable_across_threads() {
         let r = Recorder::new();
         std::thread::scope(|scope| {
