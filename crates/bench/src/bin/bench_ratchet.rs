@@ -398,16 +398,27 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
         }),
     );
 
-    // ---- simd: fused gate row (LSTM/GRU hot loop shape) --------------------
+    // ---- simd: fused gate rows (LSTM/GRU hot loop shape) -------------------
+    // Both activations are the libm-free kernels, eight lanes at a time on
+    // AVX2; a revert to per-element libm calls is several times slower.
     let pre: Vec<f32> = (0..4_096).map(|i| (i as f32 * 0.23).sin() * 2.0).collect();
     let bias: Vec<f32> = (0..4_096).map(|i| (i as f32 * 0.11).cos() * 0.5).collect();
     let mut gate_out = vec![0.0f32; 4_096];
     push(
-        "simd/gate_row_4096_dispatch",
-        "len=4096 sigmoid-gate vec-add scalar-exp".to_string(),
+        "simd/sigmoid_gate_row_4096_dispatch",
+        "len=4096 sigmoid-gate vec-add vec-exp cody-waite".to_string(),
         measure(sample_ms, || {
             use lead_nn::simd::Kernel;
             backend.sigmoid_gate(&pre, &bias, &mut gate_out);
+            std::hint::black_box(&gate_out);
+        }),
+    );
+    push(
+        "simd/tanh_gate_row_4096_dispatch",
+        "len=4096 tanh-gate vec-add vec-odd-poly vec-exp".to_string(),
+        measure(sample_ms, || {
+            use lead_nn::simd::Kernel;
+            backend.tanh_gate(&pre, &bias, &mut gate_out);
             std::hint::black_box(&gate_out);
         }),
     );

@@ -408,37 +408,37 @@ mod tests {
         let golden: [(LeadOptions, u64, u64); 7] = [
             (
                 LeadOptions::full(),
-                0x7d0d_830f_6f18_c573,
-                0xf50f_07c2_8c66_6254,
+                0x7e8f_637d_6744_1794,
+                0x631a_e943_4a83_0516,
             ),
             (
                 LeadOptions::no_poi(),
-                0x16d6_6aa8_af54_d304,
-                0x7560_2dc3_3f01_19f4,
+                0x9566_86cb_be76_79d3,
+                0xaf4d_0a14_cfec_17e4,
             ),
             (
                 LeadOptions::no_sel(),
-                0xabba_2f64_b293_b9e7,
+                0x0a55_68a8_5433_b355,
                 0xcc23_7fde_5df4_89c2,
             ),
             (
                 LeadOptions::no_hie(),
-                0xca5d_94f8_9bf5_181c,
+                0x8fea_8b7a_5984_5cf2,
                 0x94a0_a813_6598_ce2e,
             ),
             (
                 LeadOptions::no_gro(),
-                0x3415_81e9_ba64_aed5,
-                0x715a_b1e7_3d8e_9480,
+                0x90f4_309b_2df6_cf1e,
+                0x0d77_9219_2e3e_e1ba,
             ),
             (
                 LeadOptions::no_for(),
-                0x7edc_e3d1_eb2d_e21f,
+                0x774c_b3a6_070c_c978,
                 0xdf8f_4878_010f_2312,
             ),
             (
                 LeadOptions::no_bac(),
-                0x15d1_64de_f805_b436,
+                0x4d01_3149_036c_5b50,
                 0x4098_79bf_f3fa_0bc2,
             ),
         ];

@@ -300,15 +300,14 @@ impl Matrix {
         simd::active().scale(&mut self.data, s);
     }
 
-    /// Elementwise logistic sigmoid (scalar libm in every backend — part of
-    /// the bit-identity contract).
+    /// Elementwise logistic sigmoid ([`simd::sigmoid`] on every element).
     pub fn sigmoid(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         simd::active().sigmoid(&self.data, &mut out.data);
         out
     }
 
-    /// Elementwise hyperbolic tangent (scalar libm in every backend).
+    /// Elementwise hyperbolic tangent ([`simd::tanh`] on every element).
     pub fn tanh(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         simd::active().tanh(&self.data, &mut out.data);
@@ -519,7 +518,7 @@ pub(crate) fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut z = 0.0;
     for v in row.iter_mut() {
-        *v = (*v - max).exp();
+        *v = simd::exp(*v - max);
         z += *v;
     }
     for v in row.iter_mut() {
@@ -704,14 +703,36 @@ mod tests {
     }
 
     #[test]
-    fn activations_match_libm_bitwise() {
-        let a = m(1, 5, &[-2.0, -0.0, 0.0, 0.5, 3.0]);
+    fn activations_match_pinned_reference_bits() {
+        // The bits of `simd::sigmoid`/`simd::tanh`, which call no libm, so
+        // they are the same on every IEEE platform. Most equal what the
+        // libm formulas gave on glibc; at -4.157294 `1/(1+exp(-x))` gave
+        // 2 ulp more, and at -100 it overflowed to 0 where the reference
+        // keeps the subnormal.
+        let a = m(1, 7, &[-2.0, -0.0, 0.0, 0.5, 3.0, -4.157_294, -100.0]);
         let s = a.sigmoid();
         let t = a.tanh();
-        for (i, &v) in a.data().iter().enumerate() {
-            let want_s = 1.0 / (1.0 + (-v).exp());
-            assert_eq!(s.data()[i].to_bits(), want_s.to_bits());
-            assert_eq!(t.data()[i].to_bits(), v.tanh().to_bits());
+        let want_s: [u32; 7] = [
+            0x3df4_20a9,
+            0x3f00_0000,
+            0x3f00_0000,
+            0x3f1f_597f,
+            0x3f73_dbe6,
+            0x3c7c_74ce,
+            0x0000_001b,
+        ];
+        let want_t: [u32; 7] = [
+            0xbf76_ca83,
+            0x8000_0000,
+            0x0000_0000,
+            0x3eec_9a9f,
+            0x3f7e_bbe9,
+            0xbf7f_dfe8,
+            0xbf80_0000,
+        ];
+        for i in 0..a.len() {
+            assert_eq!(s.data()[i].to_bits(), want_s[i], "sigmoid({})", a.data()[i]);
+            assert_eq!(t.data()[i].to_bits(), want_t[i], "tanh({})", a.data()[i]);
         }
         // tanh preserves the sign of zero — the reason plain activations
         // never route through the gate kernels with a zero bias.

@@ -14,9 +14,14 @@
 //!   reference's exact operation sequence to eight elements at once, and
 //!   every individual operation used (`add`, `sub`, `mul`, `div`, `sqrt`)
 //!   is IEEE correctly rounded, so each element's bits are unchanged.
-//! - The gate kernels ([`sigmoid_gate`], [`tanh_gate`]) vectorise only the
-//!   exactly-rounded bias add; the transcendental activation is the same
-//!   scalar libm call the reference makes, element by element.
+//! - The transcendental kernels ([`exp`], [`sigmoid`], [`tanh`] and the
+//!   gates [`sigmoid_gate`], [`tanh_gate`]) mirror the reference's
+//!   libm-free definitions lane for lane: the same constants and the same
+//!   exactly rounded operations in the same order, separate `mul` and `add`
+//!   in every polynomial step, integer lanes for the exponent bits. Where
+//!   the reference branches per element (NaN, `tanh`'s polynomial range,
+//!   the summation order of `sigmoid`'s denominator), both sides are
+//!   computed and each lane takes the one its element would have taken.
 //! - [`matmul_acc`] is register-blocked (4 rows × 16 columns held in
 //!   registers across the `k` loop), which reorders only *which* element is
 //!   updated when, never the per-element sequence of exactly rounded
@@ -30,8 +35,12 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::x86_64::{
-    __m256, _mm256_add_ps, _mm256_div_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps,
+    __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps,
+    _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
+    _mm256_div_ps, _mm256_loadu_ps, _mm256_max_epi32, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
+    _mm256_or_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
+    _mm256_slli_epi32, _mm256_sqrt_ps, _mm256_srai_epi32, _mm256_storeu_ps, _mm256_sub_epi32,
+    _mm256_sub_ps, _mm256_xor_ps, _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
 use super::{scalar, AdamCoeffs, LANES};
@@ -224,10 +233,230 @@ pub(super) unsafe fn scale(x: &mut [f32], s: f32) {
     scalar::scale(cx.into_remainder(), s);
 }
 
-/// Fused gate `out = sigmoid(pre + bias)`: the bias add is vectorised (an
-/// exactly rounded operation), then the activation applies the same scalar
-/// libm `exp` as the reference, element by element — vectorised
-/// transcendental approximations would break bit-identity.
+// ---- transcendentals -------------------------------------------------------
+//
+// Lane for lane the scalar reference's `exp_one`, `sigmoid_one` and
+// `tanh_one`: the same constants, the same operations in the same order,
+// separate multiply and add. Where the reference branches per element, the
+// vector code computes both sides and selects each lane.
+
+/// Broadcasts one `f32` to every lane.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn splat(x: f32) -> __m256 {
+    _mm256_set1_ps(x)
+}
+
+/// `min(hi, max(lo, x))` per lane: the scalar `x.clamp(lo, hi)` for every
+/// non-NaN `x` (NaN lanes are replaced by [`nan_passthrough`] later).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn clamp(x: __m256, lo: f32, hi: f32) -> __m256 {
+    _mm256_min_ps(splat(hi), _mm256_max_ps(splat(lo), x))
+}
+
+/// Puts each NaN lane of `x` back into `y`, unchanged: the reference
+/// returns a NaN input as it is.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn nan_passthrough(x: __m256, y: __m256) -> __m256 {
+    _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+}
+
+/// `2^e` per lane for `−126 ≤ e ≤ 127`, built from the exponent bits.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn pow2(e: __m256i) -> __m256 {
+    _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+        e,
+        _mm256_set1_epi32(127),
+    )))
+}
+
+/// `y · 2^k` per lane as the reference's `scale_pow2`: two multiplies by
+/// `2^(k >> 1)` and `2^(k − (k >> 1))`, in that order.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn scale_pow2(y: __m256, k: __m256i) -> __m256 {
+    let half = _mm256_srai_epi32::<1>(k);
+    _mm256_mul_ps(
+        _mm256_mul_ps(y, pow2(half)),
+        pow2(_mm256_sub_epi32(k, half)),
+    )
+}
+
+/// The reference's `exp_parts` per lane: `eˣ = 2^k · (1 + q)`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn exp_parts(x: __m256) -> (__m256i, __m256) {
+    let magic = splat(scalar::ROUND_MAGIC);
+    let t = _mm256_add_ps(_mm256_mul_ps(x, splat(scalar::LOG2E)), magic);
+    let kf = _mm256_sub_ps(t, magic);
+    let k = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_castps_si256(magic));
+    let r = _mm256_sub_ps(
+        _mm256_sub_ps(x, _mm256_mul_ps(kf, splat(scalar::LN2_HI))),
+        _mm256_mul_ps(kf, splat(scalar::LN2_LO)),
+    );
+    let [lead, rest @ ..] = scalar::EXP_POLY;
+    let mut p = splat(lead);
+    for c in rest {
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), splat(c));
+    }
+    (k, _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r))
+}
+
+/// `exp` on eight lanes, bit-identical to the reference's `exp_one`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn exp8(x: __m256) -> __m256 {
+    let (k, q) = exp_parts(clamp(x, scalar::EXP_MIN, scalar::EXP_MAX));
+    nan_passthrough(x, scale_pow2(_mm256_add_ps(q, splat(1.0)), k))
+}
+
+/// `sigmoid` on eight lanes, bit-identical to the reference's
+/// `sigmoid_one`, including its choice of summation order for `d`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn sigmoid8(x: __m256) -> __m256 {
+    let one = splat(1.0);
+    let neg_x = _mm256_xor_ps(x, splat(-0.0));
+    let (k, q) = exp_parts(clamp(neg_x, -scalar::SIGMOID_ONE, -scalar::EXP_MIN));
+    let neg_k = _mm256_sub_epi32(_mm256_setzero_si256(), k);
+    let h = pow2(_mm256_max_epi32(
+        neg_k,
+        _mm256_set1_epi32(scalar::SIGMOID_MIN_EXP),
+    ));
+    let exact_first = _mm256_add_ps(_mm256_add_ps(one, h), q);
+    let small_first = _mm256_add_ps(one, _mm256_add_ps(h, q));
+    let k_small = _mm256_cmpgt_epi32(_mm256_set1_epi32(scalar::SIGMOID_EXACT_K), k);
+    let d = _mm256_blendv_ps(small_first, exact_first, _mm256_castsi256_ps(k_small));
+    nan_passthrough(x, scale_pow2(_mm256_div_ps(one, d), neg_k))
+}
+
+/// `tanh` on eight lanes, bit-identical to the reference's `tanh_one`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn tanh8(x: __m256) -> __m256 {
+    let sign = splat(-0.0);
+    let one = splat(1.0);
+    let a = _mm256_andnot_ps(sign, x);
+    let z = _mm256_mul_ps(a, a);
+    let [lead, rest @ ..] = scalar::TANH_POLY;
+    let mut p = splat(lead);
+    for c in rest {
+        p = _mm256_add_ps(_mm256_mul_ps(p, z), splat(c));
+    }
+    let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), a), a);
+    let e = exp8(_mm256_add_ps(a, a));
+    let big = _mm256_sub_ps(one, _mm256_div_ps(splat(2.0), _mm256_add_ps(e, one)));
+    let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(a, splat(scalar::TANH_POLY_MAX));
+    let t = _mm256_blendv_ps(big, small, is_small);
+    // `t.copysign(x)`.
+    let t = _mm256_or_ps(_mm256_andnot_ps(sign, t), _mm256_and_ps(sign, x));
+    nan_passthrough(x, t)
+}
+
+/// Applies `f` to every full chunk of `a` into `out` and `tail` to the
+/// remainder.
+///
+/// # Safety
+///
+/// The caller must be in an AVX2 `target_feature` context.
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the AVX2 context.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn map8(
+    a: &[f32],
+    out: &mut [f32],
+    f: impl Fn(__m256) -> __m256,
+    tail: fn(&[f32], &mut [f32]),
+) {
+    let n = a.len().min(out.len());
+    let (a, out) = (&a[..n], &mut out[..n]);
+    let mut ca = a.chunks_exact(LANES);
+    let mut co = out.chunks_exact_mut(LANES);
+    for (ka, ko) in ca.by_ref().zip(co.by_ref()) {
+        // SAFETY: in an AVX2 context; chunks are exactly LANES long.
+        let r = f(unsafe { load(ka) });
+        // SAFETY: in an AVX2 context; `ko` is exactly LANES long.
+        unsafe { store(ko, r) };
+    }
+    tail(ca.remainder(), co.into_remainder());
+}
+
+/// Applies `f` to `pre + bias` over every full chunk and `tail` to the
+/// remainder: the shape of both gate kernels.
+///
+/// # Safety
+///
+/// The caller must be in an AVX2 `target_feature` context.
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the AVX2 context.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn gate8(
+    pre: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    f: impl Fn(__m256) -> __m256,
+    tail: fn(&[f32], &[f32], &mut [f32]),
+) {
+    let n = pre.len().min(bias.len()).min(out.len());
+    let (pre, bias, out) = (&pre[..n], &bias[..n], &mut out[..n]);
+    let mut cp = pre.chunks_exact(LANES);
+    let mut cb = bias.chunks_exact(LANES);
+    let mut co = out.chunks_exact_mut(LANES);
+    for ((kp, kb), ko) in cp.by_ref().zip(cb.by_ref()).zip(co.by_ref()) {
+        // SAFETY: in an AVX2 context; chunks are exactly LANES long.
+        let r = f(unsafe { _mm256_add_ps(load(kp), load(kb)) });
+        // SAFETY: in an AVX2 context; `ko` is exactly LANES long.
+        unsafe { store(ko, r) };
+    }
+    tail(cp.remainder(), cb.remainder(), co.into_remainder());
+}
+
+/// `out = exp(a)` elementwise (tail delegated to scalar).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// the feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn exp(a: &[f32], out: &mut [f32]) {
+    // SAFETY: in an AVX2 context (this fn's own target_feature).
+    unsafe { map8(a, out, |v| exp8(v), scalar::exp) };
+}
+
+/// `out = sigmoid(a)` elementwise (tail delegated to scalar).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// the feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn sigmoid(a: &[f32], out: &mut [f32]) {
+    // SAFETY: in an AVX2 context (this fn's own target_feature).
+    unsafe { map8(a, out, |v| sigmoid8(v), scalar::sigmoid) };
+}
+
+/// `out = tanh(a)` elementwise (tail delegated to scalar).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// the feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn tanh(a: &[f32], out: &mut [f32]) {
+    // SAFETY: in an AVX2 context (this fn's own target_feature).
+    unsafe { map8(a, out, |v| tanh8(v), scalar::tanh) };
+}
+
+/// Fused gate `out = sigmoid(pre + bias)`: the exactly rounded add and the
+/// activation both run eight lanes at a time (tail delegated to scalar).
 ///
 /// # Safety
 ///
@@ -236,14 +465,11 @@ pub(super) unsafe fn scale(x: &mut [f32], s: f32) {
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn sigmoid_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
-    let n = pre.len().min(bias.len()).min(out.len());
-    // SAFETY: in an AVX2 context; operands truncated to a common length.
-    unsafe { add(&pre[..n], &bias[..n], &mut out[..n]) };
-    scalar::sigmoid_in_place(&mut out[..n]);
+    // SAFETY: in an AVX2 context (this fn's own target_feature).
+    unsafe { gate8(pre, bias, out, |v| sigmoid8(v), scalar::sigmoid_gate) };
 }
 
-/// Fused gate `out = tanh(pre + bias)`; see [`sigmoid_gate`] for the split
-/// between the vectorised add and the scalar activation.
+/// Fused gate `out = tanh(pre + bias)`; see [`sigmoid_gate`].
 ///
 /// # Safety
 ///
@@ -252,10 +478,8 @@ pub(super) unsafe fn sigmoid_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn tanh_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
-    let n = pre.len().min(bias.len()).min(out.len());
-    // SAFETY: in an AVX2 context; operands truncated to a common length.
-    unsafe { add(&pre[..n], &bias[..n], &mut out[..n]) };
-    scalar::tanh_in_place(&mut out[..n]);
+    // SAFETY: in an AVX2 context (this fn's own target_feature).
+    unsafe { gate8(pre, bias, out, |v| tanh8(v), scalar::tanh_gate) };
 }
 
 /// Sigmoid backward `out = g * y * (1 - y)`, left-associated exactly like

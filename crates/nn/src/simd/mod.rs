@@ -14,10 +14,15 @@
 //! accumulation over full chunks, a fixed-order sequential reduction of the
 //! lane accumulators, then a sequential tail. For elementwise kernels the
 //! reference fixes the per-element instruction sequence: separate multiply
-//! and add (never FMA, which would change rounding), exactly-rounded
-//! `div`/`sqrt`, and scalar libm transcendentals in every backend.
-//! `tests/simd_parity.rs` and `tests/proptest_simd.rs` pin the contract
-//! with `f32::to_bits` comparisons across backends and pinned fingerprints.
+//! and add (never FMA, which would change rounding) and exactly-rounded
+//! `div`/`sqrt`. The transcendentals ([`exp`], [`sigmoid`], [`tanh`]) call
+//! no libm: the reference builds them from those same operations plus bit
+//! manipulation, so their bits are the same on every IEEE-754 platform, not
+//! only across this machine's backends, and vector backends evaluate them
+//! lane for lane. `tests/simd_parity.rs` and `tests/proptest_simd.rs` pin
+//! the contract with `f32::to_bits` comparisons across backends and pinned
+//! fingerprints; `tests/transcendental_ulp.rs` bounds the transcendentals'
+//! error over every `f32` input.
 //!
 //! # Length contract
 //!
@@ -71,6 +76,24 @@ pub struct AdamCoeffs {
     pub weight_decay: f32,
 }
 
+/// `eˣ` for one value: the scalar reference every backend's
+/// [`Kernel::exp`] reproduces lane for lane, within 2 ulp of the exact
+/// value. For callers that need one element at a time (softmax, losses).
+pub fn exp(x: f32) -> f32 {
+    scalar::exp_one(x)
+}
+
+/// The logistic sigmoid `1 / (1 + e⁻ˣ)` for one value, bit-identical to
+/// [`Kernel::sigmoid`].
+pub fn sigmoid(x: f32) -> f32 {
+    scalar::sigmoid_one(x)
+}
+
+/// `tanh(x)` for one value, bit-identical to [`Kernel::tanh`].
+pub fn tanh(x: f32) -> f32 {
+    scalar::tanh_one(x)
+}
+
 /// The kernel surface the network spends its time in.
 ///
 /// Implementations promise bit-identical output to the scalar reference on
@@ -103,18 +126,20 @@ pub trait Kernel {
     /// In-place scaling `x[i] *= s`.
     fn scale(&self, x: &mut [f32], s: f32);
 
-    /// Elementwise logistic sigmoid `out[i] = 1/(1+e^{-a[i]})`. Evaluated
-    /// by the same scalar libm call in every backend: a vectorised `exp`
-    /// approximation would break bit-identity.
+    /// Elementwise exponential `out[i] = e^{a[i]}`, as the free function
+    /// [`exp`] defines it.
+    fn exp(&self, a: &[f32], out: &mut [f32]);
+
+    /// Elementwise logistic sigmoid `out[i] = 1/(1+e^{-a[i]})`, as the free
+    /// function [`sigmoid`] defines it.
     fn sigmoid(&self, a: &[f32], out: &mut [f32]);
 
-    /// Elementwise hyperbolic tangent; scalar libm in every backend, like
-    /// [`Kernel::sigmoid`].
+    /// Elementwise hyperbolic tangent, as the free function [`tanh`]
+    /// defines it.
     fn tanh(&self, a: &[f32], out: &mut [f32]);
 
     /// Fused affine-then-activation over a row:
-    /// `out[i] = sigmoid(pre[i] + bias[i])`. The add is exactly rounded and
-    /// may be vectorised; the activation stays scalar.
+    /// `out[i] = sigmoid(pre[i] + bias[i])`, the add exactly rounded.
     fn sigmoid_gate(&self, pre: &[f32], bias: &[f32], out: &mut [f32]);
 
     /// Fused affine-then-activation over a row:
@@ -324,17 +349,37 @@ impl Kernel for Backend {
         }
     }
 
+    fn exp(&self, a: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(a.len(), out.len(), "exp length mismatch");
+        match self {
+            Backend::Scalar => scalar::exp(a, out),
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::exp`'s sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { avx2::exp(a, out) },
+        }
+    }
+
     fn sigmoid(&self, a: &[f32], out: &mut [f32]) {
         debug_assert_eq!(a.len(), out.len(), "sigmoid length mismatch");
-        // Transcendental-only kernel: every backend runs the same scalar
-        // libm loop, because no vector `exp` is bit-identical to libm.
-        scalar::sigmoid(a, out);
+        match self {
+            Backend::Scalar => scalar::sigmoid(a, out),
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::sigmoid`'s sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { avx2::sigmoid(a, out) },
+        }
     }
 
     fn tanh(&self, a: &[f32], out: &mut [f32]) {
         debug_assert_eq!(a.len(), out.len(), "tanh length mismatch");
-        // Transcendental-only kernel: scalar libm in every backend.
-        scalar::tanh(a, out);
+        match self {
+            Backend::Scalar => scalar::tanh(a, out),
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::tanh`'s sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { avx2::tanh(a, out) },
+        }
     }
 
     fn sigmoid_gate(&self, pre: &[f32], bias: &[f32], out: &mut [f32]) {
@@ -510,18 +555,43 @@ mod tests {
 
     #[test]
     fn gates_match_composed_reference() {
-        let pre = [0.5f32, -1.0, 2.0, 0.0, -0.25];
-        let bias = [0.25f32, 1.0, -2.0, 0.0, 0.25];
-        let k = Backend::Scalar;
-        let mut got = [0.0f32; 5];
-        k.sigmoid_gate(&pre, &bias, &mut got);
-        for ((&g, &p), &b) in got.iter().zip(&pre).zip(&bias) {
-            let z = p + b;
-            assert_eq!(g.to_bits(), (1.0 / (1.0 + (-z).exp())).to_bits());
-        }
-        k.tanh_gate(&pre, &bias, &mut got);
-        for ((&g, &p), &b) in got.iter().zip(&pre).zip(&bias) {
-            assert_eq!(g.to_bits(), (p + b).tanh().to_bits());
+        // The gate is the activation of the exactly rounded sum, and the
+        // activation's bits are pinned: they follow from the libm-free
+        // reference alone, not from the platform's libm.
+        let pre = [0.5f32, -1.0, 2.0, 0.0, -0.25, 3.0, -4.0, 1e-3];
+        let bias = [0.25f32, 1.0, -2.0, 0.0, 0.25, 1.5, -0.157_294, 0.0];
+        let want_sigmoid: [u32; 8] = [
+            0x3f2d_dea8,
+            0x3f00_0000,
+            0x3f00_0000,
+            0x3f00_0000,
+            0x3f00_0000,
+            0x3f7d_2ff6,
+            0x3c7c_74ce,
+            0x3f00_1062,
+        ];
+        let want_tanh: [u32; 8] = [
+            0x3f22_991f,
+            0x0000_0000,
+            0x0000_0000,
+            0x0000_0000,
+            0x0000_0000,
+            0x3f7f_efd4,
+            0xbf7f_dfe8,
+            0x3a83_126c,
+        ];
+        for k in Backend::available() {
+            let mut got = [0.0f32; 8];
+            k.sigmoid_gate(&pre, &bias, &mut got);
+            for ((&g, &p), &b) in got.iter().zip(&pre).zip(&bias) {
+                assert_eq!(g.to_bits(), sigmoid(p + b).to_bits());
+            }
+            assert_eq!(got.map(f32::to_bits), want_sigmoid, "`{}`", k.name());
+            k.tanh_gate(&pre, &bias, &mut got);
+            for ((&g, &p), &b) in got.iter().zip(&pre).zip(&bias) {
+                assert_eq!(g.to_bits(), tanh(p + b).to_bits());
+            }
+            assert_eq!(got.map(f32::to_bits), want_tanh, "`{}`", k.name());
         }
     }
 

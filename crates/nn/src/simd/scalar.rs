@@ -9,12 +9,17 @@
 //!   accumulators, then a sequential tail — so SIMD backends can match them
 //!   bit-for-bit without emulating scalar order.
 //! - **Elementwise kernels** ([`axpy`], [`add`], [`sub`], [`mul`], [`scale`],
-//!   the gate and backward kernels, [`adam_update`]) have no cross-element
+//!   the backward kernels, [`adam_update`]) have no cross-element
 //!   data flow, so their contract is the exact per-element instruction
 //!   sequence written here: separate multiply and add (never a fused
-//!   multiply-add), division and square root (both IEEE correctly rounded,
-//!   hence vectorisable bit-identically), and transcendentals (`exp`,
-//!   `tanh`) evaluated by the same scalar libm call in every backend.
+//!   multiply-add), and division and square root (both IEEE correctly
+//!   rounded, hence vectorisable bit-identically).
+//! - **Transcendental kernels** ([`exp`], [`sigmoid`], [`tanh`] and the two
+//!   gates) are elementwise too. They call no libm: [`exp_one`],
+//!   [`sigmoid_one`] and [`tanh_one`] build them from the operations above
+//!   plus comparisons and bit manipulation, with every constant and the
+//!   order of every operation fixed here. Their branches are per element,
+//!   so a vector backend evaluates both sides and selects lane by lane.
 //! - **Composite kernels** ([`matmul_acc`]) are defined as a fixed loop nest
 //!   over the primitive kernels above, including the exact-zero sparsity
 //!   skip, so their bit pattern follows from the primitives'.
@@ -92,12 +97,173 @@ pub(super) fn scale(x: &mut [f32], s: f32) {
     }
 }
 
-/// The logistic sigmoid as every backend must evaluate it: one scalar libm
-/// `exp` per element. Vectorised `exp` approximations would break the
-/// bit-identity contract, so there is exactly one definition.
+// ---- transcendentals -------------------------------------------------------
+//
+// `exp`, `sigmoid` and `tanh` use only IEEE `+ − × ÷`, comparisons and bit
+// manipulation, each in the fixed order written here, so their bits are the
+// same on every IEEE-754 platform and a vector unit can mirror them lane for
+// lane. Each stays within 2 ulp of the exact function on every `f32` input
+// (`tests/transcendental_ulp.rs` checks all 2³²). A NaN input comes back
+// unchanged, bits included.
+
+/// `log2(e)` rounded to `f32`.
+pub(super) const LOG2E: f32 = std::f32::consts::LOG2_E;
+
+/// High part of the Cody–Waite split `ln 2 = LN2_HI + LN2_LO`. It has nine
+/// significant bits, so `k · LN2_HI` and `x − k · LN2_HI` are exact for
+/// every `|k| ≤ 150` the clamps allow.
+pub(super) const LN2_HI: f32 = 355.0 / 512.0;
+
+/// Low part of the Cody–Waite split of `ln 2`.
+pub(super) const LN2_LO: f32 = -0.000_212_194_44;
+
+/// `1.5 · 2²³`. Adding it to `|v| < 2²²` rounds `v` to an integer (ties to
+/// even) and leaves that integer in the low mantissa bits.
+pub(super) const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// Minimax coefficients of `(eʳ − 1 − r) / r²` on `|r| ≤ ln 2 / 2`,
+/// highest degree first (the Cephes `expf` polynomial).
+pub(super) const EXP_POLY: [f32; 6] = [
+    0.000_198_756_91,
+    0.001_398_199_9,
+    0.008_333_452,
+    0.041_665_796,
+    0.166_666_66,
+    0.5,
+];
+
+/// `exp` clamps its input into `[EXP_MIN, EXP_MAX]`. Below `EXP_MIN`, `eˣ`
+/// rounds to `0`; above `EXP_MAX`, it overflows to `+∞`. The clamp keeps
+/// the reduction's `k` inside what [`scale_pow2`] can build.
+pub(super) const EXP_MIN: f32 = -104.0;
+
+/// Upper clamp of `exp`; see [`EXP_MIN`].
+pub(super) const EXP_MAX: f32 = 89.0;
+
+/// `sigmoid` clamps `−x` into `[−SIGMOID_ONE, −EXP_MIN]`. Past either end
+/// the result is already exactly `1` (from `x ≥ 16.29`) or `0` (from
+/// `x ≤ −103.97`); the clamp keeps `k` inside what [`scale_pow2`] and
+/// [`pow2`] can build.
+pub(super) const SIGMOID_ONE: f32 = 26.0;
+
+/// `sigmoid` adds `2^−k` to `1` exactly first while `k` is below this
+/// (`1 + 2^−k` is exact for `|k| ≤ 23`), and otherwise sums the two small
+/// terms first.
+pub(super) const SIGMOID_EXACT_K: i32 = 24;
+
+/// Floor on the exponent of `sigmoid`'s `2^−k` term: below `2^−30` it
+/// cannot change `1 + q` any more, and the floor keeps it buildable.
+pub(super) const SIGMOID_MIN_EXP: i32 = -30;
+
+/// Below this `|x|`, `tanh` is the odd polynomial [`TANH_POLY`]; from it
+/// on, `1 − 2 / (e²ˣ + 1)`.
+pub(super) const TANH_POLY_MAX: f32 = 0.625;
+
+/// Minimax coefficients of `(tanh(x) − x) / x³` in `z = x²` on
+/// `|x| < 0.625`, highest degree first (the Cephes `tanhf` polynomial).
+pub(super) const TANH_POLY: [f32; 5] = [
+    -0.005_704_988_7,
+    0.020_639_088,
+    -0.053_739_715,
+    0.133_314_42,
+    -0.333_332_8,
+];
+
+/// `2^e` for `−126 ≤ e ≤ 127`, built from the exponent bits.
 #[inline]
-fn sigmoid_one(z: f32) -> f32 {
-    1.0 / (1.0 + (-z).exp())
+fn pow2(e: i32) -> f32 {
+    f32::from_bits((e + 127).cast_unsigned() << 23)
+}
+
+/// `y · 2^k` for `|k| ≤ 150`, as two multiplies by normal powers of two.
+/// Callers keep `y · 2^(k >> 1)` normal, so the first is exact and only the
+/// second rounds (into the subnormal range, or to `∞`).
+#[inline]
+fn scale_pow2(y: f32, k: i32) -> f32 {
+    let half = k >> 1;
+    y * pow2(half) * pow2(k - half)
+}
+
+/// Cody–Waite reduction shared by `exp` and `sigmoid`: writes
+/// `eˣ = 2^k · (1 + q)` and returns `(k, q)`, for `x` in `[−104, 104]`.
+/// `k = round(x · log2 e)`, `r = (x − k·LN2_HI) − k·LN2_LO` and
+/// `q = P(r)·r² + r`, with the polynomial in Horner order.
+#[inline]
+fn exp_parts(x: f32) -> (i32, f32) {
+    let t = x * LOG2E + ROUND_MAGIC;
+    let kf = t - ROUND_MAGIC;
+    let k = t.to_bits().cast_signed() - ROUND_MAGIC.to_bits().cast_signed();
+    let r = (x - kf * LN2_HI) - kf * LN2_LO;
+    let [mut p, rest @ ..] = EXP_POLY;
+    for c in rest {
+        p = p * r + c;
+    }
+    (k, p * (r * r) + r)
+}
+
+/// `eˣ` as every backend evaluates it.
+#[inline]
+pub(super) fn exp_one(x: f32) -> f32 {
+    if x.is_nan() {
+        return x;
+    }
+    let (k, q) = exp_parts(x.clamp(EXP_MIN, EXP_MAX));
+    scale_pow2(q + 1.0, k)
+}
+
+/// The logistic sigmoid `1 / (1 + e⁻ˣ)` as every backend evaluates it.
+///
+/// With `e⁻ˣ = 2^k · (1 + q)` from [`exp_parts`], `σ(x) = 2^−k / d` where
+/// `d = 2^−k + 1 + q`. Scaling by `2^−k` last keeps `e⁻ˣ` from overflowing
+/// for very negative `x`, where `σ(x)` is subnormal. `1 + 2^−k` is exact
+/// for `|k| ≤ 23`, so `d` is rounded once there; for `k ≥ 24` the two
+/// small terms are summed first, and for `k ≤ −24` (`x ≥ 16.6`) `σ(x)` is
+/// within `2⁻²³` of `1` either way.
+#[inline]
+pub(super) fn sigmoid_one(x: f32) -> f32 {
+    if x.is_nan() {
+        return x;
+    }
+    let (k, q) = exp_parts((-x).clamp(-SIGMOID_ONE, -EXP_MIN));
+    let h = pow2((-k).max(SIGMOID_MIN_EXP));
+    let d = if k < SIGMOID_EXACT_K {
+        (1.0 + h) + q
+    } else {
+        1.0 + (h + q)
+    };
+    scale_pow2(1.0 / d, -k)
+}
+
+/// `tanh(x)` as every backend evaluates it. Both branches compute
+/// `tanh(|x|)`, and the sign of `x` is copied on last, so `tanh` is exactly
+/// odd and `tanh(−0.0) = −0.0`. Below `|x| = 0.625` it is the odd
+/// polynomial `a + P(a²)·a²·a`, which maps subnormals to themselves; from
+/// there on it is `1 − 2 / (e^{2|x|} + 1)`, exactly `±1` from `|x| ≥ 9.011`.
+#[inline]
+pub(super) fn tanh_one(x: f32) -> f32 {
+    if x.is_nan() {
+        return x;
+    }
+    let a = x.abs();
+    let t = if a < TANH_POLY_MAX {
+        let z = a * a;
+        let [mut p, rest @ ..] = TANH_POLY;
+        for c in rest {
+            p = p * z + c;
+        }
+        p * z * a + a
+    } else {
+        1.0 - 2.0 / (exp_one(a + a) + 1.0)
+    };
+    t.copysign(x)
+}
+
+/// `out[i] = exp(a[i])` over the common prefix.
+pub(super) fn exp(a: &[f32], out: &mut [f32]) {
+    let n = a.len().min(out.len());
+    for (o, &z) in out[..n].iter_mut().zip(&a[..n]) {
+        *o = exp_one(z);
+    }
 }
 
 /// `out[i] = sigmoid(a[i])` over the common prefix.
@@ -112,22 +278,7 @@ pub(super) fn sigmoid(a: &[f32], out: &mut [f32]) {
 pub(super) fn tanh(a: &[f32], out: &mut [f32]) {
     let n = a.len().min(out.len());
     for (o, &z) in out[..n].iter_mut().zip(&a[..n]) {
-        *o = z.tanh();
-    }
-}
-
-/// Applies the sigmoid in place — the activation half of the gate kernels,
-/// reused by vector backends after their exactly-rounded affine part.
-pub(super) fn sigmoid_in_place(x: &mut [f32]) {
-    for xi in x.iter_mut() {
-        *xi = sigmoid_one(*xi);
-    }
-}
-
-/// Applies `tanh` in place; see [`sigmoid_in_place`].
-pub(super) fn tanh_in_place(x: &mut [f32]) {
-    for xi in x.iter_mut() {
-        *xi = (*xi).tanh();
+        *o = tanh_one(z);
     }
 }
 
@@ -143,7 +294,7 @@ pub(super) fn sigmoid_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
 pub(super) fn tanh_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
     let n = pre.len().min(bias.len()).min(out.len());
     for ((o, &p), &b) in out[..n].iter_mut().zip(&pre[..n]).zip(&bias[..n]) {
-        *o = (p + b).tanh();
+        *o = tanh_one(p + b);
     }
 }
 

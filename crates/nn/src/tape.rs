@@ -357,7 +357,7 @@ impl<'p> Graph<'p> {
         let mut v = 0.0;
         for (&zi, &yi) in zv.data().iter().zip(y.data().iter()) {
             debug_assert!((0.0..=1.0).contains(&yi), "bce target outside [0,1]");
-            v += zi.max(0.0) - zi * yi + (1.0 + (-zi.abs()).exp()).ln();
+            v += zi.max(0.0) - zi * yi + (1.0 + simd::exp(-zi.abs())).ln();
         }
         v /= y.len() as f32;
         let ng = self.needs(z);
@@ -596,7 +596,7 @@ impl<'p> Graph<'p> {
                         let gs = g.at(0, 0) / y.len() as f32;
                         let zv = &self.nodes[z.0].value;
                         // d/dz = sigmoid(z) - y.
-                        let dg = zv.zip_map(y, |zi, yi| gs * (1.0 / (1.0 + (-zi).exp()) - yi));
+                        let dg = zv.zip_map(y, |zi, yi| gs * (simd::sigmoid(zi) - yi));
                         self.grad_slot(&mut grads, *z).add_assign(&dg);
                     }
                 }

@@ -36,10 +36,18 @@ echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_p
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity
 
 # Planted-divergence self-test: the parity battery must actually catch a
-# kernel whose rounding differs (an FMA'd dot). If this test vanishes or
-# stops detecting the fixture, the whole parity gate is decorative.
+# kernel whose rounding differs (an FMA'd dot, axpy and exp polynomial). If
+# this test vanishes or stops detecting the fixture, the whole parity gate
+# is decorative.
 echo "==> simd parity self-test (planted FMA kernel must be caught)"
 cargo test -q -p lead-nn --test proptest_simd planted_fma_kernel_is_caught_by_the_battery
+
+# The libm-free exp, sigmoid and tanh over all 2^32 f32 inputs: within 2 ulp
+# of an f64 reference, and every backend bit-identical to scalar. Ignored in
+# plain `cargo test` because it takes minutes even in release mode.
+echo "==> transcendental kernels over every f32 input (release)"
+cargo test --release -q -p lead-nn --test transcendental_ulp -- --ignored --exact \
+    every_f32_input_is_within_2_ulp_and_identical_across_backends
 
 # Lint fixtures are deliberately unformatted test inputs, so they are
 # excluded (rustfmt's `ignore` config is nightly-only; exclusion happens in
