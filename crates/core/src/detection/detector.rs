@@ -7,12 +7,14 @@
 //! the two "share the same structure" but not parameters.
 
 use crate::config::LeadConfig;
+use lead_nn::bptt::TrainScratch;
 use lead_nn::infer::{Packing, Scratch};
 use lead_nn::layers::{Linear, StackedBiLstm};
 use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
-use lead_nn::{Graph, Matrix, ParamSet, Var};
+use lead_nn::{Gradients, Graph, Matrix, ParamSet, Var};
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// One training item: a group's subgroup c-vec lists paired with its flat
 /// ε-smoothed label distribution.
@@ -80,7 +82,17 @@ impl GroupDetector {
     /// # Panics
     /// Panics if the group or any subgroup is empty.
     pub fn forward_graph(&self, g: &mut Graph, subgroups: &[Vec<&Matrix>]) -> Var {
-        forward_graph_parts(&self.stack, &self.out, g, subgroups)
+        assert!(!subgroups.is_empty(), "empty group");
+        let mut logits = Vec::with_capacity(subgroups.len());
+        for sub in subgroups {
+            assert!(!sub.is_empty(), "empty subgroup");
+            let xs: Vec<Var> = sub.iter().map(|m| g.constant((*m).clone())).collect();
+            let hs = self.stack.forward(g, &xs);
+            let sub_logits: Vec<Var> = hs.iter().map(|&h| self.out.forward(g, h)).collect();
+            logits.push(g.concat_cols(&sub_logits));
+        }
+        let row = g.concat_cols(&logits);
+        g.softmax_rows(row)
     }
 
     /// The flat probability distribution over one group, as values, without
@@ -91,13 +103,34 @@ impl GroupDetector {
     /// Panics if the group or any subgroup is empty.
     pub fn probabilities(&self, subgroups: &[Vec<&Matrix>]) -> Vec<f32> {
         assert!(!subgroups.is_empty(), "empty group");
-        let lens: Vec<usize> = subgroups.iter().map(Vec::len).collect();
-        let xs: Vec<f32> = subgroups
-            .iter()
-            .flatten()
-            .flat_map(|m| m.data().iter().copied())
-            .collect();
+        let (lens, xs) = flatten(subgroups);
         softmax(self.logits(&lens, &xs))
+    }
+
+    /// The KLD loss of one group against its flat label distribution, and
+    /// the gradient of every parameter, without a tape: one packed forward
+    /// and backward pass over all the subgroups. `to_bits`-equal to
+    /// [`Self::forward_graph`], `Graph::kld_loss` and `Graph::backward`;
+    /// training computes every item's gradients this way.
+    ///
+    /// # Panics
+    /// Panics if the group or any subgroup is empty, or the label does not
+    /// hold one entry per candidate.
+    pub fn loss_and_gradients(
+        &self,
+        subgroups: &[Vec<&Matrix>],
+        label: &Matrix,
+    ) -> (f32, Gradients) {
+        let (lens, xs) = flatten(subgroups);
+        loss_and_gradients(
+            &self.stack,
+            &self.out,
+            &self.params,
+            &lens,
+            &xs,
+            label,
+            &mut ItemScratch::default(),
+        )
     }
 
     /// The logits of subgroups whose c-vecs are stored back to back in
@@ -190,8 +223,7 @@ impl GroupDetector {
         let mut plan = EpochPlan::new(items.len());
         let mut train_curve = Vec::new();
         let mut val_curve = Vec::new();
-        let stack = &self.stack;
-        let out = &self.out;
+        let (stack, out) = (&self.stack, &self.out);
         for _epoch in 0..config.detector_max_epochs {
             let _epoch_span = names
                 .as_ref()
@@ -202,45 +234,30 @@ impl GroupDetector {
                 // Augmentation: jitter the frozen compressed vectors so the
                 // detector cannot memorise exact embeddings of the (small)
                 // training fleet. Noise is drawn serially, in item order,
-                // *before* the parallel window so the rng stream — and thus
-                // the whole training trajectory — is identical to the serial
+                // straight into each item's flat input rows, *before* the
+                // parallel window so the rng stream — and thus the whole
+                // training trajectory — is identical to the serial
                 // per-sample loop for every `num_threads`.
-                let prepared: Vec<(Vec<Vec<Matrix>>, &Matrix)> = window
+                let prepared: Vec<(Vec<usize>, Vec<f32>, &Matrix)> = window
                     .iter()
                     .map(|&i| {
                         let (group, label) = &items[i];
-                        let noisy: Vec<Vec<Matrix>> = if config.cvec_noise_std > 0.0 {
-                            group
-                                .iter()
-                                .map(|sub| {
-                                    sub.iter()
-                                        .map(|m| {
-                                            let mut jittered = m.clone();
-                                            for v in jittered.data_mut() {
-                                                *v += gauss(rng) * config.cvec_noise_std;
-                                            }
-                                            jittered
-                                        })
-                                        .collect()
-                                })
-                                .collect()
-                        } else {
-                            group.clone()
-                        };
-                        (noisy, label)
+                        let (lens, mut xs) = flatten(group);
+                        if config.cvec_noise_std > 0.0 {
+                            for v in &mut xs {
+                                *v += gauss(rng) * config.cvec_noise_std;
+                            }
+                        }
+                        (lens, xs, label)
                     })
                     .collect();
-                let losses = trainer.submit_window(
+                let losses = trainer.submit_window_with(
                     &mut self.params,
                     config.num_threads,
                     &prepared,
-                    |_, (group, label), ps| {
-                        let refs: Vec<Vec<&Matrix>> =
-                            group.iter().map(|sub| sub.iter().collect()).collect();
-                        let mut g = Graph::new(ps);
-                        let p = forward_graph_parts(stack, out, &mut g, &refs);
-                        let loss = g.kld_loss(p, label);
-                        (g.scalar(loss), g.backward(loss))
+                    ItemScratch::default,
+                    |scratch, _, (lens, xs, label), ps| {
+                        loss_and_gradients(stack, out, ps, lens, xs, label, scratch)
                     },
                 );
                 for l in losses {
@@ -280,37 +297,60 @@ impl GroupDetector {
     pub fn evaluate_par(&self, items: &[GroupItem], num_threads: usize) -> f32 {
         assert!(!items.is_empty(), "evaluation needs samples");
         let per_item = lead_nn::par::par_map(num_threads, items, |_, (group, label)| {
-            let refs: Vec<Vec<&Matrix>> = group.iter().map(|sub| sub.iter().collect()).collect();
-            let mut g = Graph::new(&self.params);
-            let p = self.forward_graph(&mut g, &refs);
-            let loss = g.kld_loss(p, label);
-            g.scalar(loss)
+            let (lens, xs) = flatten(group);
+            lead_nn::loss::kld(label.data(), &softmax(self.logits(&lens, &xs)))
         });
         let total: f64 = per_item.iter().map(|&l| l as f64).sum();
         lead_nn::num::narrow_f64(total / items.len() as f64)
     }
 }
 
-/// [`GroupDetector::forward_graph`] over the detector's layers as a free
-/// function, so the parallel training windows can share the layer handles
-/// while the trainer holds the mutable `ParamSet`.
-fn forward_graph_parts(
+/// One training item's KLD loss and its gradients, by a packed forward
+/// and backward pass over all the group's subgroups (each an independent
+/// sequence, `lens[i]` c-vecs stored back to back in `xs`). The loss and
+/// every gradient are `to_bits`-equal to [`GroupDetector::forward_graph`],
+/// `Graph::kld_loss` and `Graph::backward`.
+fn loss_and_gradients(
     stack: &StackedBiLstm,
     out: &Linear,
-    g: &mut Graph,
-    subgroups: &[Vec<&Matrix>],
-) -> Var {
-    assert!(!subgroups.is_empty(), "empty group");
-    let mut logits = Vec::with_capacity(subgroups.len());
-    for sub in subgroups {
-        assert!(!sub.is_empty(), "empty subgroup");
-        let xs: Vec<Var> = sub.iter().map(|m| g.constant((*m).clone())).collect();
-        let hs = stack.forward(g, &xs);
-        let sub_logits: Vec<Var> = hs.iter().map(|&h| out.forward(g, h)).collect();
-        logits.push(g.concat_cols(&sub_logits));
-    }
-    let row = g.concat_cols(&logits);
-    g.softmax_rows(row)
+    ps: &ParamSet,
+    lens: &[usize],
+    xs: &[f32],
+    label: &Matrix,
+    s: &mut ItemScratch,
+) -> (f32, Gradients) {
+    assert!(!lens.is_empty(), "empty group");
+    let pack = Packing::back_to_back(lens);
+    stack.train_forward(ps, &pack, xs, &mut s.hs, &mut s.train);
+    let mut logits = Vec::new();
+    out.infer(ps, &s.hs, &mut logits);
+    let q = softmax(logits);
+    let loss = lead_nn::loss::kld(label.data(), &q);
+    lead_nn::loss::kld_softmax_grad(label.data(), &q, &mut s.dlogits);
+    let mut grads = ps.zero_gradients();
+    out.train_backward(ps, &s.hs, &s.dlogits, &mut s.dhs, &mut grads, &mut s.train);
+    stack.train_backward(ps, &pack, xs, &s.dhs, &mut grads, &mut s.train);
+    (loss, grads)
+}
+
+/// One training worker's reusable buffers.
+#[derive(Default)]
+struct ItemScratch {
+    train: TrainScratch,
+    hs: Vec<f32>,
+    dlogits: Vec<f32>,
+    dhs: Vec<f32>,
+}
+
+/// A group's subgroup lengths and its c-vecs stored back to back.
+fn flatten<M: Borrow<Matrix>>(group: &[Vec<M>]) -> (Vec<usize>, Vec<f32>) {
+    let lens = group.iter().map(Vec::len).collect();
+    let xs = group
+        .iter()
+        .flatten()
+        .flat_map(|m| m.borrow().data().iter().copied())
+        .collect();
+    (lens, xs)
 }
 
 /// The softmax over a whole flattened group of logits: the distribution a
@@ -427,6 +467,30 @@ mod tests {
             .unwrap()
             .0];
         assert_eq!(best, truth, "probs {p:?}");
+    }
+
+    #[test]
+    fn evaluation_matches_the_tape() {
+        let c = cfg();
+        let mut rng = StdRng::seed_from_u64(19);
+        let det = GroupDetector::new(&c, 8, &mut rng);
+        let items: Vec<GroupItem> = (3..7)
+            .map(|n| {
+                let truth = Candidate::new(0, n - 1);
+                let label = smoothed_label(&forward_flat_order(n), truth, c.label_epsilon);
+                (cvecs_for(n, 8, truth), label)
+            })
+            .collect();
+        let mut total = 0.0f64;
+        for (group, label) in &items {
+            let refs: Vec<Vec<&Matrix>> = group.iter().map(|s| s.iter().collect()).collect();
+            let mut g = Graph::new(det.params());
+            let p = det.forward_graph(&mut g, &refs);
+            let loss = g.kld_loss(p, label);
+            total += f64::from(g.scalar(loss));
+        }
+        let want = lead_nn::num::narrow_f64(total / items.len() as f64);
+        assert_eq!(det.evaluate(&items).to_bits(), want.to_bits());
     }
 
     #[test]

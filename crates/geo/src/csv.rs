@@ -3,7 +3,8 @@
 //! Real deployments receive truck GPS feeds as delimited text; this module
 //! reads and writes the minimal interchange format
 //! `truck_id,timestamp_s,lat,lng` (header required, one point per line,
-//! points of one truck grouped and chronological).
+//! points of one trajectory grouped and chronological). A blank line ends
+//! a trajectory, so one truck's consecutive days stay apart.
 
 use crate::point::{GpsPoint, Trajectory};
 use std::fmt;
@@ -43,13 +44,17 @@ impl From<std::io::Error> for CsvError {
 pub const HEADER: &str = "truck_id,timestamp_s,lat,lng";
 
 /// Writes trajectories as CSV, one `(truck_id, trajectory)` pair after
-/// another.
+/// another, with a blank line between two trajectories: the boundary
+/// [`CsvReader`] keys on, which keeps several days of one truck apart.
 pub fn write_trajectories<W: Write>(
     items: &[(u32, &Trajectory)],
     w: &mut W,
 ) -> std::io::Result<()> {
     writeln!(w, "{HEADER}")?;
-    for (truck_id, tr) in items {
+    for (i, (truck_id, tr)) in items.iter().enumerate() {
+        if i > 0 {
+            writeln!(w)?;
+        }
         for p in tr.points() {
             writeln!(w, "{truck_id},{},{:.7},{:.7}", p.t, p.lat, p.lng)?;
         }
@@ -61,9 +66,9 @@ pub fn write_trajectories<W: Write>(
 /// at a time, so arbitrarily large feeds can be consumed without
 /// materializing the whole dataset.
 ///
-/// Consecutive rows with the same `truck_id` form one trajectory; a change
-/// of id yields the previous one. Within one trajectory timestamps must be
-/// strictly increasing; rows are otherwise free-form CSV without quoting
+/// Consecutive rows with the same `truck_id` form one trajectory; a blank
+/// line or a change of id yields the previous one. Within one trajectory
+/// timestamps must be strictly increasing; rows are otherwise free-form CSV without quoting
 /// (coordinates and ids contain no commas). After yielding an error the
 /// iterator is fused: further calls return `None`.
 pub struct CsvReader<R: BufRead> {
@@ -156,7 +161,11 @@ impl<R: BufRead> Iterator for CsvReader<R> {
             };
             let trimmed = line.trim();
             if trimmed.is_empty() {
-                continue;
+                // A blank line ends the current trajectory, if any.
+                match self.pending.take() {
+                    Some((id, points)) => return Some(Self::flush(id, points, Some(lineno))),
+                    None => continue,
+                }
             }
             let (id, point) = match Self::parse_row(trimmed, lineno) {
                 Ok(v) => v,
@@ -253,6 +262,28 @@ mod tests {
         let csv = format!("{HEADER}\n1,0,32.0,120.9\n2,0,32.0,120.9\n1,120,32.0,120.9\n");
         let got = read_trajectories(&mut csv.as_bytes()).unwrap();
         assert_eq!(got.len(), 3);
+    }
+
+    #[test]
+    fn blank_lines_split_one_trucks_days() {
+        // Two days of truck 3, each starting its clock at midnight: the
+        // blank line the writer puts between them keeps them apart.
+        let day1 = tr(&[(32.0, 120.9, 3600), (32.01, 120.91, 47_768)]);
+        let day2 = tr(&[(32.0, 120.9, 24_020), (32.02, 120.92, 30_000)]);
+        let mut buf = Vec::new();
+        write_trajectories(&[(3, &day1), (3, &day2)], &mut buf).unwrap();
+        let got = read_trajectories(&mut buf.as_slice()).unwrap();
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[0].0, got[0].1.len()), (3, 2));
+        assert_eq!(got[1].1.points()[0].t, 24_020);
+        // Without the boundary the second day reads as a clock jump.
+        let text = String::from_utf8(buf).unwrap().replace("\n\n", "\n");
+        let err = read_trajectories(&mut text.as_bytes()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("non-increasing timestamp 24020 after 47768"),
+            "{err}"
+        );
     }
 
     #[test]

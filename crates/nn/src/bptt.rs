@@ -1,0 +1,223 @@
+//! Tape-free training over packed batches: the backward half of
+//! [`crate::infer`].
+//!
+//! The layers' `train_forward` methods run the same packed forward pass as
+//! `infer` and keep what the backward pass needs (every step's gates, cell,
+//! `tanh(cell)` and hidden rows, and each BiLSTM layer's merge input) in a
+//! reusable [`TrainScratch`]. Their `train_backward` methods are
+//! hand-written backpropagation through time: they take the gradient of
+//! every output row and accumulate the parameter gradients into a
+//! [`crate::Gradients`].
+//!
+//! # Exactness
+//!
+//! The gradients are `to_bits`-equal to recording each sequence of the
+//! batch on one [`crate::Graph`], in sequence order, and calling
+//! [`crate::Graph::backward`]. The backward pass visits no node in the
+//! tape's order, but every gradient buffer receives its terms in the order
+//! the tape adds them, and every term is computed by the same kernel on the
+//! same values:
+//!
+//! - **Weights.** The tape visits nodes newest first, so a weight's
+//!   gradient sums the rows of the last sequence first, and within a
+//!   sequence the steps from last to first, in each direction's processing
+//!   order. The packed pass gathers the rows in that order and makes one
+//!   [`crate::simd::Kernel::matmul_at_b_acc`] call, whose per-element order
+//!   (rows ascending, exact-zero coefficients skipped) is the tape's
+//!   row-by-row axpy loop.
+//! - **LSTM biases.** The tape slices the bias once per sequence, so each
+//!   sequence first sums its own steps (last step first) and that partial
+//!   sum is then added to the total, last sequence first. A `Linear` bias
+//!   adds its rows one at a time, last row first.
+//! - **Hidden state.** `dh_t` is the merge layer's part plus the recurrent
+//!   `dot` terms from step `t + 1`, added in that order.
+//! - **Cell state.** `dc_t` is `dfc_{t+1}·f_{t+1}` plus the `tanh′` term of
+//!   step `t`, added in that order.
+//! - **Layer inputs.** A stacked layer's input gradient is the backward
+//!   direction's `dot`s plus the forward direction's.
+//!
+//! A fresh tape slot is `0 + x`, which differs from `x` only in the sign of
+//! a zero. No zero's sign reaches a gradient: every gradient is a sum that
+//! starts from `+0.0`, and zeros only enter products and sums on the way.
+
+use crate::infer::{zeroed, Packing};
+
+/// What one packed LSTM direction keeps for its backward pass.
+///
+/// Rows are step-major: step `t` holds the rows of the running sequences,
+/// ranks `0..active(t)`, from row `starts[t]` on.
+#[derive(Debug, Default)]
+pub(crate) struct CellActs {
+    pub(crate) starts: Vec<usize>,
+    pub(crate) i: Vec<f32>,
+    pub(crate) f: Vec<f32>,
+    pub(crate) g: Vec<f32>,
+    pub(crate) o: Vec<f32>,
+    pub(crate) c: Vec<f32>,
+    pub(crate) tc: Vec<f32>,
+    pub(crate) h: Vec<f32>,
+}
+
+impl CellActs {
+    /// Records the step offsets of `pack` and sizes every buffer for its
+    /// rows, `hidden` wide.
+    pub(crate) fn reset(&mut self, pack: &Packing, hidden: usize) {
+        let steps = pack.max_len();
+        self.starts.clear();
+        self.starts.resize(steps + 1, 0);
+        for t in 0..steps {
+            self.starts[t + 1] = self.starts[t] + pack.active(t);
+        }
+        let rows = self.starts[steps];
+        for buf in [
+            &mut self.i,
+            &mut self.f,
+            &mut self.g,
+            &mut self.o,
+            &mut self.c,
+            &mut self.tc,
+            &mut self.h,
+        ] {
+            zeroed(buf, rows * hidden);
+        }
+    }
+}
+
+/// What one packed BiLSTM layer keeps for its backward pass.
+#[derive(Debug, Default)]
+pub(crate) struct LayerActs {
+    pub(crate) fwd: CellActs,
+    pub(crate) bwd: CellActs,
+    /// Each direction's output rows, laid out as the packing's output.
+    pub(crate) hf: Vec<f32>,
+    pub(crate) hb: Vec<f32>,
+    /// The merge layer's input rows `[hf | hb]`.
+    pub(crate) cat: Vec<f32>,
+    /// The layer's output rows (the next layer's input).
+    pub(crate) out: Vec<f32>,
+}
+
+/// Temporaries of the forward and backward passes.
+#[derive(Debug, Default)]
+pub(crate) struct Work {
+    pub(crate) gx: Vec<f32>,
+    pub(crate) gh: Vec<f32>,
+    pub(crate) pre: Vec<f32>,
+    pub(crate) fc: Vec<f32>,
+    pub(crate) ig: Vec<f32>,
+    /// The zero state `(h, c)` every sequence starts from.
+    pub(crate) zeros: Vec<f32>,
+    /// Gate pre-activation gradients, step-major like [`CellActs`].
+    pub(crate) dpre: Vec<f32>,
+    pub(crate) dh: Vec<f32>,
+    pub(crate) d_o: Vec<f32>,
+    pub(crate) dtc: Vec<f32>,
+    pub(crate) tanh_term: Vec<f32>,
+    pub(crate) dc: Vec<f32>,
+    /// `dfc·f` of the next step, the first term of `dc`.
+    pub(crate) carry: Vec<f32>,
+    pub(crate) di: Vec<f32>,
+    pub(crate) df: Vec<f32>,
+    pub(crate) dg: Vec<f32>,
+    pub(crate) bias_part: Vec<f32>,
+    pub(crate) dx_rows: Vec<f32>,
+    pub(crate) rank_of: Vec<usize>,
+    /// Rows gathered in the tape's order for a weight gradient.
+    pub(crate) rows_a: Vec<f32>,
+    pub(crate) rows_b: Vec<f32>,
+    pub(crate) dcat: Vec<f32>,
+    pub(crate) dhf: Vec<f32>,
+    pub(crate) dhb: Vec<f32>,
+    pub(crate) dy: Vec<f32>,
+    pub(crate) dx: Vec<f32>,
+}
+
+/// Reusable buffers for packed training: the activations a
+/// [`crate::layers::StackedBiLstm`]'s `train_forward` keeps for its
+/// `train_backward`, and both passes' temporaries.
+///
+/// Buffers grow to the largest batch they have seen and are never shrunk,
+/// so one scratch reused across training items allocates only on the first
+/// item (and on a larger one).
+#[derive(Debug, Default)]
+pub struct TrainScratch {
+    pub(crate) layers: Vec<LayerActs>,
+    pub(crate) work: Work,
+}
+
+impl TrainScratch {
+    /// An empty scratch; buffers are sized on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layers::{Linear, StackedBiLstm};
+    use crate::{Graph, Matrix, ParamSet};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn stacked_bilstm_and_linear_gradients_match_the_tape() {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let stack = StackedBiLstm::new(&mut ps, &mut rng, "s", 5, 4, 3);
+        let head = Linear::new(&mut ps, &mut rng, "o", 4, 1);
+        let lens = [3, 1, 4, 2, 4];
+        let rows: usize = lens.iter().sum();
+        let xs: Vec<f32> = (0..rows * 5)
+            .map(|i| match i % 6 {
+                0 => 0.0,
+                3 => -0.0,
+                _ => (i as f32 * 0.37).sin(),
+            })
+            .collect();
+        let target: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.7).cos()).collect();
+
+        // The tape: every sequence in order on one graph, an MSE over all
+        // logits.
+        let mut g = Graph::new(&ps);
+        let mut logits = Vec::new();
+        for (s, &len) in lens.iter().enumerate() {
+            let start: usize = lens[..s].iter().sum();
+            let vars: Vec<_> = (start..start + len)
+                .map(|r| g.constant(Matrix::from_vec(1, 5, xs[r * 5..(r + 1) * 5].to_vec())))
+                .collect();
+            for h in stack.forward(&mut g, &vars) {
+                logits.push(head.forward(&mut g, h));
+            }
+        }
+        let row = g.concat_cols(&logits);
+        let loss = g.mse_loss(row, &Matrix::from_vec(1, rows, target.clone()));
+        let want = g.backward(loss);
+
+        // Twice through one scratch: reuse must not leak state.
+        let pack = Packing::back_to_back(&lens);
+        let mut scratch = TrainScratch::new();
+        let (mut hs, mut out, mut dhs) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..2 {
+            stack.train_forward(&ps, &pack, &xs, &mut hs, &mut scratch);
+            head.infer(&ps, &hs, &mut out);
+            // The tape's MSE backward: `(1 · 2 / n) · (y − t)`.
+            let gs = 1.0f32 * 2.0 / rows as f32;
+            let dy: Vec<f32> = out
+                .iter()
+                .zip(&target)
+                .map(|(&y, &t)| gs * (y - t))
+                .collect();
+            let mut got = ps.zero_gradients();
+            head.train_backward(&ps, &hs, &dy, &mut dhs, &mut got, &mut scratch);
+            stack.train_backward(&ps, &pack, &xs, &dhs, &mut got, &mut scratch);
+            for ((id, a), (_, b)) in got.iter().zip(want.iter()) {
+                assert_eq!(bits(a), bits(b), "{}", ps.name(id));
+            }
+        }
+    }
+}

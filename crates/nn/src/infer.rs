@@ -31,6 +31,13 @@
 //! from a zeroed `h`, so resuming from a stored state takes the same code
 //! path as starting fresh, and a run split into chunks is `to_bits`-equal
 //! to the run in one piece.
+//!
+//! # Training
+//!
+//! The same packed pass trains the detectors: `StackedBiLstm::train_forward`
+//! runs it and keeps its activations, and the `train_backward` methods are
+//! its hand-written backward half ([`crate::bptt`]), with gradients
+//! `to_bits`-equal to the tape's.
 
 use crate::matrix::Matrix;
 use crate::simd::Kernel;

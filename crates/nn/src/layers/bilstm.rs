@@ -1,9 +1,10 @@
 //! Bidirectional and stacked-bidirectional LSTMs (the paper's detectors,
 //! Section V-B).
 
+use crate::bptt::{LayerActs, TrainScratch, Work};
 use crate::infer::{zeroed, Packing, Scratch};
 use crate::layers::{Linear, Lstm};
-use crate::params::ParamSet;
+use crate::params::{Gradients, ParamSet};
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -104,13 +105,99 @@ impl BiLstm {
             &mut scratch.bwd,
             &mut scratch.cell,
         );
-        let rows = pack.output_rows();
-        zeroed(&mut scratch.cat, rows * 2 * h);
-        for (r, cat) in scratch.cat.chunks_exact_mut(2 * h).enumerate() {
-            cat[..h].copy_from_slice(&scratch.fwd[r * h..(r + 1) * h]);
-            cat[h..].copy_from_slice(&scratch.bwd[r * h..(r + 1) * h]);
-        }
+        concat_rows(&scratch.fwd, &scratch.bwd, h, &mut scratch.cat);
         self.merge.infer(ps, &scratch.cat, out);
+    }
+
+    /// The training counterpart of [`Self::infer`]: the same forward pass,
+    /// keeping its activations in `acts`; the output rows land in
+    /// `acts.out`.
+    fn train_forward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        acts: &mut LayerActs,
+        work: &mut Work,
+    ) {
+        let h = self.hidden;
+        let LayerActs {
+            fwd,
+            bwd,
+            hf,
+            hb,
+            cat,
+            out,
+        } = acts;
+        self.fwd.train_forward(ps, pack, xs, false, fwd, hf, work);
+        self.bwd.train_forward(ps, pack, xs, true, bwd, hb, work);
+        concat_rows(hf, hb, h, cat);
+        self.merge.infer(ps, cat, out);
+    }
+
+    /// The backward half of [`Self::train_forward`] from `dy`, the gradient
+    /// of every output row. Given `dx`, writes the gradient of every input
+    /// row there: the backward direction's terms first, as the tape adds
+    /// them.
+    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
+    fn train_backward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        acts: &LayerActs,
+        dy: &[f32],
+        dx: Option<&mut Vec<f32>>,
+        grads: &mut Gradients,
+        work: &mut Work,
+    ) {
+        let h = self.hidden;
+        let mut dcat = std::mem::take(&mut work.dcat);
+        let (mut dhf, mut dhb) = (std::mem::take(&mut work.dhf), std::mem::take(&mut work.dhb));
+        self.merge
+            .backward_with(ps, &acts.cat, dy, &mut dcat, grads, work);
+        zeroed(&mut dhf, pack.output_rows() * h);
+        zeroed(&mut dhb, pack.output_rows() * h);
+        for ((row, f), b) in dcat
+            .chunks_exact(2 * h)
+            .zip(dhf.chunks_exact_mut(h))
+            .zip(dhb.chunks_exact_mut(h))
+        {
+            f.copy_from_slice(&row[..h]);
+            b.copy_from_slice(&row[h..]);
+        }
+        let mut dx = dx.map(|dx| {
+            zeroed(dx, xs.len());
+            dx.as_mut_slice()
+        });
+        self.bwd.train_backward(
+            ps,
+            pack,
+            xs,
+            true,
+            &acts.bwd,
+            &dhb,
+            dx.as_deref_mut(),
+            grads,
+            work,
+        );
+        self.fwd
+            .train_backward(ps, pack, xs, false, &acts.fwd, &dhf, dx, grads, work);
+        (work.dcat, work.dhf, work.dhb) = (dcat, dhf, dhb);
+    }
+}
+
+/// Sets `cat` to the rows `[fwd | bwd]` of two `h`-wide row sets: the merge
+/// layer's input.
+fn concat_rows(fwd: &[f32], bwd: &[f32], h: usize, cat: &mut Vec<f32>) {
+    zeroed(cat, 2 * fwd.len());
+    for ((row, f), b) in cat
+        .chunks_exact_mut(2 * h)
+        .zip(fwd.chunks_exact(h))
+        .zip(bwd.chunks_exact(h))
+    {
+        row[..h].copy_from_slice(f);
+        row[h..].copy_from_slice(b);
     }
 }
 
@@ -194,6 +281,76 @@ impl StackedBiLstm {
             }
         }
         scratch.stack = input;
+    }
+
+    /// The training counterpart of [`Self::infer`]: the same forward pass
+    /// over every sequence of a packed batch, from the zero state, keeping
+    /// the activations [`Self::train_backward`] needs in `scratch`. `out`
+    /// is laid out as the packing's output.
+    ///
+    /// # Panics
+    /// Panics unless the packing reads its input back to back.
+    pub fn train_forward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        out: &mut Vec<f32>,
+        scratch: &mut TrainScratch,
+    ) {
+        assert!(
+            pack.reads_back_to_back(),
+            "stacked BiLSTM layers chain outputs back to back"
+        );
+        let TrainScratch { layers, work } = scratch;
+        layers.resize_with(self.layers.len(), LayerActs::default);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = layers.split_at_mut(i);
+            let input = done.last().map_or(xs, |prev| prev.out.as_slice());
+            if let Some(acts) = rest.first_mut() {
+                layer.train_forward(ps, pack, input, acts, work);
+            }
+        }
+        // The last layer's output is no layer's input: hand it over.
+        if let Some(last) = layers.last_mut() {
+            std::mem::swap(out, &mut last.out);
+        }
+    }
+
+    /// The backward half of [`Self::train_forward`], run on the same `pack`
+    /// and `xs` right after it: from `dy`, the gradient of every output
+    /// row, accumulates the gradient of every parameter of the stack into
+    /// `grads`, bit-identical to [`Self::forward`] on each sequence, in
+    /// sequence order, on one tape and [`crate::Graph::backward`] (see
+    /// [`crate::bptt`]). The inputs are constants: no gradient flows into
+    /// `xs`.
+    ///
+    /// # Panics
+    /// Panics if `scratch` does not hold this stack's forward pass.
+    pub fn train_backward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        dy: &[f32],
+        grads: &mut Gradients,
+        scratch: &mut TrainScratch,
+    ) {
+        let TrainScratch { layers, work } = scratch;
+        assert_eq!(layers.len(), self.layers.len(), "no forward pass to train");
+        let (mut grad, mut below) = (std::mem::take(&mut work.dy), std::mem::take(&mut work.dx));
+        grad.clear();
+        grad.extend_from_slice(dy);
+        for (i, (layer, acts)) in self.layers.iter().zip(layers.iter()).enumerate().rev() {
+            let input = match i.checked_sub(1) {
+                Some(p) => layers[p].out.as_slice(),
+                None => xs,
+            };
+            let dx = (i > 0).then_some(&mut below);
+            layer.train_backward(ps, pack, input, acts, &grad, dx, grads, work);
+            std::mem::swap(&mut grad, &mut below);
+        }
+        (work.dy, work.dx) = (grad, below);
     }
 }
 

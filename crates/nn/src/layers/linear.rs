@@ -1,8 +1,11 @@
 //! Fully connected layer.
 
+use crate::bptt::{TrainScratch, Work};
+use crate::infer::zeroed;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
-use crate::params::{ParamId, ParamSet};
+use crate::params::{Gradients, ParamId, ParamSet};
+use crate::simd::Kernel;
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -66,6 +69,61 @@ impl Linear {
     /// Panics if `x` is not a whole number of `in_dim`-wide rows.
     pub fn infer(&self, ps: &ParamSet, x: &[f32], out: &mut Vec<f32>) {
         crate::infer::affine(x, ps.value(self.w), ps.value(self.b), out);
+    }
+
+    /// The backward pass of [`Self::infer`] over the rows of `x`, given the
+    /// gradient `dy` of every output row: accumulates the weight and bias
+    /// gradients into `grads` and writes the gradient of every input row to
+    /// `dx`. Bit-identical to applying [`Self::forward`] to each row, in
+    /// row order, on one tape and running [`crate::Graph::backward`]: the
+    /// tape visits the rows last to first ([`crate::bptt`]).
+    ///
+    /// # Panics
+    /// Panics if `x` and `dy` do not hold the same number of rows.
+    pub fn train_backward(
+        &self,
+        ps: &ParamSet,
+        x: &[f32],
+        dy: &[f32],
+        dx: &mut Vec<f32>,
+        grads: &mut Gradients,
+        scratch: &mut TrainScratch,
+    ) {
+        self.backward_with(ps, x, dy, dx, grads, &mut scratch.work);
+    }
+
+    /// [`Self::train_backward`] over the temporaries alone, so a BiLSTM can
+    /// run its merge layer backward next to the activations it keeps.
+    pub(crate) fn backward_with(
+        &self,
+        ps: &ParamSet,
+        x: &[f32],
+        dy: &[f32],
+        dx: &mut Vec<f32>,
+        grads: &mut Gradients,
+        work: &mut Work,
+    ) {
+        let (d, n) = (self.in_dim, self.out_dim);
+        let rows = dy.len() / n;
+        assert!(
+            x.len() == rows * d && dy.len() == rows * n,
+            "linear backward shapes"
+        );
+        let kernel = crate::simd::active();
+        work.rows_a.clear();
+        work.rows_b.clear();
+        for (xr, dr) in x.chunks_exact(d).zip(dy.chunks_exact(n)).rev() {
+            work.rows_a.extend_from_slice(xr);
+            work.rows_b.extend_from_slice(dr);
+        }
+        let gw = grads.get_mut(self.w).data_mut();
+        kernel.matmul_at_b_acc(&work.rows_a, &work.rows_b, gw, rows, d, n);
+        let gb = grads.get_mut(self.b).data_mut();
+        for dr in work.rows_b.chunks_exact(n) {
+            kernel.axpy(1.0, dr, gb);
+        }
+        zeroed(dx, rows * d);
+        kernel.matmul_a_bt_acc(dy, ps.value(self.w).data(), dx, rows, n, d);
     }
 }
 

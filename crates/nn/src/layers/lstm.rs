@@ -1,10 +1,11 @@
 //! Long short-term memory recurrence (Hochreiter & Schmidhuber 1997), the
 //! paper's Equation (2).
 
+use crate::bptt::{CellActs, Work};
 use crate::infer::{zeroed, CellScratch, LstmState, Packing, Scratch};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
-use crate::params::{ParamId, ParamSet};
+use crate::params::{Gradients, ParamId, ParamSet};
 use crate::simd::Kernel;
 use crate::tape::{Graph, Var};
 use rand::Rng;
@@ -221,12 +222,6 @@ impl Lstm {
         kernel.matmul_acc(xs, ps.value(self.wx).data(), &mut cell.gx, rows, d, g4);
         let wh = ps.value(self.wh).data();
         let bias = ps.value(self.b).data();
-        let (bi, bf, bg, bo) = (
-            &bias[..h],
-            &bias[h..2 * h],
-            &bias[2 * h..3 * h],
-            &bias[3 * h..g4],
-        );
         let batch = pack.active(0);
         for buf in [
             &mut cell.i,
@@ -263,17 +258,20 @@ impl Lstm {
             kernel.matmul_acc(&cell.h[..ah], wh, gh, active, h, g4);
             for rank in 0..active {
                 let (src, _) = pack.step_rows(rank, t, reverse);
-                let (o4, o1) = (rank * g4, rank * h);
-                let pre = &mut cell.pre[o4..o4 + g4];
-                kernel.add(
+                let (o4, r) = (rank * g4, rank * h..(rank + 1) * h);
+                gates(
+                    kernel,
                     &cell.gx[src * g4..(src + 1) * g4],
                     &cell.gh[o4..o4 + g4],
-                    pre,
+                    bias,
+                    &mut cell.pre[o4..o4 + g4],
+                    [
+                        &mut cell.i[r.clone()],
+                        &mut cell.f[r.clone()],
+                        &mut cell.g[r.clone()],
+                        &mut cell.o[r],
+                    ],
                 );
-                kernel.sigmoid_gate(&pre[..h], bi, &mut cell.i[o1..o1 + h]);
-                kernel.sigmoid_gate(&pre[h..2 * h], bf, &mut cell.f[o1..o1 + h]);
-                kernel.tanh_gate(&pre[2 * h..3 * h], bg, &mut cell.g[o1..o1 + h]);
-                kernel.sigmoid_gate(&pre[3 * h..], bo, &mut cell.o[o1..o1 + h]);
             }
             kernel.mul(&cell.f[..ah], &cell.c[..ah], &mut cell.fc[..ah]);
             kernel.mul(&cell.i[..ah], &cell.g[..ah], &mut cell.ig[..ah]);
@@ -295,6 +293,246 @@ impl Lstm {
             }
         }
     }
+
+    /// The training counterpart of [`Self::infer`] from the zero state: the
+    /// same forward pass, keeping every step's activations in `acts` for
+    /// [`Self::train_backward`].
+    pub(crate) fn train_forward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        reverse: bool,
+        acts: &mut CellActs,
+        out: &mut Vec<f32>,
+        work: &mut Work,
+    ) {
+        let (d, h) = (self.in_dim, self.hidden);
+        let g4 = 4 * h;
+        assert!(
+            xs.len().is_multiple_of(d) && xs.len() / d >= pack.input_rows(),
+            "lstm input shape"
+        );
+        let kernel = crate::simd::active();
+        let rows = xs.len() / d;
+        zeroed(&mut work.gx, rows * g4);
+        kernel.matmul_acc(xs, ps.value(self.wx).data(), &mut work.gx, rows, d, g4);
+        let wh = ps.value(self.wh).data();
+        let bias = ps.value(self.b).data();
+        let batch = pack.active(0);
+        acts.reset(pack, h);
+        zeroed(&mut work.gh, batch * g4);
+        zeroed(&mut work.pre, g4);
+        for buf in [&mut work.fc, &mut work.ig, &mut work.zeros] {
+            zeroed(buf, batch * h);
+        }
+        zeroed(out, pack.output_rows() * h);
+        for t in 0..pack.max_len() {
+            let active = pack.active(t);
+            let (ah, ag) = (active * h, active * g4);
+            let (s0, s1) = (acts.starts[t] * h, acts.starts[t] * h + ah);
+            let gh = &mut work.gh[..ag];
+            gh.fill(0.0);
+            // At step 0, `h` is zero: the tape's product skips every term.
+            if t > 0 {
+                let p0 = acts.starts[t - 1] * h;
+                kernel.matmul_acc(&acts.h[p0..p0 + ah], wh, gh, active, h, g4);
+            }
+            for rank in 0..active {
+                let (src, _) = pack.step_rows(rank, t, reverse);
+                let r = s0 + rank * h..s0 + (rank + 1) * h;
+                gates(
+                    kernel,
+                    &work.gx[src * g4..(src + 1) * g4],
+                    &work.gh[rank * g4..(rank + 1) * g4],
+                    bias,
+                    &mut work.pre,
+                    [
+                        &mut acts.i[r.clone()],
+                        &mut acts.f[r.clone()],
+                        &mut acts.g[r.clone()],
+                        &mut acts.o[r],
+                    ],
+                );
+            }
+            let (done, cur) = acts.c.split_at_mut(s0);
+            let c_prev = match t.checked_sub(1) {
+                Some(p) => &done[acts.starts[p] * h..acts.starts[p] * h + ah],
+                None => &work.zeros[..ah],
+            };
+            kernel.mul(&acts.f[s0..s1], c_prev, &mut work.fc[..ah]);
+            kernel.mul(&acts.i[s0..s1], &acts.g[s0..s1], &mut work.ig[..ah]);
+            kernel.add(&work.fc[..ah], &work.ig[..ah], &mut cur[..ah]);
+            kernel.tanh(&cur[..ah], &mut acts.tc[s0..s1]);
+            kernel.mul(&acts.o[s0..s1], &acts.tc[s0..s1], &mut acts.h[s0..s1]);
+            for rank in 0..active {
+                let (_, dst) = pack.step_rows(rank, t, reverse);
+                out[dst * h..(dst + 1) * h]
+                    .copy_from_slice(&acts.h[s0 + rank * h..s0 + (rank + 1) * h]);
+            }
+        }
+    }
+
+    /// The backward half of [`Self::train_forward`]: backpropagation through
+    /// time from `dh`, the gradient of every output row (laid out as the
+    /// packing's output). Accumulates the gradients of the weights and the
+    /// bias into `grads` and, given `dx`, adds the gradient of every input
+    /// row to it (laid out as `xs`), in the tape's order ([`crate::bptt`]).
+    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
+    pub(crate) fn train_backward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        reverse: bool,
+        acts: &CellActs,
+        dh: &[f32],
+        dx: Option<&mut [f32]>,
+        grads: &mut Gradients,
+        work: &mut Work,
+    ) {
+        let (d, h) = (self.in_dim, self.hidden);
+        let g4 = 4 * h;
+        let kernel = crate::simd::active();
+        let wh = ps.value(self.wh).data();
+        let (batch, rows) = (pack.active(0), pack.output_rows());
+        zeroed(&mut work.dpre, rows * g4);
+        for buf in [
+            &mut work.dh,
+            &mut work.d_o,
+            &mut work.dtc,
+            &mut work.tanh_term,
+            &mut work.dc,
+            &mut work.carry,
+            &mut work.di,
+            &mut work.df,
+            &mut work.dg,
+            &mut work.zeros,
+        ] {
+            zeroed(buf, batch * h);
+        }
+        for t in (0..pack.max_len()).rev() {
+            let (active, next) = (pack.active(t), pack.active(t + 1));
+            let (ah, nh) = (active * h, next * h);
+            let (s0, s1) = (acts.starts[t] * h, acts.starts[t] * h + ah);
+            for rank in 0..active {
+                let (_, dst) = pack.step_rows(rank, t, reverse);
+                work.dh[rank * h..(rank + 1) * h].copy_from_slice(&dh[dst * h..(dst + 1) * h]);
+            }
+            if next > 0 {
+                let n0 = acts.starts[t + 1] * g4;
+                let dgh = &work.dpre[n0..n0 + next * g4];
+                kernel.matmul_a_bt_acc(dgh, wh, &mut work.dh[..nh], next, g4, h);
+            }
+            kernel.mul(&work.dh[..ah], &acts.tc[s0..s1], &mut work.d_o[..ah]);
+            kernel.mul(&work.dh[..ah], &acts.o[s0..s1], &mut work.dtc[..ah]);
+            kernel.tanh_bwd(&work.dtc[..ah], &acts.tc[s0..s1], &mut work.tanh_term[..ah]);
+            kernel.add(&work.carry[..nh], &work.tanh_term[..nh], &mut work.dc[..nh]);
+            work.dc[nh..ah].copy_from_slice(&work.tanh_term[nh..ah]);
+            let c_prev = match t.checked_sub(1) {
+                Some(p) => &acts.c[acts.starts[p] * h..acts.starts[p] * h + ah],
+                None => &work.zeros[..ah],
+            };
+            kernel.mul(&work.dc[..ah], &acts.g[s0..s1], &mut work.di[..ah]);
+            kernel.mul(&work.dc[..ah], &acts.i[s0..s1], &mut work.dg[..ah]);
+            kernel.mul(&work.dc[..ah], c_prev, &mut work.df[..ah]);
+            kernel.mul(&work.dc[..ah], &acts.f[s0..s1], &mut work.carry[..ah]);
+            for rank in 0..active {
+                let (r, a) = (rank * h..(rank + 1) * h, s0 + rank * h..s0 + (rank + 1) * h);
+                let p0 = (acts.starts[t] + rank) * g4;
+                let dz = &mut work.dpre[p0..p0 + g4];
+                kernel.sigmoid_bwd(&work.di[r.clone()], &acts.i[a.clone()], &mut dz[..h]);
+                kernel.sigmoid_bwd(&work.df[r.clone()], &acts.f[a.clone()], &mut dz[h..2 * h]);
+                kernel.tanh_bwd(
+                    &work.dg[r.clone()],
+                    &acts.g[a.clone()],
+                    &mut dz[2 * h..3 * h],
+                );
+                kernel.sigmoid_bwd(&work.d_o[r], &acts.o[a], &mut dz[3 * h..]);
+            }
+        }
+
+        work.rank_of.clear();
+        work.rank_of.resize(batch, 0);
+        for rank in 0..batch {
+            work.rank_of[pack.seq_at(rank)] = rank;
+        }
+        // The bias: each sequence's steps last to first, then the
+        // per-sequence sums, last sequence first.
+        zeroed(&mut work.bias_part, g4);
+        let gb = grads.get_mut(self.b).data_mut();
+        for s in (0..batch).rev() {
+            let rank = work.rank_of[s];
+            work.bias_part.fill(0.0);
+            for t in (0..pack.seq_len(s)).rev() {
+                let p0 = (acts.starts[t] + rank) * g4;
+                kernel.axpy(1.0, &work.dpre[p0..p0 + g4], &mut work.bias_part);
+            }
+            kernel.axpy(1.0, &work.bias_part, gb);
+        }
+        // The weights: rows gathered last sequence first, steps last to
+        // first. The recurrent weights skip step 0, whose `h` is zero.
+        for recurrent in [false, true] {
+            let width = if recurrent { h } else { d };
+            work.rows_a.clear();
+            work.rows_b.clear();
+            for s in (0..batch).rev() {
+                let rank = work.rank_of[s];
+                let first = usize::from(recurrent);
+                for t in (first..pack.seq_len(s)).rev() {
+                    let row = if recurrent {
+                        &acts.h[(acts.starts[t - 1] + rank) * h..][..h]
+                    } else {
+                        let (src, _) = pack.step_rows(rank, t, reverse);
+                        &xs[src * d..(src + 1) * d]
+                    };
+                    work.rows_a.extend_from_slice(row);
+                    let p0 = (acts.starts[t] + rank) * g4;
+                    work.rows_b.extend_from_slice(&work.dpre[p0..p0 + g4]);
+                }
+            }
+            let n = work.rows_b.len() / g4;
+            let id = if recurrent { self.wh } else { self.wx };
+            let gw = grads.get_mut(id).data_mut();
+            kernel.matmul_at_b_acc(&work.rows_a, &work.rows_b, gw, n, width, g4);
+        }
+        if let Some(dx) = dx {
+            zeroed(&mut work.dx_rows, rows * d);
+            let wx = ps.value(self.wx).data();
+            kernel.matmul_a_bt_acc(&work.dpre, wx, &mut work.dx_rows, rows, g4, d);
+            for t in 0..pack.max_len() {
+                for rank in 0..pack.active(t) {
+                    let (src, _) = pack.step_rows(rank, t, reverse);
+                    let r0 = (acts.starts[t] + rank) * d;
+                    kernel.axpy(
+                        1.0,
+                        &work.dx_rows[r0..r0 + d],
+                        &mut dx[src * d..(src + 1) * d],
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The gates of one LSTM step for one row, shared by inference and
+/// training: `pre = gx + gh`, then the fused bias-then-activation kernels
+/// write `[i, f, g, o]`.
+#[inline]
+fn gates(
+    kernel: crate::simd::Backend,
+    gx: &[f32],
+    gh: &[f32],
+    bias: &[f32],
+    pre: &mut [f32],
+    [i, f, g, o]: [&mut [f32]; 4],
+) {
+    let h = i.len();
+    kernel.add(gx, gh, pre);
+    kernel.sigmoid_gate(&pre[..h], &bias[..h], i);
+    kernel.sigmoid_gate(&pre[h..2 * h], &bias[h..2 * h], f);
+    kernel.tanh_gate(&pre[2 * h..3 * h], &bias[2 * h..3 * h], g);
+    kernel.sigmoid_gate(&pre[3 * h..4 * h], &bias[3 * h..4 * h], o);
 }
 
 #[cfg(test)]

@@ -3,15 +3,20 @@
 //! The LEAD paper trains three neural systems — a hierarchical LSTM
 //! autoencoder with self-attention, two stacked-BiLSTM detectors, and
 //! GRU/LSTM baselines. No deep-learning dependency is available (or needed:
-//! all models are tiny, hidden sizes 32–128). Training runs one sample per
-//! tape and accumulates gradients over `B` samples; inference packs many
-//! variable-length sequences into one batch. This crate implements the
-//! full stack:
+//! all models are tiny, hidden sizes 32–128). Training accumulates
+//! gradients over `B` samples, each from a tape or, for the stacked-BiLSTM
+//! detectors, from one packed pass over all of a sample's sequences;
+//! inference packs many variable-length sequences into one batch. This
+//! crate implements the full stack:
 //!
 //! - [`matrix`] — dense row-major `f32` matrices with the kernels the tape needs;
 //! - [`tape`] — eager reverse-mode autodiff ([`Graph`], [`Var`]);
 //! - [`infer`] — forward-only evaluation over packed batches of sequences,
 //!   bit-identical to the tape;
+//! - [`bptt`] — the packed passes' backward half: backpropagation through
+//!   time with the tape's gradients to the bit;
+//! - [`loss`] — the KLD loss and its gradient, shared by the tape and
+//!   [`bptt`];
 //! - [`params`] — parameter arena ([`ParamSet`]) and gradient buffers;
 //! - [`init`] — Xavier/uniform initialisation;
 //! - [`layers`] — `Linear`, `Lstm`, `Gru`, `BiLstm`, `StackedBiLstm`,
@@ -54,10 +59,12 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod bptt;
 pub mod infer;
 pub mod init;
 pub mod io;
 pub mod layers;
+pub mod loss;
 pub mod matrix;
 pub mod num;
 pub mod optim;

@@ -178,41 +178,39 @@ impl Matrix {
         );
     }
 
-    /// `out += self^T × rhs` without materialising the transpose; the inner
-    /// loop is the dispatched `axpy` kernel with the same exact-zero
-    /// sparsity skip as `matmul_acc`.
+    /// `out += self^T × rhs` without materialising the transpose: the
+    /// dispatched `matmul_at_b_acc` kernel, an `axpy` per entry of `self` in
+    /// ascending row order with the same exact-zero sparsity skip as
+    /// `matmul_acc`.
     pub fn matmul_at_b_acc_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "A^T·B shape mismatch");
         assert_eq!(out.rows, self.cols);
         assert_eq!(out.cols, rhs.cols);
-        let kernel = simd::active();
-        let n = rhs.cols;
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = rhs.row(r);
-            for (k, &a) in a_row.iter().enumerate() {
-                // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
-                if a == 0.0 {
-                    continue;
-                }
-                kernel.axpy(a, b_row, &mut out.data[k * n..(k + 1) * n]);
-            }
-        }
+        simd::active().matmul_at_b_acc(
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            rhs.cols,
+        );
     }
 
-    /// `out += self × rhs^T` without materialising the transpose: one
-    /// dispatched blocked `dot` per output entry.
+    /// `out += self × rhs^T` without materialising the transpose: the
+    /// dispatched `matmul_a_bt_acc` kernel, one blocked `dot` per output
+    /// entry.
     pub fn matmul_a_bt_acc_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.cols, "A·B^T shape mismatch");
         assert_eq!(out.rows, self.rows);
         assert_eq!(out.cols, rhs.rows);
-        let kernel = simd::active();
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                out.data[i * rhs.rows + j] += kernel.dot(a_row, rhs.row(j));
-            }
-        }
+        simd::active().matmul_a_bt_acc(
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            rhs.rows,
+        );
     }
 
     /// `self × rhs^T` as a new matrix — the attention scoring shape

@@ -53,10 +53,33 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    par_map_with(num_threads, items, || (), |(), i, t| f(i, t))
+}
+
+/// [`par_map`] with per-worker state: every worker (the caller itself on
+/// the serial path) builds one state with `init` and hands it to `f` for
+/// each item it maps, so items can reuse buffers. The determinism contract
+/// is the caller's to keep: an item's result must not depend on what
+/// earlier items left in the state.
+///
+/// # Panics
+/// Propagates a panic from `f` (the scope joins all workers first).
+pub fn par_map_with<T, S, R, I, F>(num_threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let n = items.len();
     let workers = resolve_threads(num_threads).min(n);
     if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        let mut state = init();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(&mut state, i, t))
+            .collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -67,15 +90,16 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let cursor = &cursor;
-                let f = &f;
+                let (init, f) = (&init, &f);
                 scope.spawn(move || {
+                    let mut state = init();
                     let mut out = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        out.push((i, f(i, &items[i])));
+                        out.push((i, f(&mut state, i, &items[i])));
                     }
                     out
                 })

@@ -26,6 +26,10 @@
 //!   registers across the `k` loop), which reorders only *which* element is
 //!   updated when, never the per-element sequence of exactly rounded
 //!   multiply-then-add steps in ascending `k` or the exact-zero skip.
+//! - [`matmul_at_b_acc`] is [`matmul_acc`] of the transposed left operand,
+//!   transposed onto the stack a block at a time, and [`matmul_a_bt_acc`]
+//!   runs eight [`dot`]s side by side, each with `dot`'s own lane
+//!   accumulation, and folds all eight lane by lane in `dot`'s order.
 //! - Every kernel delegates its sub-chunk tail to the scalar reference
 //!   itself, so tails are identical by definition rather than by imitation.
 //!
@@ -38,9 +42,10 @@ use core::arch::x86_64::{
     __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps,
     _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
     _mm256_div_ps, _mm256_loadu_ps, _mm256_max_epi32, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-    _mm256_or_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
-    _mm256_slli_epi32, _mm256_sqrt_ps, _mm256_srai_epi32, _mm256_storeu_ps, _mm256_sub_epi32,
-    _mm256_sub_ps, _mm256_xor_ps, _CMP_LT_OQ, _CMP_UNORD_Q,
+    _mm256_or_ps, _mm256_permute2f128_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
+    _mm256_setzero_si256, _mm256_shuffle_ps, _mm256_slli_epi32, _mm256_sqrt_ps, _mm256_srai_epi32,
+    _mm256_storeu_ps, _mm256_sub_epi32, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+    _mm256_xor_ps, _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
 use super::{scalar, AdamCoeffs, LANES};
@@ -683,6 +688,207 @@ unsafe fn row_tile<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usi
             }
         }
     }
+}
+
+/// Rows of `a` per block that [`matmul_at_b_acc`] transposes onto the stack.
+const AT_B_BLOCK: usize = 64;
+
+/// Register-blocked `out[k×n] += aᵀ × b`, bit-identical to the scalar
+/// row-by-row axpy loop.
+///
+/// Per output element the reference adds `a[r][p] * b[r][j]` in ascending
+/// `r`, skipping every exact-zero `a[r][p]`: that is [`matmul_acc`] of `aᵀ`.
+/// So each tile of up to 4 output rows transposes its 4 columns of `a`, 64
+/// rows at a time, into a stack block and hands the block to [`row_tile`].
+/// Between blocks the output tile is stored and reloaded, which moves bits
+/// without rounding them. A single row of `a` is the reference's axpy loop
+/// as it stands.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// the feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn matmul_at_b_acc(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    if m == 1 {
+        // One row: the reference's axpy per entry is already the tile.
+        for (p, &ap) in a[..k].iter().enumerate() {
+            // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
+            if ap == 0.0 {
+                continue;
+            }
+            // SAFETY: in an AVX2 context (this fn's own target_feature).
+            unsafe { axpy(ap, &b[..n], &mut out[p * n..(p + 1) * n]) };
+        }
+        return;
+    }
+    let mut block = [0.0f32; TILE_ROWS * AT_B_BLOCK];
+    let mut p = 0;
+    while p + TILE_ROWS <= k {
+        let tile = &mut out[p * n..(p + TILE_ROWS) * n];
+        // SAFETY: in an AVX2 context (this fn's own target_feature).
+        unsafe { at_b_tile::<TILE_ROWS>(a, b, tile, &mut block, p, m, k, n) };
+        p += TILE_ROWS;
+    }
+    while p < k {
+        let tile = &mut out[p * n..(p + 1) * n];
+        // SAFETY: in an AVX2 context (this fn's own target_feature).
+        unsafe { at_b_tile::<1>(a, b, tile, &mut block, p, m, k, n) };
+        p += 1;
+    }
+}
+
+/// Output rows `col..col + R` of [`matmul_at_b_acc`]: columns `col..col + R`
+/// of `a` (`m×k`), transposed into `block` a block of rows at a time.
+///
+/// # Safety
+///
+/// The caller must be in an AVX2 `target_feature` context, and `n > 0`.
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the AVX2 context.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn at_b_tile<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    block: &mut [f32; TILE_ROWS * AT_B_BLOCK],
+    col: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut r0 = 0;
+    while r0 < m {
+        let rows = (m - r0).min(AT_B_BLOCK);
+        for rr in 0..rows {
+            let a_row = &a[(r0 + rr) * k + col..(r0 + rr) * k + col + R];
+            for (t, &v) in a_row.iter().enumerate() {
+                block[t * rows + rr] = v;
+            }
+        }
+        // SAFETY: in an AVX2 context; `n > 0` per this fn's contract.
+        unsafe {
+            row_tile::<R>(
+                &block[..R * rows],
+                &b[r0 * n..(r0 + rows) * n],
+                out,
+                rows,
+                n,
+            )
+        };
+        r0 += rows;
+    }
+}
+
+/// `out[m×n] += a × bᵀ`, bit-identical to one scalar `dot` per element.
+///
+/// Eight dots run side by side, one per output column, each with its own
+/// lane accumulator that receives exactly the `mul` + `add` pairs [`dot`]
+/// would give it. An 8×8 transpose then puts lane `l` of all eight
+/// accumulators in one vector, so adding those vectors to zero in lane
+/// order is `dot`'s fold for all eight at once; the sub-chunk tails follow
+/// one element at a time, and each result is added to its output. Columns
+/// past the last group of eight call [`dot`] itself.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// the feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn matmul_a_bt_acc(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let full = k - k % LANES;
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let out_row = &mut out[i * n..(i + 1) * n];
+        let mut j = 0;
+        while j + LANES <= n {
+            let b_rows: [&[f32]; LANES] =
+                core::array::from_fn(|q| &b[(j + q) * k..(j + q + 1) * k]);
+            let mut acc = [_mm256_setzero_ps(); LANES];
+            let mut c = 0;
+            while c < full {
+                // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
+                let va = unsafe { load(&a_row[c..c + LANES]) };
+                for (v, b_row) in acc.iter_mut().zip(b_rows) {
+                    // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
+                    let vb = unsafe { load(&b_row[c..c + LANES]) };
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(va, vb));
+                }
+                c += LANES;
+            }
+            let mut dots = _mm256_setzero_ps();
+            for lane in transpose8(acc) {
+                dots = _mm256_add_ps(dots, lane);
+            }
+            for (c, &x) in a_row.iter().enumerate().skip(full) {
+                let y: [f32; LANES] = core::array::from_fn(|q| b_rows[q][c]);
+                // SAFETY: in an AVX2 context; `y` is a LANES = 8 element array.
+                let vy = unsafe { load(&y) };
+                dots = _mm256_add_ps(dots, _mm256_mul_ps(_mm256_set1_ps(x), vy));
+            }
+            let o = &mut out_row[j..j + LANES];
+            // SAFETY: in an AVX2 context; `o` is exactly LANES long.
+            unsafe { store(o, _mm256_add_ps(load(o), dots)) };
+            j += LANES;
+        }
+        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
+            // SAFETY: in an AVX2 context (this fn's own target_feature).
+            *o += unsafe { dot(a_row, &b[jj * k..(jj + 1) * k]) };
+        }
+    }
+}
+
+/// The 8×8 transpose of eight vectors: lane `q` of result `l` is lane `l`
+/// of input `q`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn transpose8([r0, r1, r2, r3, r4, r5, r6, r7]: [__m256; LANES]) -> [__m256; LANES] {
+    let t0 = _mm256_unpacklo_ps(r0, r1);
+    let t1 = _mm256_unpackhi_ps(r0, r1);
+    let t2 = _mm256_unpacklo_ps(r2, r3);
+    let t3 = _mm256_unpackhi_ps(r2, r3);
+    let t4 = _mm256_unpacklo_ps(r4, r5);
+    let t5 = _mm256_unpackhi_ps(r4, r5);
+    let t6 = _mm256_unpacklo_ps(r6, r7);
+    let t7 = _mm256_unpackhi_ps(r6, r7);
+    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let u1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let u3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let u5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let u7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(u0, u4),
+        _mm256_permute2f128_ps::<0x20>(u1, u5),
+        _mm256_permute2f128_ps::<0x20>(u2, u6),
+        _mm256_permute2f128_ps::<0x20>(u3, u7),
+        _mm256_permute2f128_ps::<0x31>(u0, u4),
+        _mm256_permute2f128_ps::<0x31>(u1, u5),
+        _mm256_permute2f128_ps::<0x31>(u2, u6),
+        _mm256_permute2f128_ps::<0x31>(u3, u7),
+    ]
 }
 
 /// One Adam/AdamW update, vectorised end to end: every operation the scalar

@@ -100,8 +100,8 @@ pub fn tanh(x: f32) -> f32 {
 /// every input (see the module docs for the fixed evaluation orders), and
 /// share the release-mode common-prefix length contract. All output slices
 /// are fully overwritten over the common prefix; accumulating kernels
-/// ([`Kernel::axpy`], [`Kernel::matmul_acc`], [`Kernel::adam_update`]) read
-/// and update their destinations instead.
+/// ([`Kernel::axpy`], the three `matmul_*_acc` kernels,
+/// [`Kernel::adam_update`]) read and update their destinations instead.
 pub trait Kernel {
     /// A stable, human-readable backend name for logs and fingerprints.
     fn name(&self) -> &'static str;
@@ -157,6 +157,19 @@ pub trait Kernel {
     /// (row-major), in the i-k-j loop order with an [`Kernel::axpy`] inner
     /// loop and an exact-zero sparsity skip on `a`'s entries.
     fn matmul_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
+
+    /// Transpose-free `out[k×n] += aᵀ × b` for row-major `a[m×k]` and
+    /// `b[m×n]`, the weight-gradient shape of a product's backward pass:
+    /// for each row `r` of `a` in ascending order and each of its entries
+    /// `a[r][p]` that is not an exact zero, an [`Kernel::axpy`] of `b`'s row
+    /// `r` into `out`'s row `p`.
+    fn matmul_at_b_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
+
+    /// Transpose-free `out[m×n] += a × bᵀ` for row-major `a[m×k]` and
+    /// `b[n×k]`, the input-gradient shape of a product's backward pass:
+    /// every `out[i][j]` becomes `out[i][j] + dot(a_i, b_j)`, the dot in
+    /// [`Kernel::dot`]'s blocked order.
+    fn matmul_a_bt_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
 
     /// One Adam/AdamW update over parameter buffer `p` with gradient `g`
     /// and moment buffers `m`/`v`, all updated in place.
@@ -449,6 +462,34 @@ impl Kernel for Backend {
             // feature detection — `avx2::matmul_acc`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => unsafe { avx2::matmul_acc(a, b, out, m, k, n) },
+        }
+    }
+
+    fn matmul_at_b_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        debug_assert!(
+            a.len() == m * k && b.len() == m * n && out.len() == k * n,
+            "matmul_at_b_acc dimension mismatch"
+        );
+        match self {
+            Backend::Scalar => scalar::matmul_at_b_acc(a, b, out, m, k, n),
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::matmul_at_b_acc`'s sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { avx2::matmul_at_b_acc(a, b, out, m, k, n) },
+        }
+    }
+
+    fn matmul_a_bt_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        debug_assert!(
+            a.len() == m * k && b.len() == n * k && out.len() == m * n,
+            "matmul_a_bt_acc dimension mismatch"
+        );
+        match self {
+            Backend::Scalar => scalar::matmul_a_bt_acc(a, b, out, m, k, n),
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::matmul_a_bt_acc`'s sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { avx2::matmul_a_bt_acc(a, b, out, m, k, n) },
         }
     }
 

@@ -20,9 +20,10 @@
 //!   plus comparisons and bit manipulation, with every constant and the
 //!   order of every operation fixed here. Their branches are per element,
 //!   so a vector backend evaluates both sides and selects lane by lane.
-//! - **Composite kernels** ([`matmul_acc`]) are defined as a fixed loop nest
-//!   over the primitive kernels above, including the exact-zero sparsity
-//!   skip, so their bit pattern follows from the primitives'.
+//! - **Composite kernels** ([`matmul_acc`], [`matmul_at_b_acc`],
+//!   [`matmul_a_bt_acc`]) are defined as fixed loop nests over the primitive
+//!   kernels above, including the exact-zero sparsity skip, so their bit
+//!   pattern follows from the primitives'.
 //!
 //! Everything here is safe, dependency-free, and allocation-free; this
 //! backend is always available as the dispatch fallback and the parity
@@ -334,6 +335,35 @@ pub(super) fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usi
                 continue;
             }
             axpy(aik, &b[kk * n..(kk + 1) * n], out_row);
+        }
+    }
+}
+
+/// Transpose-free `out[k×n] += aᵀ × b` (`a` is `m×k`, `b` is `m×n`): rows
+/// of `a` in ascending order, one [`axpy`] of `b`'s row per entry, with the
+/// same exact-zero skip as [`matmul_acc`]. Per output element this is
+/// `matmul_acc` of the transposed `a`, which is how the vector backends
+/// evaluate it.
+pub(super) fn matmul_at_b_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    for r in 0..m {
+        let b_row = &b[r * n..(r + 1) * n];
+        for (p, &arp) in a[r * k..(r + 1) * k].iter().enumerate() {
+            // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
+            if arp == 0.0 {
+                continue;
+            }
+            axpy(arp, b_row, &mut out[p * n..(p + 1) * n]);
+        }
+    }
+}
+
+/// Transpose-free `out[m×n] += a × bᵀ` (`a` is `m×k`, `b` is `n×k`): every
+/// output element adds one blocked [`dot`] of a row of `a` and a row of `b`.
+pub(super) fn matmul_a_bt_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
+            *o += dot(a_row, &b[j * k..(j + 1) * k]);
         }
     }
 }

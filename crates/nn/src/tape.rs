@@ -332,12 +332,7 @@ impl<'p> Graph<'p> {
     /// which softmax outputs guarantee.
     pub fn kld_loss(&mut self, q: Var, p: &Matrix) -> Var {
         assert_eq!(self.value(q).shape(), p.shape(), "kld label shape");
-        let qv = self.value(q);
-        let mut v = 0.0;
-        for (&pi, &qi) in p.data().iter().zip(qv.data().iter()) {
-            debug_assert!(pi > 0.0 && qi > 0.0, "KLD requires positive p and q");
-            v += pi * (pi / qi).ln();
-        }
+        let v = crate::loss::kld(p.data(), self.value(q).data());
         let ng = self.needs(q);
         self.push(
             Matrix::from_vec(1, 1, vec![v]),
@@ -502,15 +497,7 @@ impl<'p> Graph<'p> {
                         let y = &self.nodes[i].value;
                         let mut dg = Matrix::zeros(g.rows(), g.cols());
                         for r in 0..g.rows() {
-                            let dot: f32 = g
-                                .row(r)
-                                .iter()
-                                .zip(y.row(r).iter())
-                                .map(|(&gi, &yi)| gi * yi)
-                                .sum();
-                            for c in 0..g.cols() {
-                                dg.set(r, c, y.at(r, c) * (g.at(r, c) - dot));
-                            }
+                            crate::loss::softmax_grad(g.row(r), y.row(r), dg.row_mut(r));
                         }
                         self.grad_slot(&mut grads, *a).add_assign(&dg);
                     }
@@ -587,7 +574,7 @@ impl<'p> Graph<'p> {
                     if self.needs(*q) {
                         let gs = g.at(0, 0);
                         let qv = &self.nodes[q.0].value;
-                        let dg = p.zip_map(qv, |pi, qi| -gs * pi / qi);
+                        let dg = p.zip_map(qv, |pi, qi| crate::loss::kld_grad(gs, pi, qi));
                         self.grad_slot(&mut grads, *q).add_assign(&dg);
                     }
                 }

@@ -124,8 +124,35 @@ impl<'p> AccumTrainer<'p> {
         T: Sync,
         F: Fn(usize, &T, &ParamSet) -> (f32, Gradients) + Sync,
     {
+        self.submit_window_with(
+            params,
+            num_threads,
+            items,
+            || (),
+            |(), i, item, ps| f(i, item, ps),
+        )
+    }
+
+    /// [`Self::submit_window`] with per-worker state built by `init` (see
+    /// [`crate::par::par_map_with`]), so the items of a window can reuse
+    /// buffers.
+    pub fn submit_window_with<T, S, I, F>(
+        &mut self,
+        params: &mut ParamSet,
+        num_threads: usize,
+        items: &[T],
+        init: I,
+        f: F,
+    ) -> Vec<f32>
+    where
+        T: Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &T, &ParamSet) -> (f32, Gradients) + Sync,
+    {
         let snapshot: &ParamSet = params;
-        let results = crate::par::par_map(num_threads, items, |i, item| f(i, item, snapshot));
+        let results = crate::par::par_map_with(num_threads, items, init, |state, i, item| {
+            f(state, i, item, snapshot)
+        });
         let mut losses = Vec::with_capacity(results.len());
         for (loss, grads) in results {
             losses.push(loss);

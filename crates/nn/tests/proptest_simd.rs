@@ -14,11 +14,11 @@
 //!    over a fixed deterministic sweep, so a rounding change in the *scalar
 //!    reference itself* fails loudly even on machines with no second
 //!    backend.
-//! 3. **A planted divergence**: a fixture kernel with FMA'd `dot`, `axpy`
-//!    and `exp` polynomial must be caught by the same harness the real
-//!    backends pass, proving the battery can actually detect a
-//!    contraction-rounding bug in a reduction, an update and a
-//!    transcendental.
+//! 3. **A planted divergence**: a fixture kernel with FMA'd `dot`, `axpy`,
+//!    `matmul_at_b_acc` and `exp` polynomial must be caught by the same
+//!    harness the real backends pass, proving the battery can actually
+//!    detect a contraction-rounding bug in a reduction, an update, a
+//!    register-blocked product and a transcendental.
 
 use lead_nn::simd::{AdamCoeffs, Backend, Kernel, LANES};
 use proptest::prelude::*;
@@ -156,6 +156,22 @@ fn divergences(k: &dyn Kernel, a: &[f32], b: &[f32], coef: f32) -> Vec<&'static 
             out.push("axpy");
         }
     }
+    // The transpose-free products read `a` and `b` as `side`-wide matrices
+    // (`rows × side`, or `side × side` for `a·bᵀ`'s right operand) and
+    // accumulate into a destination that starts from `b`'s values.
+    let side = square_side(n);
+    let rows = n.checked_div(side).unwrap_or(0);
+    let (a_rect, b_rect, b_square) = (&a[..rows * side], &b[..rows * side], &b[..side * side]);
+    let at_b =
+        |k: &dyn Kernel, o: &mut [f32]| k.matmul_at_b_acc(a_rect, b_rect, o, rows, side, side);
+    if product_diverges(k, at_b, b_square) {
+        out.push("matmul_at_b_acc");
+    }
+    let a_bt =
+        |k: &dyn Kernel, o: &mut [f32]| k.matmul_a_bt_acc(a_rect, b_square, o, rows, side, side);
+    if product_diverges(k, a_bt, b_rect) {
+        out.push("matmul_a_bt_acc");
+    }
     for (name, run) in BINARY.into_iter().chain(GATES) {
         if binary_diverges(k, run, a, b) {
             out.push(name);
@@ -209,6 +225,25 @@ fn unary_diverges(k: &dyn Kernel, run: UnaryOp, a: &[f32]) -> bool {
     let mut want = vec![0.0f32; a.len()];
     run(k, a, &mut got);
     run(&Backend::Scalar, a, &mut want);
+    bits_of(&got) != bits_of(&want)
+}
+
+/// The largest `side` with `side² ≤ len`.
+fn square_side(len: usize) -> usize {
+    let mut side = 0;
+    while (side + 1) * (side + 1) <= len {
+        side += 1;
+    }
+    side
+}
+
+/// Whether the accumulating product `run` on backend `k` differs bitwise
+/// from the scalar reference, both starting from the destination `init`.
+fn product_diverges(k: &dyn Kernel, run: impl Fn(&dyn Kernel, &mut [f32]), init: &[f32]) -> bool {
+    let mut got = init.to_vec();
+    let mut want = init.to_vec();
+    run(k, &mut got);
+    run(&Backend::Scalar, &mut want);
     bits_of(&got) != bits_of(&want)
 }
 
@@ -350,6 +385,94 @@ proptest! {
     }
 
     #[test]
+    fn at_b_product_is_bit_identical_to_scalar_on_every_backend(
+        // m < 140 spans more than two 64-row transposition blocks; k < 10
+        // draws two 4-row output tiles plus a remainder; n < 40 draws
+        // 16-column tiles, the 8-wide column step and scalar tails.
+        dims in (0..140usize, 0..10usize, 0..40usize),
+        a in prop::collection::vec(wild_f32(), 139 * 9),
+        dense in prop::collection::vec(prop::num::f32::NORMAL | prop::num::f32::SUBNORMAL, 139 * 9),
+        b in prop::collection::vec(wild_f32(), 139 * 39),
+        init in prop::collection::vec(wild_f32(), 9 * 39),
+    ) {
+        let (m, kk, n) = dims;
+        for backend in Backend::available() {
+            for a in [&a, &dense] {
+                let run = |k: &dyn Kernel, o: &mut [f32]| {
+                    k.matmul_at_b_acc(&a[..m * kk], &b[..m * n], o, m, kk, n)
+                };
+                prop_assert!(
+                    !product_diverges(&backend, run, &init[..kk * n]),
+                    "backend `{}` diverged from scalar at {}x{}x{}",
+                    backend.name(), m, kk, n
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bt_product_is_bit_identical_to_scalar_on_every_backend(
+        // k < 40 draws whole lane chunks plus tails; n < 10 draws two groups
+        // of four dots plus leftovers.
+        dims in (0..6usize, 0..40usize, 0..10usize),
+        a in prop::collection::vec(wild_f32(), 5 * 39),
+        b in prop::collection::vec(wild_f32(), 9 * 39),
+        init in prop::collection::vec(wild_f32(), 5 * 9),
+    ) {
+        let (m, kk, n) = dims;
+        for backend in Backend::available() {
+            let run = |k: &dyn Kernel, o: &mut [f32]| {
+                k.matmul_a_bt_acc(&a[..m * kk], &b[..n * kk], o, m, kk, n)
+            };
+            prop_assert!(
+                !product_diverges(&backend, run, &init[..m * n]),
+                "backend `{}` diverged from scalar at {}x{}x{}",
+                backend.name(), m, kk, n
+            );
+        }
+    }
+
+    #[test]
+    fn scalar_transpose_free_products_are_the_naive_per_element_loops(
+        dims in (0..12usize, 0..20usize, 0..12usize),
+        a in prop::collection::vec(wild_f32(), 11 * 19),
+        b in prop::collection::vec(wild_f32(), 11 * 19),
+        init in prop::collection::vec(wild_f32(), 19 * 11),
+    ) {
+        // `aᵀ·b`: start from the destination and add each `a[r][p] * b[r][j]`
+        // in ascending `r`, skipping exact-zero `a[r][p]`. `a·bᵀ`: add one
+        // scalar `dot` of the two rows.
+        let (m, kk, n) = dims;
+        let scalar = Backend::Scalar;
+        let mut got = init[..kk * n].to_vec();
+        scalar.matmul_at_b_acc(&a[..m * kk], &b[..m * n], &mut got, m, kk, n);
+        let mut want = init[..kk * n].to_vec();
+        for p in 0..kk {
+            for j in 0..n {
+                let mut acc = want[p * n + j];
+                for r in 0..m {
+                    let arp = a[r * kk + p];
+                    if arp == 0.0 {
+                        continue;
+                    }
+                    acc += arp * b[r * n + j];
+                }
+                want[p * n + j] = acc;
+            }
+        }
+        prop_assert!(bits_of(&got) == bits_of(&want), "aᵀ·b shape {}x{}x{}", m, kk, n);
+        let mut got = init[..m * n].to_vec();
+        scalar.matmul_a_bt_acc(&a[..m * kk], &b[..n * kk], &mut got, m, kk, n);
+        let mut want = init[..m * n].to_vec();
+        for i in 0..m {
+            for j in 0..n {
+                want[i * n + j] += scalar.dot(&a[i * kk..(i + 1) * kk], &b[j * kk..(j + 1) * kk]);
+            }
+        }
+        prop_assert!(bits_of(&got) == bits_of(&want), "a·bᵀ shape {}x{}x{}", m, kk, n);
+    }
+
+    #[test]
     fn kernels_preserve_signed_zero_and_denormals(
         zeros in prop::collection::vec(prop::num::f32::ZERO, 1..64),
         denorms in prop::collection::vec(prop::num::f32::SUBNORMAL, 1..64),
@@ -426,7 +549,7 @@ fn kernel_sweep_bits(kernel_name: &str) -> Vec<u32> {
                     bits.extend(bits_of(&v));
                 }
             }
-            "matmul_acc" => {} // handled by fixed shapes below
+            "matmul_acc" | "matmul_at_b_acc" | "matmul_a_bt_acc" => {} // fixed shapes below
             other => panic!("unknown kernel `{other}` in sweep"),
         }
     }
@@ -449,6 +572,48 @@ fn kernel_sweep_bits(kernel_name: &str) -> Vec<u32> {
             bits.extend(bits_of(&out));
         }
     }
+    if kernel_name == "matmul_at_b_acc" {
+        // Up to three 64-row transposition blocks, 4-row tiles and every
+        // column step.
+        for (case, &(m, kk, n)) in [
+            (0, 0, 0),
+            (1, 1, 1),
+            (3, 2, 4),
+            (7, 5, 9),
+            (70, 6, 17),
+            (130, 4, 33),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let a = test_vector(0x6666_0006 + case as u64, m * kk);
+            let b = test_vector(0x7777_0007 + case as u64, m * n);
+            let mut out = test_vector(0x8888_0008 + case as u64, kk * n);
+            k.matmul_at_b_acc(&a, &b, &mut out, m, kk, n);
+            bits.extend(bits_of(&out));
+        }
+    }
+    if kernel_name == "matmul_a_bt_acc" {
+        // Dot lengths with and without tails; groups of four dots and
+        // leftovers.
+        for (case, &(m, kk, n)) in [
+            (0, 0, 0),
+            (1, 1, 1),
+            (2, 3, 4),
+            (3, 17, 9),
+            (5, 64, 7),
+            (2, 8, 12),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let a = test_vector(0x9999_0009 + case as u64, m * kk);
+            let b = test_vector(0xaaaa_000a + case as u64, n * kk);
+            let mut out = test_vector(0xbbbb_000b + case as u64, m * n);
+            k.matmul_a_bt_acc(&a, &b, &mut out, m, kk, n);
+            bits.extend(bits_of(&out));
+        }
+    }
     bits
 }
 
@@ -457,7 +622,7 @@ fn scalar_kernel_fingerprints_are_pinned() {
     // Pins the reference semantics of every kernel. If one of these fails,
     // the determinism contract changed and every stored model downstream is
     // suspect — audit the change, do not just update the constant.
-    let pinned: [(&str, u64); 15] = [
+    let pinned: [(&str, u64); 17] = [
         ("dot", 0xa584_0c6d_458d_3b66),
         ("axpy", 0xb155_7dfd_b33c_0adf),
         ("add", 0xd7d4_bbc7_56b7_e6e0),
@@ -473,6 +638,8 @@ fn scalar_kernel_fingerprints_are_pinned() {
         ("tanh_bwd", 0x7ef7_65bc_47f1_6e93),
         ("matmul_acc", 0x03ef_3218_63e0_9da2),
         ("adam_update", 0xdaa8_8743_87ef_597a),
+        ("matmul_at_b_acc", 0x7349_391d_36c1_e614),
+        ("matmul_a_bt_acc", 0xdb65_5f65_1bfe_59bf),
     ];
     let mut failures = Vec::new();
     for (name, want) in pinned {
@@ -490,10 +657,10 @@ fn scalar_kernel_fingerprints_are_pinned() {
 
 // ---- planted divergence ----------------------------------------------------
 
-/// A deliberately broken backend: `dot`, `axpy` and the `exp` polynomial
-/// use fused multiply-add, the exact class of bug (contraction changing
-/// rounding) the parity battery exists to catch. Everything else delegates
-/// to the scalar reference.
+/// A deliberately broken backend: `dot`, `axpy`, `matmul_at_b_acc` and the
+/// `exp` polynomial use fused multiply-add, the exact class of bug
+/// (contraction changing rounding) the parity battery exists to catch.
+/// Everything else delegates to the scalar reference.
 struct FmaKernel;
 
 /// `exp` as the reference defines it (`lead_nn::simd::exp`), with every
@@ -585,6 +752,22 @@ impl Kernel for FmaKernel {
     fn matmul_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         Backend::Scalar.matmul_acc(a, b, out, m, k, n);
     }
+    fn matmul_at_b_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        for r in 0..m {
+            for p in 0..k {
+                let arp = a[r * k + p];
+                if arp == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[p * n + j] = arp.mul_add(b[r * n + j], out[p * n + j]);
+                }
+            }
+        }
+    }
+    fn matmul_a_bt_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        Backend::Scalar.matmul_a_bt_acc(a, b, out, m, k, n);
+    }
     fn adam_update(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], c: &AdamCoeffs) {
         Backend::Scalar.adam_update(p, g, m, v, c);
     }
@@ -598,17 +781,18 @@ const PLANTED_LEN: usize = 512 * LANES + 3;
 fn planted_fma_kernel_is_caught_by_the_battery() {
     // The same harness the real backends pass must flag the FMA'd fixture —
     // otherwise the battery proves nothing. The quantised test vectors make
-    // products inexact, so contraction changes the rounding of `dot` and
-    // `axpy` at once. The fused `exp` differs from the reference on about
-    // one input in ninety (its reduction and polynomial errors sit far
-    // below the final rounding), so the vectors are long enough to hit
-    // dozens of those.
+    // products inexact, so contraction changes the rounding of `dot`,
+    // `axpy` and the 64-row `aᵀ·b` at once. The fused `exp` differs from
+    // the reference on about one input in ninety (its reduction and
+    // polynomial errors sit far below the final rounding), so the vectors
+    // are long enough to hit dozens of those.
     let a = test_vector(0xdead_0001, PLANTED_LEN);
     let b = test_vector(0xbeef_0002, PLANTED_LEN);
     assert_eq!(
         divergences(&FmaKernel, &a, &b, 0.3),
-        ["dot", "axpy", "exp"],
-        "the harness must catch each planted FMA kernel (dot, axpy, exp) and nothing else"
+        ["dot", "axpy", "matmul_at_b_acc", "exp"],
+        "the harness must catch each planted FMA kernel (dot, axpy, matmul_at_b_acc, exp) \
+         and nothing else"
     );
     // The fused exp is the reference formula up to rounding: it stays
     // within the reference's own error bound, so only bit comparison can

@@ -172,12 +172,18 @@ impl SynthConfig {
         self.num_trucks * self.days_per_truck
     }
 
+    /// The fewest trucks the 8:1:1 train/validation/test split accepts.
+    pub const MIN_TRUCKS: usize = 10;
+
     /// Validates internal consistency; called by the generator.
     ///
     /// # Panics
     /// Panics with a description of the first violated constraint.
     pub fn validate(&self) {
-        assert!(self.num_trucks >= 10, "need ≥10 trucks for a 8:1:1 split");
+        assert!(
+            self.num_trucks >= Self::MIN_TRUCKS,
+            "need ≥10 trucks for a 8:1:1 split"
+        );
         assert!(self.days_per_truck >= 1, "days_per_truck must be ≥1");
         assert!(
             self.city_half_extent_m > 2.0 * self.urban_core_radius_m,

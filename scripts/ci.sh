@@ -25,18 +25,22 @@ cargo test --workspace -q
 # The SIMD determinism contract is only as good as its weakest backend: run
 # the NN suite again pinned to the scalar reference, so a bug that only the
 # scalar path has (or that AVX2 masks) cannot slip through on AVX2 machines.
-# The tape-free inference parity suite rides along: detection must match the
-# tape bit for bit on the reference backend too, and so must every
-# incrementally streamed hypothesis match batch detection.
+# The tape-free inference and training parity suites ride along: detection
+# and the packed detector gradients must match the tape bit for bit on the
+# reference backend too, and so must every incrementally streamed
+# hypothesis match batch detection.
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test train_parity"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test train_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity
 
 # Planted-divergence self-test: the parity battery must actually catch a
-# kernel whose rounding differs (an FMA'd dot, axpy and exp polynomial). If
+# kernel whose rounding differs (an FMA'd dot, axpy, aᵀ·b product and exp
+# polynomial). If
 # this test vanishes or stops detecting the fixture, the whole parity gate
 # is decorative.
 echo "==> simd parity self-test (planted FMA kernel must be caught)"

@@ -71,6 +71,16 @@ fn synth(args: &Args) -> Result<(), String> {
     cfg.num_trucks = args.parsed_or("trucks", 60usize)?;
     cfg.days_per_truck = args.parsed_or("days", 2usize)?;
     cfg.seed = args.parsed_or("seed", cfg.seed)?;
+    if cfg.num_trucks < SynthConfig::MIN_TRUCKS {
+        return Err(format!(
+            "--trucks must be at least {} for the 8:1:1 train/val/test split, got {}",
+            SynthConfig::MIN_TRUCKS,
+            cfg.num_trucks
+        ));
+    }
+    if cfg.days_per_truck == 0 {
+        return Err("--days must be at least 1".into());
+    }
 
     std::fs::create_dir_all(out).map_err(|e| format!("{}: {e}", out.display()))?;
     let ds = generate_dataset(&cfg);
@@ -300,6 +310,33 @@ mod tests {
             assert!(dir.join(f).exists(), "missing {f}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn default_synth_output_trains() {
+        // `synth` writes two days per truck by default, back to back for
+        // one truck; `train` must read them as separate trajectories.
+        let dir = std::env::temp_dir().join(format!("lead-cli-days-{}", std::process::id()));
+        run(&args(&format!("synth --out {} --trucks 10", dir.display()))).unwrap();
+        let train = read_split(&dir, "train").unwrap();
+        assert_eq!(train.samples.len(), 16, "8 training trucks × 2 days");
+        let model = dir.join("m.lead");
+        let cmd = format!(
+            "train --data {} --model {} --ae-epochs 1 --det-epochs 1",
+            dir.display(),
+            model.display()
+        );
+        run(&args(&cmd)).unwrap();
+        assert!(model.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn synth_with_too_few_trucks_is_a_named_error() {
+        let dir = std::env::temp_dir().join(format!("lead-cli-few-{}", std::process::id()));
+        let err = run(&args(&format!("synth --out {} --trucks 6", dir.display()))).unwrap_err();
+        assert!(err.contains("--trucks must be at least 10"), "{err}");
+        assert!(!dir.exists(), "nothing is written on a bad request");
     }
 
     #[test]
