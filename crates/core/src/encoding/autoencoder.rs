@@ -21,10 +21,11 @@
 use crate::config::LeadConfig;
 use crate::features::{CandidateFeatures, TrajectoryFeatures, FEATURE_DIM};
 use crate::processing::Candidate;
+use lead_nn::bptt::TrainScratch;
 use lead_nn::infer::{LstmState, Packing, Scratch};
 use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
-use lead_nn::{Graph, Matrix, ParamSet, Var};
+use lead_nn::{Gradients, Graph, Matrix, ParamSet, Var};
 use rand::Rng;
 
 /// Which encoder architecture to build.
@@ -36,7 +37,7 @@ pub enum EncoderKind {
     Flat,
 }
 
-use super::operator::{CompressionOperator, DecompressionOperator};
+use super::operator::{CompressActs, CompressionOperator, DecompressActs, DecompressionOperator};
 
 // The flat variant is rare (one ablation) and the enum is instantiated once
 // per model, so the size difference between variants is irrelevant.
@@ -64,84 +65,6 @@ pub struct Autoencoder {
     params: ParamSet,
     arch: Arch,
     hidden: usize,
-}
-
-/// [`Autoencoder::encode`] as a free function over the architecture, so the
-/// parallel training windows can share `&Arch` while the trainer holds the
-/// mutable `ParamSet`.
-fn encode_arch(arch: &Arch, g: &mut Graph, input: &CandidateFeatures) -> Var {
-    input.validate();
-    match arch {
-        Arch::Hierarchical {
-            comp_sp1,
-            comp_mp1,
-            comp_sp2,
-            comp_mp2,
-            ..
-        } => {
-            let sp_vecs: Vec<Var> = input
-                .sp_seqs
-                .iter()
-                .map(|m| comp_sp1.compress_matrix(g, m))
-                .collect();
-            let mp_vecs: Vec<Var> = input
-                .mp_seqs
-                .iter()
-                .map(|m| comp_mp1.compress_matrix(g, m))
-                .collect();
-            let sp_c = comp_sp2.compress_vars(g, &sp_vecs);
-            let mp_c = comp_mp2.compress_vars(g, &mp_vecs);
-            g.concat_cols(&[sp_c, mp_c])
-        }
-        Arch::Flat { comp, .. } => comp.compress_matrix(g, &input.interleaved()),
-    }
-}
-
-/// [`Autoencoder::reconstruction_loss`] as a free function (see
-/// [`encode_arch`] for why).
-fn reconstruction_loss_arch(
-    arch: &Arch,
-    hidden: usize,
-    g: &mut Graph,
-    input: &CandidateFeatures,
-) -> Var {
-    let c_vec = encode_arch(arch, g, input);
-    match arch {
-        Arch::Hierarchical {
-            dec_sp1,
-            dec_mp1,
-            dec_sp2,
-            dec_mp2,
-            ..
-        } => {
-            let h = hidden;
-            let v_sp = g.slice_cols(c_vec, 0, h);
-            let v_mp = g.slice_cols(c_vec, h, 2 * h);
-            // Phase 1: c-vec halves → per-stay / per-move vectors.
-            let sp_cvec_seq = dec_sp1.decompress(g, v_sp, input.sp_seqs.len());
-            let mp_cvec_seq = dec_mp1.decompress(g, v_mp, input.mp_seqs.len());
-            // Phase 2: each vector → its feature sequence.
-            let mut recs: Vec<Var> = Vec::with_capacity(input.sp_seqs.len() + input.mp_seqs.len());
-            for (k, target) in input.sp_seqs.iter().enumerate() {
-                let v = g.row(sp_cvec_seq, k);
-                recs.push(dec_sp2.decompress(g, v, target.rows()));
-            }
-            for (k, target) in input.mp_seqs.iter().enumerate() {
-                let v = g.row(mp_cvec_seq, k);
-                recs.push(dec_mp2.decompress(g, v, target.rows()));
-            }
-            let rec_all = g.concat_rows(&recs);
-            let target_refs: Vec<&Matrix> =
-                input.sp_seqs.iter().chain(input.mp_seqs.iter()).collect();
-            let target_all = Matrix::concat_rows(&target_refs);
-            g.mse_loss(rec_all, &target_all)
-        }
-        Arch::Flat { dec, .. } => {
-            let target = input.interleaved();
-            let rec = dec.decompress(g, c_vec, target.rows());
-            g.mse_loss(rec, &target)
-        }
-    }
 }
 
 impl Autoencoder {
@@ -245,12 +168,75 @@ impl Autoencoder {
 
     /// Records the compressor on `g`, returning the 1×c_vec node of `input`.
     pub fn encode(&self, g: &mut Graph, input: &CandidateFeatures) -> Var {
-        encode_arch(&self.arch, g, input)
+        input.validate();
+        match &self.arch {
+            Arch::Hierarchical {
+                comp_sp1,
+                comp_mp1,
+                comp_sp2,
+                comp_mp2,
+                ..
+            } => {
+                let sp_vecs: Vec<Var> = input
+                    .sp_seqs
+                    .iter()
+                    .map(|m| comp_sp1.compress_matrix(g, m))
+                    .collect();
+                let mp_vecs: Vec<Var> = input
+                    .mp_seqs
+                    .iter()
+                    .map(|m| comp_mp1.compress_matrix(g, m))
+                    .collect();
+                let sp_c = comp_sp2.compress_vars(g, &sp_vecs);
+                let mp_c = comp_mp2.compress_vars(g, &mp_vecs);
+                g.concat_cols(&[sp_c, mp_c])
+            }
+            Arch::Flat { comp, .. } => comp.compress_matrix(g, &input.interleaved()),
+        }
     }
 
-    /// Records compressor + decompressor + MSE reconstruction loss on `g`.
+    /// Records compressor + decompressor + MSE reconstruction loss on `g`:
+    /// the reference [`Self::loss_and_gradients`] and
+    /// [`Self::evaluate_par`] are checked against.
     pub fn reconstruction_loss(&self, g: &mut Graph, input: &CandidateFeatures) -> Var {
-        reconstruction_loss_arch(&self.arch, self.hidden, g, input)
+        let c_vec = self.encode(g, input);
+        match &self.arch {
+            Arch::Hierarchical {
+                dec_sp1,
+                dec_mp1,
+                dec_sp2,
+                dec_mp2,
+                ..
+            } => {
+                let h = self.hidden;
+                let v_sp = g.slice_cols(c_vec, 0, h);
+                let v_mp = g.slice_cols(c_vec, h, 2 * h);
+                // Phase 1: c-vec halves → per-stay / per-move vectors.
+                let sp_cvec_seq = dec_sp1.decompress(g, v_sp, input.sp_seqs.len());
+                let mp_cvec_seq = dec_mp1.decompress(g, v_mp, input.mp_seqs.len());
+                // Phase 2: each vector → its feature sequence.
+                let mut recs: Vec<Var> =
+                    Vec::with_capacity(input.sp_seqs.len() + input.mp_seqs.len());
+                for (k, target) in input.sp_seqs.iter().enumerate() {
+                    let v = g.row(sp_cvec_seq, k);
+                    recs.push(dec_sp2.decompress(g, v, target.rows()));
+                }
+                for (k, target) in input.mp_seqs.iter().enumerate() {
+                    let v = g.row(mp_cvec_seq, k);
+                    recs.push(dec_mp2.decompress(g, v, target.rows()));
+                }
+                let rec_all = g.concat_rows(&recs);
+                let target_refs: Vec<&Matrix> =
+                    input.sp_seqs.iter().chain(input.mp_seqs.iter()).collect();
+                let target_all = Matrix::concat_rows(&target_refs);
+                g.mse_loss(rec_all, &target_all)
+            }
+            Arch::Flat { dec, .. } => {
+                let target = input.interleaved();
+                let rec = dec.decompress(g, c_vec, target.rows());
+                g.mse_loss(rec, &target)
+            }
+        }
     }
 
     /// Trains the autoencoder self-supervised on the given candidate feature
@@ -304,25 +290,22 @@ impl Autoencoder {
         let mut train_curve = Vec::new();
         let mut val_curve = Vec::new();
         let arch = &self.arch;
-        let hidden = self.hidden;
         for _epoch in 0..config.ae_max_epochs {
             let _epoch_span = lead_obs::clock::span(probe, "ae.epoch");
             plan.reshuffle(rng);
             let mut total = 0.0f64;
             // Each accumulation window's forward/backward passes run
-            // data-parallel against the parameter snapshot; gradients are
-            // submitted in item order, so every `num_threads` value yields
-            // the exact optimiser trajectory of the serial per-sample loop.
+            // data-parallel against the parameter snapshot, one scratch per
+            // worker; gradients are submitted in item order, so every
+            // `num_threads` value yields the exact optimiser trajectory of
+            // the serial per-sample loop.
             for window in plan.windows(config.batch_accumulation) {
-                let losses = trainer.submit_window(
+                let losses = trainer.submit_window_with(
                     &mut self.params,
                     config.num_threads,
                     window,
-                    |_, &i, ps| {
-                        let mut g = Graph::new(ps);
-                        let loss = reconstruction_loss_arch(arch, hidden, &mut g, &samples[i]);
-                        (g.scalar(loss), g.backward(loss))
-                    },
+                    AeScratch::default,
+                    |scratch, _, &i, ps| loss_and_gradients(arch, ps, &samples[i], scratch),
                 );
                 for l in losses {
                     total += l as f64;
@@ -357,16 +340,36 @@ impl Autoencoder {
 
     /// [`Self::evaluate`] on `num_threads` workers (0 = all cores). The sum
     /// over samples runs in item order, so the result is bit-identical for
-    /// every thread count.
+    /// every thread count. Each loss comes from the packed forward pass and
+    /// `lead_nn::loss::mse`, bit-identical to [`Self::reconstruction_loss`].
     pub fn evaluate_par(&self, samples: &[CandidateFeatures], num_threads: usize) -> f32 {
         assert!(!samples.is_empty(), "evaluation needs samples");
-        let per_sample = lead_nn::par::par_map(num_threads, samples, |_, s| {
-            let mut g = Graph::new(&self.params);
-            let loss = self.reconstruction_loss(&mut g, s);
-            g.scalar(loss)
-        });
+        let per_sample = lead_nn::par::par_map_with(
+            num_threads,
+            samples,
+            AeScratch::default,
+            |scratch, _, s| forward_loss(&self.arch, &self.params, s, scratch),
+        );
         let total: f64 = per_sample.iter().map(|&l| l as f64).sum();
         lead_nn::num::narrow_f64(total / samples.len() as f64)
+    }
+
+    /// The reconstruction loss of one candidate and the gradient of every
+    /// parameter, without a tape: one packed forward and backward pass per
+    /// operator over all the candidate's segments of one kind (DESIGN.md
+    /// §17). `to_bits`-equal to [`Self::reconstruction_loss`] and
+    /// `Graph::backward`; training computes every item's gradients this
+    /// way. `scratch` may be reused across candidates of any shape.
+    ///
+    /// # Panics
+    /// Panics if `input` breaks the stay/move interleaving or has no move
+    /// point.
+    pub fn loss_and_gradients(
+        &self,
+        input: &CandidateFeatures,
+        scratch: &mut AeScratch,
+    ) -> (f32, Gradients) {
+        loss_and_gradients(&self.arch, &self.params, input, scratch)
     }
 
     /// Encodes a single candidate into its `c-vec` value, without a tape;
@@ -417,6 +420,223 @@ impl Autoencoder {
             })
             .collect()
     }
+}
+
+/// Reusable buffers for [`Autoencoder::loss_and_gradients`]: every
+/// operator's activations and the gradients passed between operators.
+/// Buffers grow to the largest candidate they have seen and are never
+/// shrunk.
+#[derive(Debug, Default)]
+pub struct AeScratch {
+    train: TrainScratch,
+    /// The stay segments and the move segments (the flat architecture
+    /// keeps its one interleaved sequence in `sp`).
+    sp: Segments,
+    mp: Segments,
+    /// The target rows, the reconstruction of each, and its gradient.
+    target: Vec<f32>,
+    rec: Vec<f32>,
+    drec: Vec<f32>,
+}
+
+impl AeScratch {
+    /// An empty scratch; buffers are sized on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// One kind's segments and what its [`Chain`] keeps for the backward pass.
+#[derive(Debug, Default)]
+struct Segments {
+    /// Segment lengths, and their feature rows back to back.
+    lens: Vec<usize>,
+    xs: Vec<f32>,
+    comp1: CompressActs,
+    comp2: CompressActs,
+    dec1: DecompressActs,
+    dec2: DecompressActs,
+    /// Gradients of the phase-1 decompressed vectors, of the c-vec half
+    /// and of the phase-1 compressed vectors.
+    d_rows: Vec<f32>,
+    d_c: Vec<f32>,
+    d_vecs: Vec<f32>,
+}
+
+impl Segments {
+    fn load<'m>(&mut self, seqs: impl IntoIterator<Item = &'m Matrix>) {
+        self.lens.clear();
+        self.xs.clear();
+        for m in seqs {
+            self.lens.push(m.rows());
+            self.xs.extend_from_slice(m.data());
+        }
+    }
+}
+
+/// The operators one kind of segment runs through, in order: a compressor
+/// over every segment, then (hierarchical) a phase-2 compressor over the
+/// segment vectors and a phase-1 decompressor back to one vector per
+/// segment, then a decompressor back to every segment. The two kinds share
+/// no operator, so their chains are independent until the loss.
+struct Chain<'a> {
+    comp1: &'a CompressionOperator,
+    phase2: Option<(&'a CompressionOperator, &'a DecompressionOperator)>,
+    dec2: &'a DecompressionOperator,
+}
+
+impl Chain<'_> {
+    /// The packed forward pass of every operator: one pass over all the
+    /// segments, one run each in phase 2, and one repeated-input pass over
+    /// all the segment vectors. `seg.dec2` ends with the reconstruction.
+    fn forward(&self, ps: &ParamSet, seg: &mut Segments, tr: &mut TrainScratch) {
+        self.comp1
+            .train_forward(ps, &seg.lens, &seg.xs, &mut seg.comp1, tr);
+        let vecs = match self.phase2 {
+            Some((comp2, dec1)) => {
+                let n = [seg.lens.len()];
+                comp2.train_forward(ps, &n, seg.comp1.out(), &mut seg.comp2, tr);
+                dec1.train_forward(ps, &n, seg.comp2.out(), &mut seg.dec1, tr);
+                seg.dec1.out()
+            }
+            None => seg.comp1.out(),
+        };
+        self.dec2
+            .train_forward(ps, &seg.lens, vecs, &mut seg.dec2, tr);
+    }
+
+    /// The backward half of [`Self::forward`] from `drec`, the gradient of
+    /// every reconstructed row. Each operator owns its parameters, and each
+    /// operator's backward pass keeps the tape's order.
+    fn backward(
+        &self,
+        ps: &ParamSet,
+        seg: &mut Segments,
+        drec: &[f32],
+        grads: &mut Gradients,
+        tr: &mut TrainScratch,
+    ) {
+        let lens = &seg.lens;
+        match self.phase2 {
+            Some((comp2, dec1)) => {
+                let n = [lens.len()];
+                let (d_rows, d_c) = (&mut seg.d_rows, &mut seg.d_c);
+                let vecs = seg.dec1.out();
+                self.dec2
+                    .train_backward(ps, lens, vecs, &mut seg.dec2, drec, d_rows, grads, tr);
+                let c = seg.comp2.out();
+                dec1.train_backward(ps, &n, c, &mut seg.dec1, d_rows, d_c, grads, tr);
+                let vecs = seg.comp1.out();
+                seg.d_vecs.clear();
+                seg.d_vecs.resize(vecs.len(), 0.0);
+                let d_vecs = Some(seg.d_vecs.as_mut_slice());
+                comp2.train_backward(ps, &n, vecs, &mut seg.comp2, d_c, d_vecs, grads, tr);
+            }
+            None => {
+                let c = seg.comp1.out();
+                let d_c = &mut seg.d_vecs;
+                self.dec2
+                    .train_backward(ps, lens, c, &mut seg.dec2, drec, d_c, grads, tr);
+            }
+        }
+        let (xs, d_vecs) = (&seg.xs, &seg.d_vecs);
+        self.comp1
+            .train_backward(ps, lens, xs, &mut seg.comp1, d_vecs, None, grads, tr);
+    }
+}
+
+impl Arch {
+    /// The stay chain and the move chain, or the flat architecture's one
+    /// chain.
+    fn chains(&self) -> [Option<Chain<'_>>; 2] {
+        match self {
+            Arch::Hierarchical {
+                comp_sp1,
+                comp_mp1,
+                comp_sp2,
+                comp_mp2,
+                dec_sp1,
+                dec_mp1,
+                dec_sp2,
+                dec_mp2,
+            } => [
+                Some(Chain {
+                    comp1: comp_sp1,
+                    phase2: Some((comp_sp2, dec_sp1)),
+                    dec2: dec_sp2,
+                }),
+                Some(Chain {
+                    comp1: comp_mp1,
+                    phase2: Some((comp_mp2, dec_mp1)),
+                    dec2: dec_mp2,
+                }),
+            ],
+            Arch::Flat { comp, dec } => [
+                Some(Chain {
+                    comp1: comp,
+                    phase2: None,
+                    dec2: dec,
+                }),
+                None,
+            ],
+        }
+    }
+}
+
+/// One candidate's reconstruction loss by the packed forward pass, keeping
+/// every operator's activations in `s` for [`backward`]. Bit-identical to
+/// [`Autoencoder::reconstruction_loss`].
+fn forward_loss(arch: &Arch, ps: &ParamSet, input: &CandidateFeatures, s: &mut AeScratch) -> f32 {
+    input.validate();
+    assert!(input.sp_seqs.len() >= 2, "compression of an empty sequence");
+    match arch {
+        Arch::Hierarchical { .. } => {
+            s.sp.load(&input.sp_seqs);
+            s.mp.load(&input.mp_seqs);
+        }
+        Arch::Flat { .. } => {
+            s.sp.load([&input.interleaved()]);
+            s.mp.load([]);
+        }
+    }
+    // The tape concatenates the reconstructions of the stay segments, then
+    // of the move segments.
+    s.target.clear();
+    s.rec.clear();
+    for (chain, seg) in arch.chains().iter().zip([&mut s.sp, &mut s.mp]) {
+        if let Some(chain) = chain {
+            chain.forward(ps, seg, &mut s.train);
+            s.target.extend_from_slice(&seg.xs);
+            s.rec.extend_from_slice(seg.dec2.out());
+        }
+    }
+    lead_nn::loss::mse(&s.rec, &s.target)
+}
+
+/// The backward half of [`forward_loss`], one chain after the other.
+fn backward(arch: &Arch, ps: &ParamSet, s: &mut AeScratch, grads: &mut Gradients) {
+    lead_nn::loss::mse_grad(1.0, &s.rec, &s.target, &mut s.drec);
+    let (drec_sp, drec_mp) = s.drec.split_at(s.sp.xs.len());
+    let segs = [(&mut s.sp, drec_sp), (&mut s.mp, drec_mp)];
+    for (chain, (seg, drec)) in arch.chains().iter().zip(segs) {
+        if let Some(chain) = chain {
+            chain.backward(ps, seg, drec, grads, &mut s.train);
+        }
+    }
+}
+
+/// One candidate's loss and gradients (see
+/// [`Autoencoder::loss_and_gradients`]).
+fn loss_and_gradients(
+    arch: &Arch,
+    ps: &ParamSet,
+    input: &CandidateFeatures,
+    scratch: &mut AeScratch,
+) -> (f32, Gradients) {
+    let loss = forward_loss(arch, ps, input, scratch);
+    let mut grads = ps.zero_gradients();
+    backward(arch, ps, scratch, &mut grads);
+    (loss, grads)
 }
 
 /// The position of candidate `(s, e)` in the order [`CandidateEncoder::append`]

@@ -5,5 +5,5 @@ mod autoencoder;
 mod operator;
 
 pub(crate) use autoencoder::{end_major_index, CandidateEncoder};
-pub use autoencoder::{Autoencoder, EncoderKind};
+pub use autoencoder::{AeScratch, Autoencoder, EncoderKind};
 pub use operator::{CompressionOperator, DecompressionOperator};

@@ -10,11 +10,19 @@
 //! every step (Equation (5)); the stacked hidden states pass through two
 //! fully connected layers with a final `tanh` (Equation (6)), recovering a
 //! sequence of the requested length.
+//!
+//! Each operator runs three ways, all with the same bits: recorded on a
+//! tape (`compress_vars`, `decompress`; the reference), evaluated without a
+//! tape over packed batches (the compressor's `infer_*`, for encoding), and
+//! trained without a tape (`train_forward`/`train_backward`): one packed
+//! pass over many sequences, whose hand-written backward pass gives the
+//! tape's gradients to the bit (DESIGN.md §17).
 
+use lead_nn::bptt::{AttentionActs, LstmActs, TrainScratch};
 use lead_nn::infer::{LstmState, Packing, Scratch};
 use lead_nn::layers::{Linear, Lstm, SelfAttention};
 use lead_nn::simd::Kernel;
-use lead_nn::{Graph, Matrix, ParamSet, Var};
+use lead_nn::{Gradients, Graph, Matrix, ParamSet, Var};
 use rand::Rng;
 
 /// LSTM + (optional) self-attention + 2 FC + `tanh`: sequence → vector.
@@ -168,6 +176,180 @@ impl CompressionOperator {
         let xs: Vec<Var> = (0..seq.rows()).map(|r| g.row(input, r)).collect();
         self.compress_vars(g, &xs)
     }
+
+    /// Compresses sequences stored back to back in `xs` (sequence `i`
+    /// holding `lens[i]` rows) in one packed pass, keeping what
+    /// [`Self::train_backward`] needs in `acts`; [`CompressActs::out`] then
+    /// holds one `hidden`-wide row per sequence. Bit-identical to
+    /// [`Self::compress_vars`] on each sequence.
+    ///
+    /// # Panics
+    /// Panics if a sequence is empty or the lengths do not cover `xs`.
+    pub(crate) fn train_forward(
+        &self,
+        ps: &ParamSet,
+        lens: &[usize],
+        xs: &[f32],
+        acts: &mut CompressActs,
+        scratch: &mut TrainScratch,
+    ) {
+        assert!(
+            lens.iter().all(|&len| len > 0),
+            "compression of an empty sequence"
+        );
+        let pack = Packing::back_to_back(lens);
+        self.lstm
+            .train_forward(ps, &pack, xs, &mut acts.lstm, &mut acts.hs, scratch);
+        match &self.attention {
+            Some(att) => att.train_forward(ps, lens, &acts.hs, &mut acts.att, &mut acts.pooled),
+            None => {
+                let h = self.out_dim();
+                acts.pooled.clear();
+                let mut end = 0;
+                for &len in lens {
+                    end += len;
+                    acts.pooled
+                        .extend_from_slice(&acts.hs[(end - 1) * h..end * h]);
+                }
+            }
+        }
+        fc_tanh(ps, &self.fc1, &self.fc2, &acts.pooled, &mut acts.fc);
+    }
+
+    /// The backward half of [`Self::train_forward`], run on the same `lens`,
+    /// `xs` and `acts`, from `dout`, the gradient of every compressed row:
+    /// accumulates every parameter's gradient into `grads` and, given `dx`,
+    /// adds the gradient of every input row to it. `to_bits`-equal to
+    /// [`Self::compress_vars`] on each sequence, in sequence order, on one
+    /// tape and `Graph::backward` (DESIGN.md §17).
+    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
+    pub(crate) fn train_backward(
+        &self,
+        ps: &ParamSet,
+        lens: &[usize],
+        xs: &[f32],
+        acts: &mut CompressActs,
+        dout: &[f32],
+        dx: Option<&mut [f32]>,
+        grads: &mut Gradients,
+        scratch: &mut TrainScratch,
+    ) {
+        fc_tanh_backward(
+            ps,
+            &self.fc1,
+            &self.fc2,
+            &acts.pooled,
+            &mut acts.fc,
+            dout,
+            None,
+            grads,
+            scratch,
+        );
+        let dpooled = &acts.fc.dx;
+        match &self.attention {
+            Some(att) => att.train_backward(
+                ps,
+                lens,
+                &acts.hs,
+                &acts.att,
+                dpooled,
+                &mut acts.dh,
+                grads,
+                scratch,
+            ),
+            None => {
+                let h = self.out_dim();
+                acts.dh.clear();
+                acts.dh.resize(acts.hs.len(), 0.0);
+                let mut end = 0;
+                for (&len, d) in lens.iter().zip(dpooled.chunks_exact(h)) {
+                    end += len;
+                    acts.dh[(end - 1) * h..end * h].copy_from_slice(d);
+                }
+            }
+        }
+        let pack = Packing::back_to_back(lens);
+        self.lstm
+            .train_backward(ps, &pack, xs, &acts.lstm, &acts.dh, dx, grads, scratch);
+    }
+}
+
+/// What a compression operator's training pass keeps for its backward
+/// pass, and the backward pass's own temporaries.
+#[derive(Debug, Default)]
+pub(crate) struct CompressActs {
+    lstm: LstmActs,
+    /// The LSTM's hidden rows, laid out as its packing's output.
+    hs: Vec<f32>,
+    att: AttentionActs,
+    /// The pooled row of every sequence (the FC layers' input).
+    pooled: Vec<f32>,
+    fc: FcActs,
+    /// The gradient of every hidden row.
+    dh: Vec<f32>,
+}
+
+impl CompressActs {
+    /// The compressed rows, one per sequence.
+    pub(crate) fn out(&self) -> &[f32] {
+        &self.fc.out
+    }
+}
+
+/// The two FC layers and the `tanh` both operators end in: the hidden
+/// layer's rows, the output rows, and the backward pass's temporaries.
+#[derive(Debug, Default)]
+struct FcActs {
+    a: Vec<f32>,
+    b: Vec<f32>,
+    out: Vec<f32>,
+    db: Vec<f32>,
+    da: Vec<f32>,
+    /// The gradient of every input row of the first layer.
+    dx: Vec<f32>,
+}
+
+/// `tanh(fc2(fc1(x)))` over every row of `x`, kept in `acts`.
+fn fc_tanh(ps: &ParamSet, fc1: &Linear, fc2: &Linear, x: &[f32], acts: &mut FcActs) {
+    fc1.infer(ps, x, &mut acts.a);
+    fc2.infer(ps, &acts.a, &mut acts.b);
+    acts.out.clear();
+    acts.out.resize(acts.b.len(), 0.0);
+    lead_nn::simd::active().tanh(&acts.b, &mut acts.out);
+}
+
+/// The backward half of [`fc_tanh`] from `dout`, writing the gradient of
+/// every input row to `acts.dx`. With `blocks`, each FC layer ran once per
+/// block of rows ([`Linear::train_backward_blocks`]); without, once per
+/// row.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors fc_tanh plus the gradients"
+)]
+fn fc_tanh_backward(
+    ps: &ParamSet,
+    fc1: &Linear,
+    fc2: &Linear,
+    x: &[f32],
+    acts: &mut FcActs,
+    dout: &[f32],
+    blocks: Option<&[usize]>,
+    grads: &mut Gradients,
+    scratch: &mut TrainScratch,
+) {
+    acts.db.clear();
+    acts.db.resize(dout.len(), 0.0);
+    lead_nn::simd::active().tanh_bwd(dout, &acts.out, &mut acts.db);
+    match blocks {
+        Some(blocks) => {
+            fc2.train_backward_blocks(ps, &acts.a, &acts.db, blocks, &mut acts.da, grads, scratch);
+            fc1.train_backward_blocks(ps, x, &acts.da, blocks, &mut acts.dx, grads, scratch);
+        }
+        None => {
+            fc2.train_backward(ps, &acts.a, &acts.db, &mut acts.da, grads, scratch);
+            fc1.train_backward(ps, x, &acts.da, &mut acts.dx, grads, scratch);
+        }
+    }
 }
 
 /// Input-repeating LSTM + 2 FC + `tanh`: vector → sequence.
@@ -211,6 +393,101 @@ impl DecompressionOperator {
         let a = self.fc1.forward(g, h_mat);
         let b = self.fc2.forward(g, a);
         g.tanh(b)
+    }
+
+    /// Decompresses every row of `vs` (`in_dim` wide) into a sequence of
+    /// `steps[i]` rows in one packed repeated-input pass, keeping what
+    /// [`Self::train_backward`] needs in `acts`; [`DecompressActs::out`]
+    /// then holds the sequences back to back. Bit-identical to
+    /// [`Self::decompress`] on each row.
+    ///
+    /// # Panics
+    /// Panics if a step count is zero or `vs` does not hold one row per
+    /// sequence.
+    pub(crate) fn train_forward(
+        &self,
+        ps: &ParamSet,
+        steps: &[usize],
+        vs: &[f32],
+        acts: &mut DecompressActs,
+        scratch: &mut TrainScratch,
+    ) {
+        assert_eq!(
+            vs.len(),
+            steps.len() * self.lstm.in_dim(),
+            "one decompressed vector per sequence"
+        );
+        assert!(
+            steps.iter().all(|&t| t > 0),
+            "decompression over zero steps"
+        );
+        let pack = Packing::repeated(steps);
+        self.lstm
+            .train_forward(ps, &pack, vs, &mut acts.lstm, &mut acts.hs, scratch);
+        fc_tanh(ps, &self.fc1, &self.fc2, &acts.hs, &mut acts.fc);
+    }
+
+    /// The backward half of [`Self::train_forward`], run on the same `steps`,
+    /// `vs` and `acts`, from `dout`, the gradient of every output row:
+    /// accumulates every parameter's gradient into `grads` and writes the
+    /// gradient of every row of `vs` to `dv`. `to_bits`-equal to
+    /// [`Self::decompress`] on each row, in row order, on one tape and
+    /// `Graph::backward`: the tape visits the last call first, each FC
+    /// layer's rows of one call in ascending order, and the steps of one
+    /// call newest first (DESIGN.md §17).
+    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
+    pub(crate) fn train_backward(
+        &self,
+        ps: &ParamSet,
+        steps: &[usize],
+        vs: &[f32],
+        acts: &mut DecompressActs,
+        dout: &[f32],
+        dv: &mut Vec<f32>,
+        grads: &mut Gradients,
+        scratch: &mut TrainScratch,
+    ) {
+        fc_tanh_backward(
+            ps,
+            &self.fc1,
+            &self.fc2,
+            &acts.hs,
+            &mut acts.fc,
+            dout,
+            Some(steps),
+            grads,
+            scratch,
+        );
+        dv.clear();
+        dv.resize(vs.len(), 0.0);
+        let pack = Packing::repeated(steps);
+        self.lstm.train_backward(
+            ps,
+            &pack,
+            vs,
+            &acts.lstm,
+            &acts.fc.dx,
+            Some(dv),
+            grads,
+            scratch,
+        );
+    }
+}
+
+/// What a decompression operator's training pass keeps for its backward
+/// pass, and the backward pass's own temporaries.
+#[derive(Debug, Default)]
+pub(crate) struct DecompressActs {
+    lstm: LstmActs,
+    /// The LSTM's hidden rows, laid out as its packing's output.
+    hs: Vec<f32>,
+    fc: FcActs,
+}
+
+impl DecompressActs {
+    /// The decompressed rows, sequences back to back.
+    pub(crate) fn out(&self) -> &[f32] {
+        &self.fc.out
     }
 }
 

@@ -2,12 +2,16 @@
 //! [`crate::infer`].
 //!
 //! The layers' `train_forward` methods run the same packed forward pass as
-//! `infer` and keep what the backward pass needs (every step's gates, cell,
-//! `tanh(cell)` and hidden rows, and each BiLSTM layer's merge input) in a
-//! reusable [`TrainScratch`]. Their `train_backward` methods are
-//! hand-written backpropagation through time: they take the gradient of
-//! every output row and accumulate the parameter gradients into a
-//! [`crate::Gradients`].
+//! `infer` and keep what the backward pass needs: every LSTM step's gates,
+//! cell, `tanh(cell)` and hidden rows ([`LstmActs`]), each attention
+//! pooling's queries, keys and weights ([`AttentionActs`]), and each BiLSTM
+//! layer's merge input. Their `train_backward` methods are hand-written
+//! backpropagation through time: they take the gradient of every output
+//! row and accumulate the parameter gradients into a [`crate::Gradients`].
+//! A [`TrainScratch`] holds both passes' temporaries. The stacked-BiLSTM
+//! detectors and the autoencoder's operators (LSTM, attention pooling,
+//! repeated-input LSTM under [`Packing::repeated`], `Linear`, MSE) train
+//! this way.
 //!
 //! # Exactness
 //!
@@ -24,17 +28,24 @@
 //!   order. The packed pass gathers the rows in that order and makes one
 //!   [`crate::simd::Kernel::matmul_at_b_acc`] call, whose per-element order
 //!   (rows ascending, exact-zero coefficients skipped) is the tape's
-//!   row-by-row axpy loop.
-//! - **LSTM biases.** The tape slices the bias once per sequence, so each
+//!   row-by-row axpy loop. A layer the tape applies to a whole matrix at
+//!   once (a `Linear` over T×hidden, attention's keys) adds that call's
+//!   rows in ascending order.
+//! - **Biases.** The tape slices an LSTM bias once per sequence, so each
 //!   sequence first sums its own steps (last step first) and that partial
-//!   sum is then added to the total, last sequence first. A `Linear` bias
-//!   adds its rows one at a time, last row first.
-//! - **Hidden state.** `dh_t` is the merge layer's part plus the recurrent
-//!   `dot` terms from step `t + 1`, added in that order.
+//!   sum is then added to the total, last sequence first. A `Linear` or
+//!   attention bias adds its rows one at a time: calls last first, the rows
+//!   of one call in ascending order.
+//! - **Hidden state.** `dh_t` is the merge layer's (or the pooling's) part
+//!   plus the recurrent `dot` terms from step `t + 1`, added in that order.
+//!   Under attention, the pooling's part is `(0 + sᵀ·g) + dK·Wkᵀ`, and the
+//!   last row's adds the query's `dq·Wqᵀ`.
 //! - **Cell state.** `dc_t` is `dfc_{t+1}·f_{t+1}` plus the `tanh′` term of
 //!   step `t`, added in that order.
 //! - **Layer inputs.** A stacked layer's input gradient is the backward
-//!   direction's `dot`s plus the forward direction's.
+//!   direction's `dot`s plus the forward direction's. A repeated input row
+//!   sums its steps' `dot`s newest first; summing the steps' gate
+//!   gradients first would round differently.
 //!
 //! A fresh tape slot is `0 + x`, which differs from `x` only in the sign of
 //! a zero. No zero's sign reaches a gradient: every gradient is a sum that
@@ -42,12 +53,15 @@
 
 use crate::infer::{zeroed, Packing};
 
-/// What one packed LSTM direction keeps for its backward pass.
+/// What one packed LSTM pass ([`crate::layers::Lstm::train_forward`])
+/// keeps for its backward pass: every step's gates, cell, `tanh(cell)` and
+/// hidden rows.
 ///
 /// Rows are step-major: step `t` holds the rows of the running sequences,
-/// ranks `0..active(t)`, from row `starts[t]` on.
+/// ranks `0..active(t)`, from row `starts[t]` on. Buffers grow to the
+/// largest batch they have seen and are never shrunk.
 #[derive(Debug, Default)]
-pub(crate) struct CellActs {
+pub struct LstmActs {
     pub(crate) starts: Vec<usize>,
     pub(crate) i: Vec<f32>,
     pub(crate) f: Vec<f32>,
@@ -58,7 +72,7 @@ pub(crate) struct CellActs {
     pub(crate) h: Vec<f32>,
 }
 
-impl CellActs {
+impl LstmActs {
     /// Records the step offsets of `pack` and sizes every buffer for its
     /// rows, `hidden` wide.
     pub(crate) fn reset(&mut self, pack: &Packing, hidden: usize) {
@@ -83,11 +97,26 @@ impl CellActs {
     }
 }
 
+/// What one packed attention pooling
+/// ([`crate::layers::SelfAttention::train_forward`]) keeps for its backward
+/// pass.
+#[derive(Debug, Default)]
+pub struct AttentionActs {
+    /// Each sequence's last hidden row, the query source.
+    pub(crate) lasts: Vec<f32>,
+    /// One query per sequence.
+    pub(crate) queries: Vec<f32>,
+    /// One key per hidden row.
+    pub(crate) keys: Vec<f32>,
+    /// The attention weight of every hidden row.
+    pub(crate) weights: Vec<f32>,
+}
+
 /// What one packed BiLSTM layer keeps for its backward pass.
 #[derive(Debug, Default)]
 pub(crate) struct LayerActs {
-    pub(crate) fwd: CellActs,
-    pub(crate) bwd: CellActs,
+    pub(crate) fwd: LstmActs,
+    pub(crate) bwd: LstmActs,
     /// Each direction's output rows, laid out as the packing's output.
     pub(crate) hf: Vec<f32>,
     pub(crate) hb: Vec<f32>,
@@ -107,7 +136,7 @@ pub(crate) struct Work {
     pub(crate) ig: Vec<f32>,
     /// The zero state `(h, c)` every sequence starts from.
     pub(crate) zeros: Vec<f32>,
-    /// Gate pre-activation gradients, step-major like [`CellActs`].
+    /// Gate pre-activation gradients, step-major like [`LstmActs`].
     pub(crate) dpre: Vec<f32>,
     pub(crate) dh: Vec<f32>,
     pub(crate) d_o: Vec<f32>,
@@ -130,6 +159,13 @@ pub(crate) struct Work {
     pub(crate) dhb: Vec<f32>,
     pub(crate) dy: Vec<f32>,
     pub(crate) dx: Vec<f32>,
+    /// Attention pooling: the gradients of one sequence's weights and
+    /// scores, of every query and key, and of one last hidden row.
+    pub(crate) ds: Vec<f32>,
+    pub(crate) dscores: Vec<f32>,
+    pub(crate) dq: Vec<f32>,
+    pub(crate) dk: Vec<f32>,
+    pub(crate) dlast: Vec<f32>,
 }
 
 /// Reusable buffers for packed training: the activations a
@@ -155,13 +191,154 @@ impl TrainScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, StackedBiLstm};
+    use crate::layers::{Linear, Lstm, SelfAttention, StackedBiLstm};
     use crate::{Graph, Matrix, ParamSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn bits(m: &Matrix) -> Vec<u32> {
         m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `rows` rows of width `d` with exact `+0.0` and `-0.0` planted.
+    fn inputs(rows: usize, d: usize) -> Vec<f32> {
+        (0..rows * d)
+            .map(|i| match i % 6 {
+                0 => 0.0,
+                3 => -0.0,
+                _ => (i as f32 * 0.37).sin(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lstm_and_attention_pooling_gradients_match_the_tape() {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let lstm = Lstm::new(&mut ps, &mut rng, "l", 5, 4);
+        let att = SelfAttention::new(&mut ps, &mut rng, "a", 4, 3);
+        let lens = [3, 1, 4, 2, 4];
+        let rows: usize = lens.iter().sum();
+        let xs = inputs(rows, 5);
+        let target: Vec<f32> = (0..lens.len() * 4)
+            .map(|i| (i as f32 * 0.7).cos())
+            .collect();
+
+        // The tape: every sequence pooled in order on one graph, an MSE
+        // over the stacked aggregates.
+        let mut g = Graph::new(&ps);
+        let mut pooled = Vec::new();
+        for (s, &len) in lens.iter().enumerate() {
+            let start: usize = lens[..s].iter().sum();
+            let vars: Vec<_> = (start..start + len)
+                .map(|r| g.constant(Matrix::from_vec(1, 5, xs[r * 5..(r + 1) * 5].to_vec())))
+                .collect();
+            let hs = lstm.forward(&mut g, &vars);
+            pooled.push(att.aggregate(&mut g, &hs));
+        }
+        let stacked = g.concat_rows(&pooled);
+        let loss = g.mse_loss(stacked, &Matrix::from_vec(lens.len(), 4, target.clone()));
+        let want = g.backward(loss);
+
+        // Twice through one scratch: reuse must not leak state.
+        let pack = Packing::back_to_back(&lens);
+        let mut scratch = TrainScratch::new();
+        let (mut lstm_acts, mut att_acts) = (LstmActs::default(), AttentionActs::default());
+        let (mut hs, mut out, mut dy, mut dh) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..2 {
+            lstm.train_forward(&ps, &pack, &xs, &mut lstm_acts, &mut hs, &mut scratch);
+            att.train_forward(&ps, &lens, &hs, &mut att_acts, &mut out);
+            assert_eq!(
+                crate::loss::mse(&out, &target).to_bits(),
+                g.scalar(loss).to_bits()
+            );
+            crate::loss::mse_grad(1.0, &out, &target, &mut dy);
+            let mut got = ps.zero_gradients();
+            att.train_backward(
+                &ps,
+                &lens,
+                &hs,
+                &att_acts,
+                &dy,
+                &mut dh,
+                &mut got,
+                &mut scratch,
+            );
+            lstm.train_backward(
+                &ps,
+                &pack,
+                &xs,
+                &lstm_acts,
+                &dh,
+                None,
+                &mut got,
+                &mut scratch,
+            );
+            for ((id, a), (_, b)) in got.iter().zip(want.iter()) {
+                assert_eq!(bits(a), bits(b), "{}", ps.name(id));
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_input_lstm_gradients_match_the_tape() {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(9);
+        let lstm = Lstm::new(&mut ps, &mut rng, "l", 3, 4);
+        let head = Linear::new(&mut ps, &mut rng, "o", 4, 2);
+        let lens = [5, 1, 3, 5, 2];
+        let vs = inputs(lens.len(), 3);
+        // The repeated vectors are a parameter, so the tape reports their
+        // gradient.
+        let v = ps.register("v", Matrix::from_vec(lens.len(), 3, vs.clone()));
+        let rows: usize = lens.iter().sum();
+        let target: Vec<f32> = (0..rows * 2).map(|i| (i as f32 * 0.3).sin()).collect();
+
+        // The tape: each vector decompressed in order, the head applied to
+        // each whole T×hidden matrix, an MSE over all rows.
+        let mut g = Graph::new(&ps);
+        let vp = g.param(v);
+        let mut ys = Vec::new();
+        for (s, &len) in lens.iter().enumerate() {
+            let x = g.row(vp, s);
+            let hs = lstm.forward_repeated(&mut g, x, len);
+            let h_mat = g.concat_rows(&hs);
+            ys.push(head.forward(&mut g, h_mat));
+        }
+        let y = g.concat_rows(&ys);
+        let loss = g.mse_loss(y, &Matrix::from_vec(rows, 2, target.clone()));
+        let want = g.backward(loss);
+
+        let pack = Packing::repeated(&lens);
+        let mut scratch = TrainScratch::new();
+        let mut acts = LstmActs::default();
+        let (mut hs, mut out, mut dy, mut dhs) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..2 {
+            lstm.train_forward(&ps, &pack, &vs, &mut acts, &mut hs, &mut scratch);
+            head.infer(&ps, &hs, &mut out);
+            assert_eq!(
+                crate::loss::mse(&out, &target).to_bits(),
+                g.scalar(loss).to_bits()
+            );
+            crate::loss::mse_grad(1.0, &out, &target, &mut dy);
+            let mut got = ps.zero_gradients();
+            head.train_backward_blocks(&ps, &hs, &dy, &lens, &mut dhs, &mut got, &mut scratch);
+            let mut dv = vec![0.0; vs.len()];
+            lstm.train_backward(
+                &ps,
+                &pack,
+                &vs,
+                &acts,
+                &dhs,
+                Some(&mut dv),
+                &mut got,
+                &mut scratch,
+            );
+            got.get_mut(v).data_mut().copy_from_slice(&dv);
+            for ((id, a), (_, b)) in got.iter().zip(want.iter()) {
+                assert_eq!(bits(a), bits(b), "{}", ps.name(id));
+            }
+        }
     }
 
     #[test]
@@ -205,13 +382,8 @@ mod tests {
         for _ in 0..2 {
             stack.train_forward(&ps, &pack, &xs, &mut hs, &mut scratch);
             head.infer(&ps, &hs, &mut out);
-            // The tape's MSE backward: `(1 · 2 / n) · (y − t)`.
-            let gs = 1.0f32 * 2.0 / rows as f32;
-            let dy: Vec<f32> = out
-                .iter()
-                .zip(&target)
-                .map(|(&y, &t)| gs * (y - t))
-                .collect();
+            let mut dy = Vec::new();
+            crate::loss::mse_grad(1.0, &out, &target, &mut dy);
             let mut got = ps.zero_gradients();
             head.train_backward(&ps, &hs, &dy, &mut dhs, &mut got, &mut scratch);
             stack.train_backward(&ps, &pack, &xs, &dhs, &mut got, &mut scratch);

@@ -34,10 +34,10 @@
 //!
 //! # Training
 //!
-//! The same packed pass trains the detectors: `StackedBiLstm::train_forward`
-//! runs it and keeps its activations, and the `train_backward` methods are
-//! its hand-written backward half ([`crate::bptt`]), with gradients
-//! `to_bits`-equal to the tape's.
+//! The same packed pass trains the detectors and the autoencoder: the
+//! layers' `train_forward` methods run it and keep its activations, and the
+//! `train_backward` methods are its hand-written backward half
+//! ([`crate::bptt`]), with gradients `to_bits`-equal to the tape's.
 
 use crate::matrix::Matrix;
 use crate::simd::Kernel;
@@ -46,15 +46,17 @@ use crate::simd::Kernel;
 ///
 /// Sequence `s` reads its step-`t` input at row `start + t` of the input
 /// matrix, where `start` is its offset in a back-to-back input or the start
-/// of its window ([`Packing::windows`], where windows may overlap). It
-/// writes its step-`t` output at row `output_start(s) + t` of the output
-/// matrix, where sequences are always stored back to back in sequence
-/// order.
+/// of its window ([`Packing::windows`], where windows may overlap), or at
+/// row `s` at every step ([`Packing::repeated`]). It writes its step-`t`
+/// output at row `output_start(s) + t` of the output matrix, where
+/// sequences are always stored back to back in sequence order.
 #[derive(Debug, Clone)]
 pub struct Packing {
     in_starts: Vec<usize>,
     out_starts: Vec<usize>,
     lens: Vec<usize>,
+    /// Whether every step of a sequence reads its first input row.
+    repeat: bool,
     /// Sequence index at each rank, longest first (ties by index).
     order: Vec<usize>,
     /// `active[t]`: how many sequences are longer than `t`.
@@ -80,6 +82,22 @@ impl Packing {
             })
             .collect();
         Self::windows(&spans)
+    }
+
+    /// Sequences that each read one input row at every step, as the
+    /// paper's decompression operator feeds its vector to every step
+    /// (Equation (5)): sequence `s` reads row `s` for `lens[s]` steps. The
+    /// row's input projection is computed once, which is the same product
+    /// as computing it at every step.
+    ///
+    /// # Panics
+    /// Panics if any length is zero.
+    pub fn repeated(lens: &[usize]) -> Self {
+        let spans: Vec<(usize, usize)> = lens.iter().copied().enumerate().collect();
+        let mut pack = Self::windows(&spans);
+        pack.repeat = true;
+        pack.in_rows = lens.len();
+        pack
     }
 
     /// Sequences that read windows of one shared input: sequence `s` reads
@@ -120,6 +138,7 @@ impl Packing {
             in_starts,
             out_starts,
             lens,
+            repeat: false,
             order,
             active,
             in_rows,
@@ -155,7 +174,7 @@ impl Packing {
     /// Whether inputs are laid out exactly like outputs, so one layer's
     /// output can feed the next layer under the same packing.
     pub(crate) fn reads_back_to_back(&self) -> bool {
-        self.in_starts == self.out_starts
+        !self.repeat && self.in_starts == self.out_starts
     }
 
     /// Number of sequences still running at step `t`: ranks `0..active(t)`.
@@ -173,7 +192,8 @@ impl Packing {
     pub(crate) fn step_rows(&self, rank: usize, t: usize, reverse: bool) -> (usize, usize) {
         let s = self.order[rank];
         let pos = if reverse { self.lens[s] - 1 - t } else { t };
-        (self.in_starts[s] + pos, self.out_starts[s] + pos)
+        let read = if self.repeat { 0 } else { pos };
+        (self.in_starts[s] + read, self.out_starts[s] + pos)
     }
 }
 
@@ -301,6 +321,17 @@ mod tests {
         assert_eq!((p.input_rows(), p.output_rows()), (4, 9));
         assert_eq!(p.output_start(2), 7);
         assert_eq!(p.step_rows(1, 2, false), (3, 6));
+        assert!(!p.reads_back_to_back());
+    }
+
+    #[test]
+    fn repeated_sequences_read_one_row_at_every_step() {
+        let p = Packing::repeated(&[2, 4, 1]);
+        assert_eq!((p.input_rows(), p.output_rows()), (3, 7));
+        // Ranks: sequences 1, 0, 2.
+        assert_eq!(p.step_rows(0, 3, false), (1, 5));
+        assert_eq!(p.step_rows(1, 1, false), (0, 1));
+        assert_eq!(p.step_rows(2, 0, false), (2, 6));
         assert!(!p.reads_back_to_back());
     }
 

@@ -7,9 +7,10 @@
 //! contributes to the aggregated vector — the paper's remedy for long-range
 //! feature sequences.
 
-use crate::infer::affine;
+use crate::bptt::{AttentionActs, TrainScratch};
+use crate::infer::{affine, zeroed};
 use crate::init::xavier_uniform;
-use crate::params::{ParamId, ParamSet};
+use crate::params::{Gradients, ParamId, ParamSet};
 use crate::simd::Kernel;
 use crate::tape::{Graph, Var};
 use rand::Rng;
@@ -144,13 +145,161 @@ impl SelfAttention {
             keys.chunks_exact(self.key_dim)
                 .map(|k| 0.0 + kernel.dot(query, k)),
         );
-        kernel.scale(
-            scores,
-            1.0 / crate::num::exact_usize_f32(self.key_dim).sqrt(),
-        );
+        kernel.scale(scores, self.score_scale());
         crate::matrix::softmax_in_place(scores);
         out.fill(0.0);
         kernel.matmul_acc(scores, values, out, 1, steps, self.hidden);
+    }
+
+    /// The score scale `1/√d_k`.
+    fn score_scale(&self) -> f32 {
+        1.0 / crate::num::exact_usize_f32(self.key_dim).sqrt()
+    }
+
+    /// Pools every sequence of a packed batch without a tape, keeping what
+    /// [`Self::train_backward`] needs in `acts`: `hs` holds the hidden rows
+    /// of sequences stored back to back, sequence `i` holding `lens[i]`
+    /// rows, and row `i` of `pooled` (`hidden` wide) receives sequence
+    /// `i`'s aggregate. Bit-identical to [`Self::aggregate`] on each
+    /// sequence.
+    ///
+    /// # Panics
+    /// Panics if a sequence is empty or the lengths do not cover `hs`.
+    pub fn train_forward(
+        &self,
+        ps: &ParamSet,
+        lens: &[usize],
+        hs: &[f32],
+        acts: &mut AttentionActs,
+        pooled: &mut Vec<f32>,
+    ) {
+        let (h, kd) = (self.hidden, self.key_dim);
+        let rows: usize = lens.iter().sum();
+        assert!(
+            hs.len() == rows * h && lens.iter().all(|&len| len > 0),
+            "attention over an empty or ragged sequence"
+        );
+        acts.lasts.clear();
+        let mut end = 0;
+        for &len in lens {
+            end += len;
+            acts.lasts.extend_from_slice(&hs[(end - 1) * h..end * h]);
+        }
+        self.infer_queries(ps, &acts.lasts, &mut acts.queries);
+        self.infer_keys(ps, hs, &mut acts.keys);
+        acts.weights.clear();
+        zeroed(pooled, lens.len() * h);
+        let (mut r0, mut scores) = (0, Vec::new());
+        for (i, &len) in lens.iter().enumerate() {
+            let r = r0..r0 + len;
+            self.infer_pool(
+                &acts.queries[i * kd..(i + 1) * kd],
+                &acts.keys[r.start * kd..r.end * kd],
+                &hs[r.start * h..r.end * h],
+                &mut scores,
+                &mut pooled[i * h..(i + 1) * h],
+            );
+            acts.weights.extend_from_slice(&scores);
+            r0 = r.end;
+        }
+    }
+
+    /// The backward half of [`Self::train_forward`], run on the same `lens`,
+    /// `hs` and `acts`, from `dpooled`, the gradient of every pooled row:
+    /// accumulates the gradients of the query and key projections into
+    /// `grads` and writes the gradient of every hidden row to `dh`.
+    ///
+    /// `to_bits`-equal to [`Self::aggregate`] on each sequence, in
+    /// sequence order, on one tape and [`crate::Graph::backward`]. The tape
+    /// visits the last sequence first. Within one sequence, a hidden row
+    /// receives `(0 + sᵀ·g) + dK·Wkᵀ` through the stacked matrix, and the
+    /// last row then adds the query's `dq·Wqᵀ`. The key projection's
+    /// weight gradient takes one sequence's rows in ascending order, and
+    /// both biases sum rows in ascending order.
+    ///
+    /// # Panics
+    /// Panics if the shapes do not match the forward pass.
+    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
+    pub fn train_backward(
+        &self,
+        ps: &ParamSet,
+        lens: &[usize],
+        hs: &[f32],
+        acts: &AttentionActs,
+        dpooled: &[f32],
+        dh: &mut Vec<f32>,
+        grads: &mut Gradients,
+        scratch: &mut TrainScratch,
+    ) {
+        let (h, kd) = (self.hidden, self.key_dim);
+        let rows = acts.weights.len();
+        assert!(
+            hs.len() == rows * h && dpooled.len() == lens.len() * h,
+            "attention backward shapes"
+        );
+        let kernel = crate::simd::active();
+        let (wq, wk) = (ps.value(self.wq).data(), ps.value(self.wk).data());
+        let w = &mut scratch.work;
+        zeroed(dh, rows * h);
+        zeroed(&mut w.dk, rows * kd);
+        zeroed(&mut w.dq, lens.len() * kd);
+        let mut r1 = rows;
+        for (i, &len) in lens.iter().enumerate().rev() {
+            let r = r1 - len..r1;
+            r1 = r.start;
+            let g = &dpooled[i * h..(i + 1) * h];
+            let values = &hs[r.start * h..r.end * h];
+            let weights = &acts.weights[r.clone()];
+            let dh_mat = &mut dh[r.start * h..r.end * h];
+            let dk = &mut w.dk[r.start * kd..r.end * kd];
+            let dq = &mut w.dq[i * kd..(i + 1) * kd];
+            // The weighted sum `s·H`: into the scores and the stacked rows.
+            zeroed(&mut w.ds, len);
+            kernel.matmul_a_bt_acc(g, values, &mut w.ds, 1, h, len);
+            kernel.matmul_at_b_acc(weights, g, dh_mat, 1, len, h);
+            // Softmax, then the score scale into a fresh slot.
+            zeroed(&mut w.dscores, len);
+            crate::loss::softmax_grad(&w.ds, weights, &mut w.dscores);
+            zeroed(&mut w.ds, len);
+            kernel.axpy(self.score_scale(), &w.dscores, &mut w.ds);
+            // `q·Kᵀ`: into the query and every key.
+            kernel.matmul_acc(&w.ds, &acts.keys[r.start * kd..r.end * kd], dq, 1, len, kd);
+            let q = &acts.queries[i * kd..(i + 1) * kd];
+            kernel.matmul_at_b_acc(&w.ds, q, dk, 1, len, kd);
+            // The key projection: its bias, then the stacked rows.
+            let gbk = grads.get_mut(self.bk).data_mut();
+            for dk_row in dk.chunks_exact(kd) {
+                kernel.axpy(1.0, dk_row, gbk);
+            }
+            kernel.matmul_a_bt_acc(dk, wk, dh_mat, len, kd, h);
+            // The query projection: its bias, then the last row.
+            kernel.axpy(1.0, dq, grads.get_mut(self.bq).data_mut());
+            zeroed(&mut w.dlast, h);
+            kernel.matmul_a_bt_acc(dq, wq, &mut w.dlast, 1, kd, h);
+            kernel.axpy(1.0, &w.dlast, &mut dh_mat[(len - 1) * h..]);
+        }
+        // The weights, last sequence first: its key rows in ascending
+        // order, and its last row for the query.
+        w.rows_a.clear();
+        w.rows_b.clear();
+        let mut r1 = rows;
+        for &len in lens.iter().rev() {
+            let r = r1 - len..r1;
+            r1 = r.start;
+            w.rows_a.extend_from_slice(&hs[r.start * h..r.end * h]);
+            w.rows_b.extend_from_slice(&w.dk[r.start * kd..r.end * kd]);
+        }
+        let gwk = grads.get_mut(self.wk).data_mut();
+        kernel.matmul_at_b_acc(&w.rows_a, &w.rows_b, gwk, rows, h, kd);
+        w.rows_a.clear();
+        w.rows_b.clear();
+        let lasts = acts.lasts.chunks_exact(h).zip(w.dq.chunks_exact(kd));
+        for (last, dq) in lasts.rev() {
+            w.rows_a.extend_from_slice(last);
+            w.rows_b.extend_from_slice(dq);
+        }
+        let gwq = grads.get_mut(self.wq).data_mut();
+        kernel.matmul_at_b_acc(&w.rows_a, &w.rows_b, gwq, lens.len(), h, kd);
     }
 
     /// The attention distribution over steps (for diagnostics/tests).

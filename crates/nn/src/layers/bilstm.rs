@@ -129,8 +129,10 @@ impl BiLstm {
             cat,
             out,
         } = acts;
-        self.fwd.train_forward(ps, pack, xs, false, fwd, hf, work);
-        self.bwd.train_forward(ps, pack, xs, true, bwd, hb, work);
+        self.fwd
+            .train_forward_with(ps, pack, xs, false, fwd, hf, work);
+        self.bwd
+            .train_forward_with(ps, pack, xs, true, bwd, hb, work);
         concat_rows(hf, hb, h, cat);
         self.merge.infer(ps, cat, out);
     }
@@ -154,8 +156,9 @@ impl BiLstm {
         let h = self.hidden;
         let mut dcat = std::mem::take(&mut work.dcat);
         let (mut dhf, mut dhb) = (std::mem::take(&mut work.dhf), std::mem::take(&mut work.dhb));
+        let visits = super::linear::rows_last_first(pack.output_rows());
         self.merge
-            .backward_with(ps, &acts.cat, dy, &mut dcat, grads, work);
+            .backward_with(ps, &acts.cat, dy, visits, &mut dcat, grads, work);
         zeroed(&mut dhf, pack.output_rows() * h);
         zeroed(&mut dhb, pack.output_rows() * h);
         for ((row, f), b) in dcat
@@ -170,7 +173,7 @@ impl BiLstm {
             zeroed(dx, xs.len());
             dx.as_mut_slice()
         });
-        self.bwd.train_backward(
+        self.bwd.train_backward_with(
             ps,
             pack,
             xs,
@@ -182,7 +185,7 @@ impl BiLstm {
             work,
         );
         self.fwd
-            .train_backward(ps, pack, xs, false, &acts.fwd, &dhf, dx, grads, work);
+            .train_backward_with(ps, pack, xs, false, &acts.fwd, &dhf, dx, grads, work);
         (work.dcat, work.dhf, work.dhb) = (dcat, dhf, dhb);
     }
 }

@@ -8,6 +8,7 @@ use crate::params::{Gradients, ParamId, ParamSet};
 use crate::simd::Kernel;
 use crate::tape::{Graph, Var};
 use rand::Rng;
+use std::ops::Range;
 
 /// A fully connected layer `y = x·W + b`.
 ///
@@ -89,16 +90,53 @@ impl Linear {
         grads: &mut Gradients,
         scratch: &mut TrainScratch,
     ) {
-        self.backward_with(ps, x, dy, dx, grads, &mut scratch.work);
+        let visits = rows_last_first(dy.len() / self.out_dim);
+        self.backward_with(ps, x, dy, visits, dx, grads, &mut scratch.work);
     }
 
-    /// [`Self::train_backward`] over the temporaries alone, so a BiLSTM can
-    /// run its merge layer backward next to the activations it keeps.
+    /// [`Self::train_backward`] for a layer applied once to each block of
+    /// consecutive rows, `blocks[i]` rows long, in block order: bit-identical
+    /// to one [`Self::forward`] on each block's matrix, as the paper's
+    /// decompression operators apply their FC layers to a whole T×hidden
+    /// matrix. The tape visits the blocks last to first, and the rows of
+    /// one block in ascending order.
+    ///
+    /// # Panics
+    /// Panics if `x` and `dy` do not hold the same number of rows, or the
+    /// blocks do not cover them.
+    pub fn train_backward_blocks(
+        &self,
+        ps: &ParamSet,
+        x: &[f32],
+        dy: &[f32],
+        blocks: &[usize],
+        dx: &mut Vec<f32>,
+        grads: &mut Gradients,
+        scratch: &mut TrainScratch,
+    ) {
+        assert_eq!(
+            blocks.iter().sum::<usize>() * self.out_dim,
+            dy.len(),
+            "linear backward blocks"
+        );
+        let mut end = dy.len() / self.out_dim;
+        let visits = blocks.iter().rev().map(|&len| {
+            end -= len;
+            end..end + len
+        });
+        self.backward_with(ps, x, dy, visits, dx, grads, &mut scratch.work);
+    }
+
+    /// The backward pass over the temporaries alone, so a BiLSTM can run
+    /// its merge layer backward next to the activations it keeps. `visits`
+    /// lists the row ranges in the order the tape adds their weight and
+    /// bias terms.
     pub(crate) fn backward_with(
         &self,
         ps: &ParamSet,
         x: &[f32],
         dy: &[f32],
+        visits: impl Iterator<Item = Range<usize>>,
         dx: &mut Vec<f32>,
         grads: &mut Gradients,
         work: &mut Work,
@@ -112,10 +150,11 @@ impl Linear {
         let kernel = crate::simd::active();
         work.rows_a.clear();
         work.rows_b.clear();
-        for (xr, dr) in x.chunks_exact(d).zip(dy.chunks_exact(n)).rev() {
-            work.rows_a.extend_from_slice(xr);
-            work.rows_b.extend_from_slice(dr);
+        for r in visits {
+            work.rows_a.extend_from_slice(&x[r.start * d..r.end * d]);
+            work.rows_b.extend_from_slice(&dy[r.start * n..r.end * n]);
         }
+        assert_eq!(work.rows_b.len(), dy.len(), "linear backward visits");
         let gw = grads.get_mut(self.w).data_mut();
         kernel.matmul_at_b_acc(&work.rows_a, &work.rows_b, gw, rows, d, n);
         let gb = grads.get_mut(self.b).data_mut();
@@ -125,6 +164,12 @@ impl Linear {
         zeroed(dx, rows * d);
         kernel.matmul_a_bt_acc(dy, ps.value(self.w).data(), dx, rows, n, d);
     }
+}
+
+/// The visit order of a layer applied to each of `rows` rows on its own,
+/// in row order: the tape visits the last row first.
+pub(crate) fn rows_last_first(rows: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..rows).rev().map(|r| r..r + 1)
 }
 
 #[cfg(test)]

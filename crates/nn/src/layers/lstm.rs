@@ -1,7 +1,7 @@
 //! Long short-term memory recurrence (Hochreiter & Schmidhuber 1997), the
 //! paper's Equation (2).
 
-use crate::bptt::{CellActs, Work};
+use crate::bptt::{LstmActs, TrainScratch, Work};
 use crate::infer::{zeroed, CellScratch, LstmState, Packing, Scratch};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
@@ -295,15 +295,58 @@ impl Lstm {
     }
 
     /// The training counterpart of [`Self::infer`] from the zero state: the
-    /// same forward pass, keeping every step's activations in `acts` for
-    /// [`Self::train_backward`].
-    pub(crate) fn train_forward(
+    /// same forward pass over every sequence of `pack` (read left to
+    /// right), keeping every step's activations in `acts` for
+    /// [`Self::train_backward`]. Under [`Packing::repeated`] each
+    /// sequence's one input row is projected once and read at every step,
+    /// as [`Self::forward_repeated`] reads its vector.
+    ///
+    /// # Panics
+    /// Panics if `xs` has fewer rows than the packing reads or is not a
+    /// whole number of rows.
+    pub fn train_forward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        acts: &mut LstmActs,
+        out: &mut Vec<f32>,
+        scratch: &mut TrainScratch,
+    ) {
+        self.train_forward_with(ps, pack, xs, false, acts, out, &mut scratch.work);
+    }
+
+    /// The backward half of [`Self::train_forward`], run on the same `pack`,
+    /// `xs` and `acts`: backpropagation through time from `dh`, the
+    /// gradient of every output row (laid out as the packing's output).
+    /// Accumulates the gradients of the weights and the bias into `grads`
+    /// and, given `dx`, adds the gradient of every input row to it (laid
+    /// out as `xs`), in the tape's order ([`crate::bptt`]). A repeated
+    /// input row receives its steps' terms newest first.
+    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
+    pub fn train_backward(
+        &self,
+        ps: &ParamSet,
+        pack: &Packing,
+        xs: &[f32],
+        acts: &LstmActs,
+        dh: &[f32],
+        dx: Option<&mut [f32]>,
+        grads: &mut Gradients,
+        scratch: &mut TrainScratch,
+    ) {
+        self.train_backward_with(ps, pack, xs, false, acts, dh, dx, grads, &mut scratch.work);
+    }
+
+    /// [`Self::train_forward`] in either direction, over the temporaries
+    /// alone, so a BiLSTM can keep each direction's activations apart.
+    pub(crate) fn train_forward_with(
         &self,
         ps: &ParamSet,
         pack: &Packing,
         xs: &[f32],
         reverse: bool,
-        acts: &mut CellActs,
+        acts: &mut LstmActs,
         out: &mut Vec<f32>,
         work: &mut Work,
     ) {
@@ -373,19 +416,16 @@ impl Lstm {
         }
     }
 
-    /// The backward half of [`Self::train_forward`]: backpropagation through
-    /// time from `dh`, the gradient of every output row (laid out as the
-    /// packing's output). Accumulates the gradients of the weights and the
-    /// bias into `grads` and, given `dx`, adds the gradient of every input
-    /// row to it (laid out as `xs`), in the tape's order ([`crate::bptt`]).
-    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
-    pub(crate) fn train_backward(
+    /// [`Self::train_backward`] in either direction, over the temporaries
+    /// alone (see [`Self::train_forward_with`]).
+    #[expect(clippy::too_many_arguments, reason = "mirrors train_forward_with")]
+    pub(crate) fn train_backward_with(
         &self,
         ps: &ParamSet,
         pack: &Packing,
         xs: &[f32],
         reverse: bool,
-        acts: &CellActs,
+        acts: &LstmActs,
         dh: &[f32],
         dx: Option<&mut [f32]>,
         grads: &mut Gradients,
@@ -500,7 +540,9 @@ impl Lstm {
             zeroed(&mut work.dx_rows, rows * d);
             let wx = ps.value(self.wx).data();
             kernel.matmul_a_bt_acc(&work.dpre, wx, &mut work.dx_rows, rows, g4, d);
-            for t in 0..pack.max_len() {
+            // Newest step first: a repeated input row sums its steps in the
+            // order the tape visits them.
+            for t in (0..pack.max_len()).rev() {
                 for rank in 0..pack.active(t) {
                     let (src, _) = pack.step_rows(rank, t, reverse);
                     let r0 = (acts.starts[t] + rank) * d;

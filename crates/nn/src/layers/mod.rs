@@ -6,8 +6,9 @@
 //! sequence is a slice of 1×d nodes, one per timestep, and each tape holds
 //! one training sample. The `infer` methods evaluate the same layers
 //! without a tape over a packed batch of sequences ([`crate::infer`]), and
-//! the `train_forward`/`train_backward` pairs of [`StackedBiLstm`] (and
-//! [`Linear::train_backward`]) train them that way, with the tape's
+//! the `train_forward`/`train_backward` pairs of [`StackedBiLstm`],
+//! [`Lstm`] and [`SelfAttention`] (and [`Linear::train_backward`] /
+//! [`Linear::train_backward_blocks`]) train them that way, with the tape's
 //! gradients to the bit ([`crate::bptt`]).
 
 mod attention;

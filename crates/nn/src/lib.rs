@@ -5,9 +5,9 @@
 //! GRU/LSTM baselines. No deep-learning dependency is available (or needed:
 //! all models are tiny, hidden sizes 32–128). Training accumulates
 //! gradients over `B` samples, each from a tape or, for the stacked-BiLSTM
-//! detectors, from one packed pass over all of a sample's sequences;
-//! inference packs many variable-length sequences into one batch. This
-//! crate implements the full stack:
+//! detectors and the autoencoder, from packed passes over all of a
+//! sample's sequences; inference packs many variable-length sequences into
+//! one batch. This crate implements the full stack:
 //!
 //! - [`matrix`] — dense row-major `f32` matrices with the kernels the tape needs;
 //! - [`tape`] — eager reverse-mode autodiff ([`Graph`], [`Var`]);
@@ -15,8 +15,8 @@
 //!   bit-identical to the tape;
 //! - [`bptt`] — the packed passes' backward half: backpropagation through
 //!   time with the tape's gradients to the bit;
-//! - [`loss`] — the KLD loss and its gradient, shared by the tape and
-//!   [`bptt`];
+//! - [`loss`] — the MSE and KLD losses and their gradients, shared by the
+//!   tape and [`bptt`];
 //! - [`params`] — parameter arena ([`ParamSet`]) and gradient buffers;
 //! - [`init`] — Xavier/uniform initialisation;
 //! - [`layers`] — `Linear`, `Lstm`, `Gru`, `BiLstm`, `StackedBiLstm`,

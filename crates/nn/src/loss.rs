@@ -1,8 +1,31 @@
-//! The detectors' loss, shared by the tape and the tape-free training path.
+//! The training losses, shared by the tape and the tape-free training path:
+//! the autoencoder's MSE and the detectors' KLD.
 //!
-//! [`crate::Graph::kld_loss`] and its backward pass compute exactly these
-//! formulas, so a loss or gradient computed here is `to_bits`-equal to the
-//! tape's.
+//! [`crate::Graph::mse_loss`], [`crate::Graph::kld_loss`] and their backward
+//! passes compute exactly these formulas, so a loss or gradient computed
+//! here is `to_bits`-equal to the tape's.
+
+/// The mean squared error `Σ (y − t)² / n` of `y` against the constant
+/// target `t` (the paper's Equation (8)): the squares summed sequentially
+/// in index order, then divided by the element count.
+pub fn mse(y: &[f32], target: &[f32]) -> f32 {
+    assert_eq!(y.len(), target.len(), "mse length mismatch");
+    let mut v = 0.0;
+    for (&yi, &ti) in y.iter().zip(target) {
+        let d = yi - ti;
+        v += d * d;
+    }
+    v / crate::num::exact_usize_f32(y.len())
+}
+
+/// The gradient of [`mse`] with respect to `y`, scaled by the upstream
+/// gradient `gs`: `(gs · 2 / n) · (y − t)` per element, written to `dy`.
+pub fn mse_grad(gs: f32, y: &[f32], target: &[f32], dy: &mut Vec<f32>) {
+    assert_eq!(y.len(), target.len(), "mse length mismatch");
+    let scale = gs * 2.0 / crate::num::exact_usize_f32(y.len());
+    dy.clear();
+    dy.extend(y.iter().zip(target).map(|(&yi, &ti)| scale * (yi - ti)));
+}
 
 /// The KL divergence `Σ p·ln(p/q)` of `q` from the constant distribution
 /// `p` (the paper's Equations (11)–(12)), summed in index order. `q` must be

@@ -317,8 +317,7 @@ impl<'p> Graph<'p> {
     /// Fused mean-squared-error loss `mean((a - target)^2)` — Equation (8).
     pub fn mse_loss(&mut self, a: Var, target: &Matrix) -> Var {
         assert_eq!(self.value(a).shape(), target.shape(), "mse target shape");
-        let diff = self.value(a).sub(target);
-        let v = diff.data().iter().map(|&d| d * d).sum::<f32>() / diff.len() as f32;
+        let v = crate::loss::mse(self.value(a).data(), target.data());
         let ng = self.needs(a);
         self.push(
             Matrix::from_vec(1, 1, vec![v]),
@@ -564,10 +563,11 @@ impl<'p> Graph<'p> {
                 }
                 Op::MseLoss(a, target) => {
                     if self.needs(*a) {
-                        let n = target.len() as f32;
-                        let gs = g.at(0, 0) * 2.0 / n;
-                        let diff = self.nodes[a.0].value.sub(target);
-                        self.grad_slot(&mut grads, *a).add_scaled_assign(&diff, gs);
+                        let y = &self.nodes[a.0].value;
+                        let mut dy = Vec::new();
+                        crate::loss::mse_grad(g.at(0, 0), y.data(), target.data(), &mut dy);
+                        let dg = Matrix::from_vec(y.rows(), y.cols(), dy);
+                        self.grad_slot(&mut grads, *a).add_assign(&dg);
                     }
                 }
                 Op::KldLoss(q, p) => {

@@ -26,15 +26,17 @@ cargo test --workspace -q
 # the NN suite again pinned to the scalar reference, so a bug that only the
 # scalar path has (or that AVX2 masks) cannot slip through on AVX2 machines.
 # The tape-free inference and training parity suites ride along: detection
-# and the packed detector gradients must match the tape bit for bit on the
-# reference backend too, and so must every incrementally streamed
-# hypothesis match batch detection.
+# and the packed detector and autoencoder gradients must match the tape bit
+# for bit on the reference backend too, and so must every incrementally
+# streamed hypothesis match batch detection.
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test train_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test train_parity
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test ae_parity"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test ae_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity
 
@@ -99,9 +101,12 @@ fi
 echo "==> bench-ratchet self-test (the gate must catch a planted regression)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- --self-test
 
-echo "==> bench-ratchet gate (results/BENCH_10.json vs bench.baseline)"
+# The record goes under target/: CI must not rewrite a committed file.
+# results/BENCH_10.json stays as the history of the run it recorded.
+echo "==> bench-ratchet gate (target/bench-ratchet/BENCH.json vs bench.baseline)"
+mkdir -p target/bench-ratchet
 cargo run -q -p lead-bench --release --bin bench_ratchet -- \
-    --write results/BENCH_10.json --baseline bench.baseline
+    --write target/bench-ratchet/BENCH.json --baseline bench.baseline
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
