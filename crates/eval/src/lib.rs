@@ -5,8 +5,8 @@
 //! - [`buckets`] — the paper's stay-point buckets 3–5 / 6–8 / 9–11 / 12–14;
 //! - [`metrics`] — the `Acc` metric of Equation (14), bucketed;
 //! - [`timing`] — per-bucket mean inference time;
-//! - [`runner`] — trains any method on a [`lead_synth::Dataset`] and
-//!   evaluates it on the test split;
+//! - [`runner`] — trains any method on a [`lead_synth::Dataset`] once and
+//!   sweeps the trained model over any test split;
 //! - [`scenarios`] — per-scenario robustness rows (accuracy and IoU under
 //!   each named GPS pathology, never averaged away);
 //! - [`errors`] — endpoint-level error decomposition of detections;
@@ -29,6 +29,6 @@ pub mod timing;
 pub use buckets::Bucket;
 pub use errors::{DetectionOutcome, ErrorBreakdown};
 pub use metrics::{BucketAccuracy, IntervalError};
-pub use runner::{train_and_evaluate, EvalOutcome, Method, SweepStats, TrainedModel};
+pub use runner::{EvalOutcome, Method, SweepStats, TrainedModel};
 pub use scenarios::{evaluate_scenarios, ScenarioOutcome};
 pub use timing::BucketTiming;

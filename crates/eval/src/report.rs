@@ -14,7 +14,7 @@ pub fn accuracy_table(title: &str, outcomes: &[EvalOutcome]) -> String {
         "Acc(%)", "3~5", "6~8", "9~11", "12~14", "3~14"
     ));
     if let Some(first) = outcomes.first() {
-        let [s0, s1, s2, s3] = Bucket::ALL.map(|b| match first.accuracy.share(b) {
+        let [s0, s1, s2, s3] = Bucket::ALL.map(|b| match first.test.accuracy.share(b) {
             Some(p) => format!("({p:.0}%)"),
             None => "(-)".into(),
         });
@@ -24,7 +24,7 @@ pub fn accuracy_table(title: &str, outcomes: &[EvalOutcome]) -> String {
         ));
     }
     for o in outcomes {
-        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| fmt_pct(o.accuracy.acc(b)));
+        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| fmt_pct(o.test.accuracy.acc(b)));
         s.push_str(&format!(
             "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
             o.name,
@@ -32,7 +32,7 @@ pub fn accuracy_table(title: &str, outcomes: &[EvalOutcome]) -> String {
             c1,
             c2,
             c3,
-            fmt_pct(o.accuracy.overall())
+            fmt_pct(o.test.accuracy.overall())
         ));
     }
     s
@@ -48,7 +48,7 @@ pub fn timing_table(title: &str, outcomes: &[EvalOutcome]) -> String {
         "Time(ms)", "3~5", "6~8", "9~11", "12~14", "3~14"
     ));
     for o in outcomes {
-        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| fmt_ms(o.timing.mean_ms(b)));
+        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| fmt_ms(o.test.timing.mean_ms(b)));
         s.push_str(&format!(
             "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
             o.name,
@@ -56,7 +56,7 @@ pub fn timing_table(title: &str, outcomes: &[EvalOutcome]) -> String {
             c1,
             c2,
             c3,
-            fmt_ms(o.timing.overall_mean_ms())
+            fmt_ms(o.test.timing.overall_mean_ms())
         ));
     }
     s
@@ -72,7 +72,7 @@ pub fn iou_table(title: &str, outcomes: &[EvalOutcome]) -> String {
         "IoU", "3~5", "6~8", "9~11", "12~14", "3~14"
     ));
     for o in outcomes {
-        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| match o.iou.mean(b) {
+        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| match o.test.iou.mean(b) {
             Some(v) => format!("{v:.3}"),
             None => "-".into(),
         });
@@ -83,7 +83,7 @@ pub fn iou_table(title: &str, outcomes: &[EvalOutcome]) -> String {
             c1,
             c2,
             c3,
-            match o.iou.overall() {
+            match o.test.iou.overall() {
                 Some(v) => format!("{v:.3}"),
                 None => "-".into(),
             }
@@ -92,11 +92,14 @@ pub fn iou_table(title: &str, outcomes: &[EvalOutcome]) -> String {
     s
 }
 
-/// Formats a per-epoch loss curve (Figures 9–10) as `epoch,loss` CSV lines.
-pub fn curve_csv(name: &str, curve: &[f32]) -> String {
+/// Formats named per-epoch loss curves (Figures 9–10) as one
+/// `series,epoch,loss` CSV, series in the given order.
+pub fn curves_csv(series: &[(&str, &[f32])]) -> String {
     let mut s = String::from("series,epoch,loss\n");
-    for (i, l) in curve.iter().enumerate() {
-        s.push_str(&format!("{name},{},{l:.6}\n", i + 1));
+    for (name, curve) in series {
+        for (i, l) in curve.iter().enumerate() {
+            s.push_str(&format!("{name},{},{l:.6}\n", i + 1));
+        }
     }
     s
 }
@@ -106,11 +109,11 @@ pub fn accuracy_csv(outcomes: &[EvalOutcome]) -> String {
     let mut s = String::from("method,bucket,accuracy_pct\n");
     for o in outcomes {
         for &b in &Bucket::ALL {
-            if let Some(a) = o.accuracy.acc(b) {
+            if let Some(a) = o.test.accuracy.acc(b) {
                 s.push_str(&format!("{},{},{a:.2}\n", o.name, b.label()));
             }
         }
-        if let Some(a) = o.accuracy.overall() {
+        if let Some(a) = o.test.accuracy.overall() {
             s.push_str(&format!("{},3~14,{a:.2}\n", o.name));
         }
     }
@@ -195,6 +198,7 @@ fn fmt_ms(v: Option<f64>) -> String {
 mod tests {
     use super::*;
     use crate::metrics::{BucketAccuracy, BucketIou};
+    use crate::runner::SweepStats;
     use crate::timing::BucketTiming;
     use lead_core::pipeline::TrainingReport;
     use std::time::Duration;
@@ -211,12 +215,14 @@ mod tests {
         iou.record(7, 0.4);
         EvalOutcome {
             name: "LEAD",
-            accuracy,
-            timing,
-            iou,
+            test: SweepStats {
+                accuracy,
+                timing,
+                iou,
+                excluded_test_samples: 0,
+            },
             report: TrainingReport::default(),
             train_seconds: 1.0,
-            excluded_test_samples: 0,
         }
     }
 
@@ -247,9 +253,13 @@ mod tests {
 
     #[test]
     fn curve_csv_is_one_line_per_epoch() {
-        let csv = curve_csv("HA in LEAD", &[0.5, 0.25]);
-        assert_eq!(csv.lines().count(), 3);
+        let csv = curves_csv(&[
+            ("HA in LEAD", &[0.5, 0.25][..]),
+            ("HA in LEAD-NoSel", &[0.75][..]),
+        ]);
+        assert_eq!(csv.lines().count(), 1 + 3);
         assert!(csv.contains("HA in LEAD,2,0.250000"));
+        assert!(csv.ends_with("HA in LEAD-NoSel,1,0.750000\n"));
     }
 
     #[test]

@@ -14,8 +14,8 @@ use lead_core::poi::PoiDatabase;
 use lead_core::processing::{Candidate, ProcessedTrajectory};
 use lead_core::source::SliceSamples;
 use lead_core::LeadError;
-use lead_obs::probe::{Probe, NOOP};
-use lead_synth::{Dataset, Sample};
+use lead_obs::probe::Probe;
+use lead_synth::Sample;
 
 /// A method under evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,20 +70,12 @@ impl Method {
 pub struct EvalOutcome {
     /// The method's name.
     pub name: &'static str,
-    /// Per-bucket and overall accuracy on the test split.
-    pub accuracy: BucketAccuracy,
-    /// Per-bucket mean inference time on the test split.
-    pub timing: BucketTiming,
-    /// Per-bucket mean temporal IoU between the detected and true loaded
-    /// intervals (soft companion to `accuracy`).
-    pub iou: BucketIou,
+    /// Per-bucket accuracy, timing and IoU on the test split.
+    pub test: SweepStats,
     /// LEAD's training curves (empty curves for baselines).
     pub report: TrainingReport,
     /// Training wall-clock in seconds.
     pub train_seconds: f64,
-    /// Test samples excluded because their ground truth did not survive
-    /// processing (no method could be scored on them).
-    pub excluded_test_samples: usize,
 }
 
 /// Converts synthetic samples into the core training-sample form.
@@ -103,66 +95,6 @@ pub fn test_case(sample: &Sample, config: &LeadConfig) -> Option<(ProcessedTraje
     let proc = ProcessedTrajectory::from_raw(&sample.raw, config);
     let (l, u) = truth_stay_indices(&proc, &sample.truth)?;
     Some((proc, Candidate::new(l, u)))
-}
-
-/// Trains `method` on `dataset.train` and evaluates accuracy + timing on
-/// `dataset.test`.
-///
-/// # Errors
-/// Returns a [`LeadError`] when LEAD training rejects the configuration or
-/// no training sample survives processing (baselines keep their panicking
-/// contracts — they are paper reproductions, not public API).
-pub fn train_and_evaluate(
-    method: Method,
-    dataset: &Dataset,
-    lead_config: &LeadConfig,
-    rnn_config: &SpRnnConfig,
-) -> Result<EvalOutcome, LeadError> {
-    train_and_evaluate_probed(method, dataset, lead_config, rnn_config, &NOOP)
-}
-
-/// [`train_and_evaluate`] with an observability probe: records an
-/// `eval.train` span around training, an `eval.sweep` span around the test
-/// sweep, an `eval.sweep_per_s` throughput gauge, and (for LEAD) everything
-/// the core pipeline emits. Metrics are write-only — the outcome is
-/// identical for any probe.
-///
-/// # Errors
-/// Same contract as [`train_and_evaluate`].
-pub fn train_and_evaluate_probed(
-    method: Method,
-    dataset: &Dataset,
-    lead_config: &LeadConfig,
-    rnn_config: &SpRnnConfig,
-    probe: &dyn Probe,
-) -> Result<EvalOutcome, LeadError> {
-    let t0 = Stopwatch::start();
-    let (model, report) = train_method(
-        method,
-        &dataset.train,
-        &dataset.val,
-        &dataset.city.poi_db,
-        lead_config,
-        rnn_config,
-        probe,
-    )?;
-    let train_seconds = t0.elapsed().as_secs_f64();
-    let stats = sweep_test_split(
-        &model,
-        &dataset.test,
-        &dataset.city.poi_db,
-        lead_config,
-        probe,
-    );
-    Ok(EvalOutcome {
-        name: model.name,
-        accuracy: stats.accuracy,
-        timing: stats.timing,
-        iou: stats.iou,
-        report,
-        train_seconds,
-        excluded_test_samples: stats.excluded_test_samples,
-    })
 }
 
 enum ModelImpl {
@@ -334,23 +266,29 @@ fn candidate_interval(proc: &ProcessedTrajectory, c: Candidate) -> (i64, i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lead_obs::probe::NOOP;
     use lead_synth::{generate_dataset, SynthConfig};
 
     #[test]
     fn sp_r_end_to_end_on_tiny_dataset() {
         let ds = generate_dataset(&SynthConfig::tiny());
-        let out = train_and_evaluate(
+        let cfg = LeadConfig::fast_test();
+        let (model, _report) = train_method(
             Method::SpR,
-            &ds,
-            &LeadConfig::fast_test(),
+            &ds.train,
+            &ds.val,
+            &ds.city.poi_db,
+            &cfg,
             &SpRnnConfig::fast_test(),
+            &NOOP,
         )
-        .expect("eval");
-        assert_eq!(out.name, "SP-R");
-        assert!(out.accuracy.total() > 0, "no test sample scored");
+        .expect("train");
+        assert_eq!(model.name, "SP-R");
+        let stats = sweep_test_split(&model, &ds.test, &ds.city.poi_db, &cfg, &NOOP);
+        assert!(stats.accuracy.total() > 0, "no test sample scored");
         // SP-R must beat random guessing on a tiny easy world: random picks
         // one of ≥3 candidates; whitelist + greedy should do better than 5 %.
-        assert!(out.accuracy.overall().unwrap() >= 0.0);
+        assert!(stats.accuracy.overall().unwrap() >= 0.0);
     }
 
     #[test]

@@ -10,14 +10,10 @@
 //! method.
 
 use crate::metrics::{BucketAccuracy, BucketIou};
-use crate::runner::{sweep_test_split, train_method, Method};
-use lead_baselines::SpRnnConfig;
+use crate::runner::{sweep_test_split, TrainedModel};
 use lead_core::config::LeadConfig;
-use lead_core::LeadError;
 use lead_obs::probe::Probe;
-use lead_synth::{
-    generate_dataset, generate_scenario_dataset, ScenarioConfig, ScenarioKind, SynthConfig,
-};
+use lead_synth::{generate_scenario_dataset, Dataset, ScenarioConfig, ScenarioKind, SynthConfig};
 
 /// One scenario row: the method's measurements on that scenario's test split.
 #[derive(Debug, Clone)]
@@ -36,34 +32,20 @@ pub struct ScenarioOutcome {
     pub excluded_test_samples: usize,
 }
 
-/// Trains `method` once on the clean world of `base` and sweeps the test
-/// split of every scenario in [`ScenarioKind::ALL`] (baseline first, as the
-/// control row). `scenario_seed` seeds every injection stream.
-///
-/// # Errors
-/// Returns a [`LeadError`] when training fails (same contract as
-/// [`crate::runner::train_and_evaluate`]); sweeps themselves cannot fail —
+/// Sweeps `model`, trained on the clean world `clean` (what
+/// `generate_dataset(base)` returns), over the test split of every scenario
+/// in [`ScenarioKind::ALL`] (baseline first, as the control row).
+/// `scenario_seed` seeds every injection stream. Sweeps cannot fail:
 /// unmappable samples are counted in
 /// [`ScenarioOutcome::excluded_test_samples`].
 pub fn evaluate_scenarios(
-    method: Method,
+    model: &TrainedModel,
+    clean: &Dataset,
     base: &SynthConfig,
     scenario_seed: u64,
     lead_config: &LeadConfig,
-    rnn_config: &SpRnnConfig,
     probe: &dyn Probe,
-) -> Result<Vec<ScenarioOutcome>, LeadError> {
-    let clean = generate_dataset(base);
-    let (model, _report) = train_method(
-        method,
-        &clean.train,
-        &clean.val,
-        &clean.city.poi_db,
-        lead_config,
-        rnn_config,
-        probe,
-    )?;
-
+) -> Vec<ScenarioOutcome> {
     let mut outcomes = Vec::with_capacity(ScenarioKind::ALL.len());
     for kind in ScenarioKind::ALL {
         let sc = ScenarioConfig::new(kind, scenario_seed);
@@ -77,7 +59,7 @@ pub fn evaluate_scenarios(
             ds = generate_scenario_dataset(base, &sc);
             &ds.test
         };
-        let stats = sweep_test_split(&model, test, &clean.city.poi_db, lead_config, probe);
+        let stats = sweep_test_split(model, test, &clean.city.poi_db, lead_config, probe);
         outcomes.push(ScenarioOutcome {
             scenario: kind,
             method: model.name,
@@ -86,26 +68,33 @@ pub fn evaluate_scenarios(
             excluded_test_samples: stats.excluded_test_samples,
         });
     }
-    Ok(outcomes)
+    outcomes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{train_method, Method};
+    use lead_baselines::SpRnnConfig;
     use lead_obs::probe::NOOP;
+    use lead_synth::generate_dataset;
 
     #[test]
     fn scenario_suite_produces_one_row_per_scenario() {
         let base = SynthConfig::tiny();
-        let rows = evaluate_scenarios(
+        let cfg = LeadConfig::fast_test();
+        let clean = generate_dataset(&base);
+        let (model, _report) = train_method(
             Method::SpR,
-            &base,
-            7,
-            &LeadConfig::fast_test(),
+            &clean.train,
+            &clean.val,
+            &clean.city.poi_db,
+            &cfg,
             &SpRnnConfig::fast_test(),
             &NOOP,
         )
-        .expect("suite");
+        .expect("train");
+        let rows = evaluate_scenarios(&model, &clean, &base, 7, &cfg, &NOOP);
         assert_eq!(rows.len(), ScenarioKind::ALL.len());
         for (row, kind) in rows.iter().zip(ScenarioKind::ALL) {
             assert_eq!(row.scenario, kind);

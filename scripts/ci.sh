@@ -98,6 +98,24 @@ if "$DC" verify "$DC_TMP/sample.leadbin"; then
     exit 1
 fi
 
+# Experiment smoke test: `repro all tiny` trains every method once and
+# writes every artefact. It runs in a scratch directory under target/, so
+# results/ is not rewritten, and each deterministic artefact must match its
+# committed tiny-scale golden byte for byte. fig8 and sweep_layers hold
+# wall-clock times and are not compared.
+echo "==> repro all tiny (deterministic artefacts vs results/*_tiny.*)"
+REPRO_TMP="target/tmp/repro-smoke"
+rm -rf "$REPRO_TMP"
+mkdir -p "$REPRO_TMP"
+(cd "$REPRO_TMP" && ../../release/repro all tiny > repro.log)
+for f in table3_tiny.txt table3_tiny.csv table4_tiny.txt table4_tiny.csv iou_tiny.txt \
+    fig9_tiny.csv fig10_tiny.csv scenarios_tiny.txt scenarios_tiny.csv; do
+    if ! cmp "results/$f" "$REPRO_TMP/results/$f"; then
+        echo "repro smoke test failed: $f differs from the committed golden"
+        exit 1
+    fi
+done
+
 echo "==> bench-ratchet self-test (the gate must catch a planted regression)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- --self-test
 
