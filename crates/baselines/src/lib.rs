@@ -11,9 +11,6 @@
 //! *default* loaded trajectory (first stay → last stay) is returned — the
 //! invalid-detection fallback the paper describes.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod greedy;
 pub mod sp_r;
 pub mod sp_rnn;

@@ -218,9 +218,15 @@ impl SpRnn {
         let input = g.constant(seq.clone());
         let xs: Vec<Var> = (0..seq.rows()).map(|r| g.row(input, r)).collect();
         let last = match &self.cell {
-            // lint: allow(panic): xs non-empty is asserted above, and the RNN preserves length
+            #[expect(
+                clippy::expect_used,
+                reason = "xs non-empty is asserted above, and the RNN preserves length"
+            )]
             Cell::Gru(cell) => *cell.forward(g, &xs).last().expect("non-empty"),
-            // lint: allow(panic): xs non-empty is asserted above, and the RNN preserves length
+            #[expect(
+                clippy::expect_used,
+                reason = "xs non-empty is asserted above, and the RNN preserves length"
+            )]
             Cell::Lstm(cell) => *cell.forward(g, &xs).last().expect("non-empty"),
         };
         self.out.forward(g, last)

@@ -14,6 +14,7 @@ use lead_core::poi::PoiDatabase;
 use lead_geo::distance::meters_to_lng_deg;
 use lead_geo::{GpsPoint, Trajectory};
 use lead_nn::Matrix;
+use lead_obs::probe::NOOP;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,7 +69,7 @@ fn bench_parallel_detector_training(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);
                 let mut det = GroupDetector::new(&cfg, c_dim, &mut rng);
-                black_box(det.train_with_validation(&items, None, &cfg, &mut rng))
+                black_box(det.train(&items, None, &cfg, &mut rng, &NOOP, "det"))
             })
         });
     }

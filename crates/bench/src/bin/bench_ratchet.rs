@@ -108,36 +108,6 @@ fn lint_corpus() -> std::path::PathBuf {
     root
 }
 
-/// Generates an in-memory interprocedural corpus resolved purely on the
-/// static crate table (no manifests): per file, a `pub` entry feeding a
-/// 20-deep call chain inside `crates/core` that ends in a qualified
-/// cross-crate hop into `crates/geo`.
-fn callgraph_corpus() -> Vec<(String, String)> {
-    let mut files = Vec::new();
-    for f in 0..8 {
-        let mut core = String::from("//! Gen.\n\n");
-        core.push_str(&format!(
-            "/// Entry.\npub fn entry_{f}(x: u32) -> u32 {{\n    step_{f}_0(x)\n}}\n\n"
-        ));
-        for i in 0..20 {
-            let next = if i + 1 < 20 {
-                format!("step_{f}_{}(x)", i + 1)
-            } else {
-                format!("lead_geo::leaf_{f}(x)")
-            };
-            core.push_str(&format!(
-                "fn step_{f}_{i}(x: u32) -> u32 {{\n    {next}\n}}\n\n"
-            ));
-        }
-        files.push((format!("crates/core/src/gen_{f}.rs"), core));
-        files.push((
-            format!("crates/geo/src/gen_{f}.rs"),
-            format!("//! Gen.\n\n/// Leaf.\npub fn leaf_{f}(x: u32) -> u32 {{\n    x.wrapping_add({f})\n}}\n"),
-        ));
-    }
-    files
-}
-
 /// Runs the calibrated suite: processing, encoding, detection, streaming,
 /// lint scanning, and SIMD dispatch.
 fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
@@ -334,33 +304,6 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
         "crates=2 files_per=11 lines_per=~160 corpus=v1".to_string(),
         measure(sample_ms, || {
             std::hint::black_box(lead_lint::scan_workspace(&corpus).expect("corpus scan succeeds"));
-        }),
-    );
-
-    // ---- lint: interprocedural call-graph analysis -------------------------
-    // Isolates callgraph::analyze (fn inventory, call extraction and
-    // resolution, R12/R13 propagation) from the per-line scan above.
-    let cg_sources = callgraph_corpus();
-    let cg_views: Vec<(&str, &str, lead_lint::scan::FileView)> = cg_sources
-        .iter()
-        .map(|(rel, src)| {
-            (
-                rel.as_str(),
-                src.as_str(),
-                lead_lint::scan::preprocess_file(src),
-            )
-        })
-        .collect();
-    push(
-        "lint/callgraph_workspace",
-        "crates=2 files_per=8 chain=20 corpus=v1".to_string(),
-        measure(sample_ms, || {
-            let files: Vec<lead_lint::callgraph::SourceFile<'_>> = cg_views
-                .iter()
-                .map(|(rel, source, view)| lead_lint::callgraph::SourceFile { rel, source, view })
-                .collect();
-            let analysis = lead_lint::callgraph::analyze(&files, &[]);
-            std::hint::black_box(analysis.diags.len());
         }),
     );
 

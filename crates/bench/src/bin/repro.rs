@@ -128,17 +128,14 @@ fn main() {
                 write_result(&file("fig10", "csv"), &csv);
             }
             Artefact::Scenarios => {
+                let methods = [Method::SpR, lead];
+                let models: Vec<&TrainedModel> =
+                    methods.iter().map(|&m| &fit_of(m).model).collect();
+                let per_model =
+                    evaluate_scenarios(&models, &ds, &synth, SCENARIO_SEED, &lead_cfg, &NOOP);
                 let mut tables = String::new();
                 let mut rows = Vec::new();
-                for method in [Method::SpR, lead] {
-                    let method_rows = evaluate_scenarios(
-                        &fit_of(method).model,
-                        &ds,
-                        &synth,
-                        SCENARIO_SEED,
-                        &lead_cfg,
-                        &NOOP,
-                    );
+                for (method, method_rows) in methods.into_iter().zip(per_model) {
                     let table = scenario_table(
                         &format!(
                             "Robustness of {} per recording scenario (accuracy / IoU on the test split)",

@@ -14,10 +14,13 @@ use lead_nn::Matrix;
 pub fn smoothed_label(flat_order: &[Candidate], truth: Candidate, epsilon: f32) -> Matrix {
     assert!(epsilon > 0.0, "ε must be positive");
     let m = flat_order.len();
+    #[expect(
+        clippy::expect_used,
+        reason = "training-contract violation (documented # Panics): labels are built from the same flattening"
+    )]
     let pos = flat_order
         .iter()
         .position(|&c| c == truth)
-        // lint: allow(panic, panic-path): training-contract violation (documented # Panics) — labels are built from the same flattening
         .expect("ground-truth candidate must be in the flattening");
     let k = lead_nn::num::exact_usize_f32(m - 1);
     let mut data = vec![epsilon; m];

@@ -240,37 +240,16 @@ impl Autoencoder {
     }
 
     /// Trains the autoencoder self-supervised on the given candidate feature
-    /// sequences (pre-shuffled order is re-shuffled each epoch), returning
-    /// the per-epoch mean MSE curve (Figure 9).
+    /// sequences (pre-shuffled order is re-shuffled each epoch) and returns
+    /// `(train_curve, val_curve)`: the per-epoch mean MSE (Figure 9) and,
+    /// when `val_samples` is given, the per-epoch validation MSE (reporting
+    /// only; early stopping observes the training loss).
+    ///
+    /// `probe` records an `ae.epoch` span plus `ae.epoch_mse` /
+    /// `ae.epoch_val_mse` observations and the trainer's `ae.grad_norm` /
+    /// `ae.optim_steps`. Metrics are write-only — the trained weights are
+    /// identical for any probe.
     pub fn train<R: Rng>(
-        &mut self,
-        samples: &[CandidateFeatures],
-        config: &LeadConfig,
-        rng: &mut R,
-    ) -> Vec<f32> {
-        self.train_with_validation(samples, None, config, rng).0
-    }
-
-    /// Like [`Self::train`], but additionally records the per-epoch
-    /// validation MSE when `val_samples` is given (reporting only; early
-    /// stopping observes the training loss). Returns
-    /// `(train_curve, val_curve)`.
-    pub fn train_with_validation<R: Rng>(
-        &mut self,
-        samples: &[CandidateFeatures],
-        val_samples: Option<&[CandidateFeatures]>,
-        config: &LeadConfig,
-        rng: &mut R,
-    ) -> (Vec<f32>, Vec<f32>) {
-        self.train_probed(samples, val_samples, config, rng, &lead_obs::probe::NOOP)
-    }
-
-    /// [`Self::train_with_validation`] with an observability probe: records
-    /// an `ae.epoch` span plus `ae.epoch_mse` / `ae.epoch_val_mse`
-    /// observations and the trainer's `ae.grad_norm` / `ae.optim_steps`.
-    /// Metrics are write-only — the trained weights are identical for any
-    /// probe.
-    pub fn train_probed<R: Rng>(
         &mut self,
         samples: &[CandidateFeatures],
         val_samples: Option<&[CandidateFeatures]>,
@@ -929,6 +908,7 @@ fn compress_whole(ps: &ParamSet, comp: &CompressionOperator, seqs: &[Matrix]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lead_obs::probe::NOOP;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -985,7 +965,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ae = Autoencoder::new(&cfg, EncoderKind::Hierarchical, true, &mut rng);
         let samples: Vec<CandidateFeatures> = (0..8).map(|s| toy_candidate(s, 2)).collect();
-        let curve = ae.train(&samples, &cfg, &mut rng);
+        let curve = ae.train(&samples, None, &cfg, &mut rng, &NOOP).0;
         assert!(curve.len() >= 2);
         let first = curve[0];
         let last = *curve.last().unwrap();

@@ -79,7 +79,10 @@ impl CompressionOperator {
         let hs = self.lstm.forward(g, xs);
         let h = match &self.attention {
             Some(att) => att.aggregate(g, &hs),
-            // lint: allow(panic, panic-path): xs non-empty is asserted at entry, and the LSTM preserves length
+            #[expect(
+                clippy::expect_used,
+                reason = "xs non-empty is asserted at entry, and the LSTM preserves length"
+            )]
             None => *hs.last().expect("non-empty"),
         };
         let a = self.fc1.forward(g, h);

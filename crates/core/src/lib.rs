@@ -33,9 +33,6 @@
 //! per-stage spans and counters; metrics are write-only and never change
 //! results.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod config;
 pub mod detection;
 pub mod encoding;

@@ -521,7 +521,7 @@ impl Lead {
         let ae_val_samples = sample_candidates(&val_processed, &val_features, &mut rng);
         let val_opt = (!ae_val_samples.is_empty()).then_some(ae_val_samples.as_slice());
         let (ae_curve, ae_val_curve) =
-            autoencoder.train_probed(&ae_samples, val_opt, config, &mut rng, probe);
+            autoencoder.train(&ae_samples, val_opt, config, &mut rng, probe);
         report.ae_curve = ae_curve;
         report.ae_val_curve = ae_val_curve;
         drop(ae_samples);
@@ -579,7 +579,7 @@ impl Lead {
                 let val_items = detector_items(&val_processed, &val_encoded, forward);
                 let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
                 let scope = if forward { "det.fwd" } else { "det.bwd" };
-                let curves = det.train_probed(&items, val_opt, config, rng, probe, scope);
+                let curves = det.train(&items, val_opt, config, rng, probe, scope);
                 if forward {
                     (report.forward_kld_curve, report.forward_val_kld_curve) = curves;
                 } else {
@@ -618,7 +618,7 @@ impl Lead {
                 let items = mlp_items(&processed, &encoded);
                 let val_items = mlp_items(&val_processed, &val_encoded);
                 let val_opt = (!val_items.is_empty()).then_some(val_items.as_slice());
-                report.mlp_curve = det.train_probed(&items, val_opt, config, &mut rng, probe).0;
+                report.mlp_curve = det.train(&items, val_opt, config, &mut rng, probe).0;
                 Detector::Mlp(det)
             }
         };

@@ -11,6 +11,12 @@
 //! through `finish` with and without a trailing stay — with the batch side
 //! extracting features at one worker and at all cores.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 mod support;
 
 use lead_core::config::LeadConfig;

@@ -7,6 +7,11 @@
 //! pins the fallible public API: invalid configurations and empty training
 //! sets surface as typed [`LeadError`]s, never panics.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use lead_core::config::LeadConfig;
 use lead_core::pipeline::{DetectOptions, FitOptions, Lead, LeadOptions, TrainSample};
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};

@@ -7,6 +7,11 @@
 //! detection probabilities, and detected candidates must match the serial
 //! path exactly, not approximately.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use lead_core::config::LeadConfig;
 use lead_core::pipeline::{DetectOptions, DetectionResult, Lead, LeadOptions, TrainSample};
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};

@@ -9,6 +9,11 @@
 //! serialized model bytes, training curves, and detections, and pin the
 //! constant-memory claim itself on a high-water-mark counting source.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use lead_core::config::LeadConfig;
 use lead_core::pipeline::{DetectionResult, FitOptions, Lead, LeadOptions, TrainSample};
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};

@@ -17,9 +17,6 @@
 //! All failures surface as the typed [`DataError`]; nothing in this crate
 //! panics on malformed input.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod codec;
 pub mod container;
 pub mod error;

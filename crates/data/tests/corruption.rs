@@ -6,6 +6,12 @@
 //! checksum-valid but structurally invalid payloads — the case checksums
 //! alone cannot catch.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use lead_data::codec::{write_f64, write_u32, write_varint, write_varint_i64};
 use lead_data::records::{LabeledSampleReader, TrajectoryReader, TrajectoryWriter};
 use lead_data::source::BinaryTrajectoryShards;

@@ -4,6 +4,11 @@
 //! patterns go in (grid-aligned or not) come back out identical, and a
 //! CSV → binary → CSV conversion of conforming CSV is byte-exact.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper fails its test by panicking"
+)]
+
 use lead_data::records::{
     LabeledSampleReader, LabeledSampleRecord, LabeledSampleWriter, TrajectoryReader,
     TrajectoryWriter,

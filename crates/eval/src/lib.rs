@@ -13,9 +13,6 @@
 //! - [`svg`] — SVG map rendering of trajectories and detections;
 //! - [`report`] — paper-style text tables and CSV emission.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod buckets;
 pub mod errors;
 pub mod metrics;

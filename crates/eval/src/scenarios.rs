@@ -32,21 +32,25 @@ pub struct ScenarioOutcome {
     pub excluded_test_samples: usize,
 }
 
-/// Sweeps `model`, trained on the clean world `clean` (what
+/// Sweeps each of `models`, trained on the clean world `clean` (what
 /// `generate_dataset(base)` returns), over the test split of every scenario
-/// in [`ScenarioKind::ALL`] (baseline first, as the control row).
-/// `scenario_seed` seeds every injection stream. Sweeps cannot fail:
-/// unmappable samples are counted in
+/// in [`ScenarioKind::ALL`] (baseline first, as the control row), and
+/// returns one row list per model, in `models` order. Each scenario world
+/// is generated once and shared by every model. `scenario_seed` seeds every
+/// injection stream. Sweeps cannot fail: unmappable samples are counted in
 /// [`ScenarioOutcome::excluded_test_samples`].
 pub fn evaluate_scenarios(
-    model: &TrainedModel,
+    models: &[&TrainedModel],
     clean: &Dataset,
     base: &SynthConfig,
     scenario_seed: u64,
     lead_config: &LeadConfig,
     probe: &dyn Probe,
-) -> Vec<ScenarioOutcome> {
-    let mut outcomes = Vec::with_capacity(ScenarioKind::ALL.len());
+) -> Vec<Vec<ScenarioOutcome>> {
+    let mut outcomes: Vec<Vec<ScenarioOutcome>> = models
+        .iter()
+        .map(|_| Vec::with_capacity(ScenarioKind::ALL.len()))
+        .collect();
     for kind in ScenarioKind::ALL {
         let sc = ScenarioConfig::new(kind, scenario_seed);
         // The baseline row reuses the already-generated clean dataset; every
@@ -59,14 +63,16 @@ pub fn evaluate_scenarios(
             ds = generate_scenario_dataset(base, &sc);
             &ds.test
         };
-        let stats = sweep_test_split(model, test, &clean.city.poi_db, lead_config, probe);
-        outcomes.push(ScenarioOutcome {
-            scenario: kind,
-            method: model.name,
-            accuracy: stats.accuracy,
-            iou: stats.iou,
-            excluded_test_samples: stats.excluded_test_samples,
-        });
+        for (model, rows) in models.iter().zip(&mut outcomes) {
+            let stats = sweep_test_split(model, test, &clean.city.poi_db, lead_config, probe);
+            rows.push(ScenarioOutcome {
+                scenario: kind,
+                method: model.name,
+                accuracy: stats.accuracy,
+                iou: stats.iou,
+                excluded_test_samples: stats.excluded_test_samples,
+            });
+        }
     }
     outcomes
 }
@@ -74,6 +80,7 @@ pub fn evaluate_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::scenario_csv;
     use crate::runner::{train_method, Method};
     use lead_baselines::SpRnnConfig;
     use lead_obs::probe::NOOP;
@@ -94,7 +101,12 @@ mod tests {
             &NOOP,
         )
         .expect("train");
-        let rows = evaluate_scenarios(&model, &clean, &base, 7, &cfg, &NOOP);
+        // The same model twice: the shared scenario worlds must give both
+        // sweeps identical rows.
+        let per_model = evaluate_scenarios(&[&model, &model], &clean, &base, 7, &cfg, &NOOP);
+        assert_eq!(per_model.len(), 2);
+        assert_eq!(scenario_csv(&per_model[0]), scenario_csv(&per_model[1]));
+        let rows = &per_model[0];
         assert_eq!(rows.len(), ScenarioKind::ALL.len());
         for (row, kind) in rows.iter().zip(ScenarioKind::ALL) {
             assert_eq!(row.scenario, kind);

@@ -46,6 +46,9 @@ pub const HEADER: &str = "truck_id,timestamp_s,lat,lng";
 /// Writes trajectories as CSV, one `(truck_id, trajectory)` pair after
 /// another, with a blank line between two trajectories: the boundary
 /// [`CsvReader`] keys on, which keeps several days of one truck apart.
+///
+/// # Errors
+/// Any I/O error `w` reports.
 pub fn write_trajectories<W: Write>(
     items: &[(u32, &Trajectory)],
     w: &mut W,
@@ -204,6 +207,10 @@ impl<R: BufRead> Iterator for CsvReader<R> {
 
 /// Reads trajectories written by [`write_trajectories`] (or any conforming
 /// producer), collecting the streaming [`CsvReader`] into a `Vec`.
+///
+/// # Errors
+/// The first [`CsvError`] of the stream: an I/O failure, a malformed line,
+/// or a structural error found at the end of the input.
 pub fn read_trajectories<R: BufRead>(r: &mut R) -> Result<Vec<(u32, Trajectory)>, CsvError> {
     CsvReader::new(r)?.collect()
 }

@@ -10,9 +10,6 @@
 //! coordinates are WGS84 latitude/longitude in **degrees**, matching the
 //! conventions of the paper's Nantong dataset.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod bbox;
 pub mod csv;
 pub mod distance;

@@ -1,13 +1,13 @@
-//! Fixture: R2 panic-freedom. Scanned under a pretend `crates/core/src/` path.
+//! Fixture: R2 literal indexing. Scanned under a pretend `crates/core/src/` path.
 
 fn fires(v: &[u32], o: Option<u32>) -> u32 {
-    let a = o.unwrap(); // FIRE: panic (line 4)
-    let b = v.first().expect("non-empty"); // FIRE: panic (line 5)
+    let a = o.unwrap(); // clippy's `unwrap_used`, not R2
+    let b = v.first().expect("non-empty"); // clippy's `expect_used`, not R2
     let c = v[0]; // FIRE: panic (line 6)
     if a > 3 {
-        panic!("boom"); // FIRE: panic (line 8)
+        panic!("boom"); // clippy's `panic`, not R2
     }
-    a + b + c
+    a + b + c + v.to_vec()[1] // FIRE: panic (line 10)
 }
 
 fn asserts_are_fine(v: &[u32]) -> u32 {
@@ -17,9 +17,9 @@ fn asserts_are_fine(v: &[u32]) -> u32 {
     v[i] // computed index: not flagged
 }
 
-fn waived(o: Option<u32>) -> u32 {
-    // lint: allow(panic): construction invariant — caller always passes Some
-    o.expect("always Some")
+fn waived(v: &[u32]) -> u32 {
+    // lint: allow(panic): construction invariant — callers always pass two
+    v[1]
 }
 
 fn strings_and_arrays() -> &'static str {
@@ -30,8 +30,8 @@ fn strings_and_arrays() -> &'static str {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn tests_may_unwrap() {
+    fn tests_may_index() {
         let v: Vec<u32> = vec![1];
-        assert_eq!(v.first().copied().unwrap(), v[0]);
+        assert_eq!(v.first().copied(), Some(v[0]));
     }
 }

@@ -1,10 +1,10 @@
 //! Fixture: waiver hygiene. Scanned under a pretend `crates/core/src/` path.
 
-fn bad_waivers(o: Option<u32>) -> u32 {
+fn bad_waivers(v: &[u32]) -> u32 {
     // lint: allow(panic)
-    // ^ FIRE: bad-waiver (line 4) — no reason given. The expect below is
+    // ^ FIRE: bad-waiver (line 4) — no reason given. The index below is
     //   therefore NOT covered and fires too (the bad waiver is ignored).
-    let a = o.expect("boom"); // FIRE: panic (line 7)
+    let a = v[0]; // FIRE: panic (line 7)
     let b = 1u32; // lint: allow(made-up-rule): FIRE: bad-waiver (line 8) — unknown rule id
     a + b
 }

@@ -96,13 +96,13 @@ fn main() -> ExitCode {
                     "usage: lead-lint [--root DIR] [--format text|json]\n\
                      \x20      lead-lint explain [R<N>|<rule-id>]\n\n\
                      Scans the LEAD workspace sources and fails on violations of the\n\
-                     determinism, panic-freedom, unsafe-contract, and architecture rules\n\
-                     that clippy and rustc cannot check:\n\
+                     panic-freedom, unsafe-contract, and architecture rules that clippy\n\
+                     and rustc cannot check:\n\
                      \x20   {}\n\
-                     (see DESIGN.md §10; `lead-lint explain` prints them). R1, R3 and R5\n\
-                     are clippy disallowed-types/methods in the clippy.toml files, and R6\n\
-                     is rustc's missing_docs. Waive a deliberate violation with a\n\
-                     justified line comment: '// lint: allow(<rule>): <reason>'.",
+                     (see DESIGN.md §10; `lead-lint explain` prints them). The per-site\n\
+                     rules are the root Cargo.toml's [workspace.lints] and the ban list in\n\
+                     clippy.toml. Waive a deliberate violation with a justified line\n\
+                     comment: '// lint: allow(<rule>): <reason>'.",
                     nums.join(", ")
                 );
                 return ExitCode::SUCCESS;

@@ -43,16 +43,6 @@ pub struct Manifest {
     pub vendored: bool,
 }
 
-impl Manifest {
-    /// Whether `pkg` is declared as a dependency; `include_dev` also accepts
-    /// `[dev-dependencies]` entries.
-    pub fn declares(&self, pkg: &str, include_dev: bool) -> bool {
-        self.deps
-            .iter()
-            .any(|d| d.name == pkg && (include_dev || !d.dev))
-    }
-}
-
 /// Parses one manifest source. `rel_dir`/`rel_path` are stored verbatim.
 pub fn parse(rel_dir: &str, rel_path: &str, source: &str, vendored: bool) -> Manifest {
     let mut m = Manifest {
@@ -181,7 +171,7 @@ mod tests {
 name = "lead-core" # the framework crate
 
 [package.metadata.lead]
-class = "result-lib"
+class = "lib"
 kernel = "simd,ops"
 
 [dependencies]
@@ -199,19 +189,21 @@ workspace = true
     fn parses_name_deps_and_class() {
         let m = parse("crates/core", "crates/core/Cargo.toml", SAMPLE, false);
         assert_eq!(m.package.as_deref(), Some("lead-core"));
-        assert_eq!(
-            m.lead_class.as_ref().map(|c| c.0.as_str()),
-            Some("result-lib")
-        );
+        assert_eq!(m.lead_class.as_ref().map(|c| c.0.as_str()), Some("lib"));
         assert_eq!(
             m.lead_kernel.as_ref().map(|k| k.0.as_str()),
             Some("simd,ops")
         );
-        assert!(m.declares("lead-geo", false));
-        assert!(m.declares("rand", false));
-        assert!(m.declares("lead-nn", false), "dotted section form");
-        assert!(!m.declares("proptest", false), "dev-dep needs include_dev");
-        assert!(m.declares("proptest", true));
+        let deps: Vec<(&str, bool)> = m.deps.iter().map(|d| (d.name.as_str(), d.dev)).collect();
+        assert_eq!(
+            deps,
+            vec![
+                ("lead-geo", false),
+                ("rand", false),
+                ("proptest", true),
+                ("lead-nn", false), // the dotted section form
+            ]
+        );
         let geo = m.deps.iter().find(|d| d.name == "lead-geo").expect("geo");
         assert_eq!(geo.line, 10);
     }

@@ -1,41 +1,33 @@
 //! The rule catalog and its application to preprocessed lines.
 //!
 //! Rule scoping is by workspace-relative path. The catalog (mirrored in
-//! DESIGN.md) distinguishes three file classes:
+//! DESIGN.md) distinguishes two file classes:
 //!
-//! - **library crates** (`lead_core`, `lead_nn`, `lead_geo`, `lead_eval`,
-//!   `lead_baselines`, `lead_synth`, `lead_obs`) — must be panic-free (R2)
-//!   on degenerate input;
-//! - **result-affecting crates** (`lead_core`, `lead_nn`, `lead_eval`,
-//!   `lead_obs`) — everything feeding the `c-vec`s, probability
-//!   distributions, and evaluation reports; their public APIs must not reach
-//!   a panic (R12) or a nondeterminism source (R13);
+//! - **library crates** (`lead_core`, `lead_data`, `lead_nn`, `lead_geo`,
+//!   `lead_eval`, `lead_baselines`, `lead_synth`, `lead_obs`) — no indexing
+//!   by integer literal (R2) and no stringly error types (R8);
 //! - **numeric kernels** (`lead_nn`, `lead_core::detection`,
 //!   `lead_core::encoding`, `lead_core::features`) — must not narrow floats
 //!   or compare them exactly without a guard (R4).
 //!
-//! R1, R3, R5 and R6 are checked by clippy and rustc (see the crate docs).
-//! Waiver hygiene applies to every scanned file. Test code (`#[cfg(test)]`
-//! regions; `tests/` and `benches/` trees are never scanned) is exempt from
-//! everything except waiver hygiene.
+//! Everything that works on one site and that rustc or clippy can express
+//! lives in the root `Cargo.toml`'s `[workspace.lints]` and in `clippy.toml`
+//! (see the crate docs). Waiver hygiene applies to every scanned file. Test
+//! code (`#[cfg(test)]` regions; `tests/` and `benches/` trees are never
+//! scanned) is exempt from everything except waiver hygiene.
 //!
 //! The structural rules ride on the block IR ([`crate::blocks`]): R10
-//! (`unsafe-contract`) confines `unsafe` to the sanctioned-module allowlist
-//! ([`SANCTIONED_UNSAFE`]) and demands a `// SAFETY:` justification directly
-//! above every site, and R11 (`hot-loop-alloc`) bans allocation calls inside
-//! loop bodies of kernel-tagged modules (`[package.metadata.lead] kernel`).
-//!
-//! The interprocedural families — R12 (`panic-path`) and R13
-//! (`determinism-taint`) — live in [`crate::callgraph`] and propagate this
-//! module's site detection along the workspace call graph.
+//! (`unsafe-contract`) lets `allow(unsafe_code)` re-open only
+//! [`SANCTIONED_UNSAFE`], and R11 (`hot-loop-alloc`) bans allocation calls
+//! inside loop bodies of kernel-tagged modules (`[package.metadata.lead]
+//! kernel`).
 
 use std::collections::BTreeSet;
 
-use crate::blocks::ItemKind;
 use crate::diag::Diagnostic;
 use crate::manifest::Manifest;
 use crate::scan::{FileView, Line};
-use crate::workspace::{self, Import};
+use crate::workspace;
 
 /// One rule's user-facing documentation: the `lead-lint explain` source of
 /// truth, mirrored by the DESIGN.md §10 table.
@@ -52,15 +44,16 @@ pub struct RuleDoc {
 
 /// The rule catalog documentation, in catalog order. [`RULE_IDS`] is derived
 /// from this table, so the identifier list can never drift from the docs.
-pub const RULE_DOCS: [RuleDoc; 10] = [
+pub const RULE_DOCS: [RuleDoc; 8] = [
     RuleDoc {
         num: "R2",
         id: "panic",
-        doc: "Library crates must not panic on degenerate input: `panic!`, \
-              `todo!`, `unimplemented!`, `unreachable!`, `.unwrap()`, \
-              `.expect(…)`, and indexing by integer literal are all flagged. \
-              Degenerate GPS days are data, not bugs — degrade to \
-              `Result`/`Option` with a typed error.",
+        doc: "Library crates must not index by integer literal (`v[0]`): it \
+              panics when the collection is shorter, and degenerate GPS days \
+              are data, not bugs — use `.get(…)`, `.first()` or destructuring. \
+              The other panic sites (`unwrap`, `expect`, `panic!`, `todo!`, \
+              `unimplemented!`, `unreachable!`) are clippy lints in \
+              `[workspace.lints]`.",
         waiver: "// lint: allow(panic): length checked two lines above",
     },
     RuleDoc {
@@ -84,10 +77,11 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
     RuleDoc {
         num: "R7",
         id: "layering",
-        doc: "Crate imports must follow the sanctioned dependency DAG in the \
-              classification table (`rules::CRATES`); an import that skips a \
-              layer or inverts an edge couples crates the architecture keeps \
-              apart. Dev-dependencies are legal inside `#[cfg(test)]`.",
+        doc: "Manifest dependencies must follow the sanctioned, acyclic \
+              dependency DAG in the classification table (`rules::CRATES`); \
+              an edge that skips a layer or inverts one couples crates the \
+              architecture keeps apart. rustc already rejects an import the \
+              manifest does not declare.",
         waiver: "// lint: allow(layering): transitional, tracked in ROADMAP item 4",
     },
     RuleDoc {
@@ -95,8 +89,8 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
         id: "error-contract",
         doc: "Fallible public APIs return typed errors: `Result<_, String>` \
               and `Box<dyn Error>` are unmatchable and banned as library \
-              error types, and in documented crates every `pub fn` returning \
-              `Result` carries an `# Errors` doc section.",
+              error types. The `# Errors` doc section is clippy's \
+              `missing_errors_doc`.",
         waiver: "// lint: allow(error-contract): FFI boundary, stringly by design",
     },
     RuleDoc {
@@ -112,10 +106,10 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
     RuleDoc {
         num: "R10",
         id: "unsafe-contract",
-        doc: "`unsafe` is confined to the sanctioned-module allowlist \
-              (`lead_nn::simd`), each site carrying a non-empty `// SAFETY:` \
-              justification directly above, and `allow(unsafe_code)` may \
-              re-open only a sanctioned module's crate-root declaration.",
+        doc: "`allow(unsafe_code)` may re-open unsafe only on `lead_nn`'s \
+              `mod simd` declaration. rustc's `unsafe_code` (forbid in the \
+              libraries, deny in `lead_nn`) and clippy's \
+              `undocumented_unsafe_blocks` do the rest.",
         waiver: "// lint: allow(unsafe-contract): justification lives on the wrapper above",
     },
     RuleDoc {
@@ -127,36 +121,12 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
               avoidable cost in the NN hot paths — hoist or reuse buffers.",
         waiver: "// lint: allow(hot-loop-alloc): runs once per epoch, not per sample",
     },
-    RuleDoc {
-        num: "R12",
-        id: "panic-path",
-        doc: "Interprocedural: no `pub fn` of a result-affecting crate may \
-              transitively reach a panic site (R2's detection) through the \
-              workspace call graph — a reachable panic takes down every \
-              caller at fleet scale. Sites inside `#[cfg(test)]` or on \
-              `debug_assert!` lines are exempt; diagnostics print the full \
-              witness path. A waiver on a site line exempts that site; on a \
-              `fn` declaration line it certifies the whole function.",
-        waiver: "// lint: allow(panic-path): guarded by the validate() call above",
-    },
-    RuleDoc {
-        num: "R13",
-        id: "determinism-taint",
-        doc: "Interprocedural: nondeterminism sources — wall-clock reads \
-              outside the sanctioned timing homes, `HashMap`/`HashSet` \
-              iteration, environment reads other than the sanctioned \
-              `LEAD_SIMD_FORCE` probe, and thread identity — must not be \
-              reachable from result-affecting crates' public APIs, even when \
-              laundered through helper crates the per-line rules cannot see \
-              across. Waiver placement works as in R12.",
-        waiver: "// lint: allow(determinism-taint): value feeds telemetry, not results",
-    },
 ];
 
 /// The machine-readable rule identifiers, as used in waivers. Derived from
 /// [`RULE_DOCS`] so the two can never drift.
-pub const RULE_IDS: [&str; 10] = {
-    let mut ids = [""; 10];
+pub const RULE_IDS: [&str; 8] = {
+    let mut ids = [""; 8];
     let mut i = 0;
     while i < RULE_DOCS.len() {
         ids[i] = RULE_DOCS[i].id;
@@ -168,10 +138,8 @@ pub const RULE_IDS: [&str; 10] = {
 /// A crate's role in the workspace, deciding which rule families apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
-    /// Library code feeding the detection results: panic-free (R2, R12),
-    /// deterministic (R13, and clippy's R1/R5 bans), typed errors (R8).
-    ResultLib,
-    /// Library code off the result path: panic-free (R2), typed errors (R8).
+    /// Library code: under `[workspace.lints]` and the clippy ban list,
+    /// plus R2's literal-index check and R8's typed errors.
     Lib,
     /// Binaries and benches: free to panic, read the clock, use hash maps.
     Bin,
@@ -182,12 +150,11 @@ pub enum Class {
 
 impl Class {
     /// Every class, for validation and diagnostics.
-    pub const ALL: [Class; 4] = [Class::ResultLib, Class::Lib, Class::Bin, Class::Tool];
+    pub const ALL: [Class; 3] = [Class::Lib, Class::Bin, Class::Tool];
 
     /// The metadata string used in `[package.metadata.lead] class = "…"`.
     pub fn as_str(self) -> &'static str {
         match self {
-            Class::ResultLib => "result-lib",
             Class::Lib => "lib",
             Class::Bin => "bin",
             Class::Tool => "tool",
@@ -203,8 +170,6 @@ pub struct CrateInfo {
     pub package: &'static str,
     /// The crate's class; `[package.metadata.lead]` must agree (R9).
     pub class: Class,
-    /// Whether the R8 `# Errors` requirement applies.
-    pub doc: bool,
     /// Sanctioned workspace dependencies (R7); ignored for `Bin`.
     pub allowed: &'static [&'static str],
 }
@@ -218,42 +183,36 @@ pub const CRATES: [CrateInfo; 11] = [
         dir: "",
         package: "lead",
         class: Class::Bin,
-        doc: false,
         allowed: &[],
     },
     CrateInfo {
         dir: "crates/baselines",
         package: "lead-baselines",
         class: Class::Lib,
-        doc: false,
         allowed: &["lead-geo", "lead-nn", "lead-core"],
     },
     CrateInfo {
         dir: "crates/bench",
         package: "lead-bench",
         class: Class::Bin,
-        doc: false,
         allowed: &[],
     },
     CrateInfo {
         dir: "crates/core",
         package: "lead-core",
-        class: Class::ResultLib,
-        doc: true,
+        class: Class::Lib,
         allowed: &["lead-geo", "lead-data", "lead-nn", "lead-obs"],
     },
     CrateInfo {
         dir: "crates/data",
         package: "lead-data",
         class: Class::Lib,
-        doc: true,
         allowed: &["lead-geo"],
     },
     CrateInfo {
         dir: "crates/eval",
         package: "lead-eval",
-        class: Class::ResultLib,
-        doc: false,
+        class: Class::Lib,
         allowed: &[
             "lead-geo",
             "lead-nn",
@@ -267,35 +226,30 @@ pub const CRATES: [CrateInfo; 11] = [
         dir: "crates/geo",
         package: "lead-geo",
         class: Class::Lib,
-        doc: false,
         allowed: &[],
     },
     CrateInfo {
         dir: "crates/lint",
         package: "lead-lint",
         class: Class::Tool,
-        doc: false,
         allowed: &[],
     },
     CrateInfo {
         dir: "crates/nn",
         package: "lead-nn",
-        class: Class::ResultLib,
-        doc: true,
+        class: Class::Lib,
         allowed: &["lead-obs"],
     },
     CrateInfo {
         dir: "crates/obs",
         package: "lead-obs",
-        class: Class::ResultLib,
-        doc: true,
+        class: Class::Lib,
         allowed: &[],
     },
     CrateInfo {
         dir: "crates/synth",
         package: "lead-synth",
         class: Class::Lib,
-        doc: false,
         allowed: &["lead-geo", "lead-data", "lead-core"],
     },
 ];
@@ -306,34 +260,10 @@ const KERNEL_PATHS: [&str; 3] = [
     "crates/core/src/encoding/",
 ];
 
-/// Files where wall-clock reads are the point (R13 exemption).
-const TIMING_FILES: [&str; 2] = ["crates/eval/src/timing.rs", "crates/obs/src/clock.rs"];
-
-/// One sanctioned-unsafe module: the only places R10 permits the `unsafe`
-/// keyword, each site still requiring a `// SAFETY:` justification.
-pub struct SanctionedUnsafe {
-    /// Workspace-relative directory of the crate hosting the module.
-    pub crate_dir: &'static str,
-    /// The module name as declared at the crate root (`pub mod simd;`).
-    pub module: &'static str,
-    /// Workspace-relative path prefix of the module's sources (a
-    /// `/`-suffixed directory).
-    pub path: &'static str,
-}
-
-/// The sanctioned-unsafe allowlist (R10). Growing it is a reviewed change
-/// to the lint gate, mirrored in DESIGN.md §10.
-pub const SANCTIONED_UNSAFE: [SanctionedUnsafe; 1] = [SanctionedUnsafe {
-    crate_dir: "crates/nn",
-    module: "simd",
-    path: "crates/nn/src/simd/",
-}];
-
-/// The sanctioned-unsafe entry covering `rel` (a workspace-relative source
-/// path), when any does.
-pub fn sanctioned_unsafe_file(rel: &str) -> Option<&'static SanctionedUnsafe> {
-    SANCTIONED_UNSAFE.iter().find(|s| rel.starts_with(s.path))
-}
+/// The one declaration `allow(unsafe_code)` may sit on (R10): the crate
+/// root declaring the module, and the module's name. Growing it is a
+/// reviewed change to the lint gate, mirrored in DESIGN.md §10.
+pub const SANCTIONED_UNSAFE: (&str, &str) = ("crates/nn/src/lib.rs", "simd");
 
 /// The classification-table entry for a crate directory (`""` = root).
 pub fn crate_info_by_dir(dir: &str) -> Option<&'static CrateInfo> {
@@ -345,19 +275,13 @@ pub fn crate_info_by_dir(dir: &str) -> Option<&'static CrateInfo> {
 pub fn scope_paths() -> impl Iterator<Item = &'static str> {
     KERNEL_PATHS
         .iter()
-        .chain(TIMING_FILES.iter())
         .copied()
-        .chain(SANCTIONED_UNSAFE.iter().map(|s| s.path))
-}
-
-/// Whether `rel` is one of the two sanctioned wall-clock homes (R13).
-pub(crate) fn is_timing_file(rel: &str) -> bool {
-    TIMING_FILES.contains(&rel)
+        .chain(std::iter::once(SANCTIONED_UNSAFE.0))
 }
 
 /// The classification of the crate owning `rel` (a workspace-relative source
 /// path), when it is in the table.
-pub(crate) fn class_of(rel: &str) -> Option<&'static CrateInfo> {
+fn class_of(rel: &str) -> Option<&'static CrateInfo> {
     if rel.starts_with("src/") {
         return crate_info_by_dir("");
     }
@@ -367,37 +291,19 @@ pub(crate) fn class_of(rel: &str) -> Option<&'static CrateInfo> {
 }
 
 fn is_lib(rel: &str) -> bool {
-    class_of(rel).is_some_and(|c| matches!(c.class, Class::Lib | Class::ResultLib))
+    class_of(rel).is_some_and(|c| c.class == Class::Lib)
 }
 
 fn is_kernel(rel: &str) -> bool {
     KERNEL_PATHS.iter().any(|p| rel.starts_with(p)) || rel == "crates/core/src/features.rs"
 }
 
-fn is_doc_scope(rel: &str) -> bool {
-    class_of(rel).is_some_and(|c| c.doc)
-}
-
-/// The cross-file context available when scanning a whole workspace: the
-/// file's extracted imports plus every parsed manifest. Absent for the
-/// single-file [`crate::scan_source`] entry point.
-pub struct FileChecks<'a> {
-    /// Imports extracted from this file's token stream.
-    pub imports: &'a [Import],
-    /// Every workspace manifest (including vendored shims).
-    pub manifests: &'a [Manifest],
-}
-
-/// Applies the per-file catalog — the single-file rules plus, when `checks`
-/// is present, the per-import layering rule (R7) and the manifest-scoped
-/// R11 — to one file. `pre_used` lists the `(line index, rule)` waivers
-/// already consumed by the interprocedural pass ([`crate::callgraph`]), so
-/// waiver hygiene accounts for them.
+/// Applies the per-file catalog to one file: the single-file rules plus,
+/// when the workspace `manifests` are given, the manifest-scoped R11.
 pub fn apply_file(
     rel_path: &str,
     view: &FileView,
-    checks: Option<&FileChecks<'_>>,
-    pre_used: &[(usize, String)],
+    manifests: Option<&[Manifest]>,
 ) -> Vec<Diagnostic> {
     let lines = view.lines.as_slice();
     let mut diags = Vec::new();
@@ -405,55 +311,9 @@ pub fn apply_file(
     // Tracked per (line, rule) — a line carrying violations of two rules
     // with only one waived must keep the waived rule silenced, fire the
     // other, and report no waiver-hygiene noise.
-    let mut used_waivers: Vec<(usize, String)> = pre_used.to_vec();
-
-    for (i, line) in lines.iter().enumerate() {
-        let mut fire = |rule: &'static str, col: usize, message: String| {
-            if let Some(w) = waiver_for(lines, i, rule) {
-                used_waivers.push(w);
-                return;
-            }
-            diags.push(Diagnostic {
-                file: rel_path.to_string(),
-                line: line.number,
-                col,
-                rule,
-                message,
-                snippet: line.raw.clone(),
-            });
-        };
-
-        // R7 applies inside `#[cfg(test)]` too (dev-dependencies become
-        // legal there); everything else is exempt in test regions.
-        if let Some(checks) = checks {
-            for import in checks.imports.iter().filter(|im| im.line == line.number) {
-                if let Some(msg) =
-                    workspace::check_import(rel_path, line.in_test, import, checks.manifests)
-                {
-                    fire("layering", import.col, msg);
-                }
-            }
-        }
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.as_str();
-
-        if is_lib(rel_path) {
-            check_panic(code, &mut fire);
-            check_error_contract(rel_path, lines, i, &mut fire);
-        }
-        if is_kernel(rel_path) {
-            check_float_cast(code, &mut fire);
-            check_float_eq(code, &mut fire);
-        }
-    }
-
-    // Structural rules over the block IR (R10, R11). These fire at
-    // arbitrary line indexes, so they use an index-taking variant of the
-    // waiver-aware `fire` above.
+    let mut used_waivers: Vec<(usize, String)> = Vec::new();
     {
-        let mut fire_at = |i: usize, col: usize, rule: &'static str, message: String| {
+        let mut fire = |i: usize, col: usize, rule: &'static str, message: String| {
             if let Some(w) = waiver_for(lines, i, rule) {
                 used_waivers.push(w);
                 return;
@@ -467,21 +327,34 @@ pub fn apply_file(
                 snippet: lines[i].raw.clone(),
             });
         };
-        check_unsafe_contract(rel_path, view, &mut fire_at);
-        if let Some(checks) = checks {
-            if kernel_tagged(rel_path, checks.manifests) {
-                check_hot_loop_alloc(view, &mut fire_at);
+        for (i, line) in lines.iter().enumerate() {
+            if line.in_test {
+                continue;
+            }
+            let code = line.code.as_str();
+            let mut fire_here = |rule, col, message| fire(i, col, rule, message);
+            if is_lib(rel_path) {
+                check_literal_index(code, &mut fire_here);
+                check_error_contract(lines, i, &mut fire_here);
+            }
+            if is_kernel(rel_path) {
+                check_float_cast(code, &mut fire_here);
+                check_float_eq(code, &mut fire_here);
             }
         }
+        // Structural rules over the block IR (R10, R11).
+        check_unsafe_contract(rel_path, view, &mut fire);
+        if manifests.is_some_and(|m| kernel_tagged(rel_path, m)) {
+            check_hot_loop_alloc(view, &mut fire);
+        }
     }
-
     check_waiver_hygiene(rel_path, lines, &used_waivers, &mut diags);
     diags
 }
 
 /// Returns the satisfied waiver covering `rule` at line index `i`: either on
 /// the line itself or on a comment-only line directly above.
-pub(crate) fn waiver_for(lines: &[Line], i: usize, rule: &str) -> Option<(usize, String)> {
+fn waiver_for(lines: &[Line], i: usize, rule: &str) -> Option<(usize, String)> {
     let covers = |idx: usize| {
         lines[idx]
             .waivers
@@ -498,70 +371,12 @@ pub(crate) fn waiver_for(lines: &[Line], i: usize, rule: &str) -> Option<(usize,
 }
 
 // ---------------------------------------------------------------------------
-// R2 — panic
+// R2 — panic (literal indexing; clippy owns the other panic sites)
 // ---------------------------------------------------------------------------
-
-/// One potential panic site on a code line, shared between R2 (which fires
-/// `message` at the site) and R12 (which propagates `what` along the call
-/// graph).
-pub(crate) struct PanicSite {
-    /// 0-based byte position of the site on the line.
-    pub pos: usize,
-    /// Short description for witness paths (`` `.unwrap()` ``).
-    pub what: String,
-    /// The full R2 diagnostic message.
-    pub message: String,
-}
-
-/// R2's site detection over one code line, in catalog pattern order.
-pub(crate) fn panic_sites(code: &str) -> Vec<PanicSite> {
-    let mut sites = Vec::new();
-    for pat in [".unwrap()", ".expect("] {
-        if let Some(pos) = code.find(pat) {
-            sites.push(PanicSite {
-                pos,
-                what: format!("`{pat}`"),
-                message: format!(
-                    "`{pat}` in library code: degenerate GPS days must degrade to \
-                     `Result`/`Option`, not panic"
-                ),
-            });
-        }
-    }
-    for mac in ["panic!", "todo!", "unimplemented!", "unreachable!"] {
-        if find_word(code, mac.trim_end_matches('!')).is_some() {
-            if let Some(pos) = code.find(mac) {
-                sites.push(PanicSite {
-                    pos,
-                    what: format!("`{mac}`"),
-                    message: format!("`{mac}` in library code: return a typed error instead"),
-                });
-            }
-        }
-    }
-    if let Some(idx) = find_literal_index(code) {
-        sites.push(PanicSite {
-            pos: idx.0,
-            what: format!("indexing by literal `{}`", &code[idx.0..idx.1]),
-            message: format!(
-                "indexing by literal `{}` in library code: panics when the \
-                 collection is shorter — use `.get(…)`, `.first()`, or destructuring",
-                &code[idx.0..idx.1]
-            ),
-        });
-    }
-    sites
-}
-
-fn check_panic(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
-    for site in panic_sites(code) {
-        fire("panic", site.pos + 1, site.message);
-    }
-}
 
 /// Finds `expr[<int literal>]` indexing: a `[` preceded by an identifier
 /// char, `)`, or `]`, whose content is all digits/underscores.
-fn find_literal_index(code: &str) -> Option<(usize, usize)> {
+fn check_literal_index(code: &str, fire: &mut impl FnMut(&'static str, usize, String)) {
     let bytes = code.as_bytes();
     for (i, &b) in bytes.iter().enumerate() {
         if b != b'[' || i == 0 {
@@ -576,10 +391,18 @@ fn find_literal_index(code: &str) -> Option<(usize, usize)> {
             j += 1;
         }
         if j > i + 1 && bytes.get(j) == Some(&b']') {
-            return Some((i, j + 1));
+            fire(
+                "panic",
+                i + 1,
+                format!(
+                    "indexing by literal `{}` in library code: panics when the \
+                     collection is shorter — use `.get(…)`, `.first()`, or destructuring",
+                    &code[i..=j]
+                ),
+            );
+            return; // one diagnostic per line, as before
         }
     }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -717,11 +540,10 @@ fn token_is_floaty(tok: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// R8 — error-contract
+// R8 — error-contract (typed errors; clippy owns the `# Errors` section)
 // ---------------------------------------------------------------------------
 
 fn check_error_contract(
-    rel_path: &str,
     lines: &[Line],
     i: usize,
     fire: &mut impl FnMut(&'static str, usize, String),
@@ -730,36 +552,21 @@ fn check_error_contract(
     if !(trimmed.starts_with("pub fn ") || trimmed.starts_with("pub const fn ")) {
         return;
     }
-    let col = lines[i].code.len() - trimmed.len() + 1;
-    let sig = signature_text(lines, i);
-    let Some(ret) = return_type(&sig) else {
+    let Some(err) = return_type(&signature_text(lines, i)).and_then(|ret| result_err_type(&ret))
+    else {
         return;
     };
-    if find_word(&ret, "Result").is_none() {
-        return;
-    }
-    if let Some(err) = result_err_type(&ret) {
-        let banned = err == "String"
-            || err.ends_with("::String")
-            || (err.starts_with("Box<") && err.contains("dyn") && err.contains("Error"));
-        if banned {
-            fire(
-                "error-contract",
-                col,
-                format!(
-                    "`pub fn` returns `Result<_, {err}>`: stringly/boxed errors are \
-                     unmatchable — use a typed error (`LeadError` or a crate-local enum)"
-                ),
-            );
-        }
-    }
-    if is_doc_scope(rel_path) && !has_errors_doc(lines, i) {
+    let banned = err == "String"
+        || err.ends_with("::String")
+        || (err.starts_with("Box<") && err.contains("dyn") && err.contains("Error"));
+    if banned {
         fire(
             "error-contract",
-            col,
-            "`pub fn` returning `Result` has no `# Errors` doc section: every fallible \
-             public API documents its failure modes"
-                .to_string(),
+            lines[i].code.len() - trimmed.len() + 1,
+            format!(
+                "`pub fn` returns `Result<_, {err}>`: stringly/boxed errors are \
+                 unmatchable — use a typed error (`LeadError` or a crate-local enum)"
+            ),
         );
     }
 }
@@ -841,173 +648,43 @@ fn result_err_type(ret: &str) -> Option<String> {
     Some(ret[comma + 1..close].trim().to_string())
 }
 
-/// Whether the doc block directly above item line `i` (attributes skipped)
-/// contains an `# Errors` section.
-fn has_errors_doc(lines: &[Line], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let above = &lines[j];
-        let t = above.raw.as_str();
-        if t.starts_with("#[") || t.starts_with("#![") || t == ")]" {
-            continue;
-        }
-        if above.is_doc {
-            if above.raw.contains("# Errors") {
-                return true;
-            }
-            continue;
-        }
-        break;
-    }
-    false
-}
-
 // ---------------------------------------------------------------------------
-// R10 — unsafe-contract (per-file half; the crate-attr half lives in
-// workspace.rs)
+// R10 — unsafe-contract (rustc and clippy own the `unsafe` sites)
 // ---------------------------------------------------------------------------
 
-/// The outcome of looking for the `// SAFETY:` comment above a site.
-enum Safety {
-    /// A non-empty justification was found.
-    Justified,
-    /// A `// SAFETY:` marker exists but carries no text.
-    Empty,
-    /// No `// SAFETY:` comment directly above the site.
-    Missing,
-}
-
+/// `allow(unsafe_code)` may only re-open [`SANCTIONED_UNSAFE`], as an
+/// attribute on that module's declaration at its crate root.
 fn check_unsafe_contract(
     rel_path: &str,
     view: &FileView,
     fire: &mut impl FnMut(usize, usize, &'static str, String),
 ) {
-    let lines = view.lines.as_slice();
-    let sanctioned = sanctioned_unsafe_file(rel_path);
-    for site in &view.blocks.unsafe_sites {
-        let i = site.line - 1;
-        if lines.get(i).is_none_or(|l| l.in_test) {
+    let (root, module) = SANCTIONED_UNSAFE;
+    for (i, line) in view.lines.iter().enumerate() {
+        if line.in_test {
             continue;
         }
-        if sanctioned.is_none() {
+        let Some(pos) = line.code.find("allow(unsafe_code)") else {
+            continue;
+        };
+        let legal = rel_path == root
+            && view
+                .blocks
+                .mods
+                .iter()
+                .any(|m| m.name == module && m.attr_lines.contains(&line.number));
+        if !legal {
             fire(
                 i,
-                site.col,
+                pos + 1,
                 "unsafe-contract",
                 format!(
-                    "`unsafe` outside the sanctioned allowlist — only {} may contain \
-                     unsafe code (R10); keep this safe or extend \
-                     rules::SANCTIONED_UNSAFE in a reviewed change",
-                    sanctioned_list()
+                    "`allow(unsafe_code)` outside the sanctioned declaration — only \
+                     `mod {module}` in {root} may re-open unsafe"
                 ),
             );
-            continue;
-        }
-        match safety_state(lines, i) {
-            Safety::Justified => {}
-            Safety::Empty => fire(
-                i,
-                site.col,
-                "unsafe-contract",
-                "the `// SAFETY:` comment above this `unsafe` is empty — state the \
-                 invariant that makes the operation sound"
-                    .to_string(),
-            ),
-            Safety::Missing => fire(
-                i,
-                site.col,
-                "unsafe-contract",
-                "`unsafe` without a `// SAFETY:` comment directly above — every \
-                 sanctioned site documents why it is sound"
-                    .to_string(),
-            ),
         }
     }
-    // `#[allow(unsafe_code)]` may only re-open a sanctioned module, and only
-    // as an attribute on that module's declaration at its crate root.
-    if sanctioned.is_none() {
-        for (i, line) in lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let Some(pos) = line.code.find("allow(unsafe_code)") else {
-                continue;
-            };
-            let legal = SANCTIONED_UNSAFE.iter().any(|s| {
-                rel_path == format!("{}/src/lib.rs", s.crate_dir)
-                    && view.blocks.items.iter().any(|item| {
-                        item.kind == ItemKind::Mod
-                            && item.name.as_deref() == Some(s.module)
-                            && item.attr_lines.contains(&line.number)
-                    })
-            });
-            if !legal {
-                fire(
-                    i,
-                    pos + 1,
-                    "unsafe-contract",
-                    format!(
-                        "`allow(unsafe_code)` outside the sanctioned-module \
-                         declarations — only the crate-root declaration of {} may \
-                         re-open unsafe",
-                        sanctioned_list()
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Renders the sanctioned-module allowlist for diagnostics.
-fn sanctioned_list() -> String {
-    SANCTIONED_UNSAFE
-        .iter()
-        .map(|s| format!("`{}::{}`", s.crate_dir, s.module))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Looks for the `// SAFETY:` comment covering the site at line index `i`:
-/// on the site's own line, or directly above it with attribute lines and
-/// comment continuation lines treated as transparent.
-fn safety_state(lines: &[Line], i: usize) -> Safety {
-    if let Some(state) = safety_in_comment(&lines[i].comment) {
-        return state;
-    }
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let l = &lines[j];
-        let code_t = l.code.trim();
-        // Attribute lines (`#[target_feature(…)]`, a split `)]`) sit between
-        // the SAFETY comment and the `unsafe fn` — walk through them.
-        if code_t.starts_with('#') || code_t == ")]" {
-            continue;
-        }
-        if !code_t.is_empty() {
-            break; // a code line separates the site from any comment above
-        }
-        if let Some(state) = safety_in_comment(&l.comment) {
-            return state;
-        }
-        if l.raw.is_empty() {
-            break; // a blank line detaches the comment block
-        }
-        // A non-SAFETY comment line: keep walking, the marker may sit at
-        // the top of a multi-line justification.
-    }
-    Safety::Missing
-}
-
-/// Classifies one line's comment channel as a SAFETY marker, if it is one.
-fn safety_in_comment(comment: &str) -> Option<Safety> {
-    let rest = comment.trim().strip_prefix("SAFETY:")?;
-    Some(if rest.trim().is_empty() {
-        Safety::Empty
-    } else {
-        Safety::Justified
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1183,7 +860,7 @@ fn is_ident_byte(b: u8) -> bool {
 }
 
 /// Finds `word` with identifier boundaries on both sides.
-pub(crate) fn find_word(code: &str, word: &str) -> Option<usize> {
+fn find_word(code: &str, word: &str) -> Option<usize> {
     find_word_from(code, word, 0)
 }
 

@@ -17,7 +17,7 @@ use crate::lex::{self, TokenKind};
 pub struct FileView {
     /// Preprocessed lines (code/comment channels, test regions, waivers).
     pub lines: Vec<Line>,
-    /// The block IR: brace tree, items, loop spans, unsafe sites.
+    /// The block IR: brace tree, loop spans, `mod` declarations.
     pub blocks: FileBlocks,
 }
 
@@ -46,8 +46,6 @@ pub struct Line {
     /// Whether the line lies in (or opens/closes) a `#[cfg(test)]`/`#[test]`
     /// region.
     pub in_test: bool,
-    /// Whether the line is a doc comment (`///`, `//!`, or `/** … */`).
-    pub is_doc: bool,
     /// Waivers declared on this line, as parsed from its comments.
     pub waivers: Vec<Waiver>,
 }
@@ -68,12 +66,6 @@ pub struct Waiver {
     /// The justification text after the rule list (may be empty — the rule
     /// layer then reports a `bad-waiver`).
     pub reason: String,
-}
-
-/// Splits `source` into preprocessed [`Line`]s.
-pub fn preprocess(source: &str) -> Vec<Line> {
-    let tokens = lex::tokenize(source);
-    lines_from(source, &tokens)
 }
 
 /// Replays an already-tokenized `source` into preprocessed [`Line`]s.
@@ -148,7 +140,6 @@ fn lines_from(source: &str, tokens: &[lex::Token<'_>]) -> Vec<Line> {
             comment,
             raw: raw_trim.to_string(),
             in_test: in_test_before || opened_here,
-            is_doc,
         });
     }
     out
@@ -301,6 +292,10 @@ fn parse_waivers(comment: &str) -> Vec<Waiver> {
 mod tests {
     use super::*;
 
+    fn preprocess(source: &str) -> Vec<Line> {
+        preprocess_file(source).lines
+    }
+
     #[test]
     fn strings_and_comments_are_stripped() {
         let lines = preprocess("let x = \"unwrap() HashMap\"; // trailing unwrap()\n");
@@ -365,10 +360,10 @@ fn also_real() {}
 
     #[test]
     fn waiver_parsing_extracts_rules_and_reason() {
-        let lines = preprocess("x(); // lint: allow(panic, panic-path): invariant holds\n");
+        let lines = preprocess("x(); // lint: allow(panic, float-cast): invariant holds\n");
         let w = &lines[0].waivers;
         assert_eq!(w.len(), 1);
-        assert_eq!(w[0].rules, vec!["panic", "panic-path"]);
+        assert_eq!(w[0].rules, vec!["panic", "float-cast"]);
         assert_eq!(w[0].reason, "invariant holds");
     }
 
@@ -388,10 +383,12 @@ fn also_real() {}
     }
 
     #[test]
-    fn doc_comment_examples_are_not_code() {
-        let lines = preprocess("/// model.save(\"x\").unwrap();\npub fn save() {}\n");
-        assert!(lines[0].is_doc);
+    fn doc_comment_examples_are_not_code_and_declare_no_waiver() {
+        let lines = preprocess(
+            "/// model.save(\"x\").unwrap(); // lint: allow(panic): an example\npub fn save() {}\n",
+        );
         assert!(lines[0].code.trim().is_empty());
-        assert!(!lines[1].is_doc);
+        assert!(lines[0].waivers.is_empty());
+        assert!(!lines[1].code.trim().is_empty());
     }
 }

@@ -2,12 +2,10 @@
 //! `layering`) and the crate classification audit (R9 `scope-drift`).
 //!
 //! Per-file rules see one file at a time; these checks see the workspace as
-//! a whole. The inputs are the parsed manifests ([`crate::manifest`]) and
-//! the `use`/`extern crate` imports extracted from each file's token stream.
-//! Three families of diagnostics come out:
+//! a whole, through its parsed manifests ([`crate::manifest`]). Two
+//! families of diagnostics come out (rustc already rejects a source file
+//! that imports a crate its manifest does not declare):
 //!
-//! - **undeclared imports** — a source file names a workspace (or vendored)
-//!   crate its own `Cargo.toml` does not declare;
 //! - **sanctioned-DAG violations** — a manifest edge that is either part of
 //!   a dependency cycle or absent from the crate's allowed-dependency set in
 //!   [`crate::rules::CRATES`] (e.g. nothing but bins may depend on
@@ -15,132 +13,13 @@
 //! - **scope drift** — a crate missing from the classification table, a
 //!   stale table entry whose crate no longer exists, a manifest whose
 //!   `[package.metadata.lead] class` disagrees with the table, or a stale
-//!   kernel/timing/par path in the scope tables.
+//!   kernel or sanctioned-unsafe path in the scope tables.
 
 use std::path::Path;
 
 use crate::diag::Diagnostic;
-use crate::lex::{self, TokenKind};
 use crate::manifest::Manifest;
 use crate::rules::{self, Class};
-
-/// One `use`/`extern crate` import: the first path segment and its location.
-#[derive(Debug, Clone)]
-pub struct Import {
-    /// The leading path segment (`lead_nn` in `use lead_nn::par::par_map;`).
-    pub root: String,
-    /// 1-based line of the `use`/`extern crate` keyword.
-    pub line: usize,
-    /// 1-based byte column of the `use`/`extern crate` keyword.
-    pub col: usize,
-}
-
-/// Extracts every import root from `source` by walking the token stream
-/// (so `use` inside strings, comments, or doc examples is never matched).
-pub fn imports(source: &str) -> Vec<Import> {
-    let tokens = lex::tokenize(source);
-    let code: Vec<&lex::Token<'_>> = tokens
-        .iter()
-        .filter(|t| {
-            !matches!(
-                t.kind,
-                TokenKind::Whitespace
-                    | TokenKind::LineComment { .. }
-                    | TokenKind::BlockComment { .. }
-            )
-        })
-        .collect();
-    let mut out = Vec::new();
-    for (i, tok) in code.iter().enumerate() {
-        if tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let root = match tok.text {
-            "use" => {
-                // `use ::foo::…` (absolute) and `use foo::…` both name the
-                // crate in the first identifier.
-                match code.get(i + 1) {
-                    Some(t) if t.kind == TokenKind::Ident => t.text,
-                    Some(t) if t.text == ":" => match code.get(i + 3) {
-                        Some(t2) if t2.kind == TokenKind::Ident => t2.text,
-                        _ => continue,
-                    },
-                    _ => continue,
-                }
-            }
-            "extern" => match (code.get(i + 1), code.get(i + 2)) {
-                (Some(c), Some(name)) if c.text == "crate" && name.kind == TokenKind::Ident => {
-                    name.text
-                }
-                _ => continue,
-            },
-            _ => continue,
-        };
-        out.push(Import {
-            root: root.to_string(),
-            line: tok.line,
-            col: tok.col,
-        });
-    }
-    out
-}
-
-/// Path roots that never name a workspace crate.
-const BUILTIN_ROOTS: [&str; 7] = [
-    "std",
-    "core",
-    "alloc",
-    "proc_macro",
-    "test",
-    "crate",
-    "self",
-];
-
-/// Resolves one import against the importing file's manifest. Returns a
-/// violation message, or `None` when the import is fine (declared, builtin,
-/// a local module, or unresolvable because the fixture workspace carries no
-/// manifest for this crate).
-pub fn check_import(
-    rel_path: &str,
-    in_test: bool,
-    import: &Import,
-    manifests: &[Manifest],
-) -> Option<String> {
-    let root = import.root.as_str();
-    if BUILTIN_ROOTS.contains(&root) || root == "super" {
-        return None;
-    }
-    let own = manifest_for(rel_path, manifests)?;
-    let own_pkg = own.package.as_deref().unwrap_or("");
-    if root == own_pkg.replace('-', "_") {
-        return None; // bins importing their own package's lib target
-    }
-    let dashed = root.replace('_', "-");
-    let known = |pkg: &str| manifests.iter().any(|m| m.package.as_deref() == Some(pkg));
-    let pkg = if known(root) {
-        root.to_string()
-    } else if known(&dashed) {
-        dashed
-    } else if root.starts_with("lead_") {
-        return Some(format!(
-            "`use {root}` names no workspace crate — the workspace has no package `{dashed}`"
-        ));
-    } else {
-        return None; // std-adjacent or a local module via uniform paths
-    };
-    if own.declares(&pkg, in_test) {
-        return None;
-    }
-    Some(format!(
-        "`use {root}` without a declared dependency: add `{pkg}` to {} {}",
-        own.rel_path,
-        if in_test {
-            "[dependencies] or [dev-dependencies]"
-        } else {
-            "[dependencies]"
-        },
-    ))
-}
 
 /// The manifest owning `rel_path` (longest matching directory prefix; the
 /// root manifest owns `src/`).
@@ -168,7 +47,6 @@ pub fn workspace_checks(root: &Path, manifests: &[Manifest]) -> Vec<Diagnostic> 
     check_edges(manifests, &mut diags);
     check_cycles(manifests, &mut diags);
     check_classes(manifests, &mut diags);
-    check_crate_attrs(root, manifests, &mut diags);
     // Stale-path completeness only applies to the real workspace (root
     // package `lead`): synthetic fixture workspaces are deliberately tiny.
     let is_real = manifests
@@ -203,7 +81,7 @@ fn check_edges(manifests: &[Manifest], diags: &mut Vec<Diagnostic>) {
             let sanctioned = match info.class {
                 Class::Bin => true,
                 Class::Tool => false,
-                Class::Lib | Class::ResultLib => info.allowed.contains(&dep.name.as_str()),
+                Class::Lib => info.allowed.contains(&dep.name.as_str()),
             };
             if !sanctioned {
                 let hint = match info.class {
@@ -364,103 +242,6 @@ fn drift(m: &Manifest, line: usize, message: String) -> Diagnostic {
     }
 }
 
-/// R10 (`unsafe-contract`, crate-attr half): every library-class crate must
-/// *actually* carry the crate-root lints the contract assumes. Crates
-/// outside the sanctioned-unsafe allowlist need `#![forbid(unsafe_code)]`;
-/// crates hosting a sanctioned module downgrade to `#![deny(unsafe_code)]`
-/// (so `#[allow(unsafe_code)]` can re-open exactly the sanctioned module)
-/// and must not keep `forbid` (which cannot be overridden). Both kinds need
-/// `#![deny(missing_docs)]`. The audit is manifest-driven: crates without a
-/// resolvable library class (fixture workspaces without metadata) are
-/// skipped, as are crates whose `src/lib.rs` cannot be read.
-fn check_crate_attrs(root: &Path, manifests: &[Manifest], diags: &mut Vec<Diagnostic>) {
-    for m in manifests.iter().filter(|m| !m.vendored) {
-        let Some(pkg) = m.package.as_deref() else {
-            continue;
-        };
-        let class = match rules::crate_info_by_dir(&m.rel_dir) {
-            Some(info) => info.class,
-            None => match m.lead_class.as_ref().and_then(|(c, _)| {
-                Class::ALL
-                    .iter()
-                    .find(|k| k.as_str() == c.as_str())
-                    .copied()
-            }) {
-                Some(c) => c,
-                None => continue,
-            },
-        };
-        if !matches!(class, Class::Lib | Class::ResultLib) {
-            continue;
-        }
-        let lib_rel = if m.rel_dir.is_empty() {
-            "src/lib.rs".to_string()
-        } else {
-            format!("{}/src/lib.rs", m.rel_dir)
-        };
-        let Ok(source) = std::fs::read_to_string(root.join(&lib_rel)) else {
-            continue;
-        };
-        // Attr presence is checked on the comment-stripped code view with
-        // whitespace compacted, so a doc comment *describing* the attribute
-        // never satisfies the audit.
-        let code: String = crate::scan::preprocess(&source)
-            .iter()
-            .flat_map(|l| l.code.chars())
-            .filter(|c| !c.is_whitespace())
-            .collect();
-        let has = |attr: &str| code.contains(attr);
-        let sanctioned = rules::SANCTIONED_UNSAFE
-            .iter()
-            .find(|s| s.crate_dir == m.rel_dir);
-        let mut fire = |message: String| {
-            diags.push(Diagnostic {
-                file: lib_rel.clone(),
-                line: 1,
-                col: 1,
-                rule: "unsafe-contract",
-                message,
-                snippet: format!("crate `{pkg}`"),
-            });
-        };
-        match sanctioned {
-            None => {
-                if !has("#![forbid(unsafe_code)]") {
-                    fire(format!(
-                        "library crate `{pkg}` must carry `#![forbid(unsafe_code)]` at the \
-                         crate root — unsafe is sanctioned only inside the allowlisted \
-                         modules (rules::SANCTIONED_UNSAFE)"
-                    ));
-                }
-            }
-            Some(s) => {
-                if has("#![forbid(unsafe_code)]") {
-                    fire(format!(
-                        "`{pkg}` hosts the sanctioned unsafe module `{}`: use \
-                         `#![deny(unsafe_code)]` at the crate root (with \
-                         `#[allow(unsafe_code)]` on the module) — `forbid` cannot be \
-                         overridden",
-                        s.module
-                    ));
-                } else if !has("#![deny(unsafe_code)]") {
-                    fire(format!(
-                        "`{pkg}` hosts the sanctioned unsafe module `{}` and must carry \
-                         `#![deny(unsafe_code)]` at the crate root so unsafe stays \
-                         opt-in per module",
-                        s.module
-                    ));
-                }
-            }
-        }
-        if !has("#![deny(missing_docs)]") && !has("#![forbid(missing_docs)]") {
-            fire(format!(
-                "library crate `{pkg}` must carry `#![deny(missing_docs)]` at the \
-                 crate root"
-            ));
-        }
-    }
-}
-
 /// R9 (real workspace only): classification-table entries and scope-table
 /// paths must still exist on disk, so the tables cannot rot.
 fn check_completeness(root: &Path, manifests: &[Manifest], diags: &mut Vec<Diagnostic>) {
@@ -490,36 +271,9 @@ fn check_completeness(root: &Path, manifests: &[Manifest], diags: &mut Vec<Diagn
         };
         if !ok {
             diags.push(root_drift(format!(
-                "scope-table path `{path}` no longer exists — update the kernel/timing/par \
+                "scope-table path `{path}` no longer exists — update the kernel or sanctioned-unsafe \
                  tables in rules.rs"
             )));
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn imports_come_from_the_token_stream_only() {
-        let src = "\
-use lead_nn::par;
-// use lead_fake::nope;
-/// use lead_doc::nope;
-let s = \"use lead_str::nope;\";
-pub use lead_geo::Point;
-extern crate rand;
-";
-        let got = imports(src);
-        let roots: Vec<(&str, usize)> = got.iter().map(|i| (i.root.as_str(), i.line)).collect();
-        assert_eq!(roots, vec![("lead_nn", 1), ("lead_geo", 5), ("rand", 6)]);
-    }
-
-    #[test]
-    fn absolute_paths_resolve_to_their_crate() {
-        let got = imports("use ::std::fmt;\nuse crate::diag;\n");
-        assert_eq!(got[0].root, "std");
-        assert_eq!(got[1].root, "crate");
     }
 }

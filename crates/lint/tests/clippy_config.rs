@@ -1,13 +1,18 @@
-//! The clippy configuration that took over R1 (`HashMap`/`HashSet`), R3
-//! (thread spawning) and R5 (`Instant`/`SystemTime`) from `lead-lint`.
+//! The rustc and clippy configuration that owns every per-site rule of the
+//! safety contract: the `[workspace.lints]` table in the root `Cargo.toml`
+//! (unsafe code, missing docs, panic sites, `# Errors` sections, SAFETY
+//! comments) and the ban list in the root `clippy.toml` (R1 hash
+//! collections, R3 ad-hoc threads, R5 wall-clock reads, environment reads,
+//! thread identity, address hashing).
 //!
 //! Clippy reads the first `clippy.toml` it finds walking up from a crate's
-//! manifest directory, and configs do not merge. So the layout is the
-//! contract: a root file (R3) and, in each result-affecting crate of
-//! `rules::CRATES`, a copy of it plus the R1/R5 `disallowed-types` block.
-//! The static tests pin that layout; the planted-crate tests run
-//! `cargo clippy` on tiny crates that copy the real files, so each banned
-//! path is shown to fail under the configuration as shipped.
+//! manifest directory, and configs do not merge; cargo cannot override one
+//! inherited lint level. So the layout is the contract: one ban list at the
+//! root, which `crates/bench` alone opts out of with its own file, and one
+//! lint table that every library crate inherits, `lead-nn` as a copy with
+//! `unsafe_code = "deny"`. The static tests pin that layout; the
+//! planted-crate tests run `cargo clippy` on tiny crates that copy the real
+//! configuration, so each rule is shown to fail under it as shipped.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -33,16 +38,6 @@ fn write(path: &Path, content: &str) {
     fs::write(path, content).expect("write fixture file");
 }
 
-/// Workspace-relative directories (`""` = root) of the result-affecting
-/// crates, in table order.
-fn result_dirs() -> Vec<&'static str> {
-    CRATES
-        .iter()
-        .filter(|c| c.class == Class::ResultLib)
-        .map(|c| c.dir)
-        .collect()
-}
-
 /// Every directory under `dir` holding a `clippy.toml`, relative to `root`.
 /// Build output and hidden directories are skipped.
 fn config_dirs(root: &Path, dir: &Path, out: &mut BTreeSet<String>) {
@@ -61,65 +56,140 @@ fn config_dirs(root: &Path, dir: &Path, out: &mut BTreeSet<String>) {
     }
 }
 
+/// The text of every TOML section of `toml` whose header starts with
+/// `prefix` (`[workspace.lints.` or `[lints.`), headers included.
+fn sections(toml: &str, prefix: &str) -> String {
+    let mut out = String::new();
+    let mut keep = false;
+    for line in toml.lines() {
+        if line.starts_with('[') {
+            keep = line.starts_with(prefix);
+        }
+        if keep && !line.is_empty() {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// The workspace lint table, as a crate-level `[lints.*]` table.
+fn workspace_lints() -> String {
+    let root = read(&workspace_root().join("Cargo.toml"));
+    sections(&root, "[workspace.lints.").replace("[workspace.lints.", "[lints.")
+}
+
 #[test]
-fn clippy_configs_sit_at_the_root_and_in_each_result_crate() {
+fn clippy_configs_sit_at_the_root_and_in_bench() {
     let root = workspace_root();
     let mut found = BTreeSet::new();
     config_dirs(&root, &root, &mut found);
-    let mut want: BTreeSet<String> = result_dirs().into_iter().map(String::from).collect();
-    want.insert(String::new());
+    let want: BTreeSet<String> = ["", "crates/bench"].map(String::from).into();
     assert_eq!(found, want);
 }
 
 #[test]
-fn each_result_crate_config_is_the_root_config_plus_the_r1_r5_block() {
+fn the_ban_list_appears_once_and_bench_keeps_only_the_thresholds() {
     let root = workspace_root();
     let base = read(&root.join("clippy.toml"));
-    assert!(
-        !base.contains("disallowed-types"),
-        "R1/R5 must not reach non-result crates"
-    );
-    let mut blocks = BTreeSet::new();
-    for dir in result_dirs() {
-        let file = read(&root.join(dir).join("clippy.toml"));
-        let block = file
-            .strip_prefix(base.as_str())
-            .unwrap_or_else(|| panic!("{dir}/clippy.toml must start with the root clippy.toml"));
-        blocks.insert(block.to_string());
+    let bench = read(&root.join("crates/bench/clippy.toml"));
+    for key in ["disallowed-types", "disallowed-methods"] {
+        assert_eq!(base.matches(key).count(), 1, "one `{key}` list");
+        assert!(!bench.contains(key), "crates/bench opts out of `{key}`");
     }
-    assert_eq!(
-        blocks.len(),
-        1,
-        "the R1/R5 block differs between crates: {blocks:?}"
-    );
+    let settings = |file: &str| -> Vec<String> {
+        file.lines()
+            .filter(|l| l.contains("-threshold ="))
+            .map(String::from)
+            .collect()
+    };
+    assert_eq!(settings(&bench), settings(&base));
+    assert_eq!(settings(&base).len(), 2);
+}
+
+#[test]
+fn the_workspace_table_holds_every_per_site_rule() {
+    let table = workspace_lints();
+    for line in [
+        "unsafe_code = \"forbid\"",
+        "missing_docs = \"deny\"",
+        "unwrap_used = \"deny\"",
+        "expect_used = \"deny\"",
+        "panic = \"deny\"",
+        "todo = \"deny\"",
+        "unimplemented = \"deny\"",
+        "unreachable = \"deny\"",
+        "missing_errors_doc = \"deny\"",
+        "undocumented_unsafe_blocks = \"deny\"",
+    ] {
+        assert!(
+            table.lines().any(|l| l == line),
+            "`{line}` missing:\n{table}"
+        );
+    }
+}
+
+#[test]
+fn every_library_crate_inherits_the_table_and_lead_nn_copies_it() {
+    let root = workspace_root();
+    let libs: Vec<&str> = CRATES
+        .iter()
+        .filter(|c| c.class == Class::Lib)
+        .map(|c| c.dir)
+        .collect();
+    assert_eq!(libs.len(), 8, "the eight library crates");
+    let nn_table = workspace_lints().replace("unsafe_code = \"forbid\"", "unsafe_code = \"deny\"");
+    for dir in libs {
+        let manifest = read(&root.join(dir).join("Cargo.toml"));
+        if dir == "crates/nn" {
+            assert_eq!(sections(&manifest, "[lints."), nn_table);
+        } else {
+            assert!(
+                manifest.contains("\n[lints]\nworkspace = true\n"),
+                "{dir}/Cargo.toml must say `[lints] workspace = true`"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Planted crates under `cargo clippy`
 // ---------------------------------------------------------------------------
 
-/// A two-crate workspace under `CARGO_TARGET_TMPDIR` whose clippy configs
-/// copy the real ones: `result/` carries a result crate's file, `plain/`
-/// sees only the root file (as every non-result crate does).
-fn planted_workspace() -> PathBuf {
+/// A three-crate workspace under `CARGO_TARGET_TMPDIR` that copies the real
+/// configuration: the root `clippy.toml` and lint table, `lib/` and
+/// `helper/` inheriting the table (`lib` depends on `helper`), and `nn/`
+/// carrying `lead-nn`'s copy of it.
+fn planted_workspace(name: &str) -> PathBuf {
     let real = workspace_root();
-    let ws = Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy-config");
+    let ws = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     if ws.exists() {
         fs::remove_dir_all(&ws).expect("clear stale planted workspace");
     }
+    let table = sections(&read(&real.join("Cargo.toml")), "[workspace.lints.");
     write(
         &ws.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"result\", \"plain\"]\nresolver = \"2\"\n",
+        &format!(
+            "[workspace]\nmembers = [\"lib\", \"helper\", \"nn\"]\nresolver = \"2\"\n\n{table}"
+        ),
     );
     write(&ws.join("clippy.toml"), &read(&real.join("clippy.toml")));
-    let result_config = real.join(result_dirs()[0]).join("clippy.toml");
-    write(&ws.join("result/clippy.toml"), &read(&result_config));
-    for name in ["result", "plain"] {
+    let nn_lints = sections(&read(&real.join("crates/nn/Cargo.toml")), "[lints.");
+    for (name, extra) in [
+        (
+            "lib",
+            "[dependencies]\nhelper = { path = \"../helper\" }\n\n[lints]\nworkspace = true\n",
+        ),
+        ("helper", "[lints]\nworkspace = true\n"),
+        ("nn", nn_lints.as_str()),
+    ] {
         write(
             &ws.join(name).join("Cargo.toml"),
-            &format!("[package]\nname = \"{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n"),
+            &format!(
+                "[package]\nname = \"{name}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n{extra}"
+            ),
         );
-        write(&ws.join(name).join("src/lib.rs"), "");
+        write(&ws.join(name).join("src/lib.rs"), "//! Planted.\n");
     }
     ws
 }
@@ -128,6 +198,10 @@ fn planted_workspace() -> PathBuf {
 /// as its whole source, returning the exit status and clippy's output.
 fn clippy(ws: &Path, package: &str, lib: &str) -> (bool, String) {
     write(&ws.join(package).join("src/lib.rs"), lib);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "run the cargo that runs this test"
+    )]
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let out = Command::new(cargo)
         .current_dir(ws)
@@ -151,74 +225,218 @@ fn clippy(ws: &Path, package: &str, lib: &str) -> (bool, String) {
     )
 }
 
+/// Whether clippy's output reports `lint` (by the lint's doc link).
+fn lint_fired(out: &str, lint: &str) -> bool {
+    out.contains(&format!("index.html#{lint}\n"))
+}
+
+/// A documented planted library: a crate doc plus each body as one
+/// documented `pub fn`.
+fn documented(bodies: &[&str]) -> String {
+    let mut lib = String::from("//! Planted.\n");
+    for (i, body) in bodies.iter().enumerate() {
+        lib.push_str(&format!(
+            "\n/// Planted {i}.\n{}\n",
+            body.replace("fn f", &format!("fn f{i}"))
+        ));
+    }
+    lib
+}
+
 /// One planted use of each banned path, with the name clippy reports.
-const BANNED: [(&str, &str); 8] = [
+const BANNED: [(&str, &str); 14] = [
     (
         "std::collections::HashMap",
-        "pub fn f() -> usize {\n    std::collections::HashMap::<u32, u32>::new().len()\n}\n",
+        "pub fn f() -> usize {\n    std::collections::HashMap::<u32, u32>::new().len()\n}",
     ),
     (
         "std::collections::HashSet",
-        "pub fn f() -> usize {\n    std::collections::HashSet::<u32>::new().len()\n}\n",
+        "pub fn f() -> usize {\n    std::collections::HashSet::<u32>::new().len()\n}",
     ),
     (
         "std::time::Instant",
-        "pub fn f() -> std::time::Duration {\n    std::time::Instant::now().elapsed()\n}\n",
+        "pub fn f() -> std::time::Duration {\n    std::time::Instant::now().elapsed()\n}",
     ),
     (
         "std::time::SystemTime",
-        "pub fn f() -> bool {\n    std::time::SystemTime::now().elapsed().is_ok()\n}\n",
+        "pub fn f() -> bool {\n    std::time::SystemTime::now().elapsed().is_ok()\n}",
+    ),
+    (
+        "std::thread::ThreadId",
+        "pub fn f(id: std::thread::ThreadId) -> String {\n    format!(\"{id:?}\")\n}",
     ),
     (
         "std::thread::spawn",
-        "pub fn f() -> bool {\n    std::thread::spawn(|| {}).join().is_ok()\n}\n",
+        "pub fn f() -> bool {\n    std::thread::spawn(|| {}).join().is_ok()\n}",
     ),
     (
         "std::thread::scope",
-        "pub fn f() {\n    std::thread::scope(|_| {});\n}\n",
+        "pub fn f() {\n    std::thread::scope(|_| {});\n}",
     ),
     (
         "std::thread::Builder::spawn",
-        "pub fn f() -> bool {\n    std::thread::Builder::new().spawn(|| {}).is_ok()\n}\n",
+        "pub fn f() -> bool {\n    std::thread::Builder::new().spawn(|| {}).is_ok()\n}",
     ),
     (
         "std::thread::Builder::spawn_scoped",
         "pub fn f<'s>(s: &'s std::thread::Scope<'s, '_>) -> bool {\n    \
-         std::thread::Builder::new().spawn_scoped(s, || {}).is_ok()\n}\n",
+         std::thread::Builder::new().spawn_scoped(s, || {}).is_ok()\n}",
+    ),
+    (
+        "std::thread::current",
+        "pub fn f() -> bool {\n    std::thread::current().name().is_some()\n}",
+    ),
+    (
+        "std::env::var",
+        "pub fn f() -> bool {\n    std::env::var(\"LEAD\").is_ok()\n}",
+    ),
+    (
+        "std::env::var_os",
+        "pub fn f() -> bool {\n    std::env::var_os(\"LEAD\").is_some()\n}",
+    ),
+    (
+        "std::env::vars",
+        "pub fn f() -> usize {\n    std::env::vars().count()\n}",
+    ),
+    (
+        "std::ptr::hash",
+        "pub fn f<H: std::hash::Hasher>(x: &u8, h: &mut H) {\n    std::ptr::hash(x, h);\n}",
     ),
 ];
 
 #[test]
-fn every_banned_path_fails_clippy_in_a_result_crate_and_only_r3_elsewhere() {
-    let ws = planted_workspace();
+fn every_banned_path_fails_clippy_in_a_library_crate() {
+    let ws = planted_workspace("clippy-config-bans");
 
     // Control: the same shapes on the sanctioned types pass.
-    let clean =
-        "pub fn f() -> usize {\n    std::collections::BTreeMap::<u32, u32>::new().len()\n}\n";
-    let (ok, out) = clippy(&ws, "result", clean);
-    assert!(ok, "a clean result crate must pass clippy:\n{out}");
+    let clean = documented(&[
+        "pub fn f() -> usize {\n    std::collections::BTreeMap::<u32, u32>::new().len()\n}",
+    ]);
+    let (ok, out) = clippy(&ws, "lib", &clean);
+    assert!(ok, "a clean library crate must pass clippy:\n{out}");
 
-    for (path, lib) in BANNED {
-        let (ok, out) = clippy(&ws, "result", lib);
-        assert!(!ok, "`{path}` must fail clippy in a result crate:\n{out}");
-        assert!(out.contains("disallowed"), "{out}");
+    let bodies: Vec<&str> = BANNED.iter().map(|(_, body)| *body).collect();
+    let (ok, out) = clippy(&ws, "lib", &documented(&bodies));
+    assert!(!ok, "the banned paths must fail clippy:\n{out}");
+    for (path, _) in BANNED {
         assert!(
-            out.contains(&format!("`{path}`")),
-            "`{path}` not named:\n{out}"
+            out.contains(&format!("disallowed method `{path}`"))
+                || out.contains(&format!("disallowed type `{path}`")),
+            "`{path}` not reported:\n{out}"
         );
     }
+}
 
-    // Under only the root config, R3 fires but R1/R5 do not.
-    let mixed = "pub fn f() -> usize {\n    \
-                 let t = std::time::Instant::now();\n    \
-                 let m = std::collections::HashMap::<u32, u32>::new();\n    \
-                 let _ = std::thread::spawn(|| {}).join();\n    \
-                 m.len() + t.elapsed().subsec_nanos() as usize\n}\n";
-    let (ok, out) = clippy(&ws, "plain", mixed);
-    assert!(!ok, "R3 applies to every crate:\n{out}");
-    assert!(out.contains("`std::thread::spawn`"), "{out}");
+/// A `pub fn` that reaches a panic site only through a private helper.
+#[test]
+fn private_helper_panic_path_fails_clippy() {
+    let ws = planted_workspace("clippy-config-panic");
+    let helper = |site: &str| {
+        format!(
+            "//! Planted.\n\n/// Entry.\npub fn entry(o: Option<u32>) -> u32 {{\n    helper(o)\n}}\n\n\
+             fn helper(o: Option<u32>) -> u32 {{\n    {site}\n}}\n"
+        )
+    };
+    for (site, lint) in [
+        ("o.unwrap()", "unwrap_used"),
+        ("o.expect(\"some\")", "expect_used"),
+        ("o.unwrap_or_else(|| panic!(\"none\"))", "panic"),
+        ("o.unwrap_or_else(|| todo!())", "todo"),
+        (
+            "o.unwrap_or_else(|| unimplemented!())",
+            "clippy::unimplemented",
+        ),
+        ("o.unwrap_or_else(|| unreachable!())", "unreachable"),
+    ] {
+        let (ok, out) = clippy(&ws, "lib", &helper(site));
+        assert!(!ok, "`{site}` must fail clippy:\n{out}");
+        assert!(
+            out.contains(lint),
+            "`{site}` not reported as {lint}:\n{out}"
+        );
+        assert!(out.contains("lib/src/lib.rs:9:"), "{out}");
+    }
+
+    // Test code may panic: a failing assertion is the test doing its job.
+    let tests = "//! Planted.\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+                 let o = Some(1u32);\n        assert_eq!(o.unwrap(), 1);\n        \
+                 o.expect(\"some\");\n        if o.is_none() {\n            panic!(\"none\");\n        }\n    }\n}\n";
+    let (ok, out) = clippy(&ws, "lib", tests);
+    assert!(ok, "panic sites in test code must pass:\n{out}");
+}
+
+#[test]
+fn clock_laundered_through_a_helper_crate_fails_clippy_in_the_helper() {
+    let ws = planted_workspace("clippy-config-laundered");
+    write(
+        &ws.join("helper/src/lib.rs"),
+        "//! Planted.\n\n/// Milliseconds since an arbitrary instant.\npub fn now_ms() -> u128 {\n    \
+         let t = std::time::Instant::now();\n    t.elapsed().as_millis()\n}\n",
+    );
+    let (ok, out) = clippy(
+        &ws,
+        "lib",
+        "//! Planted.\n\n/// Entry.\npub fn entry() -> u128 {\n    helper::now_ms()\n}\n",
+    );
+    assert!(!ok, "the helper's clock read must fail clippy:\n{out}");
     assert!(
-        !out.contains("disallowed type"),
-        "R1/R5 leaked into a non-result crate:\n{out}"
+        out.contains("disallowed type `std::time::Instant`"),
+        "{out}"
+    );
+    assert!(out.contains("helper/src/lib.rs:5:"), "{out}");
+}
+
+/// The sanctioned shape of `lead_nn::simd`: `allow(unsafe_code)` on the
+/// module declaration, a `// SAFETY:` comment on the block.
+const SANCTIONED: &str =
+    "//! Planted.\n\n/// Kernels.\n#[allow(unsafe_code)]\npub mod simd {\n    \
+                          /// Reads.\n    pub fn read(x: &u8) -> u8 {\n        \
+                          // SAFETY: `x` is a live reference.\n        \
+                          unsafe { std::ptr::read(x) }\n    }\n}\n";
+
+#[test]
+fn unsafe_outside_lead_nn_simd_fails() {
+    let ws = planted_workspace("clippy-config-unsafe");
+    let (ok, out) = clippy(&ws, "nn", SANCTIONED);
+    assert!(ok, "the sanctioned module must pass:\n{out}");
+
+    // In lead-nn, a module without the `allow` stays under `deny`.
+    let unsanctioned = SANCTIONED.replace("#[allow(unsafe_code)]\n", "");
+    let (ok, out) = clippy(&ws, "nn", &unsanctioned);
+    assert!(!ok, "{out}");
+    assert!(out.contains("usage of an `unsafe` block"), "{out}");
+
+    // In every other library, `forbid` cannot be re-opened at all.
+    let (ok, out) = clippy(&ws, "lib", SANCTIONED);
+    assert!(!ok, "{out}");
+    assert!(out.contains("incompatible with previous forbid"), "{out}");
+}
+
+#[test]
+fn unsafe_block_without_a_safety_comment_fails() {
+    let ws = planted_workspace("clippy-config-safety");
+    let bare = SANCTIONED.replace("        // SAFETY: `x` is a live reference.\n", "");
+    let (ok, out) = clippy(&ws, "nn", &bare);
+    assert!(!ok, "{out}");
+    assert!(lint_fired(&out, "undocumented_unsafe_blocks"), "{out}");
+}
+
+#[test]
+fn fallible_pub_fn_without_errors_doc_and_undocumented_items_fail() {
+    let ws = planted_workspace("clippy-config-docs");
+    let fallible = "pub fn f(s: &str) -> Result<u32, std::num::ParseIntError> {\n    s.parse()\n}";
+    let (ok, out) = clippy(&ws, "helper", &documented(&[fallible]));
+    assert!(!ok, "{out}");
+    assert!(lint_fired(&out, "missing_errors_doc"), "{out}");
+
+    let with_errors = format!("/// # Errors\n/// When `s` is no number.\n{fallible}");
+    let (ok, out) = clippy(&ws, "helper", &documented(&[&with_errors]));
+    assert!(ok, "a documented failure mode must pass:\n{out}");
+
+    let (ok, out) = clippy(&ws, "helper", "//! Planted.\n\npub fn f() {}\n");
+    assert!(!ok, "{out}");
+    assert!(
+        out.contains("missing documentation for a function"),
+        "{out}"
     );
 }

@@ -21,15 +21,7 @@ fn panic_fixture() {
         "crates/core/src/fixture.rs",
         include_str!("../fixtures/panic.rs"),
     );
-    assert_eq!(
-        got,
-        vec![
-            ("panic".into(), 4),
-            ("panic".into(), 5),
-            ("panic".into(), 6),
-            ("panic".into(), 8),
-        ]
-    );
+    assert_eq!(got, vec![("panic".into(), 6), ("panic".into(), 10)]);
 }
 
 #[test]

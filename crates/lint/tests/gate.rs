@@ -40,7 +40,7 @@ fn run_gate(root: &Path) -> (i32, String) {
 fn seeded_violation_fails_the_gate_with_file_line_diagnostics() {
     let root = fake_workspace(
         "gate-dirty",
-        "//! Seeded violation.\n\nfn f(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n",
+        "//! Seeded violation.\n\nfn f(v: &[u32]) -> u32 {\n    v[0]\n}\n",
     );
     let (code, stdout) = run_gate(&root);
     assert_eq!(code, 1, "a violation must fail CI; output:\n{stdout}");
@@ -49,7 +49,7 @@ fn seeded_violation_fails_the_gate_with_file_line_diagnostics() {
         "diagnostic must carry file:line:col and the rule id:\n{stdout}"
     );
     assert!(
-        stdout.contains("o.unwrap()"),
+        stdout.contains("v[0]"),
         "diagnostic must quote the offending line:\n{stdout}"
     );
     assert!(stdout.contains("1 diagnostic(s)"), "{stdout}");
@@ -68,14 +68,14 @@ fn clean_workspace_passes_the_gate() {
 
 #[test]
 fn waived_violation_passes_but_reasonless_waiver_fails() {
-    let waived = "//! Waived violation.\n\nfn f(o: Option<u32>) -> u32 {\n    \
+    let waived = "//! Waived violation.\n\nfn f(v: &[u32]) -> u32 {\n    \
                   // lint: allow(panic): fixture invariant, documented here\n    \
-                  o.unwrap()\n}\n";
+                  v[0]\n}\n";
     let (code, _) = run_gate(&fake_workspace("gate-waived", waived));
     assert_eq!(code, 0, "a justified waiver silences the rule");
 
-    let reasonless = "//! Reasonless waiver.\n\nfn f(o: Option<u32>) -> u32 {\n    \
-                      // lint: allow(panic)\n    o.unwrap()\n}\n";
+    let reasonless = "//! Reasonless waiver.\n\nfn f(v: &[u32]) -> u32 {\n    \
+                      // lint: allow(panic)\n    v[0]\n}\n";
     let (code, stdout) = run_gate(&fake_workspace("gate-reasonless", reasonless));
     assert_eq!(
         code, 1,
@@ -113,4 +113,74 @@ fn shipped_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+// ---------------------------------------------------------------------------
+// The explain subcommand and derived help
+// ---------------------------------------------------------------------------
+
+fn run_bare(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_lead-lint"))
+        .args(args)
+        .output()
+        .expect("run lead-lint");
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn explain_without_a_target_lists_the_whole_catalog() {
+    let (code, stdout, _) = run_bare(&["explain"]);
+    assert_eq!(code, 0);
+    for d in &lead_lint::rules::RULE_DOCS {
+        assert!(stdout.contains(d.num), "{stdout}");
+        assert!(stdout.contains(d.id), "{stdout}");
+    }
+    // One line per catalog entry plus the trailing hint.
+    let rule_lines = stdout.lines().filter(|l| l.starts_with('R')).count();
+    assert_eq!(rule_lines, lead_lint::rules::RULE_DOCS.len(), "{stdout}");
+}
+
+#[test]
+fn explain_by_number_or_id_prints_doc_and_waiver_syntax() {
+    for target in ["R10", "unsafe-contract"] {
+        let (code, stdout, _) = run_bare(&["explain", target]);
+        assert_eq!(code, 0);
+        assert!(stdout.contains("R10 `unsafe-contract`"), "{stdout}");
+        assert!(stdout.contains("mod simd"), "{stdout}");
+        assert!(
+            stdout.contains("// lint: allow(unsafe-contract):"),
+            "{stdout}"
+        );
+    }
+}
+
+#[test]
+fn explain_r4_covers_both_halves() {
+    let (code, stdout, _) = run_bare(&["explain", "R4"]);
+    assert_eq!(code, 0);
+    assert!(stdout.contains("R4a `float-cast`"), "{stdout}");
+    assert!(stdout.contains("R4b `float-eq`"), "{stdout}");
+}
+
+#[test]
+fn explain_unknown_or_deleted_rule_is_a_usage_error() {
+    for target in ["R99", "R12", "determinism-taint"] {
+        let (code, _, stderr) = run_bare(&["explain", target]);
+        assert_eq!(code, 2, "{target}");
+        assert!(stderr.contains("unknown rule"), "{stderr}");
+        assert!(stderr.contains("hot-loop-alloc"), "{stderr}");
+    }
+}
+
+#[test]
+fn help_derives_the_rule_list_from_the_catalog() {
+    let (code, stdout, _) = run_bare(&["--help"]);
+    assert_eq!(code, 0);
+    let nums: Vec<&str> = lead_lint::rules::RULE_DOCS.iter().map(|d| d.num).collect();
+    assert!(stdout.contains(&nums.join(", ")), "{stdout}");
+    assert!(stdout.contains("explain"), "{stdout}");
 }

@@ -5,6 +5,7 @@
 //! string strategies, so sources are composed from a fragment table via
 //! index vectors.
 
+use lead_lint::blocks::{build, BlockKind};
 use lead_lint::lex::{tokenize, TokenKind};
 use proptest::prelude::*;
 
@@ -35,9 +36,9 @@ const FRAGMENTS: &[&str] = &[
     "no final newline",
     "r#type",
     "'a\n",
-    // Shapes the call-site extractor must not misparse: macro_rules! bodies
-    // (nested matchers full of braces), where-clause braces, and
-    // turbofish-heavy call expressions.
+    // Shapes the block IR must not misparse: macro_rules! bodies (nested
+    // matchers full of braces), where-clause braces, and turbofish-heavy
+    // call expressions.
     "macro_rules! m { ($x:expr) => {{ $x + 1 }}; ($($t:tt)*) => { $($t)* }; }\n",
     "fn w<T>() -> T where T: Default + Clone { T::default() }\n",
     "impl<T> S<T> where T: Copy { fn g(&self) -> usize { self.v.len() } }\n",
@@ -79,24 +80,27 @@ fn shape(src: &str) -> Vec<(TokenKind, String, usize, usize)> {
         .collect()
 }
 
-/// One item as `(kind, name, line, col, body lines)`.
-type ItemShape = (String, Option<String>, usize, usize, Option<(usize, usize)>);
+/// Every block as `(kind, open line, close line, depth)`, then every `mod`
+/// declaration as `(name, attribute lines)`.
+type BlockShape = (
+    Vec<(BlockKind, usize, usize, usize)>,
+    Vec<(String, Vec<usize>)>,
+);
 
-/// The comparable projection of the block IR's item extraction.
-fn item_shape(src: &str) -> Vec<ItemShape> {
-    lead_lint::blocks::build(&tokenize(src))
-        .items
+/// The comparable projection of the block IR.
+fn block_shape(src: &str) -> BlockShape {
+    let ir = build(&tokenize(src));
+    let blocks = ir
+        .blocks
         .iter()
-        .map(|it| {
-            (
-                format!("{:?}", it.kind),
-                it.name.clone(),
-                it.line,
-                it.col,
-                it.body.map(|b| (b.open_line, b.close_line)),
-            )
-        })
-        .collect()
+        .map(|b| (b.kind, b.span.open_line, b.span.close_line, b.depth))
+        .collect();
+    let mods = ir
+        .mods
+        .iter()
+        .map(|m| (m.name.clone(), m.attr_lines.clone()))
+        .collect();
+    (blocks, mods)
 }
 
 proptest! {
@@ -120,29 +124,17 @@ proptest! {
     }
 
     #[test]
-    fn item_extraction_is_stable_and_well_formed(src in source()) {
+    fn block_ir_is_stable_and_well_formed(src in source()) {
         let lines = src.lines().count().max(1);
-        let items = item_shape(&src);
-        prop_assert_eq!(&items, &item_shape(&src));
-        for (_, _, line, col, body) in items {
-            prop_assert!(line >= 1 && line <= lines && col >= 1);
-            if let Some((open, close)) = body {
-                prop_assert!(open >= line && close >= open);
-            }
+        let shape = block_shape(&src);
+        prop_assert_eq!(&shape, &block_shape(&src));
+        let (blocks, mods) = shape;
+        for (_, open, close, _) in blocks {
+            prop_assert!(open >= 1 && close >= open);
         }
-    }
-
-    #[test]
-    fn call_extraction_is_stable_and_names_are_idents(src in source()) {
-        let toks = tokenize(&src);
-        let calls = lead_lint::callgraph::extract_calls(&toks);
-        prop_assert_eq!(&calls, &lead_lint::callgraph::extract_calls(&toks));
-        for c in calls {
-            prop_assert!(c.line >= 1);
-            prop_assert!(!c.name.is_empty());
-            prop_assert!(c.name.chars().all(|ch| ch.is_ascii_alphanumeric() || ch == '_'));
-            // A method call never also carries a path qualifier.
-            prop_assert!(!(c.is_method && c.qualifier.is_some()));
+        for (name, attr_lines) in mods {
+            prop_assert!(!name.is_empty());
+            prop_assert!(attr_lines.iter().all(|&l| l >= 1 && l <= lines));
         }
     }
 }
@@ -195,37 +187,29 @@ fn nested_block_comment_is_one_token_and_tracks_lines() {
 }
 
 #[test]
-fn macro_rules_body_round_trips_and_extracts_no_fn_items() {
+fn macro_rules_body_round_trips_and_holds_no_item_body() {
     let src = "macro_rules! m {\n    ($x:expr) => {{ $x + 1 }};\n    ($($t:tt)*) => { fn_like($($t)*) };\n}\n\nfn real() {}\n";
     let joined: String = tokenize(src).iter().map(|t| t.text).collect();
     assert_eq!(joined, src);
-    let items = lead_lint::blocks::build(&tokenize(src)).items;
-    let fns: Vec<_> = items
-        .iter()
-        .filter(|it| it.kind == lead_lint::blocks::ItemKind::Fn)
+    let items: Vec<_> = build(&tokenize(src))
+        .blocks
+        .into_iter()
+        .filter(|b| b.kind == BlockKind::Item)
         .collect();
-    assert_eq!(fns.len(), 1, "{fns:?}");
-    assert_eq!(fns[0].name.as_deref(), Some("real"));
+    assert_eq!(items.len(), 1, "{items:?}");
+    assert_eq!(items[0].span.open_line, 6);
 }
 
 #[test]
 fn where_clause_braces_do_not_break_body_spans() {
     let src = "fn w<T>() -> Vec<T>\nwhere\n    T: Default + Clone,\n{\n    vec![T::default()]\n}\n";
-    let items = lead_lint::blocks::build(&tokenize(src)).items;
-    assert_eq!(items.len(), 1, "{items:?}");
-    assert_eq!(items[0].name.as_deref(), Some("w"));
-    let body = items[0].body.expect("fn has a body");
-    assert_eq!((body.open_line, body.close_line), (4, 6));
-}
-
-#[test]
-fn turbofish_chains_extract_the_right_call_names() {
-    let src =
-        "fn f(xs: &[u32]) -> Vec<u32> {\n    xs.iter().map(|x| x * 2).collect::<Vec<u32>>()\n}\n";
-    let calls = lead_lint::callgraph::extract_calls(&tokenize(src));
-    let names: Vec<&str> = calls.iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(names, vec!["iter", "map", "collect"], "{calls:?}");
-    assert!(calls.iter().all(|c| c.is_method), "{calls:?}");
+    let blocks = build(&tokenize(src)).blocks;
+    assert_eq!(blocks.len(), 1, "{blocks:?}");
+    assert_eq!(blocks[0].kind, BlockKind::Item);
+    assert_eq!(
+        (blocks[0].span.open_line, blocks[0].span.close_line),
+        (4, 6)
+    );
 }
 
 #[test]

@@ -78,7 +78,10 @@ impl SelfAttention {
     pub fn aggregate(&self, g: &mut Graph, hs: &[Var]) -> Var {
         assert!(!hs.is_empty(), "attention over an empty sequence");
         let h_mat = g.concat_rows(hs); // T × hidden
-                                       // lint: allow(panic, panic-path): hs non-empty is asserted at entry (documented # Panics)
+        #[expect(
+            clippy::expect_used,
+            reason = "hs non-empty is asserted at entry (documented # Panics)"
+        )]
         let last = *hs.last().expect("non-empty");
         let wq = g.param(self.wq);
         let bq = g.param(self.bq);
@@ -306,7 +309,10 @@ impl SelfAttention {
     pub fn weights(&self, g: &mut Graph, hs: &[Var]) -> Var {
         assert!(!hs.is_empty(), "attention over an empty sequence");
         let h_mat = g.concat_rows(hs);
-        // lint: allow(panic, panic-path): hs non-empty is asserted at entry (documented # Panics)
+        #[expect(
+            clippy::expect_used,
+            reason = "hs non-empty is asserted at entry (documented # Panics)"
+        )]
         let last = *hs.last().expect("non-empty");
         let wq = g.param(self.wq);
         let bq = g.param(self.bq);

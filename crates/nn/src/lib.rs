@@ -53,12 +53,6 @@
 //! assert!((fit.at(0, 0) - 3.0).abs() < 0.05);
 //! ```
 
-// `deny` (not `forbid`) so the one sanctioned module below can re-open
-// unsafe under the lint gate's R10 contract; everywhere else in the crate
-// `unsafe` still fails the build.
-#![deny(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod bptt;
 pub mod infer;
 pub mod init;
@@ -71,6 +65,8 @@ pub mod optim;
 #[expect(clippy::disallowed_methods, reason = "R3: sanctioned thread home")]
 pub mod par;
 pub mod params;
+// `unsafe_code` is `deny` in this crate's `[lints]` (not `forbid`), so this
+// is the one module that may re-open it; `lead-lint` R10 keeps it that way.
 #[allow(unsafe_code)]
 pub mod simd;
 pub mod tape;

@@ -64,6 +64,10 @@ where
 ///
 /// # Panics
 /// Propagates a panic from `f` (the scope joins all workers first).
+#[expect(
+    clippy::expect_used,
+    reason = "structural invariant: the index partition covers 0..n exactly once"
+)]
 pub fn par_map_with<T, S, R, I, F>(num_threads: usize, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -118,7 +122,6 @@ where
 
     slots
         .into_iter()
-        // lint: allow(panic, panic-path): structural invariant — the index partition covers 0..n exactly once
         .map(|s| s.expect("par_map: every index visited exactly once"))
         .collect()
 }

@@ -226,6 +226,10 @@ static FORCED: AtomicU8 = AtomicU8::new(0);
 /// computed once: the environment is read a single time per process.
 static DEFAULT: OnceLock<Backend> = OnceLock::new();
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`LEAD_SIMD_FORCE` picks between backends whose results are bit-identical"
+)]
 fn default_backend() -> Backend {
     match std::env::var("LEAD_SIMD_FORCE").as_deref() {
         Ok("scalar") => Backend::Scalar,

@@ -20,6 +20,8 @@
 //!    detect a contraction-rounding bug in a reduction, an update, a
 //!    register-blocked product and a transcendental.
 
+#![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
+
 use lead_nn::simd::{AdamCoeffs, Backend, Kernel, LANES};
 use proptest::prelude::*;
 

@@ -14,9 +14,6 @@
 //! layer happens in [`clock`] — alongside `lead_eval::timing`, the only
 //! sanctioned clock home under `lead-lint` rule R5.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 #[expect(clippy::disallowed_types, reason = "R5: sanctioned wall-clock home")]
 pub mod clock;
 pub mod emit;

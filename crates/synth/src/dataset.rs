@@ -109,7 +109,7 @@ pub fn generate_dataset(config: &SynthConfig) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn tiny_dataset() -> Dataset {
         generate_dataset(&SynthConfig::tiny())
@@ -120,7 +120,7 @@ mod tests {
         let cfg = SynthConfig::tiny();
         let ds = tiny_dataset();
         assert_eq!(ds.len(), cfg.total_samples());
-        let trucks = |s: &[Sample]| s.iter().map(|x| x.truck_id).collect::<HashSet<_>>();
+        let trucks = |s: &[Sample]| s.iter().map(|x| x.truck_id).collect::<BTreeSet<_>>();
         let n_val = trucks(&ds.val).len();
         let n_test = trucks(&ds.test).len();
         assert_eq!(n_val, (cfg.num_trucks / 10).max(1));
@@ -130,9 +130,9 @@ mod tests {
     #[test]
     fn splits_have_disjoint_trucks() {
         let ds = tiny_dataset();
-        let t: HashSet<u32> = ds.train.iter().map(|s| s.truck_id).collect();
-        let v: HashSet<u32> = ds.val.iter().map(|s| s.truck_id).collect();
-        let e: HashSet<u32> = ds.test.iter().map(|s| s.truck_id).collect();
+        let t: BTreeSet<u32> = ds.train.iter().map(|s| s.truck_id).collect();
+        let v: BTreeSet<u32> = ds.val.iter().map(|s| s.truck_id).collect();
+        let e: BTreeSet<u32> = ds.test.iter().map(|s| s.truck_id).collect();
         assert!(t.is_disjoint(&v));
         assert!(t.is_disjoint(&e));
         assert!(v.is_disjoint(&e));

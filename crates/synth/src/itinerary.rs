@@ -118,20 +118,26 @@ impl DayPlan {
     }
 
     /// Index of the *first* loading stop within `stops`.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction invariant: every generated plan contains at least one loading stop"
+    )]
     pub fn loading_index(&self) -> usize {
         self.stops
             .iter()
             .position(|s| s.kind == StayKind::Loading)
-            // lint: allow(panic, panic-path): construction invariant — every generated plan contains at least one loading stop
             .expect("plan has a loading stop")
     }
 
     /// Index of the *first* unloading stop within `stops`.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction invariant: every generated plan contains at least one unloading stop"
+    )]
     pub fn unloading_index(&self) -> usize {
         self.stops
             .iter()
             .position(|s| s.kind == StayKind::Unloading)
-            // lint: allow(panic, panic-path): construction invariant — every generated plan contains at least one unloading stop
             .expect("plan has an unloading stop")
     }
 
@@ -266,6 +272,10 @@ fn pick_distinct_site<R: Rng>(rng: &mut R, pool: &[Site], avoid: Site) -> Site {
 /// With probability `fueling_break_prob` the break happens at a fueling
 /// station — indistinguishable by staying behaviour from a fuel tanker's
 /// loading stop (the paper's complex staying scenario).
+#[expect(
+    clippy::expect_used,
+    reason = "best is set on the first of the six draws; pool non-emptiness asserted above"
+)]
 fn pick_break_site<R: Rng>(
     city: &City,
     config: &SynthConfig,
@@ -288,7 +298,6 @@ fn pick_break_site<R: Rng>(
             _ => best = Some((s, detour)),
         }
     }
-    // lint: allow(panic, panic-path): best is set on the first of the six draws; pool non-emptiness asserted above
     best.expect("pool is non-empty").0
 }
 

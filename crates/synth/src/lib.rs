@@ -24,9 +24,6 @@
 //! (named adversarial recording pathologies behind seeded configs),
 //! [`binio`] (binary shard export in the `lead-data` container format).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod binio;
 pub mod city;
 pub mod config;

@@ -6,7 +6,7 @@ use crate::dataset::{Dataset, Sample};
 use lead_core::config::LeadConfig;
 use lead_core::label::truth_stay_indices;
 use lead_core::processing::ProcessedTrajectory;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Summary statistics of one dataset split (or a union of splits).
@@ -37,7 +37,7 @@ impl SplitStats {
         if samples.is_empty() {
             return out;
         }
-        let mut trucks = HashSet::new();
+        let mut trucks = BTreeSet::new();
         let mut total_points = 0usize;
         let mut total_stays = 0usize;
         for s in samples {

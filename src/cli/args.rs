@@ -1,12 +1,12 @@
 //! A minimal `--flag value` argument parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone)]
 pub struct Args {
     subcommand: String,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
 }
 
 impl Args {
@@ -15,7 +15,7 @@ impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         let mut it = argv.into_iter();
         let subcommand = it.next().ok_or("missing subcommand")?;
-        let mut options = HashMap::new();
+        let mut options = BTreeMap::new();
         while let Some(key) = it.next() {
             let key = key
                 .strip_prefix("--")
