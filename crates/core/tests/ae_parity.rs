@@ -21,11 +21,11 @@ mod support;
 use lead_core::config::LeadConfig;
 use lead_core::encoding::{AeScratch, Autoencoder, EncoderKind};
 use lead_core::features::{CandidateFeatures, FEATURE_DIM};
-use lead_nn::simd::{force_backend, Backend, Kernel};
+use lead_nn::simd::{Backend, Kernel};
 use lead_nn::{Gradients, Graph, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use support::{bits, perturb};
+use support::{bits, forced, perturb};
 
 /// Rows of segment `k` of a candidate with `n` stay points: 1…30, with
 /// one-row segments among them.
@@ -91,9 +91,7 @@ fn check_dims(cfg: &LeadConfig, dims: &str) {
                 let want = tape(&ae, input);
                 tape_total += f64::from(want.0);
                 for backend in Backend::available() {
-                    force_backend(Some(backend));
-                    let got = ae.loss_and_gradients(input, &mut scratch);
-                    force_backend(None);
+                    let got = forced(backend, || ae.loss_and_gradients(input, &mut scratch));
                     let what = format!(
                         "{dims} dims, {kind:?}, attention = {attention}, n = {n}, `{}`",
                         backend.name()

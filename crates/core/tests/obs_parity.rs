@@ -12,14 +12,19 @@
     reason = "a test helper fails its test by panicking"
 )]
 
+mod support;
+
 use lead_core::config::LeadConfig;
 use lead_core::pipeline::{DetectOptions, FitOptions, Lead, LeadOptions, TrainSample};
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};
+use lead_core::processing::Candidate;
 use lead_core::source::SliceSamples;
 use lead_core::LeadError;
 use lead_geo::distance::meters_to_lng_deg;
 use lead_geo::{GpsPoint, Trajectory};
+use lead_nn::simd::{Backend, Kernel};
 use lead_obs::Recorder;
+use support::forced;
 
 /// A minimal trainable world (mirrors the persistence tests' fixture).
 fn tiny_world() -> (Vec<TrainSample>, PoiDatabase) {
@@ -216,59 +221,55 @@ fn probed_stream_replay_is_bit_identical() {
     assert!(recorder.counter("stream.rescores").unwrap_or(0) > 0);
 }
 
-/// Restores runtime backend selection even if the test panics.
-struct BackendGuard;
-
-impl Drop for BackendGuard {
-    fn drop(&mut self) {
-        lead_nn::simd::force_backend(None);
-    }
-}
-
 /// The two write-only contracts composed: a *probed* fit on the scalar
-/// reference backend and a *plain* fit on the runtime-selected backend must
+/// reference backend and a *plain* fit on each available backend must
 /// still serialize byte-identically. Neither the recorder nor the SIMD
 /// backend choice is allowed to move a single bit of the trained weights.
 #[test]
 fn cross_backend_probed_fit_is_byte_identical() {
     let (samples, db) = tiny_world();
     let cfg = LeadConfig::fast_test();
-    let _guard = BackendGuard;
+    // Every sample's detected candidate and probabilities, `None` where the
+    // day is not detectable.
+    let detections = |lead: &Lead| -> Vec<Option<(Candidate, Vec<u32>)>> {
+        samples
+            .iter()
+            .map(|s| {
+                lead.detect(&s.raw, &db).map(|d| {
+                    let probs = d.probabilities.iter().map(|x| x.to_bits()).collect();
+                    (d.detected, probs)
+                })
+            })
+            .collect()
+    };
 
-    lead_nn::simd::force_backend(Some(lead_nn::simd::Backend::Scalar));
-    let recorder = Recorder::new();
-    let (scalar_probed, _) = Lead::fit_streaming(
-        &mut SliceSamples::new(&samples),
-        None,
-        &db,
-        &cfg,
-        LeadOptions::full(),
-        &FitOptions::new().with_probe(&recorder),
-    )
-    .expect("probed scalar fit");
+    let (scalar_bytes, scalar_detections) = forced(Backend::Scalar, || {
+        let recorder = Recorder::new();
+        let (scalar_probed, _) = Lead::fit_streaming(
+            &mut SliceSamples::new(&samples),
+            None,
+            &db,
+            &cfg,
+            LeadOptions::full(),
+            &FitOptions::new().with_probe(&recorder),
+        )
+        .expect("probed scalar fit");
+        (model_bytes(&scalar_probed), detections(&scalar_probed))
+    });
 
-    lead_nn::simd::force_backend(None);
-    let (auto_plain, _) =
-        Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("plain auto fit");
-
-    assert_eq!(
-        model_bytes(&scalar_probed),
-        model_bytes(&auto_plain),
-        "weights diverged across SIMD backends (with a probe attached)"
-    );
-    // And the detections those weights produce agree bitwise too.
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for s in &samples {
-        let a = scalar_probed.detect(&s.raw, &db);
-        let b = auto_plain.detect(&s.raw, &db);
-        match (a, b) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.detected, b.detected);
-                assert_eq!(bits(&a.probabilities), bits(&b.probabilities));
-            }
-            (None, None) => {}
-            _ => panic!("detectability changed across SIMD backends"),
-        }
+    for backend in Backend::available() {
+        let (bytes, dets) = forced(backend, || {
+            let (plain, _) =
+                Lead::fit(&samples, &[], &db, &cfg, LeadOptions::full()).expect("plain fit");
+            (model_bytes(&plain), detections(&plain))
+        });
+        let name = backend.name();
+        assert_eq!(
+            scalar_bytes, bytes,
+            "weights diverged on `{name}` (with a probe attached to the scalar fit)"
+        );
+        // And the detections those weights produce agree bitwise too.
+        assert_eq!(scalar_detections, dets, "detections diverged on `{name}`");
     }
 }
 

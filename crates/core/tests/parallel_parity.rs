@@ -12,13 +12,17 @@
     reason = "a test helper fails its test by panicking"
 )]
 
+mod support;
+
 use lead_core::config::LeadConfig;
 use lead_core::pipeline::{DetectOptions, DetectionResult, Lead, LeadOptions, TrainSample};
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};
 use lead_geo::distance::meters_to_lng_deg;
 use lead_geo::{GpsPoint, Trajectory};
+use lead_nn::simd::{Backend, Kernel};
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use support::forced;
 
 /// One synthetic working day: `blocks` dwells separated by short drives,
 /// geometry perturbed by `variant` so trajectories differ. Returns the raw
@@ -207,64 +211,52 @@ fn fresh_runs_from_the_same_seed_are_byte_identical() {
     );
 }
 
-/// Restores runtime backend selection even if the test panics, so a failure
-/// here cannot leak a forced backend into other tests in this binary.
-struct BackendGuard;
-
-impl Drop for BackendGuard {
-    fn drop(&mut self) {
-        lead_nn::simd::force_backend(None);
-    }
-}
-
-/// The cross-backend determinism contract: a fit forced onto the scalar
-/// reference backend and a fit on the runtime-selected backend (AVX2 where
-/// the CPU has it) must produce byte-identical serialized models, training
-/// curves, and detections. This is the end-to-end closure of the per-kernel
-/// `to_bits` parity pinned in `lead_nn`'s `simd_parity`/`proptest_simd`
-/// suites: if any hot path bypassed the dispatched kernels or a kernel
-/// rounded differently, the persisted byte streams would diverge here.
+/// The cross-backend determinism contract: a fit forced onto each available
+/// backend (scalar, then AVX2 and AVX-512 where the CPU has them) must
+/// produce the scalar fit's serialized model, training curves and
+/// detections, byte for byte. This is the end-to-end closure of the
+/// per-kernel `to_bits` parity pinned in `lead_nn`'s
+/// `simd_parity`/`proptest_simd` suites: if any hot path bypassed the
+/// dispatched kernels or a kernel rounded differently, the persisted byte
+/// streams would diverge here.
 #[test]
 fn fit_is_bit_identical_across_simd_backends() {
     let db = poi_db();
     let (held_out, _) = synthetic_day(4, 9);
-    let _guard = BackendGuard;
-
-    lead_nn::simd::force_backend(Some(lead_nn::simd::Backend::Scalar));
-    let (scalar_model, scalar_report) = fit_with_threads(2);
-    let mut scalar_bytes = Vec::new();
-    scalar_model
-        .write_to(&mut scalar_bytes)
-        .expect("serializing to memory cannot fail");
-    let scalar_det = detection_fingerprint(&scalar_model.detect(&held_out, &db));
-
-    lead_nn::simd::force_backend(None);
-    let (auto_model, auto_report) = fit_with_threads(2);
-    let mut auto_bytes = Vec::new();
-    auto_model
-        .write_to(&mut auto_bytes)
-        .expect("serializing to memory cannot fail");
-    let auto_det = detection_fingerprint(&auto_model.detect(&held_out, &db));
-
-    assert_eq!(
-        bits(&scalar_report.ae_curve),
-        bits(&auto_report.ae_curve),
-        "autoencoder curves diverged across SIMD backends"
-    );
-    assert_eq!(
-        bits(&scalar_report.forward_kld_curve),
-        bits(&auto_report.forward_kld_curve),
-        "forward detector curves diverged across SIMD backends"
-    );
-    assert_eq!(
-        scalar_det, auto_det,
-        "detections diverged across SIMD backends"
-    );
+    let fit_on = |backend: Backend| {
+        forced(backend, || {
+            let (model, report) = fit_with_threads(2);
+            let mut bytes = Vec::new();
+            model
+                .write_to(&mut bytes)
+                .expect("serializing to memory cannot fail");
+            let det = detection_fingerprint(&model.detect(&held_out, &db));
+            (bytes, report, det)
+        })
+    };
+    // `available` lists scalar first: the reference every other fit meets.
+    let backends = Backend::available();
+    let (scalar_bytes, scalar_report, scalar_det) = fit_on(backends[0]);
     assert!(scalar_det.is_some(), "held-out day must be detectable");
-    assert_eq!(
-        scalar_bytes, auto_bytes,
-        "serialized models diverged across SIMD backends"
-    );
+    for &backend in &backends[1..] {
+        let (bytes, report, det) = fit_on(backend);
+        let name = backend.name();
+        assert_eq!(
+            bits(&scalar_report.ae_curve),
+            bits(&report.ae_curve),
+            "autoencoder curves diverged on `{name}`"
+        );
+        assert_eq!(
+            bits(&scalar_report.forward_kld_curve),
+            bits(&report.forward_kld_curve),
+            "forward detector curves diverged on `{name}`"
+        );
+        assert_eq!(scalar_det, det, "detections diverged on `{name}`");
+        assert_eq!(
+            scalar_bytes, bytes,
+            "serialized models diverged on `{name}`"
+        );
+    }
 }
 
 fn shared_model() -> &'static (Lead, PoiDatabase) {

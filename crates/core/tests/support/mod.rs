@@ -1,6 +1,7 @@
-//! Fixtures shared by the inference parity suites: seeded synthetic days
-//! per stay-point bucket, a POI database they pass by, the seven variants,
-//! and a weight perturbation that gives untrained models distinct outputs.
+//! Fixtures shared by the parity suites: seeded synthetic days per
+//! stay-point bucket, a POI database they pass by, the seven variants, a
+//! weight perturbation that gives untrained models distinct outputs, and
+//! the one way a test forces a SIMD backend.
 
 #![allow(dead_code)]
 
@@ -8,7 +9,31 @@ use lead_core::pipeline::LeadOptions;
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};
 use lead_geo::distance::meters_to_lng_deg;
 use lead_geo::{GpsPoint, Trajectory};
+use lead_nn::simd::{force_backend, Backend};
 use lead_nn::ParamSet;
+use std::sync::{Mutex, PoisonError};
+
+/// Held by every forced section of a test binary. `force_backend` is
+/// process-global and the harness runs tests on several threads, so without
+/// it one test's section could run under another test's backend, or none.
+static FORCED: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with every dispatched kernel forced onto `backend`, while no
+/// other forced section of this binary runs, then restores runtime
+/// selection (also when `f` panics).
+pub fn forced<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            force_backend(None);
+        }
+    }
+    // A panicking section poisons the lock; the next one still runs.
+    let _lock = FORCED.lock().unwrap_or_else(PoisonError::into_inner);
+    let _restore = Restore;
+    force_backend(Some(backend));
+    f()
+}
 
 /// One synthetic working day of `blocks` dwells separated by short drives;
 /// `seed` perturbs the geometry and dwell lengths.

@@ -17,11 +17,11 @@ use lead_core::detection::{
     backward_flat_order, build_groups, forward_flat_order, smoothed_label, GroupDetector,
 };
 use lead_core::processing::Candidate;
-use lead_nn::simd::{force_backend, Backend, Kernel};
+use lead_nn::simd::{Backend, Kernel};
 use lead_nn::{Gradients, Graph, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use support::{bits, perturb};
+use support::{bits, forced, perturb};
 
 /// A deterministic c-vec for `c`: pseudo-random entries with an exact
 /// `+0.0` and `-0.0` planted in every vector.
@@ -76,9 +76,7 @@ fn check_dims(cfg: &LeadConfig, dims: &str) {
             let want = tape(&det, &refs, &label);
             let side_name = if forward { "forward" } else { "backward" };
             for backend in Backend::available() {
-                force_backend(Some(backend));
-                let got = det.loss_and_gradients(&refs, &label);
-                force_backend(None);
+                let got = forced(backend, || det.loss_and_gradients(&refs, &label));
                 let what = format!(
                     "{dims} dims, {side_name} side, n = {n}, `{}`",
                     backend.name()

@@ -25,7 +25,9 @@
 //! - [`matmul_acc`] is register-blocked (4 rows × 16 columns held in
 //!   registers across the `k` loop), which reorders only *which* element is
 //!   updated when, never the per-element sequence of exactly rounded
-//!   multiply-then-add steps in ascending `k` or the exact-zero skip.
+//!   multiply-then-add steps in ascending `k` or the exact-zero skip. Its
+//!   `WIDE` instance, the AVX-512 backend's, runs 32-column tiles of
+//!   [`super::avx512`] first and this file's tiles on the columns left over.
 //! - [`matmul_at_b_acc`] is [`matmul_acc`] of the transposed left operand,
 //!   transposed onto the stack a block at a time, and [`matmul_a_bt_acc`]
 //!   runs eight [`dot`]s side by side, each with `dot`'s own lane
@@ -48,7 +50,7 @@ use core::arch::x86_64::{
     _mm256_xor_ps, _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
-use super::{scalar, AdamCoeffs, LANES};
+use super::{avx512, scalar, AdamCoeffs, LANES};
 
 /// Loads one LANES-wide chunk produced by `chunks_exact(LANES)`.
 ///
@@ -555,14 +557,16 @@ const TILE_COLS: usize = 2 * LANES;
 /// zero `a[i][k]` is skipped for its whole row — the reference's sparsity
 /// skip. Rows past the last full tile run as one-row tiles; columns past the
 /// last 16-wide tile run as one 8-wide vector and then the scalar axpy tail.
+/// With `WIDE`, 32-column tiles of [`avx512::row_tile`] come first.
 ///
 /// # Safety
 ///
-/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
+/// The running CPU must support AVX2, and AVX-512F too when `WIDE` (guarded
+/// by the `Backend` dispatcher).
 // SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn matmul_acc(
+pub(super) unsafe fn matmul_acc<const WIDE: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -576,9 +580,10 @@ pub(super) unsafe fn matmul_acc(
     let mut i = 0;
     while i + TILE_ROWS <= m {
         let rows = i..i + TILE_ROWS;
-        // SAFETY: in an AVX2 context (this fn's own target_feature).
+        // SAFETY: in an AVX2 context, and an AVX-512F CPU when `WIDE`, per
+        // this fn's contract; `n > 0`.
         unsafe {
-            row_tile::<TILE_ROWS>(
+            tile::<TILE_ROWS, WIDE>(
                 &a[rows.start * k..rows.end * k],
                 b,
                 &mut out[rows.start * n..rows.end * n],
@@ -589,9 +594,9 @@ pub(super) unsafe fn matmul_acc(
         i += TILE_ROWS;
     }
     while i < m {
-        // SAFETY: in an AVX2 context (this fn's own target_feature).
+        // SAFETY: as for the full tiles above.
         unsafe {
-            row_tile::<1>(
+            tile::<1, WIDE>(
                 &a[i * k..(i + 1) * k],
                 b,
                 &mut out[i * n..(i + 1) * n],
@@ -603,8 +608,38 @@ pub(super) unsafe fn matmul_acc(
     }
 }
 
-/// `out[R×n] += a[R×k] × b[k×n]` for one block of `R` rows; see
-/// [`matmul_acc`] for the evaluation order it preserves.
+/// `out[R×n] += a[R×k] × b[k×n]` for one block of `R` rows: with `WIDE`,
+/// [`avx512::row_tile`] over the whole 32-column tiles, then [`row_tile`]
+/// from the first column left.
+///
+/// # Safety
+///
+/// The caller must be in an AVX2 `target_feature` context, on a CPU with
+/// AVX-512F when `WIDE`, and `n > 0`.
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the contexts above.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn tile<const R: usize, const WIDE: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    let j = if WIDE {
+        // SAFETY: the CPU supports AVX-512F when `WIDE`, per this fn's
+        // contract, and `n > 0`.
+        unsafe { avx512::row_tile::<R>(a, b, out, k, n) }
+    } else {
+        0
+    };
+    // SAFETY: in an AVX2 context; `n > 0`.
+    unsafe { row_tile::<R>(a, b, out, k, n, j) }
+}
+
+/// `out[R×n] += a[R×k] × b[k×n]` over columns `j0..n` for one block of
+/// `R` rows; see [`matmul_acc`] for the evaluation order it preserves.
 ///
 /// # Safety
 ///
@@ -613,10 +648,17 @@ pub(super) unsafe fn matmul_acc(
 // callers uphold the AVX2 context.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn row_tile<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+unsafe fn row_tile<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+) {
     let a_rows: [&[f32]; R] = core::array::from_fn(|r| &a[r * k..(r + 1) * k]);
     let b_rows = || b.chunks_exact(n).take(k).enumerate();
-    let mut j = 0;
+    let mut j = j0;
     while j + TILE_COLS <= n {
         let mut lo = [_mm256_setzero_ps(); R];
         let mut hi = [_mm256_setzero_ps(); R];
@@ -699,18 +741,19 @@ const AT_B_BLOCK: usize = 64;
 /// Per output element the reference adds `a[r][p] * b[r][j]` in ascending
 /// `r`, skipping every exact-zero `a[r][p]`: that is [`matmul_acc`] of `aᵀ`.
 /// So each tile of up to 4 output rows transposes its 4 columns of `a`, 64
-/// rows at a time, into a stack block and hands the block to [`row_tile`].
-/// Between blocks the output tile is stored and reloaded, which moves bits
-/// without rounding them. A single row of `a` is the reference's axpy loop
-/// as it stands.
+/// rows at a time, into a stack block and hands the block to [`tile`], 512
+/// bits wide first when `WIDE`. Between blocks the output tile is stored and
+/// reloaded, which moves bits without rounding them. A single row of `a` is
+/// the reference's axpy loop as it stands.
 ///
 /// # Safety
 ///
-/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
+/// The running CPU must support AVX2, and AVX-512F too when `WIDE` (guarded
+/// by the `Backend` dispatcher).
 // SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn matmul_at_b_acc(
+pub(super) unsafe fn matmul_at_b_acc<const WIDE: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -737,14 +780,15 @@ pub(super) unsafe fn matmul_at_b_acc(
     let mut p = 0;
     while p + TILE_ROWS <= k {
         let tile = &mut out[p * n..(p + TILE_ROWS) * n];
-        // SAFETY: in an AVX2 context (this fn's own target_feature).
-        unsafe { at_b_tile::<TILE_ROWS>(a, b, tile, &mut block, p, m, k, n) };
+        // SAFETY: in an AVX2 context, and an AVX-512F CPU when `WIDE`, per
+        // this fn's contract; `n > 0`.
+        unsafe { at_b_tile::<TILE_ROWS, WIDE>(a, b, tile, &mut block, p, m, k, n) };
         p += TILE_ROWS;
     }
     while p < k {
         let tile = &mut out[p * n..(p + 1) * n];
-        // SAFETY: in an AVX2 context (this fn's own target_feature).
-        unsafe { at_b_tile::<1>(a, b, tile, &mut block, p, m, k, n) };
+        // SAFETY: as for the full tiles above.
+        unsafe { at_b_tile::<1, WIDE>(a, b, tile, &mut block, p, m, k, n) };
         p += 1;
     }
 }
@@ -754,12 +798,13 @@ pub(super) unsafe fn matmul_at_b_acc(
 ///
 /// # Safety
 ///
-/// The caller must be in an AVX2 `target_feature` context, and `n > 0`.
+/// The caller must be in an AVX2 `target_feature` context, on a CPU with
+/// AVX-512F when `WIDE`, and `n > 0`.
 // SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
-// callers uphold the AVX2 context.
+// callers uphold the contexts above.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn at_b_tile<const R: usize>(
+unsafe fn at_b_tile<const R: usize, const WIDE: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -778,9 +823,10 @@ unsafe fn at_b_tile<const R: usize>(
                 block[t * rows + rr] = v;
             }
         }
-        // SAFETY: in an AVX2 context; `n > 0` per this fn's contract.
+        // SAFETY: in an AVX2 context, on an AVX-512F CPU when `WIDE`, and
+        // `n > 0`, per this fn's contract.
         unsafe {
-            row_tile::<R>(
+            tile::<R, WIDE>(
                 &block[..R * rows],
                 &b[r0 * n..(r0 + rows) * n],
                 out,

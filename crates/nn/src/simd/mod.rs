@@ -2,8 +2,8 @@
 //!
 //! This is the workspace's only sanctioned-unsafe module (lint rule R10):
 //! the crate root re-opens `unsafe_code` for `simd` alone, and every
-//! `unsafe` site below carries a `// SAFETY:` justification that the lint
-//! gate verifies mechanically.
+//! `unsafe` site below carries a `// SAFETY:` justification that clippy's
+//! `undocumented_unsafe_blocks` requires.
 //!
 //! # Determinism contract
 //!
@@ -34,18 +34,25 @@
 //!
 //! # Dispatch
 //!
-//! [`Backend::select`] probes the CPU once at runtime and picks the widest
-//! backend available; hot paths call [`active`], which layers two override
-//! mechanisms over `select` (a programmatic [`force_backend`] and the
-//! `LEAD_SIMD_FORCE` environment variable) so parity tests and CI can pin a
-//! backend. All dispatch is safe: the unsafe `target_feature` entry points
-//! are private to their backend modules, and the only way to obtain
-//! [`Backend::Avx2`] is through feature detection.
+//! Three backends, widest first: [`Backend::Avx512`], [`Backend::Avx2`],
+//! [`Backend::Scalar`]. The AVX-512 backend is the AVX2 backend with one
+//! change: `matmul_acc` and `matmul_at_b_acc` run 32-column register tiles
+//! of 512-bit vectors ahead of AVX2's 16-column ones. [`Backend::select`]
+//! probes the CPU once at runtime and picks the widest backend available;
+//! hot paths call [`active`], which layers two override mechanisms over
+//! `select` (a programmatic [`force_backend`] and the `LEAD_SIMD_FORCE`
+//! environment variable) so parity tests and CI can pin a backend. All
+//! dispatch is safe: the unsafe `target_feature` entry points are private
+//! to their backend modules, and the only way to obtain [`Backend::Avx2`]
+//! or [`Backend::Avx512`] is through feature detection.
 
 mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -184,17 +191,22 @@ pub enum Backend {
     /// 256-bit AVX2 (x86-64 only; constructed only after feature detection).
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// AVX2 plus 512-bit register tiles in `matmul_acc` and
+    /// `matmul_at_b_acc` (x86-64 only; constructed only after detection of
+    /// both AVX2 and AVX-512F).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Backend {
-    /// Picks the widest backend the running CPU supports. Deterministic for
-    /// a given machine; the result is bit-identical across backends either
-    /// way, so selection never changes observable output.
+    /// Picks the widest backend the running CPU supports: the last entry of
+    /// [`Backend::available`]. Deterministic for a given machine; the result
+    /// is bit-identical across backends either way, so selection never
+    /// changes observable output.
     pub fn select() -> Backend {
-        match Backend::try_avx2() {
-            Some(b) => b,
-            None => Backend::Scalar,
-        }
+        Backend::try_avx512()
+            .or_else(Backend::try_avx2)
+            .unwrap_or(Backend::Scalar)
     }
 
     /// The AVX2 backend, when the running CPU supports it. `None` on other
@@ -208,18 +220,32 @@ impl Backend {
         None
     }
 
-    /// Every backend available on the running CPU, scalar first. Parity
-    /// tests iterate this to compare all implementations pairwise.
+    /// The AVX-512 backend, when the running CPU supports both AVX2 (which
+    /// every kernel but the two wide products runs on) and AVX-512F. This
+    /// constructor is the only source of [`Backend::Avx512`].
+    pub fn try_avx512() -> Option<Backend> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("avx512f")
+        {
+            return Some(Backend::Avx512);
+        }
+        None
+    }
+
+    /// Every backend available on the running CPU, narrowest first: scalar,
+    /// then AVX2, then AVX-512. Parity tests iterate this to compare all
+    /// implementations pairwise.
     pub fn available() -> Vec<Backend> {
         let mut out = vec![Backend::Scalar];
-        if let Some(b) = Backend::try_avx2() {
-            out.push(b);
-        }
+        out.extend(Backend::try_avx2());
+        out.extend(Backend::try_avx512());
         out
     }
 }
 
-/// Programmatic backend override: `0` = none, `1` = scalar, `2` = AVX2.
+/// Programmatic backend override: `0` = none, `1` = scalar, `2` = AVX2,
+/// `3` = AVX-512.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// The resolved default backend (`LEAD_SIMD_FORCE` or [`Backend::select`]),
@@ -246,8 +272,9 @@ fn default_backend() -> Backend {
 
 /// The backend every dispatched hot path uses, resolved in precedence
 /// order: [`force_backend`] override, then the `LEAD_SIMD_FORCE`
-/// environment variable (`"scalar"` or `"avx2"`, read once per process),
-/// then [`Backend::select`]. Because all backends are bit-identical, the
+/// environment variable (`"scalar"` or `"avx2"`, read once per process;
+/// `"avx2"` pins the 256-bit path on an AVX-512 machine too), then
+/// [`Backend::select`]. Because all backends are bit-identical, the
 /// choice never changes results — only throughput — which is exactly what
 /// the cross-backend parity tests verify end to end.
 pub fn active() -> Backend {
@@ -256,27 +283,28 @@ pub fn active() -> Backend {
         #[cfg(target_arch = "x86_64")]
         // Re-derive through feature detection rather than constructing the
         // variant directly, keeping `try_avx2` the only `Avx2` source.
-        2 => match Backend::try_avx2() {
-            Some(b) => b,
-            None => Backend::Scalar,
-        },
+        2 => Backend::try_avx2().unwrap_or(Backend::Scalar),
+        #[cfg(target_arch = "x86_64")]
+        3 => Backend::try_avx512().unwrap_or(Backend::Scalar),
         _ => *DEFAULT.get_or_init(default_backend),
     }
 }
 
 /// Forces every subsequent [`active`] call (on every thread) to the given
 /// backend, or restores normal selection with `None`. A test/diagnostic
-/// hook: cross-backend parity tests run the same fit once forced to
-/// [`Backend::Scalar`] and once under normal selection and require byte
-/// -identical artifacts. Takes effect immediately; it is process-global, so
-/// concurrent tests relying on *different* forced backends would race —
-/// which is harmless precisely because backends are bit-identical.
+/// hook: cross-backend parity tests run the same fit forced onto each
+/// backend of [`Backend::available`] and require byte-identical artifacts.
+/// Takes effect immediately; it is process-global, so tests that force
+/// different backends at the same time must serialise their forced
+/// sections, or one may run under another's backend.
 pub fn force_backend(b: Option<Backend>) {
     let code = match b {
         None => 0,
         Some(Backend::Scalar) => 1,
         #[cfg(target_arch = "x86_64")]
         Some(Backend::Avx2) => 2,
+        #[cfg(target_arch = "x86_64")]
+        Some(Backend::Avx512) => 3,
     };
     FORCED.store(code, Ordering::Relaxed);
 }
@@ -287,6 +315,8 @@ impl Kernel for Backend {
             Backend::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => "avx512",
         }
     }
 
@@ -294,12 +324,10 @@ impl Kernel for Backend {
         debug_assert_eq!(a.len(), b.len(), "dot length mismatch");
         match self {
             Backend::Scalar => scalar::dot(a, b),
-            // SAFETY: `Backend::Avx2` is only ever constructed by
-            // `Backend::try_avx2` after `is_x86_feature_detected!("avx2")`
-            // confirmed the running CPU executes AVX2 instructions, which is
-            // the sole precondition of `avx2::dot`.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::dot`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::dot(a, b) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::dot(a, b) },
         }
     }
 
@@ -307,10 +335,10 @@ impl Kernel for Backend {
         debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
         match self {
             Backend::Scalar => scalar::axpy(a, x, y),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::axpy`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::axpy`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::axpy(a, x, y) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::axpy(a, x, y) },
         }
     }
 
@@ -321,10 +349,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::add(a, b, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::add`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::add`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::add(a, b, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::add(a, b, out) },
         }
     }
 
@@ -335,10 +363,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::sub(a, b, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::sub`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::sub`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::sub(a, b, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sub(a, b, out) },
         }
     }
 
@@ -349,20 +377,20 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::mul(a, b, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::mul`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::mul`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::mul(a, b, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::mul(a, b, out) },
         }
     }
 
     fn scale(&self, x: &mut [f32], s: f32) {
         match self {
             Backend::Scalar => scalar::scale(x, s),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::scale`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::scale`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::scale(x, s) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::scale(x, s) },
         }
     }
 
@@ -370,10 +398,10 @@ impl Kernel for Backend {
         debug_assert_eq!(a.len(), out.len(), "exp length mismatch");
         match self {
             Backend::Scalar => scalar::exp(a, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::exp`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::exp`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::exp(a, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::exp(a, out) },
         }
     }
 
@@ -381,10 +409,10 @@ impl Kernel for Backend {
         debug_assert_eq!(a.len(), out.len(), "sigmoid length mismatch");
         match self {
             Backend::Scalar => scalar::sigmoid(a, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::sigmoid`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::sigmoid`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::sigmoid(a, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sigmoid(a, out) },
         }
     }
 
@@ -392,10 +420,10 @@ impl Kernel for Backend {
         debug_assert_eq!(a.len(), out.len(), "tanh length mismatch");
         match self {
             Backend::Scalar => scalar::tanh(a, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::tanh`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::tanh`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::tanh(a, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::tanh(a, out) },
         }
     }
 
@@ -406,10 +434,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::sigmoid_gate(pre, bias, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::sigmoid_gate`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::sigmoid_gate`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::sigmoid_gate(pre, bias, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sigmoid_gate(pre, bias, out) },
         }
     }
 
@@ -420,10 +448,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::tanh_gate(pre, bias, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::tanh_gate`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::tanh_gate`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::tanh_gate(pre, bias, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::tanh_gate(pre, bias, out) },
         }
     }
 
@@ -434,10 +462,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::sigmoid_bwd(g, y, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::sigmoid_bwd`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::sigmoid_bwd`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::sigmoid_bwd(g, y, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sigmoid_bwd(g, y, out) },
         }
     }
 
@@ -448,10 +476,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::tanh_bwd(g, y, out),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::tanh_bwd`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::tanh_bwd`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::tanh_bwd(g, y, out) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::tanh_bwd(g, y, out) },
         }
     }
 
@@ -463,9 +491,14 @@ impl Kernel for Backend {
         match self {
             Backend::Scalar => scalar::matmul_acc(a, b, out, m, k, n),
             // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::matmul_acc`'s sole precondition.
+            // feature detection — `avx2::matmul_acc::<false>`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::matmul_acc(a, b, out, m, k, n) },
+            Backend::Avx2 => unsafe { avx2::matmul_acc::<false>(a, b, out, m, k, n) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx2::matmul_acc::<true>`'s
+            // sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => unsafe { avx2::matmul_acc::<true>(a, b, out, m, k, n) },
         }
     }
 
@@ -477,9 +510,14 @@ impl Kernel for Backend {
         match self {
             Backend::Scalar => scalar::matmul_at_b_acc(a, b, out, m, k, n),
             // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::matmul_at_b_acc`'s sole precondition.
+            // feature detection — `avx2::matmul_at_b_acc::<false>`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::matmul_at_b_acc(a, b, out, m, k, n) },
+            Backend::Avx2 => unsafe { avx2::matmul_at_b_acc::<false>(a, b, out, m, k, n) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx2::matmul_at_b_acc::<true>`'s
+            // sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => unsafe { avx2::matmul_at_b_acc::<true>(a, b, out, m, k, n) },
         }
     }
 
@@ -490,10 +528,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::matmul_a_bt_acc(a, b, out, m, k, n),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::matmul_a_bt_acc`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::matmul_a_bt_acc`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::matmul_a_bt_acc(a, b, out, m, k, n) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::matmul_a_bt_acc(a, b, out, m, k, n) },
         }
     }
 
@@ -504,10 +542,10 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::adam_update(p, g, m, v, c),
-            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
-            // feature detection — `avx2::adam_update`'s sole precondition.
+            // SAFETY: both AVX variants exist only after `try_avx2`'s or
+            // `try_avx512`'s detection of AVX2 — `avx2::adam_update`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::adam_update(p, g, m, v, c) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::adam_update(p, g, m, v, c) },
         }
     }
 }

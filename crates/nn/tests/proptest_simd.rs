@@ -333,15 +333,16 @@ proptest! {
 
     #[test]
     fn matmul_acc_is_bit_identical_to_scalar_on_every_backend(
-        // m < 10 draws two 4-row tiles plus a row remainder; n < 70 draws
-        // several 16-column tiles, the 8-wide column step and scalar tails.
-        dims in (0..10usize, 0..6usize, 0..70usize),
+        // m < 10 draws two 4-row tiles plus a row remainder; n < 100 draws
+        // up to two 32-column tiles followed by the 16-column tile, the
+        // 8-wide column step and scalar tails.
+        dims in (0..10usize, 0..6usize, 0..100usize),
         a in prop::collection::vec(wild_f32(), 9 * 5),
         // Without zeros every `(i, k)` contributes to its row tile; the
         // zoo's zeros make most tiles take the skip.
         dense in prop::collection::vec(prop::num::f32::NORMAL | prop::num::f32::SUBNORMAL, 9 * 5),
-        b in prop::collection::vec(wild_f32(), 5 * 69),
-        init in prop::collection::vec(wild_f32(), 9 * 69),
+        b in prop::collection::vec(wild_f32(), 5 * 99),
+        init in prop::collection::vec(wild_f32(), 9 * 99),
     ) {
         let (m, kk, n) = dims;
         for backend in Backend::available() {
@@ -389,13 +390,14 @@ proptest! {
     #[test]
     fn at_b_product_is_bit_identical_to_scalar_on_every_backend(
         // m < 140 spans more than two 64-row transposition blocks; k < 10
-        // draws two 4-row output tiles plus a remainder; n < 40 draws
-        // 16-column tiles, the 8-wide column step and scalar tails.
-        dims in (0..140usize, 0..10usize, 0..40usize),
+        // draws two 4-row output tiles plus a remainder; n < 100 draws up
+        // to two 32-column tiles followed by the 16-column tile, the 8-wide
+        // column step and scalar tails.
+        dims in (0..140usize, 0..10usize, 0..100usize),
         a in prop::collection::vec(wild_f32(), 139 * 9),
         dense in prop::collection::vec(prop::num::f32::NORMAL | prop::num::f32::SUBNORMAL, 139 * 9),
-        b in prop::collection::vec(wild_f32(), 139 * 39),
-        init in prop::collection::vec(wild_f32(), 9 * 39),
+        b in prop::collection::vec(wild_f32(), 139 * 99),
+        init in prop::collection::vec(wild_f32(), 9 * 99),
     ) {
         let (m, kk, n) = dims;
         for backend in Backend::available() {
@@ -817,11 +819,12 @@ fn real_backends_pass_the_planted_divergence_inputs() {
 
 #[test]
 fn matmul_acc_zero_skip_keeps_signed_zeros_on_every_backend() {
-    // 5 rows (one 4-row tile plus a remainder row) × 2 × 17 columns (one
-    // 16-column tile plus a scalar tail). Row 0 has only zero coefficients,
-    // so its `-0.0` destination must survive the skip; row 1 multiplies a
-    // non-zero coefficient by `+0.0`, so `-0.0 + 0.0` must round to `+0.0`.
-    let (m, k, n) = (5, 2, 17);
+    // 5 rows (one 4-row tile plus a remainder row) × 2 × 57 columns (a
+    // 32-column tile on AVX-512, then 16-column tiles, the 8-wide step and
+    // a scalar tail). Row 0 has only zero coefficients, so its `-0.0`
+    // destination must survive the skip; row 1 multiplies a non-zero
+    // coefficient by `+0.0`, so `-0.0 + 0.0` must round to `+0.0`.
+    let (m, k, n) = (5, 2, 57);
     let a = [0.0, -0.0, 2.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.5, 0.0];
     let mut b = vec![0.0f32; k * n];
     for (j, v) in b.iter_mut().enumerate().skip(n) {

@@ -76,6 +76,12 @@ fn every_backend_is_bit_identical_to_scalar() {
 }
 
 #[test]
+fn select_picks_the_widest_available_backend() {
+    // `available` lists backends narrowest first, so the widest is last.
+    assert_eq!(Backend::available().last(), Some(&Backend::select()));
+}
+
+#[test]
 fn selected_backend_is_bit_identical_to_scalar() {
     let selected = Backend::select();
     for &n in &lengths() {

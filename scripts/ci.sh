@@ -39,6 +39,13 @@ echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test ae_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test ae_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity
+# The inference and streaming suites run on the active backend, which is
+# AVX-512 where the CPU has it: pin the 256-bit path too, so it stays
+# covered end to end on an AVX-512 host.
+echo "==> LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test infer_parity"
+LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test infer_parity
+echo "==> LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test incremental_parity"
+LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test incremental_parity
 
 # Planted-divergence self-test: the parity battery must actually catch a
 # kernel whose rounding differs (an FMA'd dot, axpy, aᵀ·b product and exp
