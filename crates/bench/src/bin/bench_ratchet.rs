@@ -341,6 +341,28 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
         }),
     );
 
+    // ---- simd: dispatched a·bᵀ (the detector's backward dh/dx shape) -------
+    // 78 rows of gate gradients (six 13-step sequences) times the transposed
+    // 256×64 recurrent weight: the input-gradient product of every backward
+    // pass, each output one `dot` in the 8-lane order.
+    let g78: Vec<f32> = (0..78 * 256)
+        .map(|i| (i as f32 * 0.31).sin() * 0.5)
+        .collect();
+    let w64: Vec<f32> = (0..64 * 256)
+        .map(|i| (i as f32 * 0.43).cos() * 0.5)
+        .collect();
+    let mut out78 = vec![0.0f32; 78 * 64];
+    push(
+        "simd/matmul_a_bt_78x256x64_dispatch",
+        "m=78 k=256 n=64 a-bt dot-order lanes=8".to_string(),
+        measure(sample_ms, || {
+            use lead_nn::simd::Kernel;
+            out78.fill(0.0);
+            backend.matmul_a_bt_acc(&g78, &w64, &mut out78, 78, 256, 64);
+            std::hint::black_box(&out78);
+        }),
+    );
+
     // ---- simd: fused gate rows (LSTM/GRU hot loop shape) -------------------
     // Both activations are the libm-free kernels, eight lanes at a time on
     // AVX2; a revert to per-element libm calls is several times slower.

@@ -104,7 +104,7 @@ fn main() {
             }
             Artefact::Fig8 => {
                 let table = timing_table(
-                    "Figure 8: Mean Inference Time (ms) of Baselines and Ours (LEAD) on the Test Set",
+                    "Figure 8: Median Inference Time (ms) of Baselines and Ours (LEAD) on the Test Set",
                     &outcomes(&Method::table3()),
                 );
                 println!("\n{table}");

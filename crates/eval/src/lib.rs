@@ -4,7 +4,7 @@
 //!
 //! - [`buckets`] — the paper's stay-point buckets 3–5 / 6–8 / 9–11 / 12–14;
 //! - [`metrics`] — the `Acc` metric of Equation (14), bucketed;
-//! - [`timing`] — per-bucket mean inference time;
+//! - [`timing`] — per-bucket median inference time;
 //! - [`runner`] — trains any method on a [`lead_synth::Dataset`] once and
 //!   sweeps the trained model over any test split;
 //! - [`scenarios`] — per-scenario robustness rows (accuracy and IoU under

@@ -38,8 +38,8 @@ pub fn accuracy_table(title: &str, outcomes: &[EvalOutcome]) -> String {
     s
 }
 
-/// Formats outcomes as the paper's Figure 8 data: mean inference time (ms)
-/// per bucket per method.
+/// Formats outcomes as the paper's Figure 8 data: median inference time
+/// (ms) per bucket per method.
 pub fn timing_table(title: &str, outcomes: &[EvalOutcome]) -> String {
     let mut s = String::new();
     s.push_str(&format!("{title}\n"));
@@ -48,7 +48,7 @@ pub fn timing_table(title: &str, outcomes: &[EvalOutcome]) -> String {
         "Time(ms)", "3~5", "6~8", "9~11", "12~14", "3~14"
     ));
     for o in outcomes {
-        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| fmt_ms(o.test.timing.mean_ms(b)));
+        let [c0, c1, c2, c3] = Bucket::ALL.map(|b| fmt_ms(o.test.timing.median_ms(b)));
         s.push_str(&format!(
             "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
             o.name,
@@ -56,7 +56,7 @@ pub fn timing_table(title: &str, outcomes: &[EvalOutcome]) -> String {
             c1,
             c2,
             c3,
-            fmt_ms(o.test.timing.overall_mean_ms())
+            fmt_ms(o.test.timing.overall_median_ms())
         ));
     }
     s

@@ -1,6 +1,6 @@
 //! Trains any method on a synthetic dataset and evaluates it on the test
 //! split, reproducing the paper's protocol: accuracy per stay-point bucket
-//! (Equation (14)) and mean inference time per bucket.
+//! (Equation (14)) and median inference time per bucket.
 
 use crate::metrics::{interval_iou, BucketAccuracy, BucketIou};
 use crate::timing::{BucketTiming, Stopwatch};
@@ -125,7 +125,7 @@ impl std::fmt::Debug for TrainedModel {
 pub struct SweepStats {
     /// Per-bucket and overall accuracy.
     pub accuracy: BucketAccuracy,
-    /// Per-bucket mean inference time.
+    /// Per-bucket median inference time.
     pub timing: BucketTiming,
     /// Per-bucket mean temporal IoU of detected vs true loaded intervals.
     pub iou: BucketIou,

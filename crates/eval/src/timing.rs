@@ -1,4 +1,4 @@
-//! Per-bucket mean inference time (Figure 8).
+//! Per-bucket median inference time (Figure 8).
 //!
 //! This module is the workspace's only sanctioned home for wall-clock reads
 //! in result-affecting crates (lint rule R5): timing is a *reported metric*
@@ -28,11 +28,14 @@ impl Stopwatch {
     }
 }
 
-/// Inference-time accumulator per stay-point bucket.
+/// Inference times per stay-point bucket.
+///
+/// Every duration is kept and the report is their median: one call that
+/// the OS preempts moves a mean by its whole delay over the bucket's count,
+/// and Figure 8's sparse buckets hold few calls.
 #[derive(Debug, Clone, Default)]
 pub struct BucketTiming {
-    sums: [Duration; 4],
-    counts: [usize; 4],
+    samples: [Vec<Duration>; 4],
 }
 
 impl BucketTiming {
@@ -43,22 +46,31 @@ impl BucketTiming {
 
     /// Records one detection's wall-clock duration.
     pub fn record(&mut self, n_stays: usize, elapsed: Duration) {
-        let b = Bucket::of(n_stays).index();
-        self.sums[b] += elapsed;
-        self.counts[b] += 1;
+        self.samples[Bucket::of(n_stays).index()].push(elapsed);
     }
 
-    /// Mean inference time in milliseconds for one bucket; `None` when empty.
-    pub fn mean_ms(&self, bucket: Bucket) -> Option<f64> {
-        let i = bucket.index();
-        (self.counts[i] > 0).then(|| self.sums[i].as_secs_f64() * 1_000.0 / self.counts[i] as f64)
+    /// Median inference time in milliseconds for one bucket; `None` when
+    /// empty.
+    pub fn median_ms(&self, bucket: Bucket) -> Option<f64> {
+        median_ms(self.samples[bucket.index()].clone())
     }
 
-    /// Mean inference time in milliseconds across all buckets.
-    pub fn overall_mean_ms(&self) -> Option<f64> {
-        let total: usize = self.counts.iter().sum();
-        let sum: Duration = self.sums.iter().sum();
-        (total > 0).then(|| sum.as_secs_f64() * 1_000.0 / total as f64)
+    /// Median inference time in milliseconds across all buckets.
+    pub fn overall_median_ms(&self) -> Option<f64> {
+        median_ms(self.samples.concat())
+    }
+}
+
+/// The median of `d` in milliseconds (the mean of the middle two for an
+/// even count); `None` when empty.
+fn median_ms(mut d: Vec<Duration>) -> Option<f64> {
+    d.sort_unstable();
+    let mid = d.len() / 2;
+    let ms = |i: usize| d[i].as_secs_f64() * 1_000.0;
+    match d.len() {
+        0 => None,
+        n if n % 2 == 1 => Some(ms(mid)),
+        _ => Some((ms(mid - 1) + ms(mid)) / 2.0),
     }
 }
 
@@ -67,19 +79,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn means_are_per_bucket() {
+    fn medians_are_per_bucket() {
         let mut t = BucketTiming::new();
         t.record(4, Duration::from_millis(10));
         t.record(4, Duration::from_millis(30));
         t.record(10, Duration::from_millis(100));
-        assert_eq!(t.mean_ms(Bucket::B3to5), Some(20.0));
-        assert_eq!(t.mean_ms(Bucket::B9to11), Some(100.0));
-        assert_eq!(t.mean_ms(Bucket::B6to8), None);
-        assert_eq!(t.overall_mean_ms(), Some(140.0 / 3.0));
+        assert_eq!(t.median_ms(Bucket::B3to5), Some(20.0));
+        assert_eq!(t.median_ms(Bucket::B9to11), Some(100.0));
+        assert_eq!(t.median_ms(Bucket::B6to8), None);
+        assert_eq!(t.overall_median_ms(), Some(30.0));
+    }
+
+    #[test]
+    fn one_preempted_call_moves_a_mean_but_not_the_median() {
+        // Four calls near 0.1 ms and one held up for 40 ms: the mean would
+        // read 8.08 ms, the median stays on the typical call.
+        let mut t = BucketTiming::new();
+        for us in [90, 100, 110, 100] {
+            t.record(4, Duration::from_micros(us));
+        }
+        t.record(4, Duration::from_millis(40));
+        assert_eq!(t.median_ms(Bucket::B3to5), Some(0.1));
+        assert_eq!(t.overall_median_ms(), Some(0.1));
     }
 
     #[test]
     fn empty_reports_none() {
-        assert_eq!(BucketTiming::new().overall_mean_ms(), None);
+        assert_eq!(BucketTiming::new().overall_median_ms(), None);
     }
 }

@@ -842,11 +842,8 @@ unsafe fn at_b_tile<const R: usize, const WIDE: bool>(
 ///
 /// Eight dots run side by side, one per output column, each with its own
 /// lane accumulator that receives exactly the `mul` + `add` pairs [`dot`]
-/// would give it. An 8×8 transpose then puts lane `l` of all eight
-/// accumulators in one vector, so adding those vectors to zero in lane
-/// order is `dot`'s fold for all eight at once; the sub-chunk tails follow
-/// one element at a time, and each result is added to its output. Columns
-/// past the last group of eight call [`dot`] itself.
+/// would give it; [`finish_dots`] folds them in `dot`'s order and adds the
+/// tails. Columns past the last group of eight call [`dot`] itself.
 ///
 /// # Safety
 ///
@@ -882,19 +879,8 @@ pub(super) unsafe fn matmul_a_bt_acc(
                 }
                 c += LANES;
             }
-            let mut dots = _mm256_setzero_ps();
-            for lane in transpose8(acc) {
-                dots = _mm256_add_ps(dots, lane);
-            }
-            for (c, &x) in a_row.iter().enumerate().skip(full) {
-                let y: [f32; LANES] = core::array::from_fn(|q| b_rows[q][c]);
-                // SAFETY: in an AVX2 context; `y` is a LANES = 8 element array.
-                let vy = unsafe { load(&y) };
-                dots = _mm256_add_ps(dots, _mm256_mul_ps(_mm256_set1_ps(x), vy));
-            }
-            let o = &mut out_row[j..j + LANES];
-            // SAFETY: in an AVX2 context; `o` is exactly LANES long.
-            unsafe { store(o, _mm256_add_ps(load(o), dots)) };
+            // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
+            unsafe { finish_dots(acc, a_row, b_rows, &mut out_row[j..j + LANES]) };
             j += LANES;
         }
         for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
@@ -902,6 +888,42 @@ pub(super) unsafe fn matmul_a_bt_acc(
             *o += unsafe { dot(a_row, &b[jj * k..(jj + 1) * k]) };
         }
     }
+}
+
+/// Finishes eight dots of `a_row`, one with each of `b_rows`, into `out`:
+/// `acc[q]` holds dot `q`'s lane accumulators over the whole chunks. An 8×8
+/// transpose puts lane `l` of all eight in one vector, so adding those
+/// vectors to zero in lane order is [`dot`]'s fold for all eight at once;
+/// the sub-chunk tail follows one element at a time, and each dot is added
+/// to its element of `out`.
+///
+/// # Safety
+///
+/// The caller must be in an AVX2 `target_feature` context, and `out` must
+/// be exactly `LANES` long.
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the AVX2 context and the exact length above.
+#[inline]
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn finish_dots(
+    acc: [__m256; LANES],
+    a_row: &[f32],
+    b_rows: [&[f32]; LANES],
+    out: &mut [f32],
+) {
+    let mut dots = _mm256_setzero_ps();
+    for lane in transpose8(acc) {
+        dots = _mm256_add_ps(dots, lane);
+    }
+    let full = a_row.len() - a_row.len() % LANES;
+    for (c, &x) in a_row.iter().enumerate().skip(full) {
+        let y: [f32; LANES] = core::array::from_fn(|q| b_rows[q][c]);
+        // SAFETY: in an AVX2 context; `y` is a LANES = 8 element array.
+        let vy = unsafe { load(&y) };
+        dots = _mm256_add_ps(dots, _mm256_mul_ps(_mm256_set1_ps(x), vy));
+    }
+    // SAFETY: in an AVX2 context; `out` is exactly LANES long.
+    unsafe { store(out, _mm256_add_ps(load(out), dots)) };
 }
 
 /// The 8×8 transpose of eight vectors: lane `q` of result `l` is lane `l`

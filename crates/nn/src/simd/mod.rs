@@ -35,16 +35,18 @@
 //! # Dispatch
 //!
 //! Three backends, widest first: [`Backend::Avx512`], [`Backend::Avx2`],
-//! [`Backend::Scalar`]. The AVX-512 backend is the AVX2 backend with one
-//! change: `matmul_acc` and `matmul_at_b_acc` run 32-column register tiles
-//! of 512-bit vectors ahead of AVX2's 16-column ones. [`Backend::select`]
+//! [`Backend::Scalar`]. The AVX-512 backend is the AVX2 backend with
+//! 512-bit register tiles in the three matrix products: `matmul_acc` and
+//! `matmul_at_b_acc` run 32-column tiles ahead of AVX2's 16-column ones, and
+//! `matmul_a_bt_acc` holds two dots per register. [`Backend::select`]
 //! probes the CPU once at runtime and picks the widest backend available;
 //! hot paths call [`active`], which layers two override mechanisms over
 //! `select` (a programmatic [`force_backend`] and the `LEAD_SIMD_FORCE`
 //! environment variable) so parity tests and CI can pin a backend. All
 //! dispatch is safe: the unsafe `target_feature` entry points are private
 //! to their backend modules, and the only way to obtain [`Backend::Avx2`]
-//! or [`Backend::Avx512`] is through feature detection.
+//! or [`Backend::Avx512`] is through feature detection, which alone makes
+//! the [`Detected`] token each carries.
 
 mod scalar;
 
@@ -183,19 +185,49 @@ pub trait Kernel {
     fn adam_update(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], c: &AdamCoeffs);
 }
 
+/// Proof that the running CPU passed the feature detection of a SIMD
+/// backend `BITS` wide. Its only field is private, so nothing outside this
+/// module can make one: [`Backend::try_avx2`] makes `Detected<256>` and
+/// [`Backend::try_avx512`] `Detected<512>`. The width keeps a token that
+/// AVX2 detection made from building an AVX-512 backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Detected<const BITS: u16>(());
+
 /// An available kernel backend, selected at runtime.
+///
+/// The SIMD variants carry a [`Detected`] token, so safe code can only get
+/// one from feature detection, which every dispatch `// SAFETY:` argument
+/// relies on. Code outside this crate can neither name them as values nor
+/// build their tokens, nor move an AVX2 token into an AVX-512 backend:
+///
+/// ```compile_fail,E0308
+/// let forged = lead_nn::simd::Backend::Avx512;
+/// # let _: lead_nn::simd::Backend = forged;
+/// ```
+///
+/// ```compile_fail,E0423
+/// use lead_nn::simd::{Backend, Detected};
+/// let forged = Backend::Avx512(Detected(()));
+/// ```
+///
+/// ```compile_fail,E0308
+/// use lead_nn::simd::Backend;
+/// if let Some(Backend::Avx2(token)) = Backend::try_avx2() {
+///     let forged = Backend::Avx512(token);
+/// }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The safe scalar reference implementation (always available).
     Scalar,
-    /// 256-bit AVX2 (x86-64 only; constructed only after feature detection).
+    /// 256-bit AVX2 (x86-64 only; made only by [`Backend::try_avx2`]).
     #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// AVX2 plus 512-bit register tiles in `matmul_acc` and
-    /// `matmul_at_b_acc` (x86-64 only; constructed only after detection of
-    /// both AVX2 and AVX-512F).
+    Avx2(Detected<256>),
+    /// AVX2 plus 512-bit register tiles in the three matrix products
+    /// (x86-64 only; made only by [`Backend::try_avx512`], after detection
+    /// of both AVX2 and AVX-512F).
     #[cfg(target_arch = "x86_64")]
-    Avx512,
+    Avx512(Detected<512>),
 }
 
 impl Backend {
@@ -215,20 +247,20 @@ impl Backend {
     pub fn try_avx2() -> Option<Backend> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return Some(Backend::Avx2);
+            return Some(Backend::Avx2(Detected(())));
         }
         None
     }
 
     /// The AVX-512 backend, when the running CPU supports both AVX2 (which
-    /// every kernel but the two wide products runs on) and AVX-512F. This
+    /// every kernel but the three products runs on) and AVX-512F. This
     /// constructor is the only source of [`Backend::Avx512`].
     pub fn try_avx512() -> Option<Backend> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2")
             && std::arch::is_x86_feature_detected!("avx512f")
         {
-            return Some(Backend::Avx512);
+            return Some(Backend::Avx512(Detected(())));
         }
         None
     }
@@ -302,9 +334,9 @@ pub fn force_backend(b: Option<Backend>) {
         None => 0,
         Some(Backend::Scalar) => 1,
         #[cfg(target_arch = "x86_64")]
-        Some(Backend::Avx2) => 2,
+        Some(Backend::Avx2(_)) => 2,
         #[cfg(target_arch = "x86_64")]
-        Some(Backend::Avx512) => 3,
+        Some(Backend::Avx512(_)) => 3,
     };
     FORCED.store(code, Ordering::Relaxed);
 }
@@ -314,9 +346,9 @@ impl Kernel for Backend {
         match self {
             Backend::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => "avx2",
+            Backend::Avx2(_) => "avx2",
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => "avx512",
+            Backend::Avx512(_) => "avx512",
         }
     }
 
@@ -327,7 +359,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::dot`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::dot(a, b) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::dot(a, b) },
         }
     }
 
@@ -338,7 +370,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::axpy`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::axpy(a, x, y) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::axpy(a, x, y) },
         }
     }
 
@@ -352,7 +384,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::add`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::add(a, b, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::add(a, b, out) },
         }
     }
 
@@ -366,7 +398,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::sub`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sub(a, b, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::sub(a, b, out) },
         }
     }
 
@@ -380,7 +412,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::mul`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::mul(a, b, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::mul(a, b, out) },
         }
     }
 
@@ -390,7 +422,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::scale`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::scale(x, s) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::scale(x, s) },
         }
     }
 
@@ -401,7 +433,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::exp`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::exp(a, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::exp(a, out) },
         }
     }
 
@@ -412,7 +444,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::sigmoid`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sigmoid(a, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::sigmoid(a, out) },
         }
     }
 
@@ -423,7 +455,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::tanh`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::tanh(a, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::tanh(a, out) },
         }
     }
 
@@ -437,7 +469,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::sigmoid_gate`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sigmoid_gate(pre, bias, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::sigmoid_gate(pre, bias, out) },
         }
     }
 
@@ -451,7 +483,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::tanh_gate`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::tanh_gate(pre, bias, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::tanh_gate(pre, bias, out) },
         }
     }
 
@@ -465,7 +497,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::sigmoid_bwd`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::sigmoid_bwd(g, y, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::sigmoid_bwd(g, y, out) },
         }
     }
 
@@ -479,7 +511,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::tanh_bwd`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::tanh_bwd(g, y, out) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::tanh_bwd(g, y, out) },
         }
     }
 
@@ -493,12 +525,12 @@ impl Kernel for Backend {
             // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
             // feature detection — `avx2::matmul_acc::<false>`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::matmul_acc::<false>(a, b, out, m, k, n) },
+            Backend::Avx2(_) => unsafe { avx2::matmul_acc::<false>(a, b, out, m, k, n) },
             // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
             // detection of AVX2 and AVX-512F — `avx2::matmul_acc::<true>`'s
             // sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => unsafe { avx2::matmul_acc::<true>(a, b, out, m, k, n) },
+            Backend::Avx512(_) => unsafe { avx2::matmul_acc::<true>(a, b, out, m, k, n) },
         }
     }
 
@@ -512,12 +544,12 @@ impl Kernel for Backend {
             // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
             // feature detection — `avx2::matmul_at_b_acc::<false>`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::matmul_at_b_acc::<false>(a, b, out, m, k, n) },
+            Backend::Avx2(_) => unsafe { avx2::matmul_at_b_acc::<false>(a, b, out, m, k, n) },
             // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
             // detection of AVX2 and AVX-512F — `avx2::matmul_at_b_acc::<true>`'s
             // sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => unsafe { avx2::matmul_at_b_acc::<true>(a, b, out, m, k, n) },
+            Backend::Avx512(_) => unsafe { avx2::matmul_at_b_acc::<true>(a, b, out, m, k, n) },
         }
     }
 
@@ -528,10 +560,15 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::matmul_a_bt_acc(a, b, out, m, k, n),
-            // SAFETY: both AVX variants exist only after `try_avx2`'s or
-            // `try_avx512`'s detection of AVX2 — `avx2::matmul_a_bt_acc`'s sole precondition.
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::matmul_a_bt_acc`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::matmul_a_bt_acc(a, b, out, m, k, n) },
+            Backend::Avx2(_) => unsafe { avx2::matmul_a_bt_acc(a, b, out, m, k, n) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx512::matmul_a_bt_acc`'s
+            // sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512(_) => unsafe { avx512::matmul_a_bt_acc(a, b, out, m, k, n) },
         }
     }
 
@@ -545,7 +582,7 @@ impl Kernel for Backend {
             // SAFETY: both AVX variants exist only after `try_avx2`'s or
             // `try_avx512`'s detection of AVX2 — `avx2::adam_update`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::adam_update(p, g, m, v, c) },
+            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::adam_update(p, g, m, v, c) },
         }
     }
 }

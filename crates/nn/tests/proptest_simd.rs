@@ -416,12 +416,13 @@ proptest! {
 
     #[test]
     fn a_bt_product_is_bit_identical_to_scalar_on_every_backend(
-        // k < 40 draws whole lane chunks plus tails; n < 10 draws two groups
-        // of four dots plus leftovers.
-        dims in (0..6usize, 0..40usize, 0..10usize),
-        a in prop::collection::vec(wild_f32(), 5 * 39),
-        b in prop::collection::vec(wild_f32(), 9 * 39),
-        init in prop::collection::vec(wild_f32(), 5 * 9),
+        // k < 40 draws whole lane chunks plus tails; m < 12 draws two
+        // four-row tiles, then a two-row tile and an odd row; n < 20 draws
+        // two groups of eight dots plus leftovers.
+        dims in (0..12usize, 0..40usize, 0..20usize),
+        a in prop::collection::vec(wild_f32(), 11 * 39),
+        b in prop::collection::vec(wild_f32(), 19 * 39),
+        init in prop::collection::vec(wild_f32(), 11 * 19),
     ) {
         let (m, kk, n) = dims;
         for backend in Backend::available() {
