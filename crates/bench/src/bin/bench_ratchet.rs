@@ -341,6 +341,28 @@ fn run_suite(sample_ms: u64) -> Vec<BenchRecord> {
         }),
     );
 
+    // ---- simd: dispatched recurrent step (the detector's h·Wh shape) -------
+    // Seven active sequences times the 64×256 recurrent weight: one 6-row
+    // and one 1-row tile on AVX-512. `a` holds no zero, so every block runs
+    // the branch-free `k` loop.
+    let h7: Vec<f32> = (0..7 * 64)
+        .map(|i| (i as f32 * 0.29).sin() * 0.5 + 0.75)
+        .collect();
+    let wh: Vec<f32> = (0..64 * 256)
+        .map(|i| (i as f32 * 0.41).cos() * 0.5)
+        .collect();
+    let mut out7 = vec![0.0f32; 7 * 256];
+    push(
+        "simd/matmul_7x64x256_dispatch",
+        "m=7 k=64 n=256 i-k-j axpy dense-a".to_string(),
+        measure(sample_ms, || {
+            use lead_nn::simd::Kernel;
+            out7.fill(0.0);
+            backend.matmul_acc(&h7, &wh, &mut out7, 7, 64, 256);
+            std::hint::black_box(&out7);
+        }),
+    );
+
     // ---- simd: dispatched a·bᵀ (the detector's backward dh/dx shape) -------
     // 78 rows of gate gradients (six 13-step sequences) times the transposed
     // 256×64 recurrent weight: the input-gradient product of every backward

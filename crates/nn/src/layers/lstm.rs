@@ -239,6 +239,7 @@ impl Lstm {
         zeroed(&mut cell.gh, batch * g4);
         zeroed(&mut cell.pre, batch * g4);
         zeroed(out, pack.output_rows() * h);
+        let carried = state.is_some();
         if let Some(st) = state.as_deref() {
             assert!(
                 st.h.len() == batch * h && st.c.len() == batch * h,
@@ -255,7 +256,10 @@ impl Lstm {
             let (ah, ag) = (active * h, active * g4);
             let gh = &mut cell.gh[..ag];
             gh.fill(0.0);
-            kernel.matmul_acc(&cell.h[..ah], wh, gh, active, h, g4);
+            // At a fresh step 0, `h` is zero: the product skips every term.
+            if t > 0 || carried {
+                kernel.matmul_acc(&cell.h[..ah], wh, gh, active, h, g4);
+            }
             for rank in 0..active {
                 let (src, _) = pack.step_rows(rank, t, reverse);
                 let (o4, r) = (rank * g4, rank * h..(rank + 1) * h);

@@ -22,11 +22,13 @@
 //!   the reference branches per element (NaN, `tanh`'s polynomial range,
 //!   the summation order of `sigmoid`'s denominator), both sides are
 //!   computed and each lane takes the one its element would have taken.
-//! - [`matmul_acc`] is register-blocked (4 rows × 16 columns held in
+//! - [`matmul_acc`] is register-blocked (up to 4 rows × 16 columns held in
 //!   registers across the `k` loop), which reorders only *which* element is
 //!   updated when, never the per-element sequence of exactly rounded
-//!   multiply-then-add steps in ascending `k` or the exact-zero skip. Its
-//!   `WIDE` instance, the AVX-512 backend's, runs 32-column tiles of
+//!   multiply-then-add steps in ascending `k` or the exact-zero skip. A
+//!   block whose entries of `a` hold no exact zero, where the skip cannot
+//!   fire, runs its `k` loop without testing them. Its `WIDE` instance, the
+//!   AVX-512 backend's, adds a 6-row step, runs the tiles of
 //!   [`super::avx512`] first and this file's tiles on the columns left over.
 //! - [`matmul_at_b_acc`] is [`matmul_acc`] of the transposed left operand,
 //!   transposed onto the stack a block at a time, and [`matmul_a_bt_acc`]
@@ -541,7 +543,7 @@ pub(super) unsafe fn tanh_bwd(g: &[f32], y: &[f32], out: &mut [f32]) {
     scalar::tanh_bwd(cg.remainder(), cy.remainder(), co.into_remainder());
 }
 
-/// Rows per register tile of [`matmul_acc`].
+/// Rows per register tile of [`matmul_at_b_acc`].
 const TILE_ROWS: usize = 4;
 
 /// Columns per register tile of [`matmul_acc`]: two vectors.
@@ -550,14 +552,22 @@ const TILE_COLS: usize = 2 * LANES;
 /// Register-blocked `out += a × b`, bit-identical to the scalar i-k-j /
 /// axpy loop nest.
 ///
-/// Each tile keeps a 4-row × 16-column block of `out` in eight vector
+/// Each tile keeps a block of rows × 16 columns of `out` in vector
 /// registers while `k` ascends, so every output element still receives its
 /// `a[i][k] * b[k][j]` products one at a time in ascending `k`, each as a
 /// separate multiply then add (no FMA), and every `(i, k)` with an exact
 /// zero `a[i][k]` is skipped for its whole row — the reference's sparsity
-/// skip. Rows past the last full tile run as one-row tiles; columns past the
-/// last 16-wide tile run as one 8-wide vector and then the scalar axpy tail.
-/// With `WIDE`, 32-column tiles of [`avx512::row_tile`] come first.
+/// skip. Columns past the last 16-wide tile run as one 8-wide vector and
+/// then the scalar axpy tail. With `WIDE`, 512-bit tiles of
+/// [`avx512::row_tile`] come first.
+///
+/// Rows run in tiles of 4 (with `WIDE`, tiles of 6 and then at most one of
+/// 4), then at most one tile of 3, 2 or 1. LEAD's recurrent steps multiply
+/// 1–14 rows, and a lone one-row tile after each multiple of four ran at a
+/// third of a full tile's speed.
+/// A 512-bit tile of fewer rows holds more columns (four vectors per row
+/// for two rows, eight for one, two otherwise), so it still keeps six or
+/// more independent sums in flight.
 ///
 /// # Safety
 ///
@@ -578,39 +588,23 @@ pub(super) unsafe fn matmul_acc<const WIDE: bool>(
         return;
     }
     let mut i = 0;
-    while i + TILE_ROWS <= m {
-        let rows = i..i + TILE_ROWS;
+    if WIDE {
         // SAFETY: in an AVX2 context, and an AVX-512F CPU when `WIDE`, per
         // this fn's contract; `n > 0`.
-        unsafe {
-            tile::<TILE_ROWS, WIDE>(
-                &a[rows.start * k..rows.end * k],
-                b,
-                &mut out[rows.start * n..rows.end * n],
-                k,
-                n,
-            )
-        };
-        i += TILE_ROWS;
+        i = unsafe { row_blocks::<6, 2, WIDE>(a, b, out, i, m, k, n) };
     }
-    while i < m {
-        // SAFETY: as for the full tiles above.
-        unsafe {
-            tile::<1, WIDE>(
-                &a[i * k..(i + 1) * k],
-                b,
-                &mut out[i * n..(i + 1) * n],
-                k,
-                n,
-            )
-        };
-        i += 1;
-    }
+    // SAFETY: as for the 6-row tiles above.
+    i = unsafe { row_blocks::<4, 2, WIDE>(a, b, out, i, m, k, n) };
+    // SAFETY: as for the 6-row tiles above.
+    i = unsafe { row_blocks::<3, 2, WIDE>(a, b, out, i, m, k, n) };
+    // SAFETY: as for the 6-row tiles above.
+    i = unsafe { row_blocks::<2, 4, WIDE>(a, b, out, i, m, k, n) };
+    // SAFETY: as for the 6-row tiles above.
+    unsafe { row_blocks::<1, 8, WIDE>(a, b, out, i, m, k, n) };
 }
 
-/// `out[R×n] += a[R×k] × b[k×n]` for one block of `R` rows: with `WIDE`,
-/// [`avx512::row_tile`] over the whole 32-column tiles, then [`row_tile`]
-/// from the first column left.
+/// [`tile`]s of `R` rows from row `i` while `R` rows remain of `m`;
+/// returns the first row left. `V` is the 512-bit tile's vectors per row.
 ///
 /// # Safety
 ///
@@ -620,7 +614,76 @@ pub(super) unsafe fn matmul_acc<const WIDE: bool>(
 // callers uphold the contexts above.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn tile<const R: usize, const WIDE: bool>(
+unsafe fn row_blocks<const R: usize, const V: usize, const WIDE: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    mut i: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> usize {
+    while i + R <= m {
+        let rows = i..i + R;
+        // SAFETY: per this fn's contract.
+        unsafe {
+            tile::<R, V, WIDE>(
+                &a[rows.start * k..rows.end * k],
+                b,
+                &mut out[rows.start * n..rows.end * n],
+                k,
+                n,
+            )
+        };
+        i += R;
+    }
+    i
+}
+
+/// `out[R×n] += a[R×k] × b[k×n]` for one block of `R` rows: with `WIDE`,
+/// [`avx512::row_tile`] over whole tiles of `V` vectors per row, then of
+/// two, then [`row_tile`] from the first column left.
+///
+/// The block's `R × k` entries of `a` are scanned once: the exact-zero
+/// skip can fire only if one of them is `== 0.0` (either sign; NaN never
+/// is), so a block without one runs the `k` loop with no per-entry test.
+///
+/// # Safety
+///
+/// The caller must be in an AVX2 `target_feature` context, on a CPU with
+/// AVX-512F when `WIDE`, and `n > 0`.
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the contexts above.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn tile<const R: usize, const V: usize, const WIDE: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    // No early exit, so the scan vectorises.
+    // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
+    if a[..R * k].iter().fold(false, |zero, &v| zero | (v == 0.0)) {
+        // SAFETY: per this fn's contract.
+        unsafe { tile_cols::<R, V, WIDE, true>(a, b, out, k, n) }
+    } else {
+        // SAFETY: per this fn's contract.
+        unsafe { tile_cols::<R, V, WIDE, false>(a, b, out, k, n) }
+    }
+}
+
+/// [`tile`] with the exact-zero skip on (`SKIP`) or known never to fire.
+///
+/// # Safety
+///
+/// As for [`tile`].
+// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
+// callers uphold the contexts above.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_cols<const R: usize, const V: usize, const WIDE: bool, const SKIP: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -630,16 +693,20 @@ unsafe fn tile<const R: usize, const WIDE: bool>(
     let j = if WIDE {
         // SAFETY: the CPU supports AVX-512F when `WIDE`, per this fn's
         // contract, and `n > 0`.
-        unsafe { avx512::row_tile::<R>(a, b, out, k, n) }
+        unsafe {
+            let j = avx512::row_tile::<R, V, SKIP>(a, b, out, k, n, 0);
+            avx512::row_tile::<R, 2, SKIP>(a, b, out, k, n, j)
+        }
     } else {
         0
     };
     // SAFETY: in an AVX2 context; `n > 0`.
-    unsafe { row_tile::<R>(a, b, out, k, n, j) }
+    unsafe { row_tile::<R, SKIP>(a, b, out, k, n, j) }
 }
 
 /// `out[R×n] += a[R×k] × b[k×n]` over columns `j0..n` for one block of
-/// `R` rows; see [`matmul_acc`] for the evaluation order it preserves.
+/// `R` rows; see [`matmul_acc`] for the evaluation order it preserves and
+/// [`tile`] for `SKIP`.
 ///
 /// # Safety
 ///
@@ -648,7 +715,7 @@ unsafe fn tile<const R: usize, const WIDE: bool>(
 // callers uphold the AVX2 context.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn row_tile<const R: usize>(
+unsafe fn row_tile<const R: usize, const SKIP: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -656,8 +723,7 @@ unsafe fn row_tile<const R: usize>(
     n: usize,
     j0: usize,
 ) {
-    let a_rows: [&[f32]; R] = core::array::from_fn(|r| &a[r * k..(r + 1) * k]);
-    let b_rows = || b.chunks_exact(n).take(k).enumerate();
+    let a_rows: [&[f32]; R] = core::array::from_fn(|r| &a[r * k..][..k]);
     let mut j = j0;
     while j + TILE_COLS <= n {
         let mut lo = [_mm256_setzero_ps(); R];
@@ -667,14 +733,14 @@ unsafe fn row_tile<const R: usize>(
             // SAFETY: in an AVX2 context; both halves are exactly LANES long.
             unsafe { (*l, *h) = (load(&o[..LANES]), load(&o[LANES..])) };
         }
-        for (kk, b_row) in b_rows() {
-            let bt = &b_row[j..j + TILE_COLS];
+        for kk in 0..k {
+            let bt = &b[kk * n + j..][..TILE_COLS];
             // SAFETY: in an AVX2 context; both halves are exactly LANES long.
             let (b0, b1) = unsafe { (load(&bt[..LANES]), load(&bt[LANES..])) };
             for ((l, h), a_row) in lo.iter_mut().zip(hi.iter_mut()).zip(a_rows) {
                 let aik = a_row[kk];
                 // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
-                if aik == 0.0 {
+                if SKIP && aik == 0.0 {
                     continue;
                 }
                 let va = _mm256_set1_ps(aik);
@@ -700,13 +766,13 @@ unsafe fn row_tile<const R: usize>(
             // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
             *v = unsafe { load(&o[j..j + LANES]) };
         }
-        for (kk, b_row) in b_rows() {
+        for kk in 0..k {
             // SAFETY: in an AVX2 context; the sub-slice is exactly LANES long.
-            let b0 = unsafe { load(&b_row[j..j + LANES]) };
+            let b0 = unsafe { load(&b[kk * n + j..][..LANES]) };
             for (v, a_row) in acc.iter_mut().zip(a_rows) {
                 let aik = a_row[kk];
                 // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
-                if aik == 0.0 {
+                if SKIP && aik == 0.0 {
                     continue;
                 }
                 *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set1_ps(aik), b0));
@@ -720,13 +786,12 @@ unsafe fn row_tile<const R: usize>(
     }
     if j < n {
         for (o, a_row) in out.chunks_exact_mut(n).zip(a_rows) {
-            for (kk, b_row) in b_rows() {
-                let aik = a_row[kk];
+            for (kk, &aik) in a_row.iter().enumerate() {
                 // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
-                if aik == 0.0 {
+                if SKIP && aik == 0.0 {
                     continue;
                 }
-                scalar::axpy(aik, &b_row[j..], &mut o[j..]);
+                scalar::axpy(aik, &b[kk * n + j..(kk + 1) * n], &mut o[j..]);
             }
         }
     }
@@ -826,7 +891,7 @@ unsafe fn at_b_tile<const R: usize, const WIDE: bool>(
         // SAFETY: in an AVX2 context, on an AVX-512F CPU when `WIDE`, and
         // `n > 0`, per this fn's contract.
         unsafe {
-            tile::<R, WIDE>(
+            tile::<R, 2, WIDE>(
                 &block[..R * rows],
                 &b[r0 * n..(r0 + rows) * n],
                 out,

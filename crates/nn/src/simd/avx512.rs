@@ -3,19 +3,22 @@
 //! [`Backend::Avx512`](super::Backend::Avx512) runs every kernel through
 //! [`super::avx2`] except the three products. `matmul_acc` and
 //! `matmul_at_b_acc` share [`row_tile`]: their column loop starts here, in
-//! 32-column tiles, and `avx2::row_tile` finishes the columns past the last
-//! one with its 16-wide, 8-wide and scalar tails. [`matmul_a_bt_acc`]
-//! holds two dots per register and hands them to AVX2's fold.
+//! tiles of `V` vectors per row (two for 3–6 rows, four for two, eight for
+//! one, so a short block still keeps six or more sums in flight), and
+//! `avx2::row_tile` finishes the columns past the last one with its
+//! 16-wide, 8-wide and scalar tails. [`matmul_a_bt_acc`] holds two dots per
+//! register and hands them to AVX2's fold.
 //!
 //! Bit-identity with [`super::scalar`] holds for the reasons it holds for
 //! the 256-bit kernels. In [`row_tile`] every output element still receives
 //! its `a[i][k] * b[k][j]` products one at a time in ascending `k`, each a
 //! separate multiply then add (`_mm512_mul_ps`, `_mm512_add_ps`; never FMA),
-//! and every `(i, k)` with an exact-zero `a[i][k]` is skipped. Holding 32
-//! columns of a row in registers instead of 16 changes only which elements
-//! advance together. In [`matmul_a_bt_acc`] each 256-bit half of a register
-//! is one dot's eight lane accumulators, updated exactly as `dot` updates
-//! its own, and folded by the AVX2 code that folds them.
+//! and every `(i, k)` with an exact-zero `a[i][k]` is skipped; a block the
+//! caller found free of zeros, where no skip can fire, runs without the
+//! test. Holding more columns of a row in registers changes only which
+//! elements advance together. In [`matmul_a_bt_acc`] each 256-bit half of a
+//! register is one dot's eight lane accumulators, updated exactly as `dot`
+//! updates its own, and folded by the AVX2 code that folds them.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -30,9 +33,6 @@ use super::{avx2, LANES};
 
 /// f32 lanes in one 512-bit vector.
 const WIDE_LANES: usize = 16;
-
-/// Columns per register tile: two vectors.
-const TILE_COLS: usize = 2 * WIDE_LANES;
 
 /// Loads `WIDE_LANES` floats.
 ///
@@ -69,11 +69,13 @@ unsafe fn store(k: &mut [f32], v: __m512) {
     unsafe { _mm512_storeu_ps(k.as_mut_ptr(), v) }
 }
 
-/// `out[R×n] += a[R×k] × b[k×n]` over the leading whole 32-column tiles of
-/// one block of `R` rows; returns the first column it left alone.
+/// `out[R×n] += a[R×k] × b[k×n]` over whole tiles of `V` vectors per row,
+/// from column `j0`; returns the first column it left alone.
 ///
-/// Each tile holds an `R`-row × 32-column block of `out` in `2R` vector
+/// Each tile holds an `R`-row × `16V`-column block of `out` in `RV` vector
 /// registers while `k` ascends, in the order the module docs describe.
+/// With `SKIP` every exact-zero `a[i][k]` is skipped; without it the block
+/// holds none (the caller scanned it), so the `k` loop tests nothing.
 ///
 /// # Safety
 ///
@@ -82,48 +84,54 @@ unsafe fn store(k: &mut [f32], v: __m512) {
 // SAFETY: `target_feature(enable = "avx512f")` makes this fn unsafe-to-call;
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx512f")]
-pub(super) unsafe fn row_tile<const R: usize>(
+pub(super) unsafe fn row_tile<const R: usize, const V: usize, const SKIP: bool>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
     k: usize,
     n: usize,
+    j0: usize,
 ) -> usize {
-    let a_rows: [&[f32]; R] = core::array::from_fn(|r| &a[r * k..(r + 1) * k]);
-    let mut j = 0;
-    while j + TILE_COLS <= n {
-        let mut lo = [_mm512_setzero_ps(); R];
-        let mut hi = [_mm512_setzero_ps(); R];
-        for ((l, h), o) in lo.iter_mut().zip(hi.iter_mut()).zip(out.chunks_exact(n)) {
-            let o = &o[j..j + TILE_COLS];
-            // SAFETY: in an AVX-512F context; both halves are exactly 16 long.
-            unsafe { (*l, *h) = (load(&o[..WIDE_LANES]), load(&o[WIDE_LANES..])) };
+    let a_rows: [&[f32]; R] = core::array::from_fn(|r| &a[r * k..][..k]);
+    let cols = V * WIDE_LANES;
+    let mut j = j0;
+    while j + cols <= n {
+        let mut acc = [[_mm512_setzero_ps(); V]; R];
+        for (acc_r, o) in acc.iter_mut().zip(out.chunks_exact(n)) {
+            let o = &o[j..j + cols];
+            for (v, o) in acc_r.iter_mut().zip(o.chunks_exact(WIDE_LANES)) {
+                // SAFETY: in an AVX-512F context; `o` is exactly 16 long.
+                *v = unsafe { load(o) };
+            }
         }
-        for (kk, b_row) in b.chunks_exact(n).take(k).enumerate() {
-            let bt = &b_row[j..j + TILE_COLS];
-            // SAFETY: in an AVX-512F context; both halves are exactly 16 long.
-            let (b0, b1) = unsafe { (load(&bt[..WIDE_LANES]), load(&bt[WIDE_LANES..])) };
-            for ((l, h), a_row) in lo.iter_mut().zip(hi.iter_mut()).zip(a_rows) {
+        for kk in 0..k {
+            let bt = &b[kk * n + j..][..cols];
+            let mut vb = [_mm512_setzero_ps(); V];
+            for (v, bt) in vb.iter_mut().zip(bt.chunks_exact(WIDE_LANES)) {
+                // SAFETY: in an AVX-512F context; `bt` is exactly 16 long.
+                *v = unsafe { load(bt) };
+            }
+            for (acc_r, a_row) in acc.iter_mut().zip(a_rows) {
                 let aik = a_row[kk];
                 // lint: allow(float-eq): exact-zero sparsity skip; a tolerance would change results
-                if aik == 0.0 {
+                if SKIP && aik == 0.0 {
                     continue;
                 }
                 let va = _mm512_set1_ps(aik);
-                // Same operand order as `axpy`: acc + (a * b), never FMA.
-                *l = _mm512_add_ps(*l, _mm512_mul_ps(va, b0));
-                *h = _mm512_add_ps(*h, _mm512_mul_ps(va, b1));
+                for (v, &bv) in acc_r.iter_mut().zip(&vb) {
+                    // Same operand order as `axpy`: acc + (a * b), never FMA.
+                    *v = _mm512_add_ps(*v, _mm512_mul_ps(va, bv));
+                }
             }
         }
-        for ((l, h), o) in lo.iter().zip(hi.iter()).zip(out.chunks_exact_mut(n)) {
-            let (o0, o1) = o[j..j + TILE_COLS].split_at_mut(WIDE_LANES);
-            // SAFETY: in an AVX-512F context; both halves are exactly 16 long.
-            unsafe {
-                store(o0, *l);
-                store(o1, *h);
+        for (acc_r, o) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            let o = &mut o[j..j + cols];
+            for (&v, o) in acc_r.iter().zip(o.chunks_exact_mut(WIDE_LANES)) {
+                // SAFETY: in an AVX-512F context; `o` is exactly 16 long.
+                unsafe { store(o, v) };
             }
         }
-        j += TILE_COLS;
+        j += cols;
     }
     j
 }

@@ -14,11 +14,13 @@
 //!    over a fixed deterministic sweep, so a rounding change in the *scalar
 //!    reference itself* fails loudly even on machines with no second
 //!    backend.
-//! 3. **A planted divergence**: a fixture kernel with FMA'd `dot`, `axpy`,
+//! 3. **Planted divergences**: a fixture kernel with FMA'd `dot`, `axpy`,
 //!    `matmul_at_b_acc` and `exp` polynomial must be caught by the same
 //!    harness the real backends pass, proving the battery can actually
 //!    detect a contraction-rounding bug in a reduction, an update, a
-//!    register-blocked product and a transcendental.
+//!    register-blocked product and a transcendental. A second fixture whose
+//!    `matmul_acc` drops the exact-zero skip must be caught too: that is
+//!    the bug a tile taking its branch-free `k` loop wrongly would have.
 
 #![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 
@@ -333,20 +335,42 @@ proptest! {
 
     #[test]
     fn matmul_acc_is_bit_identical_to_scalar_on_every_backend(
-        // m < 10 draws two 4-row tiles plus a row remainder; n < 100 draws
-        // up to two 32-column tiles followed by the 16-column tile, the
-        // 8-wide column step and scalar tails.
-        dims in (0..10usize, 0..6usize, 0..100usize),
-        a in prop::collection::vec(wild_f32(), 9 * 5),
-        // Without zeros every `(i, k)` contributes to its row tile; the
-        // zoo's zeros make most tiles take the skip.
-        dense in prop::collection::vec(prop::num::f32::NORMAL | prop::num::f32::SUBNORMAL, 9 * 5),
-        b in prop::collection::vec(wild_f32(), 5 * 99),
-        init in prop::collection::vec(wild_f32(), 9 * 99),
+        // m < 16 draws every step of both row ladders (6/4/3/2/1 on
+        // AVX-512, 4/3/2/1 on AVX2; m = 15 is 6 + 6 + 3 and 4 + 4 + 4 + 3);
+        // n < 200 draws the one-row 128-column tile, the two-row 64-column
+        // tile and 32-column tiles, then the 16-column tile, the 8-wide
+        // column step and scalar tails.
+        dims in (0..16usize, 0..12usize, 0..200usize),
+        a in prop::collection::vec(wild_f32(), 15 * 11),
+        // Without zeros every block runs the branch-free `k` loop; the
+        // zoo's zeros make most blocks take the per-entry skip.
+        dense in prop::collection::vec(prop::num::f32::NORMAL | prop::num::f32::SUBNORMAL, 15 * 11),
+        // One signed zero in the dense draw: its block alone must skip, and
+        // only that one entry.
+        zero in (0..15 * 11usize, 0u8..2),
+        // Which dense entries become ±∞ or NaN (0–2), which are never
+        // skipped. The NaN is the one x86 makes of `0 * ∞` and `∞ - ∞`: where
+        // two NaNs meet in an add, the operand order the compiler picked
+        // decides which payload survives, so two payloads would differ.
+        specials in prop::collection::vec(0u8..8, 15 * 11),
+        b in prop::collection::vec(wild_f32(), 11 * 199),
+        init in prop::collection::vec(wild_f32(), 15 * 199),
     ) {
         let (m, kk, n) = dims;
+        let mut one_zero = dense.clone();
+        one_zero[zero.0] = if zero.1 == 0 { 0.0 } else { -0.0 };
+        let special: Vec<f32> = dense
+            .iter()
+            .zip(&specials)
+            .map(|(&v, &s)| match s {
+                0 => f32::INFINITY,
+                1 => f32::NEG_INFINITY,
+                2 => f32::from_bits(0xffc0_0000),
+                _ => v,
+            })
+            .collect();
         for backend in Backend::available() {
-            for a in [&a, &dense] {
+            for a in [&a, &dense, &one_zero, &special] {
                 prop_assert!(
                     !matmul_diverges(&backend, a, &b, &init, m, kk, n),
                     "backend `{}` diverged from scalar at {}x{}x{}",
@@ -662,11 +686,20 @@ fn scalar_kernel_fingerprints_are_pinned() {
 
 // ---- planted divergence ----------------------------------------------------
 
-/// A deliberately broken backend: `dot`, `axpy`, `matmul_at_b_acc` and the
-/// `exp` polynomial use fused multiply-add, the exact class of bug
-/// (contraction changing rounding) the parity battery exists to catch.
-/// Everything else delegates to the scalar reference.
-struct FmaKernel;
+/// The bug a [`Planted`] kernel carries.
+#[derive(Clone, Copy, PartialEq)]
+enum Bug {
+    /// `dot`, `axpy`, `matmul_at_b_acc` and the `exp` polynomial use fused
+    /// multiply-add, the exact class of bug (contraction changing rounding)
+    /// the parity battery exists to catch.
+    Fma,
+    /// `matmul_acc` adds every `0 * b` instead of skipping it.
+    NoZeroSkip,
+}
+
+/// A deliberately broken backend: the kernels its [`Bug`] names are wrong,
+/// everything else delegates to the scalar reference.
+struct Planted(Bug);
 
 /// `exp` as the reference defines it (`lead_nn::simd::exp`), with every
 /// multiply-then-add of the reduction and the polynomial fused. The
@@ -701,11 +734,17 @@ fn fma_exp(x: f32) -> f32 {
     y * pow2(k >> 1) * pow2(k - (k >> 1))
 }
 
-impl Kernel for FmaKernel {
+impl Kernel for Planted {
     fn name(&self) -> &'static str {
-        "fma-fixture"
+        match self.0 {
+            Bug::Fma => "fma-fixture",
+            Bug::NoZeroSkip => "skipless-fixture",
+        }
     }
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
+        if self.0 != Bug::Fma {
+            return Backend::Scalar.dot(a, b);
+        }
         let n = a.len().min(b.len());
         let mut acc = 0.0f32;
         for (&x, &y) in a[..n].iter().zip(&b[..n]) {
@@ -714,6 +753,9 @@ impl Kernel for FmaKernel {
         acc
     }
     fn axpy(&self, a: f32, x: &[f32], y: &mut [f32]) {
+        if self.0 != Bug::Fma {
+            return Backend::Scalar.axpy(a, x, y);
+        }
         let n = x.len().min(y.len());
         for (yi, &xi) in y[..n].iter_mut().zip(&x[..n]) {
             *yi = a.mul_add(xi, *yi);
@@ -732,6 +774,9 @@ impl Kernel for FmaKernel {
         Backend::Scalar.scale(x, s);
     }
     fn exp(&self, a: &[f32], out: &mut [f32]) {
+        if self.0 != Bug::Fma {
+            return Backend::Scalar.exp(a, out);
+        }
         for (o, &x) in out.iter_mut().zip(a) {
             *o = fma_exp(x);
         }
@@ -755,9 +800,21 @@ impl Kernel for FmaKernel {
         Backend::Scalar.tanh_bwd(g, y, out);
     }
     fn matmul_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        Backend::Scalar.matmul_acc(a, b, out, m, k, n);
+        if self.0 != Bug::NoZeroSkip {
+            return Backend::Scalar.matmul_acc(a, b, out, m, k, n);
+        }
+        for i in 0..m {
+            for p in 0..k {
+                for j in 0..n {
+                    out[i * n + j] += a[i * k + p] * b[p * n + j];
+                }
+            }
+        }
     }
     fn matmul_at_b_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        if self.0 != Bug::Fma {
+            return Backend::Scalar.matmul_at_b_acc(a, b, out, m, k, n);
+        }
         for r in 0..m {
             for p in 0..k {
                 let arp = a[r * k + p];
@@ -794,7 +851,7 @@ fn planted_fma_kernel_is_caught_by_the_battery() {
     let a = test_vector(0xdead_0001, PLANTED_LEN);
     let b = test_vector(0xbeef_0002, PLANTED_LEN);
     assert_eq!(
-        divergences(&FmaKernel, &a, &b, 0.3),
+        divergences(&Planted(Bug::Fma), &a, &b, 0.3),
         ["dot", "axpy", "matmul_at_b_acc", "exp"],
         "the harness must catch each planted FMA kernel (dot, axpy, matmul_at_b_acc, exp) \
          and nothing else"
@@ -815,6 +872,51 @@ fn real_backends_pass_the_planted_divergence_inputs() {
     let b = test_vector(0xbeef_0002, PLANTED_LEN);
     for backend in Backend::available() {
         assert!(divergences(&backend, &a, &b, 0.3).is_empty());
+    }
+}
+
+/// `(a, b, init, m, k, n)` products on which adding `0 * b` instead of
+/// skipping it changes bits.
+type ZeroSkipCase = (Vec<f32>, Vec<f32>, Vec<f32>, usize, usize, usize);
+
+/// The two ways a dropped exact-zero skip shows. Each zero sits in the
+/// second or later row of a multi-row block, so a block that looked for
+/// zeros in too few of its rows would drop the skip too.
+fn zero_skip_cases() -> [ZeroSkipCase; 2] {
+    // 13 × 11 × 57 (6 + 6 + 1 rows on AVX-512, 4 + 4 + 4 + 1 on AVX2): one
+    // -0.0 in a dense `a`, in row 7, against an ∞ in its row of `b`. The
+    // skip drops the term; `0 * ∞` would make the sum NaN.
+    let (m, k, n) = (13, 11, 57);
+    let mut a = test_vector(0x5eed_0001, m * k);
+    a[7 * k + 5] = -0.0;
+    let mut b = test_vector(0x5eed_0002, k * n);
+    b[5 * n + 40] = f32::INFINITY;
+    let nan = (a, b, test_vector(0x5eed_0003, m * n), m, k, n);
+    // 7 × 3 × 40 (6 + 1 rows; 4 + 3): row 1's coefficients are all zero
+    // and its destination is -0.0, which the skip keeps; `-0.0 + 0 * b`
+    // would be +0.0 wherever `b` is positive.
+    let (m, k, n) = (7, 3, 40);
+    let mut a = test_vector(0x5eed_0004, m * k);
+    a[k..2 * k].fill(0.0);
+    let b = test_vector(0x5eed_0005, k * n);
+    let signed = (a, b, vec![-0.0; m * n], m, k, n);
+    [nan, signed]
+}
+
+#[test]
+fn planted_skipless_kernel_is_caught_by_the_battery() {
+    for (a, b, init, m, k, n) in zero_skip_cases() {
+        assert!(
+            matmul_diverges(&Planted(Bug::NoZeroSkip), &a, &b, &init, m, k, n),
+            "the matmul_acc battery must catch a dropped zero skip at {m}x{k}x{n}"
+        );
+        for backend in Backend::available() {
+            assert!(
+                !matmul_diverges(&backend, &a, &b, &init, m, k, n),
+                "backend `{}` diverged from scalar at {m}x{k}x{n}",
+                backend.name()
+            );
+        }
     }
 }
 

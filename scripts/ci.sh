@@ -54,6 +54,11 @@ LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test incremental_parity
 # is decorative.
 echo "==> simd parity self-test (planted FMA kernel must be caught)"
 cargo test -q -p lead-nn --test proptest_simd planted_fma_kernel_is_caught_by_the_battery
+# The same for the exact-zero skip: a matmul_acc that adds 0·b instead of
+# skipping it (the bug a block wrongly taking its branch-free k loop has)
+# must fail the matmul_acc battery.
+echo "==> simd parity self-test (planted skip-less matmul_acc must be caught)"
+cargo test -q -p lead-nn --test proptest_simd planted_skipless_kernel_is_caught_by_the_battery
 
 # The libm-free exp, sigmoid and tanh over all 2^32 f32 inputs: within 2 ulp
 # of an f64 reference, and every backend bit-identical to scalar. Ignored in
@@ -108,6 +113,9 @@ fi
 # committed tiny-scale golden byte for byte. fig8 and sweep_layers hold
 # wall-clock times and are not compared.
 echo "==> repro all tiny (deterministic artefacts vs results/*_tiny.*)"
+# `cargo build --release` above builds the root package only; `repro`
+# lives in lead-bench.
+cargo build -q --release -p lead-bench --bin repro
 REPRO_TMP="target/tmp/repro-smoke"
 rm -rf "$REPRO_TMP"
 mkdir -p "$REPRO_TMP"
