@@ -1,24 +1,25 @@
-//! The performance ratchet: calibrated micro-benchmarks compared against a
-//! checked-in baseline, so perf regressions fail CI the same way lint
-//! regressions do (DESIGN.md §12).
+//! The performance ratchet: benchmarks gated in CI, so perf regressions
+//! fail the build the same way lint regressions do (DESIGN.md §12).
 //!
-//! The moving parts:
+//! A row is one of two kinds:
 //!
-//! - [`measure`] — a self-calibrating timer: runs a workload until a wall
-//!   budget is spent and reports the median per-iteration time (medians are
-//!   robust to scheduler noise; means are not).
-//! - [`BenchRecord`] — one bench's result: name, median, iteration count,
-//!   and a *fingerprint* of the workload parameters. When the workload
-//!   changes, the fingerprint changes, and the stale baseline entry is
-//!   flagged for refresh instead of being compared against a different
-//!   workload.
-//! - [`render_json`] / [`parse_json`] — the canonical `bench-ratchet/v1`
-//!   serialisation: sorted by bench name, fixed key order, fixed
-//!   indentation, trailing newline. The schema (not the timings) is
-//!   byte-stable and pinned by a golden test.
-//! - [`compare`] — the ratchet itself: current vs baseline with a calibrated
-//!   headroom ratio. Only fingerprint-matched entries can regress; new,
-//!   removed, and refingerprinted benches are reported separately.
+//! - A **ratio row** times an optimised path call by call, interleaved with
+//!   its in-process reference, in [`BLOCKS`] blocks of [`BLOCK_MS`] each
+//!   ([`measure_ratio`]), and fails when the median of the per-block ratios
+//!   exceeds the row's bound ([`RatioRecord`]). Both arms share the core's
+//!   clock, so drift between runs cancels; a revert of the optimisation
+//!   reads ≈ 1.0. The bound is fixed beside the row in the suite's code and
+//!   is the row's whole gate, so ratio rows have no baseline entry.
+//! - An **absolute row** covers code with no in-process reference: a
+//!   median wall time ([`measure`]) that fails above [`MAX_RATIO`] times its
+//!   entry in the checked-in baseline. That headroom guards against
+//!   complexity blow-ups, not noise: wall times of untouched rows drift by
+//!   up to ≈ 1.7× between sessions.
+//!
+//! Every absolute record carries a *fingerprint* of its workload. When the
+//! workload changes, the baseline entry goes stale instead of being compared
+//! against a different workload. [`render_json`] / [`parse_json`] are the
+//! canonical `bench-ratchet/v1` serialisation, pinned by a golden test.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,14 +28,28 @@ use std::time::{Duration, Instant};
 /// The schema tag of the canonical serialisation.
 pub const SCHEMA: &str = "bench-ratchet/v1";
 
-/// Regressions smaller than this many nanoseconds never fail the ratchet,
-/// whatever the ratio: sub-microsecond benches flap on cache noise alone.
+/// The absolute rows' headroom: a row regresses above this many times its
+/// baseline median.
+pub const MAX_RATIO: f64 = 3.0;
+
+/// Absolute slowdowns smaller than this many nanoseconds never fail the
+/// ratchet, whatever the ratio: short rows flap on cache noise alone. Every
+/// absolute row is long enough that [`MAX_RATIO`] binds before this floor.
 pub const MIN_REGRESSION_DELTA_NS: u64 = 10_000;
 
-/// One bench's measurement.
+/// Wall-time budget of one absolute row.
+pub const SAMPLE_MS: u64 = 150;
+
+/// Interleaved blocks behind one ratio row.
+pub const BLOCKS: usize = 12;
+
+/// Wall-time budget of one block of a ratio row.
+pub const BLOCK_MS: u64 = 100;
+
+/// One absolute row's measurement: a baseline entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchRecord {
-    /// Stable bench name (`component/workload` by convention).
+    /// Stable row name (`component/workload` by convention).
     pub name: String,
     /// Median per-iteration wall time, nanoseconds.
     pub median_ns: u64,
@@ -42,6 +57,24 @@ pub struct BenchRecord {
     pub iters: u64,
     /// FNV-1a hash of the workload parameters (see [`fingerprint`]).
     pub fingerprint: String,
+}
+
+/// One ratio row's measurement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RatioRecord {
+    /// Stable row name (`component/workload` by convention).
+    pub name: String,
+    /// Optimised over reference time: the median block ratio.
+    pub ratio: f64,
+    /// The largest ratio that passes.
+    pub bound: f64,
+}
+
+impl RatioRecord {
+    /// Whether the row is past its bound.
+    pub fn regressed(&self) -> bool {
+        self.ratio > self.bound
+    }
 }
 
 /// Hashes a workload description into the fingerprint hex string stored in
@@ -72,8 +105,61 @@ pub fn measure<F: FnMut()>(sample_ms: u64, mut f: F) -> (u64, u64) {
             break;
         }
     }
-    times_ns.sort_unstable();
-    (times_ns[times_ns.len() / 2], times_ns.len() as u64)
+    (median(&mut times_ns), times_ns.len() as u64)
+}
+
+/// The per-block ratios of one ratio row, sorted ascending.
+#[derive(Debug, Clone)]
+pub struct RatioBlocks(pub Vec<f64>);
+
+impl RatioBlocks {
+    /// The median block ratio (the upper middle one for an even count),
+    /// rounded to three decimals.
+    pub fn median(&self) -> f64 {
+        (self.0[self.0.len() / 2] * 1000.0).round() / 1000.0
+    }
+}
+
+/// Times `opt` against `reference` in `blocks` blocks of about `block_ms`
+/// each. Within a block the two arms alternate call by call, taking turns
+/// to go first, so both see the same clock, caches and neighbours; the
+/// block's ratio is the median `opt` call over the median `reference` call.
+pub fn measure_ratio(
+    blocks: usize,
+    block_ms: u64,
+    opt: &mut dyn FnMut(),
+    reference: &mut dyn FnMut(),
+) -> RatioBlocks {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_nanos() as u64
+    };
+    let budget = Duration::from_millis(block_ms);
+    let mut ratios = Vec::with_capacity(blocks);
+    for _ in 0..blocks {
+        opt();
+        reference();
+        let (mut opt_ns, mut ref_ns) = (Vec::new(), Vec::new());
+        let start = Instant::now();
+        while start.elapsed() < budget || opt_ns.len() < 5 {
+            if opt_ns.len() % 2 == 0 {
+                opt_ns.push(time(opt));
+                ref_ns.push(time(reference));
+            } else {
+                ref_ns.push(time(reference));
+                opt_ns.push(time(opt));
+            }
+        }
+        ratios.push(median(&mut opt_ns) as f64 / median(&mut ref_ns).max(1) as f64);
+    }
+    ratios.sort_by(f64::total_cmp);
+    RatioBlocks(ratios)
+}
+
+fn median(xs: &mut [u64]) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
 }
 
 /// Renders records in the canonical `bench-ratchet/v1` form: sorted by name,
@@ -105,7 +191,10 @@ pub fn render_json(records: &[BenchRecord]) -> String {
 /// canonical shape. Anything else is a loud error.
 pub fn parse_json(s: &str) -> Result<Vec<BenchRecord>, String> {
     if !s.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("not a {SCHEMA} file"));
+        return Err(match field_str(s, "schema") {
+            Ok(other) => format!("schema `{other}` is not {SCHEMA}"),
+            Err(_) => format!("not a {SCHEMA} file"),
+        });
     }
     let mut out = Vec::new();
     for line in s.lines() {
@@ -160,46 +249,53 @@ fn field_str(fields: &str, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("unterminated `{key}` value"))
 }
 
-/// One bench that got slower than the baseline allows.
+/// One absolute row that got slower than the baseline allows.
 #[derive(Debug, Clone)]
 pub struct Regression {
-    /// The bench's name.
+    /// The row's name.
     pub name: String,
     /// Current median, nanoseconds.
     pub current_ns: u64,
     /// Baseline median, nanoseconds.
     pub baseline_ns: u64,
-    /// `current_ns / baseline_ns`.
-    pub ratio: f64,
 }
 
 /// The outcome of one ratchet comparison.
 #[derive(Debug, Clone, Default)]
 pub struct RatchetReport {
-    /// Benches slower than `baseline × max_ratio` (plus the absolute floor).
+    /// Absolute rows slower than `baseline × MAX_RATIO` (plus the floor).
     pub regressions: Vec<Regression>,
-    /// Baseline entries that no longer match the current suite: the bench
+    /// Ratio rows past their bound.
+    pub ratio_regressions: Vec<RatioRecord>,
+    /// Baseline entries that no longer match the current suite: the row
     /// disappeared, or its workload fingerprint changed. Stale entries do
     /// not fail the gate but must be refreshed with `--update-baseline`.
     pub stale: Vec<String>,
-    /// Current benches with no baseline entry yet (new benches).
+    /// Current absolute rows with no baseline entry yet (new rows).
     pub missing_baseline: Vec<String>,
 }
 
 impl RatchetReport {
     /// Whether the gate passes (stale and missing entries are warnings).
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
+        self.regressions.is_empty() && self.ratio_regressions.is_empty()
     }
 
     /// Human-readable summary, one line per finding.
-    pub fn render(&self, max_ratio: f64) -> String {
+    pub fn render(&self) -> String {
         let mut s = String::new();
         for r in &self.regressions {
             let _ = writeln!(
                 s,
-                "REGRESSION {}: {} ns vs baseline {} ns ({:.2}x > {max_ratio:.2}x allowed)",
-                r.name, r.current_ns, r.baseline_ns, r.ratio
+                "REGRESSION {}: {} ns vs baseline {} ns (> {MAX_RATIO:.1}x allowed)",
+                r.name, r.current_ns, r.baseline_ns
+            );
+        }
+        for r in &self.ratio_regressions {
+            let _ = writeln!(
+                s,
+                "REGRESSION {}: ratio {:.3} > bound {:.3}",
+                r.name, r.ratio, r.bound
             );
         }
         for name in &self.stale {
@@ -214,37 +310,43 @@ impl RatchetReport {
                 "NEW        {name}: no baseline entry yet (record with --update-baseline)"
             );
         }
-        if s.is_empty() {
-            s.push_str("all benches within baseline headroom\n");
+        if self.passed() {
+            s.push_str("all rows within their gates\n");
         }
         s
     }
 }
 
-/// Compares `current` against `baseline`: a fingerprint-matched bench
-/// regresses when its median exceeds `baseline × max_ratio` and the absolute
-/// slowdown exceeds [`MIN_REGRESSION_DELTA_NS`]. Fingerprint mismatches and
-/// removed benches are stale; unknown benches are missing from the baseline.
-pub fn compare(current: &[BenchRecord], baseline: &[BenchRecord], max_ratio: f64) -> RatchetReport {
+/// Gates one run. A ratio row regresses past its bound. A
+/// fingerprint-matched absolute row regresses when its median exceeds
+/// `baseline × MAX_RATIO` and the absolute slowdown exceeds
+/// [`MIN_REGRESSION_DELTA_NS`]; fingerprint mismatches and removed rows are
+/// stale, and unknown rows are missing from the baseline.
+pub fn compare(
+    absolute: &[BenchRecord],
+    ratios: &[RatioRecord],
+    baseline: &[BenchRecord],
+) -> RatchetReport {
     let base: BTreeMap<&str, &BenchRecord> =
         baseline.iter().map(|r| (r.name.as_str(), r)).collect();
-    let cur: BTreeMap<&str, &BenchRecord> = current.iter().map(|r| (r.name.as_str(), r)).collect();
+    let cur: BTreeMap<&str, &BenchRecord> = absolute.iter().map(|r| (r.name.as_str(), r)).collect();
 
-    let mut report = RatchetReport::default();
+    let mut report = RatchetReport {
+        ratio_regressions: ratios.iter().filter(|r| r.regressed()).cloned().collect(),
+        ..RatchetReport::default()
+    };
     for (name, c) in &cur {
         match base.get(name) {
             None => report.missing_baseline.push((*name).to_string()),
             Some(b) if b.fingerprint != c.fingerprint => report.stale.push((*name).to_string()),
             Some(b) => {
-                let ratio = c.median_ns as f64 / (b.median_ns.max(1)) as f64;
-                if ratio > max_ratio
+                if c.median_ns as f64 > b.median_ns as f64 * MAX_RATIO
                     && c.median_ns.saturating_sub(b.median_ns) > MIN_REGRESSION_DELTA_NS
                 {
                     report.regressions.push(Regression {
                         name: (*name).to_string(),
                         current_ns: c.median_ns,
                         baseline_ns: b.median_ns,
-                        ratio,
                     });
                 }
             }

@@ -128,7 +128,13 @@ for f in table3_tiny.txt table3_tiny.csv table4_tiny.txt table4_tiny.csv iou_tin
     fi
 done
 
-echo "==> bench-ratchet self-test (the gate must catch a planted regression)"
+# Planted reverts, each of which the ratio rows' bounds must reject:
+# GroupDetector::probabilities replaced by the tape's forward_graph,
+# Backend::Avx512 running the AVX2 tiles in matmul_acc, matmul_at_b_acc and
+# matmul_a_bt_acc, and a 1.5x delay in the optimised arm of the encoding row
+# (encode_all over per-candidate encode_value), the one row whose bound is
+# sized to reject a 1.5x slowdown.
+echo "==> bench-ratchet self-test (the gate must reject each planted revert)"
 cargo run -q -p lead-bench --release --bin bench_ratchet -- --self-test
 
 # The record goes under target/: CI must not rewrite a committed file.
