@@ -65,8 +65,8 @@ impl Whitelist {
     }
 
     /// Whether any whitelisted location lies within `radius_m`, via the grid
-    /// index — the engineering fix the paper's SP-R lacks; benchmarked in the
-    /// `poi_index` ablation.
+    /// index — the engineering fix the paper's SP-R lacks; `bench_ratchet`'s
+    /// `baselines/whitelist_grid_over_scan_256_queries` row measures it.
     pub fn contains_near_indexed(&self, lat: f64, lng: f64, radius_m: f64) -> bool {
         self.index.nearest_within(lat, lng, radius_m).is_some()
     }

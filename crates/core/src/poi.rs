@@ -285,8 +285,8 @@ impl PoiDatabase {
     }
 
     /// Counts POIs of each category within `radius_m` by scanning every POI —
-    /// the unindexed reference implementation, kept for the `poi_index`
-    /// ablation benchmark and correctness tests.
+    /// the unindexed reference implementation, kept for correctness tests
+    /// and `bench_ratchet`'s `poi/grid_over_scan_counts_256_queries` row.
     pub fn category_counts_within_scan(
         &self,
         lat: f64,

@@ -7,8 +7,10 @@
 //!   point (Section VI-A).
 //!
 //! A uniform grid keyed on lat/lng cells turns both from `O(|POIs|)` scans
-//! into constant-neighborhood lookups. The `poi_index` benchmark in
-//! `lead-bench` measures the gain over a linear scan.
+//! into constant-neighborhood lookups. `bench_ratchet`'s ratio rows
+//! `poi/grid_over_scan_counts_256_queries` and
+//! `baselines/whitelist_grid_over_scan_256_queries` measure the gain over a
+//! linear scan.
 
 use crate::bbox::BoundingBox;
 use crate::distance::{haversine_m, meters_to_lat_deg, meters_to_lng_deg};

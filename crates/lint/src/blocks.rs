@@ -1,13 +1,11 @@
 //! Block-aware IR over the lossless token stream: a brace tree with loop
-//! bodies told apart from item bodies, and the `mod` declarations with the
-//! lines of their attributes.
+//! bodies told apart from item bodies.
 //!
 //! The per-line views in [`crate::scan`] answer "what does this line say";
 //! this module answers "what block does this line live in". The rule catalog
-//! uses it for the structural rules — R10 `unsafe-contract` (which `mod`
-//! declaration an `allow(unsafe_code)` is attached to) and R11
-//! `hot-loop-alloc` (which lines sit inside a loop body) — while the
-//! lexical rules keep consuming the per-line view.
+//! uses it for the structural rule R11 `hot-loop-alloc` (which lines sit
+//! inside a loop body), while the lexical rules keep consuming the per-line
+//! view.
 //!
 //! The parser is deliberately forgiving: unbalanced delimiters close at end
 //! of file, and anything it cannot classify becomes an `Other` block. It
@@ -48,22 +46,11 @@ pub struct Block {
     pub depth: usize,
 }
 
-/// One `mod` declaration, inline (`mod m { … }`) or braceless (`mod m;`).
-#[derive(Debug, Clone)]
-pub struct ModDecl {
-    /// The module's name.
-    pub name: String,
-    /// Lines of the `#[…]` attributes attached to the declaration.
-    pub attr_lines: Vec<usize>,
-}
-
 /// The block-aware IR for one source file.
 #[derive(Debug, Clone, Default)]
 pub struct FileBlocks {
     /// Every brace-delimited block in source order.
     pub blocks: Vec<Block>,
-    /// Every `mod` declaration in source order.
-    pub mods: Vec<ModDecl>,
 }
 
 impl FileBlocks {
@@ -120,7 +107,6 @@ pub fn build(tokens: &[Token<'_>]) -> FileBlocks {
     let mut out = FileBlocks::default();
     let mut stack: Vec<Open> = Vec::new();
     let mut header: Vec<&Tok> = Vec::new();
-    let mut attr_lines: Vec<usize> = Vec::new();
     let mut paren: usize = 0;
     let mut bracket: usize = 0;
 
@@ -131,7 +117,6 @@ pub fn build(tokens: &[Token<'_>]) -> FileBlocks {
             "#" if bracket == 0 && paren == 0 => {
                 // Attribute: skip `#` (and `!`) plus the bracketed body so
                 // attr contents never pollute the header.
-                attr_lines.push(tok.line);
                 let mut j = i + 1;
                 if toks.get(j).is_some_and(|t| t.text == "!") {
                     j += 1;
@@ -171,15 +156,7 @@ pub fn build(tokens: &[Token<'_>]) -> FileBlocks {
                 bracket = bracket.saturating_sub(1);
                 header.push(tok);
             }
-            ";" if paren == 0 && bracket == 0 => {
-                // A braceless declaration (`pub mod simd;`) still carries
-                // attributes worth checking.
-                if let Some(m) = mod_decl(&header, &attr_lines) {
-                    out.mods.push(m);
-                }
-                header.clear();
-                attr_lines.clear();
-            }
+            ";" if paren == 0 && bracket == 0 => header.clear(),
             "{" => {
                 let inside_expr = paren > 0 || bracket > 0;
                 let kind = if inside_expr {
@@ -187,11 +164,6 @@ pub fn build(tokens: &[Token<'_>]) -> FileBlocks {
                 } else {
                     classify(&header)
                 };
-                if !inside_expr {
-                    if let Some(m) = mod_decl(&header, &attr_lines) {
-                        out.mods.push(m);
-                    }
-                }
                 stack.push(Open {
                     kind,
                     open_line: tok.line,
@@ -204,7 +176,6 @@ pub fn build(tokens: &[Token<'_>]) -> FileBlocks {
                 bracket = 0;
                 if !inside_expr {
                     header.clear();
-                    attr_lines.clear();
                 }
             }
             "}" => {
@@ -230,7 +201,6 @@ pub fn build(tokens: &[Token<'_>]) -> FileBlocks {
                 }
                 if !embedded {
                     header.clear();
-                    attr_lines.clear();
                 }
             }
             _ => header.push(tok),
@@ -265,19 +235,6 @@ fn classify(header: &[&Tok]) -> BlockKind {
     } else {
         BlockKind::Other
     }
-}
-
-/// The `mod` declaration a header introduces, if it is one (`fn` outranks
-/// `mod`, as in [`classify`]).
-fn mod_decl(header: &[&Tok], attr_lines: &[usize]) -> Option<ModDecl> {
-    if header.iter().any(|t| t.text == "fn") {
-        return None;
-    }
-    let pos = header.iter().position(|t| t.text == "mod")?;
-    Some(ModDecl {
-        name: header.get(pos + 1)?.text.clone(),
-        attr_lines: attr_lines.to_vec(),
-    })
 }
 
 #[cfg(test)]
@@ -349,32 +306,6 @@ fn f() {
             .filter(|x| x.kind == BlockKind::Other)
             .count();
         assert_eq!(closures, 1);
-    }
-
-    #[test]
-    fn braceless_mod_with_attrs_is_a_declaration() {
-        let src = "/// Sanctioned.\n#[allow(unsafe_code)]\npub mod simd;\n";
-        let b = ir(src);
-        assert_eq!(b.mods.len(), 1);
-        assert_eq!(b.mods[0].name, "simd");
-        assert_eq!(b.mods[0].attr_lines, vec![2]);
-    }
-
-    #[test]
-    fn inline_mod_gets_its_attrs() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
-        let b = ir(src);
-        assert_eq!(b.mods.len(), 1);
-        assert_eq!(b.mods[0].name, "tests");
-        assert_eq!(b.mods[0].attr_lines, vec![1]);
-    }
-
-    #[test]
-    fn attrs_of_other_items_do_not_leak_onto_a_mod() {
-        let src = "#[inline]\nfn f() {}\nmod m;\n";
-        let b = ir(src);
-        assert_eq!(b.mods.len(), 1);
-        assert!(b.mods[0].attr_lines.is_empty(), "{:?}", b.mods);
     }
 
     #[test]

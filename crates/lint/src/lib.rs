@@ -6,10 +6,11 @@
 //! `c-vec`s and detection distributions at any thread count, and no panics
 //! on degenerate GPS days. Everything of that contract that works on one
 //! site lives with the compiler: the root `Cargo.toml`'s
-//! `[workspace.lints]` (every library crate inherits it) forbids `unsafe`,
-//! denies missing docs, panic sites (`unwrap`, `expect`, `panic!`, `todo!`,
-//! `unimplemented!`, `unreachable!`), fallible `pub fn`s without `# Errors`
-//! and `unsafe` blocks without `// SAFETY:`; the root `clippy.toml` bans
+//! `[workspace.lints]` (every library crate inherits it; `lead-simd`
+//! copies it with `unsafe` allowed) forbids `unsafe`, denies missing docs,
+//! panic sites (`unwrap`, `expect`, `panic!`, `todo!`, `unimplemented!`,
+//! `unreachable!`), fallible `pub fn`s without `# Errors` and `unsafe`
+//! blocks without `// SAFETY:`; the root `clippy.toml` bans
 //! the nondeterminism sources (R1 `HashMap`/`HashSet`, R5 `Instant`/
 //! `SystemTime`, environment reads, thread identity, address hashing) and
 //! R3's ad-hoc threads. Since the dependency DAG (R7) lets a result crate
@@ -23,10 +24,10 @@
 //! offline build environment). [`scan`] replays the token stream into
 //! per-line code/comment views (string literals blanked, comments routed
 //! aside) and tracks `#[cfg(test)]` regions by brace depth; [`blocks`]
-//! builds a block-aware IR over the same token stream (loop bodies, `mod`
-//! declarations and their attributes); [`rules`] applies the catalog to
-//! every workspace source file, and [`workspace`] adds the cross-file checks
-//! over the parsed manifests ([`manifest`]). Diagnostics are printed as
+//! builds a block-aware IR over the same token stream (loop bodies);
+//! [`rules`] applies the catalog to every workspace source file, and
+//! [`workspace`] adds the cross-file checks over the parsed manifests
+//! ([`manifest`]). Diagnostics are printed as
 //! `file:line:col: [rule] message` with the offending snippet (or as JSON);
 //! any diagnostic makes the binary exit non-zero, which is how
 //! `scripts/ci.sh` gates merges.
@@ -41,7 +42,6 @@
 //! | `layering`    | R7: manifest dependencies are acyclic and on the sanctioned DAG |
 //! | `error-contract` | R8: no `Result<_, String>` / `Box<dyn Error>` in libraries   |
 //! | `scope-drift` | R9: every crate is classified; scope tables stay current        |
-//! | `unsafe-contract` | R10: `allow(unsafe_code)` only on `lead_nn`'s `mod simd`    |
 //! | `hot-loop-alloc` | R11: no allocation/clone calls in loop bodies of kernel-tagged modules |
 //!
 //! R7–R9 are cross-file: they read a parsed subset of every workspace
@@ -50,7 +50,7 @@
 //! gate. R11 reads the block IR's loop spans inside modules tagged
 //! `[package.metadata.lead] kernel = …` and flags allocation calls
 //! (`Vec::new`, `push`, `collect`, `clone`, `format!`, …) in loop bodies,
-//! keeping kernel inner loops allocation-free. Run `lead-lint explain R10`
+//! keeping kernel inner loops allocation-free. Run `lead-lint explain R11`
 //! for a rule's doc.
 //!
 //! # Output

@@ -96,7 +96,7 @@ fn main() -> ExitCode {
                     "usage: lead-lint [--root DIR] [--format text|json]\n\
                      \x20      lead-lint explain [R<N>|<rule-id>]\n\n\
                      Scans the LEAD workspace sources and fails on violations of the\n\
-                     panic-freedom, unsafe-contract, and architecture rules that clippy\n\
+                     panic-freedom, numeric-kernel and architecture rules that clippy\n\
                      and rustc cannot check:\n\
                      \x20   {}\n\
                      (see DESIGN.md §10; `lead-lint explain` prints them). The per-site\n\

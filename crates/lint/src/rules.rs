@@ -3,10 +3,10 @@
 //! Rule scoping is by workspace-relative path. The catalog (mirrored in
 //! DESIGN.md) distinguishes two file classes:
 //!
-//! - **library crates** (`lead_core`, `lead_data`, `lead_nn`, `lead_geo`,
-//!   `lead_eval`, `lead_baselines`, `lead_synth`, `lead_obs`) — no indexing
-//!   by integer literal (R2) and no stringly error types (R8);
-//! - **numeric kernels** (`lead_nn`, `lead_core::detection`,
+//! - **library crates** (`lead_core`, `lead_data`, `lead_nn`, `lead_simd`,
+//!   `lead_geo`, `lead_eval`, `lead_baselines`, `lead_synth`, `lead_obs`) —
+//!   no indexing by integer literal (R2) and no stringly error types (R8);
+//! - **numeric kernels** (`lead_nn`, `lead_simd`, `lead_core::detection`,
 //!   `lead_core::encoding`, `lead_core::features`) — must not narrow floats
 //!   or compare them exactly without a guard (R4).
 //!
@@ -16,11 +16,9 @@
 //! code (`#[cfg(test)]` regions; `tests/` and `benches/` trees are never
 //! scanned) is exempt from everything except waiver hygiene.
 //!
-//! The structural rules ride on the block IR ([`crate::blocks`]): R10
-//! (`unsafe-contract`) lets `allow(unsafe_code)` re-open only
-//! [`SANCTIONED_UNSAFE`], and R11 (`hot-loop-alloc`) bans allocation calls
-//! inside loop bodies of kernel-tagged modules (`[package.metadata.lead]
-//! kernel`).
+//! The structural rule rides on the block IR ([`crate::blocks`]): R11
+//! (`hot-loop-alloc`) bans allocation calls inside loop bodies of
+//! kernel-tagged modules (`[package.metadata.lead] kernel`).
 
 use std::collections::BTreeSet;
 
@@ -44,7 +42,7 @@ pub struct RuleDoc {
 
 /// The rule catalog documentation, in catalog order. [`RULE_IDS`] is derived
 /// from this table, so the identifier list can never drift from the docs.
-pub const RULE_DOCS: [RuleDoc; 8] = [
+pub const RULE_DOCS: [RuleDoc; 7] = [
     RuleDoc {
         num: "R2",
         id: "panic",
@@ -104,15 +102,6 @@ pub const RULE_DOCS: [RuleDoc; 8] = [
         waiver: "// lint: allow(scope-drift): crate split in flight, table follows",
     },
     RuleDoc {
-        num: "R10",
-        id: "unsafe-contract",
-        doc: "`allow(unsafe_code)` may re-open unsafe only on `lead_nn`'s \
-              `mod simd` declaration. rustc's `unsafe_code` (forbid in the \
-              libraries, deny in `lead_nn`) and clippy's \
-              `undocumented_unsafe_blocks` do the rest.",
-        waiver: "// lint: allow(unsafe-contract): justification lives on the wrapper above",
-    },
-    RuleDoc {
         num: "R11",
         id: "hot-loop-alloc",
         doc: "Loop bodies of kernel-tagged modules (`[package.metadata.lead] \
@@ -125,8 +114,8 @@ pub const RULE_DOCS: [RuleDoc; 8] = [
 
 /// The machine-readable rule identifiers, as used in waivers. Derived from
 /// [`RULE_DOCS`] so the two can never drift.
-pub const RULE_IDS: [&str; 8] = {
-    let mut ids = [""; 8];
+pub const RULE_IDS: [&str; 7] = {
+    let mut ids = [""; 7];
     let mut i = 0;
     while i < RULE_DOCS.len() {
         ids[i] = RULE_DOCS[i].id;
@@ -178,7 +167,7 @@ pub struct CrateInfo {
 /// per-file scope helpers, the layering rules (R7), and the scope-drift
 /// audit (R9). Mirrored in DESIGN.md §10; adding a crate without extending
 /// this table is itself a diagnostic.
-pub const CRATES: [CrateInfo; 11] = [
+pub const CRATES: [CrateInfo; 12] = [
     CrateInfo {
         dir: "",
         package: "lead",
@@ -238,11 +227,17 @@ pub const CRATES: [CrateInfo; 11] = [
         dir: "crates/nn",
         package: "lead-nn",
         class: Class::Lib,
-        allowed: &["lead-obs"],
+        allowed: &["lead-obs", "lead-simd"],
     },
     CrateInfo {
         dir: "crates/obs",
         package: "lead-obs",
+        class: Class::Lib,
+        allowed: &[],
+    },
+    CrateInfo {
+        dir: "crates/simd",
+        package: "lead-simd",
         class: Class::Lib,
         allowed: &[],
     },
@@ -254,29 +249,18 @@ pub const CRATES: [CrateInfo; 11] = [
     },
 ];
 
-const KERNEL_PATHS: [&str; 3] = [
+/// The numeric-kernel directories R4 scans; R9 checks that each still
+/// exists on the real workspace.
+pub const KERNEL_PATHS: [&str; 4] = [
     "crates/nn/src/",
+    "crates/simd/src/",
     "crates/core/src/detection/",
     "crates/core/src/encoding/",
 ];
 
-/// The one declaration `allow(unsafe_code)` may sit on (R10): the crate
-/// root declaring the module, and the module's name. Growing it is a
-/// reviewed change to the lint gate, mirrored in DESIGN.md §10.
-pub const SANCTIONED_UNSAFE: (&str, &str) = ("crates/nn/src/lib.rs", "simd");
-
 /// The classification-table entry for a crate directory (`""` = root).
 pub fn crate_info_by_dir(dir: &str) -> Option<&'static CrateInfo> {
     CRATES.iter().find(|c| c.dir == dir)
-}
-
-/// Every scope-table path whose existence R9 verifies on the real
-/// workspace (`/`-suffixed entries are directories).
-pub fn scope_paths() -> impl Iterator<Item = &'static str> {
-    KERNEL_PATHS
-        .iter()
-        .copied()
-        .chain(std::iter::once(SANCTIONED_UNSAFE.0))
 }
 
 /// The classification of the crate owning `rel` (a workspace-relative source
@@ -342,8 +326,7 @@ pub fn apply_file(
                 check_float_eq(code, &mut fire_here);
             }
         }
-        // Structural rules over the block IR (R10, R11).
-        check_unsafe_contract(rel_path, view, &mut fire);
+        // The structural rule over the block IR (R11).
         if manifests.is_some_and(|m| kernel_tagged(rel_path, m)) {
             check_hot_loop_alloc(view, &mut fire);
         }
@@ -646,45 +629,6 @@ fn result_err_type(ret: &str) -> Option<String> {
     }
     let (comma, close) = (comma?, close?);
     Some(ret[comma + 1..close].trim().to_string())
-}
-
-// ---------------------------------------------------------------------------
-// R10 — unsafe-contract (rustc and clippy own the `unsafe` sites)
-// ---------------------------------------------------------------------------
-
-/// `allow(unsafe_code)` may only re-open [`SANCTIONED_UNSAFE`], as an
-/// attribute on that module's declaration at its crate root.
-fn check_unsafe_contract(
-    rel_path: &str,
-    view: &FileView,
-    fire: &mut impl FnMut(usize, usize, &'static str, String),
-) {
-    let (root, module) = SANCTIONED_UNSAFE;
-    for (i, line) in view.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let Some(pos) = line.code.find("allow(unsafe_code)") else {
-            continue;
-        };
-        let legal = rel_path == root
-            && view
-                .blocks
-                .mods
-                .iter()
-                .any(|m| m.name == module && m.attr_lines.contains(&line.number));
-        if !legal {
-            fire(
-                i,
-                pos + 1,
-                "unsafe-contract",
-                format!(
-                    "`allow(unsafe_code)` outside the sanctioned declaration — only \
-                     `mod {module}` in {root} may re-open unsafe"
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //! - **scope drift** — a crate missing from the classification table, a
 //!   stale table entry whose crate no longer exists, a manifest whose
 //!   `[package.metadata.lead] class` disagrees with the table, or a stale
-//!   kernel or sanctioned-unsafe path in the scope tables.
+//!   kernel path in [`crate::rules::KERNEL_PATHS`].
 
 use std::path::Path;
 
@@ -262,17 +262,10 @@ fn check_completeness(root: &Path, manifests: &[Manifest], diags: &mut Vec<Diagn
             )));
         }
     }
-    for path in rules::scope_paths() {
-        let full = root.join(path.trim_end_matches('/'));
-        let ok = if path.ends_with('/') {
-            full.is_dir()
-        } else {
-            full.is_file()
-        };
-        if !ok {
+    for path in rules::KERNEL_PATHS {
+        if !root.join(path).is_dir() {
             diags.push(root_drift(format!(
-                "scope-table path `{path}` no longer exists — update the kernel or sanctioned-unsafe \
-                 tables in rules.rs"
+                "scope-table path `{path}` no longer exists — update KERNEL_PATHS in rules.rs"
             )));
         }
     }

@@ -9,8 +9,8 @@
 //! manifest directory, and configs do not merge; cargo cannot override one
 //! inherited lint level. So the layout is the contract: one ban list at the
 //! root, which `crates/bench` alone opts out of with its own file, and one
-//! lint table that every library crate inherits, `lead-nn` as a copy with
-//! `unsafe_code = "deny"`. The static tests pin that layout; the
+//! lint table that every library crate inherits, `lead-simd` as a copy with
+//! `unsafe_code = "allow"`. The static tests pin that layout; the
 //! planted-crate tests run `cargo clippy` on tiny crates that copy the real
 //! configuration, so each rule is shown to fail under it as shipped.
 
@@ -130,19 +130,20 @@ fn the_workspace_table_holds_every_per_site_rule() {
 }
 
 #[test]
-fn every_library_crate_inherits_the_table_and_lead_nn_copies_it() {
+fn every_library_crate_inherits_the_table_and_lead_simd_copies_it() {
     let root = workspace_root();
     let libs: Vec<&str> = CRATES
         .iter()
         .filter(|c| c.class == Class::Lib)
         .map(|c| c.dir)
         .collect();
-    assert_eq!(libs.len(), 8, "the eight library crates");
-    let nn_table = workspace_lints().replace("unsafe_code = \"forbid\"", "unsafe_code = \"deny\"");
+    assert_eq!(libs.len(), 9, "the nine library crates");
+    let simd_table =
+        workspace_lints().replace("unsafe_code = \"forbid\"", "unsafe_code = \"allow\"");
     for dir in libs {
         let manifest = read(&root.join(dir).join("Cargo.toml"));
-        if dir == "crates/nn" {
-            assert_eq!(sections(&manifest, "[lints."), nn_table);
+        if dir == "crates/simd" {
+            assert_eq!(sections(&manifest, "[lints."), simd_table);
         } else {
             assert!(
                 manifest.contains("\n[lints]\nworkspace = true\n"),
@@ -158,8 +159,8 @@ fn every_library_crate_inherits_the_table_and_lead_nn_copies_it() {
 
 /// A three-crate workspace under `CARGO_TARGET_TMPDIR` that copies the real
 /// configuration: the root `clippy.toml` and lint table, `lib/` and
-/// `helper/` inheriting the table (`lib` depends on `helper`), and `nn/`
-/// carrying `lead-nn`'s copy of it.
+/// `helper/` inheriting the table (`lib` depends on `helper`), and `simd/`
+/// carrying `lead-simd`'s copy of it.
 fn planted_workspace(name: &str) -> PathBuf {
     let real = workspace_root();
     let ws = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -170,18 +171,18 @@ fn planted_workspace(name: &str) -> PathBuf {
     write(
         &ws.join("Cargo.toml"),
         &format!(
-            "[workspace]\nmembers = [\"lib\", \"helper\", \"nn\"]\nresolver = \"2\"\n\n{table}"
+            "[workspace]\nmembers = [\"lib\", \"helper\", \"simd\"]\nresolver = \"2\"\n\n{table}"
         ),
     );
     write(&ws.join("clippy.toml"), &read(&real.join("clippy.toml")));
-    let nn_lints = sections(&read(&real.join("crates/nn/Cargo.toml")), "[lints.");
+    let simd_lints = sections(&read(&real.join("crates/simd/Cargo.toml")), "[lints.");
     for (name, extra) in [
         (
             "lib",
             "[dependencies]\nhelper = { path = \"../helper\" }\n\n[lints]\nworkspace = true\n",
         ),
         ("helper", "[lints]\nworkspace = true\n"),
-        ("nn", nn_lints.as_str()),
+        ("simd", simd_lints.as_str()),
     ] {
         write(
             &ws.join(name).join("Cargo.toml"),
@@ -386,37 +387,36 @@ fn clock_laundered_through_a_helper_crate_fails_clippy_in_the_helper() {
     assert!(out.contains("helper/src/lib.rs:5:"), "{out}");
 }
 
-/// The sanctioned shape of `lead_nn::simd`: `allow(unsafe_code)` on the
-/// module declaration, a `// SAFETY:` comment on the block.
-const SANCTIONED: &str =
-    "//! Planted.\n\n/// Kernels.\n#[allow(unsafe_code)]\npub mod simd {\n    \
-                          /// Reads.\n    pub fn read(x: &u8) -> u8 {\n        \
-                          // SAFETY: `x` is a live reference.\n        \
-                          unsafe { std::ptr::read(x) }\n    }\n}\n";
+/// The shape of `lead-simd`'s kernels: an `unsafe` block under a
+/// `// SAFETY:` comment.
+const KERNEL: &str = "//! Planted.\n\n/// Reads.\npub fn read(x: &u8) -> u8 {\n    \
+                      // SAFETY: `x` is a live reference.\n    \
+                      unsafe { std::ptr::read(x) }\n}\n";
 
 #[test]
-fn unsafe_outside_lead_nn_simd_fails() {
+fn unsafe_outside_lead_simd_fails() {
     let ws = planted_workspace("clippy-config-unsafe");
-    let (ok, out) = clippy(&ws, "nn", SANCTIONED);
-    assert!(ok, "the sanctioned module must pass:\n{out}");
+    let (ok, out) = clippy(&ws, "simd", KERNEL);
+    assert!(
+        ok,
+        "the kernel crate's table must pass a documented block:\n{out}"
+    );
 
-    // In lead-nn, a module without the `allow` stays under `deny`.
-    let unsanctioned = SANCTIONED.replace("#[allow(unsafe_code)]\n", "");
-    let (ok, out) = clippy(&ws, "nn", &unsanctioned);
-    assert!(!ok, "{out}");
-    assert!(out.contains("usage of an `unsafe` block"), "{out}");
+    // Every other library inherits `forbid`, which no `allow` re-opens: not
+    // on a module, as `lead-nn` once re-opened `mod simd`, nor anywhere.
+    let reopened = "//! Planted.\n\n/// Kernels.\n#[allow(unsafe_code)]\npub mod simd {\n    \
+                    /// Reads.\n    pub fn read(x: &u8) -> u8 {\n        \
+                    // SAFETY: `x` is a live reference.\n        \
+                    unsafe { std::ptr::read(x) }\n    }\n}\n";
+    for package in ["lib", "helper"] {
+        let (ok, out) = clippy(&ws, package, reopened);
+        assert!(!ok, "{out}");
+        assert!(out.contains("incompatible with previous forbid"), "{out}");
+    }
 
-    // In every other library, `forbid` cannot be re-opened at all.
-    let (ok, out) = clippy(&ws, "lib", SANCTIONED);
-    assert!(!ok, "{out}");
-    assert!(out.contains("incompatible with previous forbid"), "{out}");
-}
-
-#[test]
-fn unsafe_block_without_a_safety_comment_fails() {
-    let ws = planted_workspace("clippy-config-safety");
-    let bare = SANCTIONED.replace("        // SAFETY: `x` is a live reference.\n", "");
-    let (ok, out) = clippy(&ws, "nn", &bare);
+    // Inside the kernel crate, a block without its `// SAFETY:` fails.
+    let bare = KERNEL.replace("    // SAFETY: `x` is a live reference.\n", "");
+    let (ok, out) = clippy(&ws, "simd", &bare);
     assert!(!ok, "{out}");
     assert!(lint_fired(&out, "undocumented_unsafe_blocks"), "{out}");
 }

@@ -146,13 +146,13 @@ fn explain_without_a_target_lists_the_whole_catalog() {
 
 #[test]
 fn explain_by_number_or_id_prints_doc_and_waiver_syntax() {
-    for target in ["R10", "unsafe-contract"] {
+    for target in ["R11", "hot-loop-alloc"] {
         let (code, stdout, _) = run_bare(&["explain", target]);
         assert_eq!(code, 0);
-        assert!(stdout.contains("R10 `unsafe-contract`"), "{stdout}");
-        assert!(stdout.contains("mod simd"), "{stdout}");
+        assert!(stdout.contains("R11 `hot-loop-alloc`"), "{stdout}");
+        assert!(stdout.contains("kernel-tagged"), "{stdout}");
         assert!(
-            stdout.contains("// lint: allow(unsafe-contract):"),
+            stdout.contains("// lint: allow(hot-loop-alloc):"),
             "{stdout}"
         );
     }
@@ -168,7 +168,7 @@ fn explain_r4_covers_both_halves() {
 
 #[test]
 fn explain_unknown_or_deleted_rule_is_a_usage_error() {
-    for target in ["R99", "R12", "determinism-taint"] {
+    for target in ["R99", "R12", "R10", "unsafe-contract", "determinism-taint"] {
         let (code, _, stderr) = run_bare(&["explain", target]);
         assert_eq!(code, 2, "{target}");
         assert!(stderr.contains("unknown rule"), "{stderr}");

@@ -80,27 +80,14 @@ fn shape(src: &str) -> Vec<(TokenKind, String, usize, usize)> {
         .collect()
 }
 
-/// Every block as `(kind, open line, close line, depth)`, then every `mod`
-/// declaration as `(name, attribute lines)`.
-type BlockShape = (
-    Vec<(BlockKind, usize, usize, usize)>,
-    Vec<(String, Vec<usize>)>,
-);
-
-/// The comparable projection of the block IR.
-fn block_shape(src: &str) -> BlockShape {
-    let ir = build(&tokenize(src));
-    let blocks = ir
+/// The comparable projection of the block IR: every block as
+/// `(kind, open line, close line, depth)`.
+fn block_shape(src: &str) -> Vec<(BlockKind, usize, usize, usize)> {
+    build(&tokenize(src))
         .blocks
         .iter()
         .map(|b| (b.kind, b.span.open_line, b.span.close_line, b.depth))
-        .collect();
-    let mods = ir
-        .mods
-        .iter()
-        .map(|m| (m.name.clone(), m.attr_lines.clone()))
-        .collect();
-    (blocks, mods)
+        .collect()
 }
 
 proptest! {
@@ -125,16 +112,10 @@ proptest! {
 
     #[test]
     fn block_ir_is_stable_and_well_formed(src in source()) {
-        let lines = src.lines().count().max(1);
-        let shape = block_shape(&src);
-        prop_assert_eq!(&shape, &block_shape(&src));
-        let (blocks, mods) = shape;
+        let blocks = block_shape(&src);
+        prop_assert_eq!(&blocks, &block_shape(&src));
         for (_, open, close, _) in blocks {
             prop_assert!(open >= 1 && close >= open);
-        }
-        for (name, attr_lines) in mods {
-            prop_assert!(!name.is_empty());
-            prop_assert!(attr_lines.iter().all(|&l| l >= 1 && l <= lines));
         }
     }
 }

@@ -24,9 +24,9 @@
 //! - [`optim`] — Adam(W) (the paper's optimiser) and SGD;
 //! - [`io`] — lossless text serialisation of trained parameters;
 //! - [`par`] — scoped-thread data-parallel map with a determinism contract;
-//! - [`simd`] — runtime-dispatched SIMD kernels (the workspace's only
-//!   sanctioned-unsafe module) with a bit-identity contract against a safe
-//!   scalar reference;
+//! - [`simd`] — runtime-dispatched SIMD kernels with a bit-identity
+//!   contract against a safe scalar reference (the `lead-simd` crate,
+//!   re-exported here);
 //! - [`train`] — batch-accumulation loop helpers and early stopping;
 //! - [`testing`] — finite-difference gradient checking.
 //!
@@ -65,14 +65,11 @@ pub mod optim;
 #[expect(clippy::disallowed_methods, reason = "R3: sanctioned thread home")]
 pub mod par;
 pub mod params;
-// `unsafe_code` is `deny` in this crate's `[lints]` (not `forbid`), so this
-// is the one module that may re-open it; `lead-lint` R10 keeps it that way.
-#[allow(unsafe_code)]
-pub mod simd;
 pub mod tape;
 pub mod testing;
 pub mod train;
 
+pub use lead_simd as simd;
 pub use matrix::Matrix;
 pub use params::{Gradients, ParamId, ParamSet};
 pub use tape::{Graph, Var};

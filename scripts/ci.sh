@@ -23,14 +23,15 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 # The SIMD determinism contract is only as good as its weakest backend: run
-# the NN suite again pinned to the scalar reference, so a bug that only the
-# scalar path has (or that AVX2 masks) cannot slip through on AVX2 machines.
+# the kernel and NN suites again pinned to the scalar reference, so a bug
+# that only the scalar path has (or that AVX2 masks) cannot slip through on
+# AVX2 machines.
 # The tape-free inference and training parity suites ride along: detection
 # and the packed detector and autoencoder gradients must match the tape bit
 # for bit on the reference backend too, and so must every incrementally
 # streamed hypothesis match batch detection.
-echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn"
-LEAD_SIMD_FORCE=scalar cargo test -q -p lead-nn
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-simd -p lead-nn"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-simd -p lead-nn
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test train_parity"
@@ -53,18 +54,18 @@ LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test incremental_parity
 # this test vanishes or stops detecting the fixture, the whole parity gate
 # is decorative.
 echo "==> simd parity self-test (planted FMA kernel must be caught)"
-cargo test -q -p lead-nn --test proptest_simd planted_fma_kernel_is_caught_by_the_battery
+cargo test -q -p lead-simd --test proptest_simd planted_fma_kernel_is_caught_by_the_battery
 # The same for the exact-zero skip: a matmul_acc that adds 0·b instead of
 # skipping it (the bug a block wrongly taking its branch-free k loop has)
 # must fail the matmul_acc battery.
 echo "==> simd parity self-test (planted skip-less matmul_acc must be caught)"
-cargo test -q -p lead-nn --test proptest_simd planted_skipless_kernel_is_caught_by_the_battery
+cargo test -q -p lead-simd --test proptest_simd planted_skipless_kernel_is_caught_by_the_battery
 
 # The libm-free exp, sigmoid and tanh over all 2^32 f32 inputs: within 2 ulp
 # of an f64 reference, and every backend bit-identical to scalar. Ignored in
 # plain `cargo test` because it takes minutes even in release mode.
 echo "==> transcendental kernels over every f32 input (release)"
-cargo test --release -q -p lead-nn --test transcendental_ulp -- --ignored --exact \
+cargo test --release -q -p lead-simd --test transcendental_ulp -- --ignored --exact \
     every_f32_input_is_within_2_ulp_and_identical_across_backends
 
 echo "==> rustfmt --check"
