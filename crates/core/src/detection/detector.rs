@@ -48,11 +48,6 @@ impl GroupDetector {
         }
     }
 
-    /// Number of trainable scalars (diagnostics).
-    pub fn num_weights(&self) -> usize {
-        self.params.num_scalars()
-    }
-
     /// The trainable parameters (persistence).
     pub fn params(&self) -> &ParamSet {
         &self.params
@@ -97,7 +92,7 @@ impl GroupDetector {
 
     /// The flat probability distribution over one group, as values, without
     /// a tape; bit-identical to [`Self::forward_graph`]: the softmax of
-    /// [`Self::logits`] over the subgroups concatenated.
+    /// the logits of all the subgroups concatenated.
     ///
     /// # Panics
     /// Panics if the group or any subgroup is empty.

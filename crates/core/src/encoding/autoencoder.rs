@@ -150,11 +150,6 @@ impl Autoencoder {
         }
     }
 
-    /// Number of trainable scalars (diagnostics).
-    pub fn num_weights(&self) -> usize {
-        self.params.num_scalars()
-    }
-
     /// The trainable parameters (persistence).
     pub fn params(&self) -> &ParamSet {
         &self.params
@@ -373,8 +368,8 @@ impl Autoencoder {
     /// [`Self::encode`] on each candidate. Results follow `candidates`,
     /// which may list any candidates of the trajectory in any order.
     ///
-    /// This is the all-at-once case of [`CandidateEncoder`]: one
-    /// [`CandidateEncoder::append`] of every stay point. A candidate
+    /// This is the all-at-once case of the incremental `CandidateEncoder`:
+    /// one `CandidateEncoder::append` of every stay point. A candidate
     /// `(s, e)`'s sequence is a prefix of `(s, e + 1)`'s, and an LSTM's
     /// first `t` hidden states depend only on its first `t` inputs, so
     /// every LSTM over candidate sequences runs once per start stay point

@@ -25,8 +25,8 @@
 //! [`persist`] (save/load of trained models), [`error`] (the unified
 //! [`LeadError`] surface of the fallible public API), [`source`]
 //! (shardable [`SampleSource`] ingestion backing
-//! [`pipeline::Lead::fit_streaming`], plus bridges to the `lead-data`
-//! binary container format), and [`streaming`]
+//! [`pipeline::Lead::fit_streaming`], from in-RAM slices or `lead-data`
+//! labelled-sample shards), and [`streaming`]
 //! (online detection over live GPS feeds — an extension beyond the paper's
 //! batch pipeline). Hot paths accept a `lead_obs` probe
 //! ([`pipeline::DetectOptions`], [`pipeline::FitOptions`]) for
@@ -52,4 +52,4 @@ pub use label::TruthLabel;
 pub use pipeline::{DetectOptions, DetectionResult, FitOptions, Lead, LeadOptions, TrainingReport};
 pub use poi::{Poi, PoiCategory, PoiDatabase, PoiRole, NUM_POI_CATEGORIES};
 pub use processing::{Candidate, ProcessedTrajectory, StayPoint};
-pub use source::{BinarySampleShards, SampleSource, SliceSamples, SourceError, VecSamples};
+pub use source::{BinarySampleShards, SampleSource, SliceSamples, SourceError};

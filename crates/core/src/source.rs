@@ -1,24 +1,22 @@
-//! Streaming training-sample sources and binary-format bridges.
+//! Streaming training-sample sources.
 //!
 //! [`SampleSource`] is the ingestion side of the constant-memory training
 //! loop ([`crate::pipeline::Lead::fit_streaming`]): a shardable, rewindable
-//! stream of [`TrainSample`]s, implemented here for in-RAM slices/vectors
-//! and for `lead-data` binary shard files. The module also bridges the other
-//! `lead-data` record kinds into core types: POI batches ↔ [`PoiDatabase`]
-//! and tensors ↔ [`Matrix`].
+//! stream of [`TrainSample`]s. Two sources implement it here:
+//! [`SliceSamples`] over an in-RAM slice, and [`BinarySampleShards`] over
+//! `lead-data` labelled-sample container files, one shard per file
+//! (`lead_synth::write_sample_shards` writes them).
 
 use crate::label::TruthLabel;
 use crate::pipeline::TrainSample;
-use crate::poi::{Poi, PoiCategory, PoiDatabase, NUM_POI_CATEGORIES};
-use lead_data::records::{LabeledSampleReader, LabeledSampleRecord, LabeledSampleWriter};
-use lead_data::{DataError, PoiRecord, TensorRecord};
-use lead_nn::Matrix;
+use lead_data::records::{LabeledSampleReader, LabeledSampleRecord};
+use lead_data::DataError;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Seek, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
-/// Errors surfaced by sample sources and format bridges.
+/// Errors surfaced by sample sources.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SourceError {
@@ -26,20 +24,6 @@ pub enum SourceError {
     Data(DataError),
     /// An underlying I/O failure outside the container layer.
     Io(std::io::Error),
-    /// A stored POI declares a category index outside the taxonomy.
-    BadPoiCategory {
-        /// Zero-based index of the POI within its batch.
-        poi: u64,
-        /// The category index found.
-        category: u16,
-    },
-    /// A matrix is too large to represent as a tensor record.
-    TensorShape {
-        /// Row count of the offending matrix.
-        rows: usize,
-        /// Column count of the offending matrix.
-        cols: usize,
-    },
     /// A source was asked for a shard index it does not have.
     NoSuchShard {
         /// The requested shard index.
@@ -54,13 +38,6 @@ impl fmt::Display for SourceError {
         match self {
             SourceError::Data(e) => write!(f, "data format error: {e}"),
             SourceError::Io(e) => write!(f, "i/o error: {e}"),
-            SourceError::BadPoiCategory { poi, category } => write!(
-                f,
-                "poi {poi} declares category {category} (taxonomy has {NUM_POI_CATEGORIES})"
-            ),
-            SourceError::TensorShape { rows, cols } => {
-                write!(f, "matrix {rows}x{cols} exceeds tensor-record shape limits")
-            }
             SourceError::NoSuchShard { shard, shards } => {
                 write!(f, "no such shard {shard} (source has {shards})")
             }
@@ -92,12 +69,11 @@ impl From<std::io::Error> for SourceError {
 
 /// A shardable, rewindable stream of labelled training samples.
 ///
-/// Contract (mirrors `lead_data::TrajectorySource`): shards partition the
-/// dataset; `read_shard(i)` delivers shard `i`'s samples in a fixed order
-/// every time it is invoked; concatenating shards `0..num_shards()` yields
-/// the whole dataset in its canonical order. Training consumes one shard's
-/// samples at a time, so peak raw-sample memory is bounded by the largest
-/// shard.
+/// Contract: shards partition the dataset; `read_shard(i)` delivers shard
+/// `i`'s samples in a fixed order every time it is invoked; concatenating
+/// shards `0..num_shards()` yields the whole dataset in its canonical order.
+/// Training consumes one shard's samples at a time, so peak raw-sample
+/// memory is bounded by the largest shard.
 pub trait SampleSource {
     /// Total sample count across all shards, when cheaply known.
     fn len_hint(&self) -> Option<u64>;
@@ -177,51 +153,6 @@ impl SampleSource for SliceSamples<'_> {
     }
 }
 
-/// Owned-`Vec` variant of [`SliceSamples`].
-#[derive(Debug)]
-pub struct VecSamples {
-    samples: Vec<TrainSample>,
-    shard_size: usize,
-}
-
-impl VecSamples {
-    /// Wraps `samples` as a single-shard source.
-    pub fn new(samples: Vec<TrainSample>) -> Self {
-        let shard_size = samples.len().max(1);
-        Self {
-            samples,
-            shard_size,
-        }
-    }
-
-    /// Wraps `samples` split into shards of at most `shard_size` samples
-    /// (clamped to at least 1).
-    pub fn with_shard_size(samples: Vec<TrainSample>, shard_size: usize) -> Self {
-        Self {
-            samples,
-            shard_size: shard_size.max(1),
-        }
-    }
-}
-
-impl SampleSource for VecSamples {
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.samples.len() as u64)
-    }
-
-    fn num_shards(&self) -> usize {
-        slice_shards(self.samples.len(), self.shard_size)
-    }
-
-    fn read_shard(
-        &mut self,
-        shard: usize,
-        sink: &mut dyn FnMut(TrainSample),
-    ) -> Result<(), SourceError> {
-        SliceSamples::with_shard_size(&self.samples, self.shard_size).read_shard(shard, sink)
-    }
-}
-
 /// Converts a decoded labelled record into the core training-sample form
 /// (`day`/`planned_stays` metadata is not needed for training).
 fn record_to_sample(rec: LabeledSampleRecord) -> TrainSample {
@@ -297,130 +228,12 @@ impl SampleSource for BinarySampleShards {
     }
 }
 
-/// Writes training samples as one labelled-sample container (`day` and
-/// `planned_stays` are recorded as 0 — the core form carries neither).
-///
-/// # Errors
-///
-/// Any container-write or I/O error.
-pub fn write_samples<W: Write + Seek>(samples: &[TrainSample], w: W) -> Result<W, SourceError> {
-    let mut writer = LabeledSampleWriter::new(w)?;
-    for s in samples {
-        writer.write(&LabeledSampleRecord {
-            truck_id: 0,
-            day: 0,
-            planned_stays: 0,
-            truth_s: [
-                s.truth.load_start_s,
-                s.truth.load_end_s,
-                s.truth.unload_start_s,
-                s.truth.unload_end_s,
-            ],
-            trajectory: s.raw.clone(),
-        })?;
-    }
-    Ok(writer.finish()?)
-}
-
-/// Writes training samples as binary shard files `STEM-00000.leadbin`,
-/// `STEM-00001.leadbin`, … under `dir`, at most `shard_size` samples per
-/// file, returning the paths in shard order.
-///
-/// # Errors
-///
-/// Any container-write or I/O error.
-pub fn write_sample_shards(
-    samples: &[TrainSample],
-    dir: &Path,
-    stem: &str,
-    shard_size: usize,
-) -> Result<Vec<PathBuf>, SourceError> {
-    std::fs::create_dir_all(dir).map_err(SourceError::Io)?;
-    let shard_size = shard_size.max(1);
-    let mut paths = Vec::new();
-    for (i, chunk) in samples.chunks(shard_size).enumerate() {
-        let path = dir.join(format!("{stem}-{i:05}.leadbin"));
-        let file = File::create(&path).map_err(SourceError::Io)?;
-        write_samples(chunk, BufWriter::new(file))?;
-        paths.push(path);
-    }
-    if paths.is_empty() {
-        // An empty dataset still produces one (empty) shard so readers have
-        // a valid container to open.
-        let path = dir.join(format!("{stem}-00000.leadbin"));
-        let file = File::create(&path).map_err(SourceError::Io)?;
-        write_samples(&[], BufWriter::new(file))?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
-/// Converts a POI database into the batch form of `lead-data` POI records
-/// (insertion order preserved).
-pub fn poi_db_to_batch(db: &PoiDatabase) -> Vec<PoiRecord> {
-    db.iter()
-        .map(|p| PoiRecord {
-            category: p.category.index() as u16,
-            lat: p.lat,
-            lng: p.lng,
-        })
-        .collect()
-}
-
-/// Rebuilds a POI database from a decoded batch, validating category
-/// indexes against the taxonomy.
-///
-/// # Errors
-///
-/// [`SourceError::BadPoiCategory`] when a record's category index is outside
-/// the [`NUM_POI_CATEGORIES`]-entry taxonomy.
-pub fn poi_db_from_batch(batch: &[PoiRecord]) -> Result<PoiDatabase, SourceError> {
-    let mut pois = Vec::with_capacity(batch.len());
-    for (i, rec) in batch.iter().enumerate() {
-        if usize::from(rec.category) >= NUM_POI_CATEGORIES {
-            return Err(SourceError::BadPoiCategory {
-                poi: i as u64,
-                category: rec.category,
-            });
-        }
-        pois.push(Poi {
-            lat: rec.lat,
-            lng: rec.lng,
-            category: PoiCategory::from_index(usize::from(rec.category)),
-        });
-    }
-    Ok(PoiDatabase::new(pois))
-}
-
-/// Converts a matrix into a tensor record.
-///
-/// # Errors
-///
-/// [`SourceError::TensorShape`] when either dimension exceeds `u32`.
-pub fn matrix_to_tensor(m: &Matrix) -> Result<TensorRecord, SourceError> {
-    let (Ok(rows), Ok(cols)) = (u32::try_from(m.rows()), u32::try_from(m.cols())) else {
-        return Err(SourceError::TensorShape {
-            rows: m.rows(),
-            cols: m.cols(),
-        });
-    };
-    Ok(TensorRecord {
-        rows,
-        cols,
-        data: m.data().to_vec(),
-    })
-}
-
-/// Rebuilds a matrix from a decoded tensor record (shape already validated
-/// by the decoder).
-pub fn tensor_to_matrix(t: &TensorRecord) -> Matrix {
-    Matrix::from_vec(t.rows as usize, t.cols as usize, t.data.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lead_data::records::LabeledSampleWriter;
     use lead_geo::{GpsPoint, Trajectory};
+    use std::io::BufWriter;
 
     fn sample(i: i64) -> TrainSample {
         TrainSample {
@@ -435,6 +248,30 @@ mod tests {
                 unload_end_s: i * 10_000 + 500,
             },
         }
+    }
+
+    /// Writes `samples` as one labelled-sample container at `path`.
+    fn write_shard(path: &Path, samples: &[TrainSample]) {
+        let file = File::create(path).unwrap();
+        let mut writer = LabeledSampleWriter::new(BufWriter::new(file)).unwrap();
+        for s in samples {
+            let t = &s.truth;
+            writer
+                .write(&LabeledSampleRecord {
+                    truck_id: 0,
+                    day: 0,
+                    planned_stays: 0,
+                    truth_s: [
+                        t.load_start_s,
+                        t.load_end_s,
+                        t.unload_start_s,
+                        t.unload_end_s,
+                    ],
+                    trajectory: s.raw.clone(),
+                })
+                .unwrap();
+        }
+        writer.finish().unwrap();
     }
 
     fn drain(src: &mut dyn SampleSource) -> Vec<TrainSample> {
@@ -465,8 +302,16 @@ mod tests {
     fn binary_shards_round_trip_samples() {
         let data: Vec<TrainSample> = (0..5).map(sample).collect();
         let dir = std::env::temp_dir().join("lead-core-source-test");
-        let paths = write_sample_shards(&data, &dir, "t", 2).unwrap();
-        assert_eq!(paths.len(), 3);
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths: Vec<PathBuf> = data
+            .chunks(2)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let path = dir.join(format!("t-{i:05}.leadbin"));
+                write_shard(&path, chunk);
+                path
+            })
+            .collect();
         let mut src = BinarySampleShards::open(&paths).unwrap();
         assert_eq!(src.len_hint(), Some(5));
         assert_eq!(src.num_shards(), 3);
@@ -475,49 +320,35 @@ mod tests {
     }
 
     #[test]
-    fn poi_batch_round_trips_and_validates_categories() {
-        let db = PoiDatabase::new(vec![
-            Poi {
-                lat: 31.0,
-                lng: 121.0,
-                category: PoiCategory::from_index(0),
-            },
-            Poi {
-                lat: 31.5,
-                lng: 121.5,
-                category: PoiCategory::from_index(NUM_POI_CATEGORIES - 1),
-            },
-        ]);
-        let batch = poi_db_to_batch(&db);
-        let back = poi_db_from_batch(&batch).unwrap();
-        let orig: Vec<Poi> = db.iter().collect();
-        let got: Vec<Poi> = back.iter().collect();
-        assert_eq!(orig.len(), got.len());
-        for (a, b) in orig.iter().zip(&got) {
-            assert_eq!(a.category, b.category);
-            assert_eq!(a.lat.to_bits(), b.lat.to_bits());
-            assert_eq!(a.lng.to_bits(), b.lng.to_bits());
-        }
+    fn shard_set_surfaces_corruption_from_the_damaged_shard() {
+        let data: Vec<TrainSample> = (0..2).map(sample).collect();
+        let dir = std::env::temp_dir().join("lead-core-source-corruption-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.leadbin");
+        let bad = dir.join("bad.leadbin");
+        write_shard(&good, &data);
+        write_shard(&bad, &data);
+        let mut damaged = std::fs::read(&bad).unwrap();
+        // Past the 20-byte header and record 0's 12-byte frame: a payload byte.
+        damaged[40] ^= 0xFF;
+        std::fs::write(&bad, damaged).unwrap();
 
-        let bad = [PoiRecord {
-            category: NUM_POI_CATEGORIES as u16,
-            lat: 0.0,
-            lng: 0.0,
-        }];
-        match poi_db_from_batch(&bad) {
-            Err(SourceError::BadPoiCategory { poi: 0, .. }) => {}
-            other => panic!("expected BadPoiCategory, got {other:?}"),
+        let mut shards = BinarySampleShards::open(&[&good, &bad]).unwrap();
+        assert_eq!(shards.len_hint(), Some(4));
+        let mut count = 0usize;
+        shards.read_shard(0, &mut |_| count += 1).unwrap();
+        assert_eq!(count, 2);
+        match shards.read_shard(1, &mut |_| {}) {
+            Err(SourceError::Data(DataError::ChecksumMismatch { .. })) => {}
+            other => panic!("wanted ChecksumMismatch from the damaged shard, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn matrix_tensor_round_trips_bitwise() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, f32::EPSILON, 1e-30, 9.0]);
-        let t = matrix_to_tensor(&m).unwrap();
-        let back = tensor_to_matrix(&t);
-        assert_eq!(back.rows(), 2);
-        assert_eq!(back.cols(), 3);
-        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(back.data()), bits(m.data()));
+        match shards.read_shard(2, &mut |_| {}) {
+            Err(SourceError::NoSuchShard {
+                shard: 2,
+                shards: 2,
+            }) => {}
+            other => panic!("wanted NoSuchShard, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,12 +17,14 @@
 use lead_core::config::LeadConfig;
 use lead_core::pipeline::{DetectionResult, FitOptions, Lead, LeadOptions, TrainSample};
 use lead_core::poi::{Poi, PoiCategory, PoiDatabase};
-use lead_core::source::{
-    write_sample_shards, BinarySampleShards, SampleSource, SliceSamples, SourceError,
-};
+use lead_core::source::{BinarySampleShards, SampleSource, SliceSamples, SourceError};
 use lead_core::LeadError;
+use lead_data::records::{LabeledSampleRecord, LabeledSampleWriter};
 use lead_geo::distance::meters_to_lng_deg;
 use lead_geo::{GpsPoint, Trajectory};
+use std::fs::File;
+use std::io::BufWriter;
+use std::path::{Path, PathBuf};
 
 /// One synthetic working day (same generator as `parallel_parity.rs`).
 fn synthetic_day(blocks: usize, variant: u64) -> (Trajectory, Vec<(i64, i64)>) {
@@ -166,6 +168,43 @@ fn streaming_fit_is_bit_identical_to_in_ram_fit_at_any_shard_size() {
     }
 }
 
+/// Writes `samples` as labelled-sample shard files `STEM-NNNNN.leadbin`
+/// under `dir`, at most `shard_size` samples each, returning their paths.
+fn write_shards(
+    samples: &[TrainSample],
+    dir: &Path,
+    stem: &str,
+    shard_size: usize,
+) -> Vec<PathBuf> {
+    std::fs::create_dir_all(dir).expect("create shard dir");
+    let mut paths = Vec::new();
+    for (i, chunk) in samples.chunks(shard_size).enumerate() {
+        let path = dir.join(format!("{stem}-{i:05}.leadbin"));
+        let file = File::create(&path).expect("create shard");
+        let mut writer = LabeledSampleWriter::new(BufWriter::new(file)).expect("shard header");
+        for s in chunk {
+            let t = &s.truth;
+            writer
+                .write(&LabeledSampleRecord {
+                    truck_id: 0,
+                    day: 0,
+                    planned_stays: 0,
+                    truth_s: [
+                        t.load_start_s,
+                        t.load_end_s,
+                        t.unload_start_s,
+                        t.unload_end_s,
+                    ],
+                    trajectory: s.raw.clone(),
+                })
+                .expect("write sample");
+        }
+        writer.finish().expect("finish shard");
+        paths.push(path);
+    }
+    paths
+}
+
 #[test]
 fn binary_shard_fit_is_bit_identical_to_in_ram_fit() {
     let db = poi_db();
@@ -178,11 +217,8 @@ fn binary_shard_fit_is_bit_identical_to_in_ram_fit() {
 
     let dir = std::env::temp_dir().join("lead-core-streaming-parity");
     for shard_size in [1, 2, train.len()] {
-        let train_paths =
-            write_sample_shards(&train, &dir, &format!("train-{shard_size}"), shard_size)
-                .expect("write train shards");
-        let val_paths = write_sample_shards(&val, &dir, &format!("val-{shard_size}"), val.len())
-            .expect("write val shards");
+        let train_paths = write_shards(&train, &dir, &format!("train-{shard_size}"), shard_size);
+        let val_paths = write_shards(&val, &dir, &format!("val-{shard_size}"), val.len());
         let mut src = BinarySampleShards::open(&train_paths).expect("open train shards");
         assert_eq!(src.len_hint(), Some(train.len() as u64));
         assert_eq!(src.num_shards(), train.len().div_ceil(shard_size));

@@ -9,10 +9,6 @@ pub enum RecordKind {
     Trajectories,
     /// Labelled training samples (trajectory + ground-truth intervals).
     LabeledSamples,
-    /// POI database batches.
-    Pois,
-    /// Dense `f32` feature tensors.
-    Tensors,
 }
 
 impl RecordKind {
@@ -21,8 +17,6 @@ impl RecordKind {
         match self {
             RecordKind::Trajectories => 1,
             RecordKind::LabeledSamples => 2,
-            RecordKind::Pois => 3,
-            RecordKind::Tensors => 4,
         }
     }
 
@@ -31,8 +25,6 @@ impl RecordKind {
         match tag {
             1 => Some(RecordKind::Trajectories),
             2 => Some(RecordKind::LabeledSamples),
-            3 => Some(RecordKind::Pois),
-            4 => Some(RecordKind::Tensors),
             _ => None,
         }
     }
@@ -43,8 +35,6 @@ impl fmt::Display for RecordKind {
         let name = match self {
             RecordKind::Trajectories => "trajectories",
             RecordKind::LabeledSamples => "labeled-samples",
-            RecordKind::Pois => "pois",
-            RecordKind::Tensors => "tensors",
         };
         f.write_str(name)
     }
@@ -151,15 +141,6 @@ pub enum DataError {
     },
     /// The declared record count was read but the `LEND` end marker is absent.
     MissingEndMarker,
-    /// A source was asked for a shard index it does not have.
-    NoSuchShard {
-        /// The requested shard index.
-        shard: usize,
-        /// How many shards the source has.
-        shards: usize,
-    },
-    /// A CSV-backed source failed to parse its input.
-    Csv(lead_geo::csv::CsvError),
 }
 
 impl fmt::Display for DataError {
@@ -195,10 +176,6 @@ impl fmt::Display for DataError {
             ),
             DataError::Malformed { record, kind } => write!(f, "record {record} malformed: {kind}"),
             DataError::MissingEndMarker => f.write_str("missing \"LEND\" end marker"),
-            DataError::NoSuchShard { shard, shards } => {
-                write!(f, "no such shard {shard} (source has {shards})")
-            }
-            DataError::Csv(e) => write!(f, "csv error: {e}"),
         }
     }
 }
@@ -207,7 +184,6 @@ impl std::error::Error for DataError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DataError::Io(e) => Some(e),
-            DataError::Csv(e) => Some(e),
             _ => None,
         }
     }
@@ -216,11 +192,5 @@ impl std::error::Error for DataError {
 impl From<std::io::Error> for DataError {
     fn from(e: std::io::Error) -> Self {
         DataError::Io(e)
-    }
-}
-
-impl From<lead_geo::csv::CsvError> for DataError {
-    fn from(e: lead_geo::csv::CsvError) -> Self {
-        DataError::Csv(e)
     }
 }

@@ -1,12 +1,12 @@
-//! Versioned, checksummed binary containers and streaming sources for LEAD.
+//! Versioned, checksummed binary containers for LEAD's two record kinds.
 //!
-//! CSV ingestion and in-RAM `Vec` datasets cap the scale the pipeline can
-//! train on. This crate provides the `datafmt`/`dataload` split: a compact
-//! binary container format (magic + version + kind header, per-record FNV-1a
-//! checksums, explicit end marker) holding raw trajectories, labelled
-//! training samples, POI databases, and feature tensors, plus the
-//! [`TrajectorySource`] trait that lets the in-RAM path, the CSV reader, and
-//! binary shard files feed consumers through one streaming, shardable API.
+//! LEAD reads raw GPS days and trains on labelled truck-days, so this crate
+//! stores exactly those: `(truck_id, Trajectory)` records (what
+//! `data-convert` writes from CSV) and labelled training samples (the shards
+//! `lead_core::source::BinarySampleShards` feeds to `Lead::fit_streaming`).
+//! A container is a magic + version + kind header, records framed with a
+//! length and an FNV-1a checksum, and an explicit end marker; see
+//! [`container`]. Each kind has a typed writer/reader pair in [`records`].
 //!
 //! Coordinates and timestamps are delta-encoded; latitude/longitude use a
 //! fixed-point 1e-7-degree grid *only when the round-trip is provably exact
@@ -21,12 +21,10 @@ pub mod codec;
 pub mod container;
 pub mod error;
 pub mod records;
-pub mod source;
 
 pub use container::{ContainerReader, ContainerWriter, MAGIC, MAX_RECORD_LEN, VERSION};
 pub use error::{DataError, MalformedKind, RecordKind};
 pub use records::{
-    LabeledSampleReader, LabeledSampleRecord, LabeledSampleWriter, PoiReader, PoiRecord, PoiWriter,
-    TensorReader, TensorRecord, TensorWriter, TrajectoryReader, TrajectoryWriter,
+    LabeledSampleReader, LabeledSampleRecord, LabeledSampleWriter, TrajectoryReader,
+    TrajectoryWriter,
 };
-pub use source::{BinaryTrajectoryShards, CsvTrajectoryFile, TrajectorySource, VecTrajectories};

@@ -92,18 +92,6 @@ impl SvgMap {
         );
     }
 
-    /// Draws a circle outline of `radius_m` meters around `(lat, lng)` (e.g.
-    /// the urban core).
-    pub fn ring_m(&mut self, lat: f64, lng: f64, radius_m: f64, stroke: &str) {
-        let r_deg = lead_geo::distance::meters_to_lat_deg(radius_m);
-        let r_px = r_deg / self.bbox.lat_span() * self.height;
-        let (x, y) = self.xy(lat, lng);
-        let _ = writeln!(
-            self.body,
-            r#"<circle cx="{x:.1}" cy="{y:.1}" r="{r_px:.1}" fill="none" stroke="{stroke}" stroke-dasharray="6 4"/>"#
-        );
-    }
-
     /// Adds a text label.
     pub fn label(&mut self, lat: f64, lng: f64, text: &str, size_px: u32) {
         let (x, y) = self.xy(lat, lng);

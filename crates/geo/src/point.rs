@@ -28,11 +28,6 @@ impl GpsPoint {
         haversine_m(self.lat, self.lng, other.lat, other.lng)
     }
 
-    /// Seconds elapsed from `self` to `other` (negative if `other` is earlier).
-    pub fn seconds_to(&self, other: &GpsPoint) -> i64 {
-        other.t - self.t
-    }
-
     /// Average speed in meters/second travelling from `self` to `other`.
     ///
     /// Returns `f64::INFINITY` when the two points share a timestamp but not a

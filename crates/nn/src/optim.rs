@@ -60,12 +60,6 @@ impl Adam {
         self.lr
     }
 
-    /// Overrides the learning rate (scheduled learning rates).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t

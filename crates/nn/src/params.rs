@@ -65,11 +65,6 @@ impl ParamSet {
         self.values.is_empty()
     }
 
-    /// Total number of scalar weights across all parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Matrix::len).sum()
-    }
-
     /// A zeroed gradient buffer matching this set's shapes.
     pub fn zero_gradients(&self) -> Gradients {
         Gradients {
@@ -182,7 +177,6 @@ mod tests {
         let w = ps.register("w", Matrix::full(2, 2, 1.0));
         let b = ps.register("b", Matrix::zeros(1, 2));
         assert_eq!(ps.len(), 2);
-        assert_eq!(ps.num_scalars(), 6);
         assert_eq!(ps.name(w), "w");
         assert_eq!(ps.value(b).shape(), (1, 2));
     }

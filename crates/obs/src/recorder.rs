@@ -170,11 +170,6 @@ impl MetricsSnapshot {
     pub fn to_jsonl(&self) -> String {
         crate::emit::jsonl(self)
     }
-
-    /// Renders as an aligned text table (see [`crate::emit::table`]).
-    pub fn to_table(&self) -> String {
-        crate::emit::table(self)
-    }
 }
 
 #[cfg(test)]

@@ -640,8 +640,7 @@ pub(super) unsafe fn matmul_a_bt_acc(
         let out_row = &mut out[i * n..(i + 1) * n];
         let mut j = 0;
         while j + LANES <= n {
-            let b_rows: [&[f32]; LANES] =
-                core::array::from_fn(|q| &b[(j + q) * k..(j + q + 1) * k]);
+            let b_rows = tiles::rows::<LANES>(&b[j * k..], k);
             let mut acc = [_mm256_setzero_ps(); LANES];
             let mut c = 0;
             while c < full {

@@ -261,7 +261,7 @@ unsafe fn a_bt_tile<const P: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: us
     let full = k - k % LANES;
     let mut j = 0;
     while j + LANES <= n {
-        let b_rows: [&[f32]; LANES] = core::array::from_fn(|q| &b[(j + q) * k..(j + q + 1) * k]);
+        let b_rows = tiles::rows::<LANES>(&b[j * k..], k);
         let mut acc = [[_mm512_setzero_ps(); LANES]; P];
         let mut c = 0;
         while c < full {

@@ -8,8 +8,9 @@
 //!
 //! # Determinism contract
 //!
-//! Every backend must return **bit-identical** results to [`scalar`], the
-//! safe reference implementation, on every input — not merely close. For
+//! Every backend must return **bit-identical** results to
+//! [`Backend::Scalar`], the safe reference implementation, on every input —
+//! not merely close. For
 //! reduction kernels the reference fixes the floating-point evaluation
 //! order that vector units natively produce: [`LANES`]-wide blocked
 //! accumulation over full chunks, a fixed-order sequential reduction of the

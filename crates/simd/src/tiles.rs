@@ -128,7 +128,7 @@ pub(super) unsafe fn row_tile<W: Vector, const R: usize, const V: usize, const S
 /// `array::from_fn`: inside a large entry point the compiler may leave
 /// `from_fn` a call, and the `k` loop then re-checks every row's bounds.
 #[inline(always)]
-fn rows<const R: usize>(a: &[f32], k: usize) -> [&[f32]; R] {
+pub(super) fn rows<const R: usize>(a: &[f32], k: usize) -> [&[f32]; R] {
     let mut rows = [&a[..0]; R];
     for (r, row) in rows.iter_mut().enumerate() {
         *row = &a[r * k..][..k];

@@ -1,18 +1,15 @@
 //! Binary shard export of synthetic datasets.
 //!
 //! Bridges [`crate::dataset::Sample`] to the `lead-data` labelled-sample
-//! container, preserving the generator-side metadata (`truck_id`, `day`,
-//! `planned_stays`) that [`lead_core::source`]'s training-only helpers drop.
-//! Shards written here are readable by
-//! [`lead_core::source::BinarySampleShards`] for constant-memory training
-//! and by [`read_sample_shards`] for full-fidelity round-trips.
+//! container, keeping the generator-side metadata (`truck_id`, `day`,
+//! `planned_stays`). [`lead_core::source::BinarySampleShards`] reads the
+//! shards written here for constant-memory training.
 
 use crate::dataset::Sample;
-use lead_core::TruthLabel;
-use lead_data::records::{LabeledSampleReader, LabeledSampleRecord, LabeledSampleWriter};
+use lead_data::records::{LabeledSampleRecord, LabeledSampleWriter};
 use lead_data::DataError;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 /// Converts one synthetic sample to its on-disk record form.
@@ -28,23 +25,6 @@ fn sample_to_record(s: &Sample) -> LabeledSampleRecord {
             s.truth.unload_end_s,
         ],
         trajectory: s.raw.clone(),
-    }
-}
-
-/// Converts one decoded record back to the synthetic sample form.
-fn record_to_sample(rec: LabeledSampleRecord) -> Sample {
-    let [load_start_s, load_end_s, unload_start_s, unload_end_s] = rec.truth_s;
-    Sample {
-        truck_id: rec.truck_id,
-        day: rec.day,
-        planned_stays: rec.planned_stays as usize,
-        raw: rec.trajectory,
-        truth: TruthLabel {
-            load_start_s,
-            load_end_s,
-            unload_start_s,
-            unload_end_s,
-        },
     }
 }
 
@@ -86,28 +66,26 @@ pub fn write_sample_shards(
     Ok(paths)
 }
 
-/// Reads shard files back into samples, concatenated in shard order.
-///
-/// # Errors
-///
-/// Any container-read, checksum, or decode error from the shard files.
-pub fn read_sample_shards<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<Sample>, DataError> {
-    let mut out = Vec::new();
-    for p in paths {
-        let file = File::open(p.as_ref())?;
-        let mut reader = LabeledSampleReader::new(BufReader::new(file))?;
-        while let Some(rec) = reader.next_record()? {
-            out.push(record_to_sample(rec));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SynthConfig;
     use crate::dataset::generate_dataset;
+    use lead_data::records::LabeledSampleReader;
+    use std::io::BufReader;
+
+    /// Decodes every record of `paths`, in shard order.
+    fn read_records(paths: &[PathBuf]) -> Vec<LabeledSampleRecord> {
+        let mut out = Vec::new();
+        for p in paths {
+            let file = File::open(p).unwrap();
+            let mut reader = LabeledSampleReader::new(BufReader::new(file)).unwrap();
+            while let Some(rec) = reader.next_record().unwrap() {
+                out.push(rec);
+            }
+        }
+        out
+    }
 
     #[test]
     fn shards_round_trip_samples_bitwise() {
@@ -120,15 +98,24 @@ mod tests {
         let dir = std::env::temp_dir().join("lead-synth-binio-test");
         let paths = write_sample_shards(&ds.train, &dir, "train", 2).unwrap();
         assert_eq!(paths.len(), ds.train.len().div_ceil(2));
-        let back = read_sample_shards(&paths).unwrap();
+        let back = read_records(&paths);
         assert_eq!(back.len(), ds.train.len());
         for (a, b) in ds.train.iter().zip(&back) {
             assert_eq!(a.truck_id, b.truck_id);
             assert_eq!(a.day, b.day);
-            assert_eq!(a.planned_stays, b.planned_stays);
-            assert_eq!(a.truth, b.truth);
-            assert_eq!(a.raw.points().len(), b.raw.points().len());
-            for (p, q) in a.raw.points().iter().zip(b.raw.points()) {
+            assert_eq!(a.planned_stays, b.planned_stays as usize);
+            let t = &a.truth;
+            assert_eq!(
+                [
+                    t.load_start_s,
+                    t.load_end_s,
+                    t.unload_start_s,
+                    t.unload_end_s
+                ],
+                b.truth_s
+            );
+            assert_eq!(a.raw.points().len(), b.trajectory.points().len());
+            for (p, q) in a.raw.points().iter().zip(b.trajectory.points()) {
                 assert_eq!(p.lat.to_bits(), q.lat.to_bits());
                 assert_eq!(p.lng.to_bits(), q.lng.to_bits());
                 assert_eq!(p.t, q.t);
@@ -142,7 +129,7 @@ mod tests {
         let dir = std::env::temp_dir().join("lead-synth-binio-empty-test");
         let paths = write_sample_shards(&[], &dir, "empty", 4).unwrap();
         assert_eq!(paths.len(), 1);
-        assert!(read_sample_shards(&paths).unwrap().is_empty());
+        assert!(read_records(&paths).is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -41,7 +41,7 @@ pub mod poi {
     pub use lead_core::poi::*;
 }
 
-pub use binio::{read_sample_shards, write_sample_shards};
+pub use binio::write_sample_shards;
 pub use city::City;
 pub use config::SynthConfig;
 pub use dataset::{generate_dataset, Dataset, Sample, TruthLabel};

@@ -148,6 +148,11 @@ cargo run -q -p lead-bench --release --bin bench_ratchet -- \
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc warnings fail the gate: a doc link to a deleted or private item,
+# or an ambiguous one, would otherwise dangle unnoticed.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Deterministic artifact listing: uploads of results/ must not depend on
 # filesystem enumeration order or locale.
 echo "==> results/ artifacts"
