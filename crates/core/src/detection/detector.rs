@@ -12,7 +12,9 @@ use lead_nn::infer::{Packing, Scratch};
 use lead_nn::layers::{Linear, StackedBiLstm};
 use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
-use lead_nn::{Gradients, Graph, Matrix, ParamSet, Var};
+use lead_nn::{Gradients, Matrix, ParamSet};
+#[cfg(any(test, feature = "reference"))]
+use lead_nn::{Graph, Var};
 use rand::Rng;
 use std::borrow::Borrow;
 
@@ -58,40 +60,8 @@ impl GroupDetector {
         &mut self.params
     }
 
-    /// Records the detector on `g` over one group (list of subgroups, each a
-    /// list of c-vecs); returns the flat probability node (1 × m) over all
-    /// candidates, in subgroup-concatenation order.
-    ///
-    /// Each subgroup is processed by the stacked BiLSTM **independently**
-    /// (Equation (10)'s per-subgroup calculation, preserving the analogy
-    /// relationships), but the softmax is taken over the *concatenated*
-    /// logits of all subgroups rather than per subgroup. A literal
-    /// per-subgroup softmax degenerates for singleton subgroups — the last
-    /// forward subgroup `g_{n−1}` has one member whose probability would be
-    /// pinned at exactly 1.0, making it the unconditional argmax whenever a
-    /// single detector is used (the `LEAD-NoFor`/`-NoBac` ablations would be
-    /// meaningless). The global softmax keeps the output a proper
-    /// distribution matching the label distribution of Section V-C; see
-    /// DESIGN.md for the full rationale.
-    ///
-    /// # Panics
-    /// Panics if the group or any subgroup is empty.
-    pub fn forward_graph(&self, g: &mut Graph, subgroups: &[Vec<&Matrix>]) -> Var {
-        assert!(!subgroups.is_empty(), "empty group");
-        let mut logits = Vec::with_capacity(subgroups.len());
-        for sub in subgroups {
-            assert!(!sub.is_empty(), "empty subgroup");
-            let xs: Vec<Var> = sub.iter().map(|m| g.constant((*m).clone())).collect();
-            let hs = self.stack.forward(g, &xs);
-            let sub_logits: Vec<Var> = hs.iter().map(|&h| self.out.forward(g, h)).collect();
-            logits.push(g.concat_cols(&sub_logits));
-        }
-        let row = g.concat_cols(&logits);
-        g.softmax_rows(row)
-    }
-
     /// The flat probability distribution over one group, as values, without
-    /// a tape; bit-identical to [`Self::forward_graph`]: the softmax of
+    /// a tape; bit-identical to `Self::forward_graph`: the softmax of
     /// the logits of all the subgroups concatenated.
     ///
     /// # Panics
@@ -105,7 +75,7 @@ impl GroupDetector {
     /// The KLD loss of one group against its flat label distribution, and
     /// the gradient of every parameter, without a tape: one packed forward
     /// and backward pass over all the subgroups. `to_bits`-equal to
-    /// [`Self::forward_graph`], `Graph::kld_loss` and `Graph::backward`;
+    /// `Self::forward_graph`, `Graph::kld_loss` and `Graph::backward`;
     /// training computes every item's gradients this way.
     ///
     /// # Panics
@@ -277,6 +247,41 @@ impl GroupDetector {
         });
         let total: f64 = per_item.iter().map(|&l| l as f64).sum();
         lead_nn::num::narrow_f64(total / items.len() as f64)
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl GroupDetector {
+    /// Records the detector on `g` over one group (list of subgroups, each a
+    /// list of c-vecs); returns the flat probability node (1 × m) over all
+    /// candidates, in subgroup-concatenation order.
+    ///
+    /// Each subgroup is processed by the stacked BiLSTM **independently**
+    /// (Equation (10)'s per-subgroup calculation, preserving the analogy
+    /// relationships), but the softmax is taken over the *concatenated*
+    /// logits of all subgroups rather than per subgroup. A literal
+    /// per-subgroup softmax degenerates for singleton subgroups — the last
+    /// forward subgroup `g_{n−1}` has one member whose probability would be
+    /// pinned at exactly 1.0, making it the unconditional argmax whenever a
+    /// single detector is used (the `LEAD-NoFor`/`-NoBac` ablations would be
+    /// meaningless). The global softmax keeps the output a proper
+    /// distribution matching the label distribution of Section V-C; see
+    /// DESIGN.md for the full rationale.
+    ///
+    /// # Panics
+    /// Panics if the group or any subgroup is empty.
+    pub fn forward_graph(&self, g: &mut Graph, subgroups: &[Vec<&Matrix>]) -> Var {
+        assert!(!subgroups.is_empty(), "empty group");
+        let mut logits = Vec::with_capacity(subgroups.len());
+        for sub in subgroups {
+            assert!(!sub.is_empty(), "empty subgroup");
+            let xs: Vec<Var> = sub.iter().map(|m| g.constant((*m).clone())).collect();
+            let hs = self.stack.forward(g, &xs);
+            let sub_logits: Vec<Var> = hs.iter().map(|&h| self.out.forward(g, h)).collect();
+            logits.push(g.concat_cols(&sub_logits));
+        }
+        let row = g.concat_cols(&logits);
+        g.softmax_rows(row)
     }
 }
 

@@ -5,11 +5,12 @@
 //! exclusion, or analogy relationship can inform the score.
 
 use crate::config::LeadConfig;
+use lead_nn::bptt::TrainScratch;
 use lead_nn::layers::Linear;
 use lead_nn::optim::Adam;
 use lead_nn::simd::Kernel;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
-use lead_nn::{Graph, Matrix, ParamSet, Var};
+use lead_nn::{Gradients, Matrix, ParamSet};
 use rand::Rng;
 
 /// `max(v, 0)` in place, the tape's `relu`.
@@ -19,13 +20,106 @@ fn relu(x: &mut [f32]) {
     }
 }
 
+/// The backward pass of [`relu`] given its output `a`: the gradient passes
+/// where `a > 0`, which is where the input was positive.
+fn relu_backward(g: &mut [f32], a: &[f32]) {
+    for (gi, &ai) in g.iter_mut().zip(a) {
+        if ai <= 0.0 {
+            *gi = 0.0;
+        }
+    }
+}
+
+/// One training item: a trajectory's candidate c-vecs and the index of the
+/// loaded one.
+type MlpItem = (Vec<Matrix>, usize);
+
 /// The per-candidate MLP scorer.
 pub struct MlpDetector {
     params: ParamSet,
-    l1: Linear,
-    l2: Linear,
-    l3: Linear,
-    l4: Linear,
+    layers: [Linear; 4],
+}
+
+/// Reusable buffers of one item's forward and backward pass.
+#[derive(Default)]
+struct ItemScratch {
+    xs: Vec<f32>,
+    /// The ReLU outputs of the three hidden layers.
+    acts: [Vec<f32>; 3],
+    logits: Vec<f32>,
+    targets: Vec<f32>,
+    dy: Vec<f32>,
+    dx: Vec<f32>,
+    train: TrainScratch,
+}
+
+impl ItemScratch {
+    /// Stores an item's c-vecs back to back as the input rows, and its
+    /// one-hot targets.
+    fn load(&mut self, (c_vecs, truth_idx): &MlpItem) {
+        self.xs.clear();
+        for c in c_vecs {
+            self.xs.extend_from_slice(c.data());
+        }
+        self.targets.clear();
+        self.targets.resize(c_vecs.len(), 0.0);
+        self.targets[*truth_idx] = 1.0;
+    }
+}
+
+/// Every layer over all rows of `xs` at once: the hidden ReLU outputs go
+/// to `acts`, the logits to `logits`. Each row is scored independently,
+/// bit-identical to one tape per candidate.
+fn forward(
+    layers: &[Linear; 4],
+    ps: &ParamSet,
+    xs: &[f32],
+    acts: &mut [Vec<f32>; 3],
+    logits: &mut Vec<f32>,
+) {
+    let [l1, l2, l3, l4] = layers;
+    let [a1, a2, a3] = acts;
+    l1.infer(ps, xs, a1);
+    relu(a1);
+    l2.infer(ps, a1, a2);
+    relu(a2);
+    l3.infer(ps, a2, a3);
+    relu(a3);
+    l4.infer(ps, a3, logits);
+}
+
+/// One item's BCE loss and its gradients, by a packed forward and backward
+/// pass over all its candidates. `to_bits`-equal to recording every
+/// candidate's logit on one tape, in candidate order, with
+/// `bce_with_logits_loss` over the row of logits and `Graph::backward`:
+/// `Linear::train_backward` visits the rows last first, as the tape does.
+fn loss_and_gradients(
+    layers: &[Linear; 4],
+    ps: &ParamSet,
+    item: &MlpItem,
+    s: &mut ItemScratch,
+) -> (f32, Gradients) {
+    s.load(item);
+    forward(layers, ps, &s.xs, &mut s.acts, &mut s.logits);
+    let loss = lead_nn::loss::bce_with_logits(&s.logits, &s.targets);
+    lead_nn::loss::bce_with_logits_grad(1.0, &s.logits, &s.targets, &mut s.dy);
+    let mut grads = ps.zero_gradients();
+    let [l1, l2, l3, l4] = layers;
+    let ItemScratch {
+        xs,
+        acts: [a1, a2, a3],
+        dy,
+        dx,
+        train,
+        ..
+    } = s;
+    for (layer, input) in [(l4, &*a3), (l3, &*a2), (l2, &*a1)] {
+        layer.train_backward(ps, input, dy, dx, &mut grads, train);
+        relu_backward(dx, input);
+        std::mem::swap(dy, dx);
+    }
+    l1.train_backward(ps, xs, dy, dx, &mut grads, train);
+    (loss, grads)
 }
 
 impl MlpDetector {
@@ -38,10 +132,7 @@ impl MlpDetector {
         let l4 = Linear::new(&mut ps, rng, "mlp.l4", 32, 1);
         Self {
             params: ps,
-            l1,
-            l2,
-            l3,
-            l4,
+            layers: [l1, l2, l3, l4],
         }
     }
 
@@ -55,22 +146,9 @@ impl MlpDetector {
         &mut self.params
     }
 
-    /// Records the logit of one c-vec (sigmoid is folded into the loss /
-    /// applied at inference).
-    fn logit(&self, g: &mut Graph, c_vec: &Matrix) -> Var {
-        let x = g.constant(c_vec.clone());
-        let a = self.l1.forward(g, x);
-        let a = g.relu(a);
-        let b = self.l2.forward(g, a);
-        let b = g.relu(b);
-        let c = self.l3.forward(g, b);
-        let c = g.relu(c);
-        self.l4.forward(g, c)
-    }
-
     /// Probabilities of a whole candidate list (still independent scores):
-    /// every layer runs once over all candidates as rows of one matrix,
-    /// without a tape; bit-identical to `sigmoid(logit)` on the tape.
+    /// every layer runs once over all candidates as rows of one matrix;
+    /// bit-identical to `sigmoid(logit)` of each candidate on the tape.
     pub fn probabilities(&self, c_vecs: &[Matrix]) -> Vec<f32> {
         let xs: Vec<f32> = c_vecs
             .iter()
@@ -81,17 +159,10 @@ impl MlpDetector {
 
     /// [`Self::probabilities`] of c-vecs stored back to back in `xs`.
     pub(crate) fn row_probabilities(&self, xs: &[f32]) -> Vec<f32> {
-        let ps = &self.params;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        self.l1.infer(ps, xs, &mut a);
-        relu(&mut a);
-        self.l2.infer(ps, &a, &mut b);
-        relu(&mut b);
-        self.l3.infer(ps, &b, &mut a);
-        relu(&mut a);
-        self.l4.infer(ps, &a, &mut b);
-        let mut p = vec![0.0; b.len()];
-        lead_nn::simd::active().sigmoid(&b, &mut p);
+        let (mut acts, mut logits) = Default::default();
+        forward(&self.layers, &self.params, xs, &mut acts, &mut logits);
+        let mut p = vec![0.0; logits.len()];
+        lead_nn::simd::active().sigmoid(&logits, &mut p);
         p
     }
 
@@ -103,14 +174,18 @@ impl MlpDetector {
     /// BCE and, when `val_items` is given, the per-epoch validation BCE
     /// (reporting only; early stopping observes the training loss).
     ///
+    /// Each accumulation window's items run data-parallel on
+    /// `config.num_threads` workers; their gradients are submitted in item
+    /// order, so the weights are bit-identical for every thread count.
+    ///
     /// `probe` records a `det.mlp.epoch` span plus `det.mlp.epoch_bce` /
     /// `det.mlp.epoch_val_bce` observations and the trainer's
     /// `det.mlp.grad_norm` / `det.mlp.optim_steps`. Metrics are write-only —
     /// the trained weights are identical for any probe.
     pub fn train<R: Rng>(
         &mut self,
-        items: &[(Vec<Matrix>, usize)],
-        val_items: Option<&[(Vec<Matrix>, usize)]>,
+        items: &[MlpItem],
+        val_items: Option<&[MlpItem]>,
         config: &LeadConfig,
         rng: &mut R,
         probe: &dyn lead_obs::probe::Probe,
@@ -126,21 +201,23 @@ impl MlpDetector {
         let mut plan = EpochPlan::new(items.len());
         let mut train_curve = Vec::new();
         let mut val_curve = Vec::new();
+        let layers = &self.layers;
         for _epoch in 0..config.detector_max_epochs {
             let _epoch_span = lead_obs::clock::span(probe, "det.mlp.epoch");
             plan.reshuffle(rng);
             let mut total = 0.0f64;
-            for &i in plan.order() {
-                let (c_vecs, truth_idx) = &items[i];
-                let mut g = Graph::new(&self.params);
-                let logits: Vec<Var> = c_vecs.iter().map(|c| self.logit(&mut g, c)).collect();
-                let row = g.concat_cols(&logits);
-                let mut y = vec![0.0f32; c_vecs.len()];
-                y[*truth_idx] = 1.0;
-                let loss = g.bce_with_logits_loss(row, &Matrix::row_vector(y));
-                total += g.scalar(loss) as f64;
-                let grads = g.backward(loss);
-                trainer.submit(&mut self.params, grads);
+            for window in plan.windows(config.batch_accumulation) {
+                let window: Vec<&MlpItem> = window.iter().map(|&i| &items[i]).collect();
+                let losses = trainer.submit_window_with(
+                    &mut self.params,
+                    config.num_threads,
+                    &window,
+                    ItemScratch::default,
+                    |s, _, item, ps| loss_and_gradients(layers, ps, item, s),
+                );
+                for l in losses {
+                    total += l as f64;
+                }
             }
             trainer.flush(&mut self.params);
             let train_mean = lead_nn::num::narrow_f64(total / items.len() as f64);
@@ -165,17 +242,20 @@ impl MlpDetector {
     }
 
     /// Mean BCE over `items` without training.
-    pub fn evaluate(&self, items: &[(Vec<Matrix>, usize)]) -> f32 {
+    pub fn evaluate(&self, items: &[MlpItem]) -> f32 {
         assert!(!items.is_empty(), "evaluation needs samples");
+        let mut s = ItemScratch::default();
         let mut total = 0.0f64;
-        for (c_vecs, truth_idx) in items {
-            let mut g = Graph::new(&self.params);
-            let logits: Vec<Var> = c_vecs.iter().map(|c| self.logit(&mut g, c)).collect();
-            let row = g.concat_cols(&logits);
-            let mut y = vec![0.0f32; c_vecs.len()];
-            y[*truth_idx] = 1.0;
-            let loss = g.bce_with_logits_loss(row, &Matrix::row_vector(y));
-            total += g.scalar(loss) as f64;
+        for item in items {
+            s.load(item);
+            forward(
+                &self.layers,
+                &self.params,
+                &s.xs,
+                &mut s.acts,
+                &mut s.logits,
+            );
+            total += lead_nn::loss::bce_with_logits(&s.logits, &s.targets) as f64;
         }
         lead_nn::num::narrow_f64(total / items.len() as f64)
     }
@@ -184,6 +264,7 @@ impl MlpDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lead_nn::{Graph, Var};
     use lead_obs::probe::NOOP;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -202,6 +283,19 @@ mod tests {
         assert!(p.len() == 1 && p.iter().all(|p| (0.0..=1.0).contains(p)));
     }
 
+    /// The tape oracle: the logit of one c-vec.
+    fn tape_logit(det: &MlpDetector, g: &mut Graph, c_vec: &Matrix) -> Var {
+        let [l1, l2, l3, l4] = &det.layers;
+        let x = g.constant(c_vec.clone());
+        let a = l1.forward(g, x);
+        let a = g.relu(a);
+        let b = l2.forward(g, a);
+        let b = g.relu(b);
+        let c = l3.forward(g, b);
+        let c = g.relu(c);
+        l4.forward(g, c)
+    }
+
     #[test]
     fn probabilities_match_the_tape_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -211,11 +305,43 @@ mod tests {
         assert_eq!(got.len(), c_vecs.len());
         for (c, p) in c_vecs.iter().zip(&got) {
             let mut g = Graph::new(&det.params);
-            let z = det.logit(&mut g, c);
+            let z = tape_logit(&det, &mut g, c);
             let want = g.sigmoid(z);
             assert_eq!(p.to_bits(), g.value(want).at(0, 0).to_bits());
         }
         assert!(det.probabilities(&[]).is_empty());
+    }
+
+    #[test]
+    fn item_loss_and_gradients_match_the_tape_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut det = MlpDetector::new(8, &mut rng);
+        // Non-zero biases put some pre-activations on each side of the ReLU
+        // kink.
+        let ids: Vec<_> = det.params.iter().map(|(id, _)| id).collect();
+        for (k, &id) in ids.iter().enumerate() {
+            for (j, v) in det.params.value_mut(id).data_mut().iter_mut().enumerate() {
+                *v += ((k * 31 + j) as f32 * 0.61).sin() * 0.3;
+            }
+        }
+        let mut s = ItemScratch::default();
+        for (n, truth) in [(7, 2), (1, 0), (4, 3)] {
+            let c_vecs: Vec<Matrix> = (0..n).map(|k| cvec(0.2 * k as f32 - 0.4, 8, k)).collect();
+            let mut g = Graph::new(&det.params);
+            let logits: Vec<Var> = c_vecs.iter().map(|c| tape_logit(&det, &mut g, c)).collect();
+            let row = g.concat_cols(&logits);
+            let mut y = vec![0.0f32; n];
+            y[truth] = 1.0;
+            let loss = g.bce_with_logits_loss(row, &Matrix::row_vector(y));
+            let want = g.backward(loss);
+            let item = (c_vecs, truth);
+            let (got_loss, got) = loss_and_gradients(&det.layers, &det.params, &item, &mut s);
+            assert_eq!(got_loss.to_bits(), g.scalar(loss).to_bits(), "loss, n={n}");
+            for ((id, a), (_, b)) in got.iter().zip(want.iter()) {
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "{} n={n}", det.params.name(id));
+            }
+        }
     }
 
     #[test]

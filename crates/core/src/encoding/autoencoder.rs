@@ -25,7 +25,9 @@ use lead_nn::bptt::TrainScratch;
 use lead_nn::infer::{LstmState, Packing, Scratch};
 use lead_nn::optim::Adam;
 use lead_nn::train::{AccumTrainer, EarlyStopping, EpochPlan};
-use lead_nn::{Gradients, Graph, Matrix, ParamSet, Var};
+use lead_nn::{Gradients, Matrix, ParamSet};
+#[cfg(any(test, feature = "reference"))]
+use lead_nn::{Graph, Var};
 use rand::Rng;
 
 /// Which encoder architecture to build.
@@ -161,79 +163,6 @@ impl Autoencoder {
         &mut self.params
     }
 
-    /// Records the compressor on `g`, returning the 1×c_vec node of `input`.
-    pub fn encode(&self, g: &mut Graph, input: &CandidateFeatures) -> Var {
-        input.validate();
-        match &self.arch {
-            Arch::Hierarchical {
-                comp_sp1,
-                comp_mp1,
-                comp_sp2,
-                comp_mp2,
-                ..
-            } => {
-                let sp_vecs: Vec<Var> = input
-                    .sp_seqs
-                    .iter()
-                    .map(|m| comp_sp1.compress_matrix(g, m))
-                    .collect();
-                let mp_vecs: Vec<Var> = input
-                    .mp_seqs
-                    .iter()
-                    .map(|m| comp_mp1.compress_matrix(g, m))
-                    .collect();
-                let sp_c = comp_sp2.compress_vars(g, &sp_vecs);
-                let mp_c = comp_mp2.compress_vars(g, &mp_vecs);
-                g.concat_cols(&[sp_c, mp_c])
-            }
-            Arch::Flat { comp, .. } => comp.compress_matrix(g, &input.interleaved()),
-        }
-    }
-
-    /// Records compressor + decompressor + MSE reconstruction loss on `g`:
-    /// the reference [`Self::loss_and_gradients`] and
-    /// [`Self::evaluate_par`] are checked against.
-    pub fn reconstruction_loss(&self, g: &mut Graph, input: &CandidateFeatures) -> Var {
-        let c_vec = self.encode(g, input);
-        match &self.arch {
-            Arch::Hierarchical {
-                dec_sp1,
-                dec_mp1,
-                dec_sp2,
-                dec_mp2,
-                ..
-            } => {
-                let h = self.hidden;
-                let v_sp = g.slice_cols(c_vec, 0, h);
-                let v_mp = g.slice_cols(c_vec, h, 2 * h);
-                // Phase 1: c-vec halves → per-stay / per-move vectors.
-                let sp_cvec_seq = dec_sp1.decompress(g, v_sp, input.sp_seqs.len());
-                let mp_cvec_seq = dec_mp1.decompress(g, v_mp, input.mp_seqs.len());
-                // Phase 2: each vector → its feature sequence.
-                let mut recs: Vec<Var> =
-                    Vec::with_capacity(input.sp_seqs.len() + input.mp_seqs.len());
-                for (k, target) in input.sp_seqs.iter().enumerate() {
-                    let v = g.row(sp_cvec_seq, k);
-                    recs.push(dec_sp2.decompress(g, v, target.rows()));
-                }
-                for (k, target) in input.mp_seqs.iter().enumerate() {
-                    let v = g.row(mp_cvec_seq, k);
-                    recs.push(dec_mp2.decompress(g, v, target.rows()));
-                }
-                let rec_all = g.concat_rows(&recs);
-                let target_refs: Vec<&Matrix> =
-                    input.sp_seqs.iter().chain(input.mp_seqs.iter()).collect();
-                let target_all = Matrix::concat_rows(&target_refs);
-                g.mse_loss(rec_all, &target_all)
-            }
-            Arch::Flat { dec, .. } => {
-                let target = input.interleaved();
-                let rec = dec.decompress(g, c_vec, target.rows());
-                g.mse_loss(rec, &target)
-            }
-        }
-    }
-
     /// Trains the autoencoder self-supervised on the given candidate feature
     /// sequences (pre-shuffled order is re-shuffled each epoch) and returns
     /// `(train_curve, val_curve)`: the per-epoch mean MSE (Figure 9) and,
@@ -315,7 +244,7 @@ impl Autoencoder {
     /// [`Self::evaluate`] on `num_threads` workers (0 = all cores). The sum
     /// over samples runs in item order, so the result is bit-identical for
     /// every thread count. Each loss comes from the packed forward pass and
-    /// `lead_nn::loss::mse`, bit-identical to [`Self::reconstruction_loss`].
+    /// `lead_nn::loss::mse`, bit-identical to `Self::reconstruction_loss`.
     pub fn evaluate_par(&self, samples: &[CandidateFeatures], num_threads: usize) -> f32 {
         assert!(!samples.is_empty(), "evaluation needs samples");
         let per_sample = lead_nn::par::par_map_with(
@@ -331,7 +260,7 @@ impl Autoencoder {
     /// The reconstruction loss of one candidate and the gradient of every
     /// parameter, without a tape: one packed forward and backward pass per
     /// operator over all the candidate's segments of one kind (DESIGN.md
-    /// §17). `to_bits`-equal to [`Self::reconstruction_loss`] and
+    /// §17). `to_bits`-equal to `Self::reconstruction_loss` and
     /// `Graph::backward`; training computes every item's gradients this
     /// way. `scratch` may be reused across candidates of any shape.
     ///
@@ -347,7 +276,7 @@ impl Autoencoder {
     }
 
     /// Encodes a single candidate into its `c-vec` value, without a tape;
-    /// bit-identical to [`Self::encode`].
+    /// bit-identical to `Self::encode`.
     ///
     /// # Panics
     /// Panics if `input` breaks the stay/move interleaving or has no move
@@ -365,7 +294,7 @@ impl Autoencoder {
 
     /// Encodes every candidate of a trajectory without a tape, sharing all
     /// work that candidates have in common; bit-identical to
-    /// [`Self::encode`] on each candidate. Results follow `candidates`,
+    /// `Self::encode` on each candidate. Results follow `candidates`,
     /// which may list any candidates of the trajectory in any order.
     ///
     /// This is the all-at-once case of the incremental `CandidateEncoder`:
@@ -393,6 +322,82 @@ impl Autoencoder {
                 Matrix::row_vector(c_vecs[row * w..(row + 1) * w].to_vec())
             })
             .collect()
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl Autoencoder {
+    /// Records the compressor on `g`, returning the 1×c_vec node of `input`.
+    pub fn encode(&self, g: &mut Graph, input: &CandidateFeatures) -> Var {
+        input.validate();
+        match &self.arch {
+            Arch::Hierarchical {
+                comp_sp1,
+                comp_mp1,
+                comp_sp2,
+                comp_mp2,
+                ..
+            } => {
+                let sp_vecs: Vec<Var> = input
+                    .sp_seqs
+                    .iter()
+                    .map(|m| comp_sp1.compress_matrix(g, m))
+                    .collect();
+                let mp_vecs: Vec<Var> = input
+                    .mp_seqs
+                    .iter()
+                    .map(|m| comp_mp1.compress_matrix(g, m))
+                    .collect();
+                let sp_c = comp_sp2.compress_vars(g, &sp_vecs);
+                let mp_c = comp_mp2.compress_vars(g, &mp_vecs);
+                g.concat_cols(&[sp_c, mp_c])
+            }
+            Arch::Flat { comp, .. } => comp.compress_matrix(g, &input.interleaved()),
+        }
+    }
+
+    /// Records compressor + decompressor + MSE reconstruction loss on `g`:
+    /// the reference [`Self::loss_and_gradients`] and
+    /// [`Self::evaluate_par`] are checked against.
+    pub fn reconstruction_loss(&self, g: &mut Graph, input: &CandidateFeatures) -> Var {
+        let c_vec = self.encode(g, input);
+        match &self.arch {
+            Arch::Hierarchical {
+                dec_sp1,
+                dec_mp1,
+                dec_sp2,
+                dec_mp2,
+                ..
+            } => {
+                let h = self.hidden;
+                let v_sp = g.slice_cols(c_vec, 0, h);
+                let v_mp = g.slice_cols(c_vec, h, 2 * h);
+                // Phase 1: c-vec halves → per-stay / per-move vectors.
+                let sp_cvec_seq = dec_sp1.decompress(g, v_sp, input.sp_seqs.len());
+                let mp_cvec_seq = dec_mp1.decompress(g, v_mp, input.mp_seqs.len());
+                // Phase 2: each vector → its feature sequence.
+                let mut recs: Vec<Var> =
+                    Vec::with_capacity(input.sp_seqs.len() + input.mp_seqs.len());
+                for (k, target) in input.sp_seqs.iter().enumerate() {
+                    let v = g.row(sp_cvec_seq, k);
+                    recs.push(dec_sp2.decompress(g, v, target.rows()));
+                }
+                for (k, target) in input.mp_seqs.iter().enumerate() {
+                    let v = g.row(mp_cvec_seq, k);
+                    recs.push(dec_mp2.decompress(g, v, target.rows()));
+                }
+                let rec_all = g.concat_rows(&recs);
+                let target_refs: Vec<&Matrix> =
+                    input.sp_seqs.iter().chain(input.mp_seqs.iter()).collect();
+                let target_all = Matrix::concat_rows(&target_refs);
+                g.mse_loss(rec_all, &target_all)
+            }
+            Arch::Flat { dec, .. } => {
+                let target = input.interleaved();
+                let rec = dec.decompress(g, c_vec, target.rows());
+                g.mse_loss(rec, &target)
+            }
+        }
     }
 }
 
@@ -479,7 +484,7 @@ impl Chain<'_> {
             .train_forward(ps, &seg.lens, vecs, &mut seg.dec2, tr);
     }
 
-    /// The backward half of [`Self::forward`] from `drec`, the gradient of
+    /// The backward half of `Self::forward` from `drec`, the gradient of
     /// every reconstructed row. Each operator owns its parameters, and each
     /// operator's backward pass keeps the tape's order.
     fn backward(

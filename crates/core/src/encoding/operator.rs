@@ -22,7 +22,9 @@ use lead_nn::bptt::{AttentionActs, LstmActs, TrainScratch};
 use lead_nn::infer::{LstmState, Packing, Scratch};
 use lead_nn::layers::{Linear, Lstm, SelfAttention};
 use lead_nn::simd::Kernel;
-use lead_nn::{Gradients, Graph, Matrix, ParamSet, Var};
+use lead_nn::{Gradients, ParamSet};
+#[cfg(any(test, feature = "reference"))]
+use lead_nn::{Graph, Matrix, Var};
 use rand::Rng;
 
 /// LSTM + (optional) self-attention + 2 FC + `tanh`: sequence → vector.
@@ -70,26 +72,6 @@ impl CompressionOperator {
         self.attention.is_some()
     }
 
-    /// Compresses a sequence of 1×in_dim nodes into a 1×hidden vector.
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty.
-    pub fn compress_vars(&self, g: &mut Graph, xs: &[Var]) -> Var {
-        assert!(!xs.is_empty(), "compression of an empty sequence");
-        let hs = self.lstm.forward(g, xs);
-        let h = match &self.attention {
-            Some(att) => att.aggregate(g, &hs),
-            #[expect(
-                clippy::expect_used,
-                reason = "xs non-empty is asserted at entry, and the LSTM preserves length"
-            )]
-            None => *hs.last().expect("non-empty"),
-        };
-        let a = self.fc1.forward(g, h);
-        let b = self.fc2.forward(g, a);
-        g.tanh(b)
-    }
-
     /// Width of the attention keys [`Self::infer_steps`] writes (0 without
     /// attention).
     pub(crate) fn key_dim(&self) -> usize {
@@ -131,7 +113,7 @@ impl CompressionOperator {
     /// wide) receives its compression. The last hidden row is the query
     /// source, or the aggregate itself without attention; the queries and
     /// the two FC layers run once over all sequences. Together with
-    /// [`Self::infer_steps`], bit-identical to [`Self::compress_vars`] on
+    /// [`Self::infer_steps`], bit-identical to `Self::compress_vars` on
     /// each sequence.
     ///
     /// # Panics
@@ -172,19 +154,11 @@ impl CompressionOperator {
         lead_nn::simd::active().tanh(&pooled, out);
     }
 
-    /// Compresses a (T × in_dim) feature matrix (recorded as a constant).
-    pub fn compress_matrix(&self, g: &mut Graph, seq: &Matrix) -> Var {
-        assert!(seq.rows() > 0, "compression of an empty sequence");
-        let input = g.constant(seq.clone());
-        let xs: Vec<Var> = (0..seq.rows()).map(|r| g.row(input, r)).collect();
-        self.compress_vars(g, &xs)
-    }
-
     /// Compresses sequences stored back to back in `xs` (sequence `i`
     /// holding `lens[i]` rows) in one packed pass, keeping what
     /// [`Self::train_backward`] needs in `acts`; [`CompressActs::out`] then
     /// holds one `hidden`-wide row per sequence. Bit-identical to
-    /// [`Self::compress_vars`] on each sequence.
+    /// `Self::compress_vars` on each sequence.
     ///
     /// # Panics
     /// Panics if a sequence is empty or the lengths do not cover `xs`.
@@ -223,7 +197,7 @@ impl CompressionOperator {
     /// `xs` and `acts`, from `dout`, the gradient of every compressed row:
     /// accumulates every parameter's gradient into `grads` and, given `dx`,
     /// adds the gradient of every input row to it. `to_bits`-equal to
-    /// [`Self::compress_vars`] on each sequence, in sequence order, on one
+    /// `Self::compress_vars` on each sequence, in sequence order, on one
     /// tape and `Graph::backward` (DESIGN.md §17).
     #[expect(clippy::too_many_arguments, reason = "mirrors train_forward")]
     pub(crate) fn train_backward(
@@ -274,6 +248,37 @@ impl CompressionOperator {
         let pack = Packing::back_to_back(lens);
         self.lstm
             .train_backward(ps, &pack, xs, &acts.lstm, &acts.dh, dx, grads, scratch);
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl CompressionOperator {
+    /// Compresses a sequence of 1×in_dim nodes into a 1×hidden vector.
+    ///
+    /// # Panics
+    /// Panics if `xs` is empty.
+    pub fn compress_vars(&self, g: &mut Graph, xs: &[Var]) -> Var {
+        assert!(!xs.is_empty(), "compression of an empty sequence");
+        let hs = self.lstm.forward(g, xs);
+        let h = match &self.attention {
+            Some(att) => att.aggregate(g, &hs),
+            #[expect(
+                clippy::expect_used,
+                reason = "xs non-empty is asserted at entry, and the LSTM preserves length"
+            )]
+            None => *hs.last().expect("non-empty"),
+        };
+        let a = self.fc1.forward(g, h);
+        let b = self.fc2.forward(g, a);
+        g.tanh(b)
+    }
+
+    /// Compresses a (T × in_dim) feature matrix (recorded as a constant).
+    pub fn compress_matrix(&self, g: &mut Graph, seq: &Matrix) -> Var {
+        assert!(seq.rows() > 0, "compression of an empty sequence");
+        let input = g.constant(seq.clone());
+        let xs: Vec<Var> = (0..seq.rows()).map(|r| g.row(input, r)).collect();
+        self.compress_vars(g, &xs)
     }
 }
 
@@ -386,23 +391,11 @@ impl DecompressionOperator {
         self.fc2.out_dim()
     }
 
-    /// Decompresses `v` (1×in_dim) into a (steps × out_dim) node.
-    ///
-    /// # Panics
-    /// Panics if `steps == 0`.
-    pub fn decompress(&self, g: &mut Graph, v: Var, steps: usize) -> Var {
-        let hs = self.lstm.forward_repeated(g, v, steps);
-        let h_mat = g.concat_rows(&hs);
-        let a = self.fc1.forward(g, h_mat);
-        let b = self.fc2.forward(g, a);
-        g.tanh(b)
-    }
-
     /// Decompresses every row of `vs` (`in_dim` wide) into a sequence of
     /// `steps[i]` rows in one packed repeated-input pass, keeping what
     /// [`Self::train_backward`] needs in `acts`; [`DecompressActs::out`]
     /// then holds the sequences back to back. Bit-identical to
-    /// [`Self::decompress`] on each row.
+    /// `Self::decompress` on each row.
     ///
     /// # Panics
     /// Panics if a step count is zero or `vs` does not hold one row per
@@ -434,7 +427,7 @@ impl DecompressionOperator {
     /// `vs` and `acts`, from `dout`, the gradient of every output row:
     /// accumulates every parameter's gradient into `grads` and writes the
     /// gradient of every row of `vs` to `dv`. `to_bits`-equal to
-    /// [`Self::decompress`] on each row, in row order, on one tape and
+    /// `Self::decompress` on each row, in row order, on one tape and
     /// `Graph::backward`: the tape visits the last call first, each FC
     /// layer's rows of one call in ascending order, and the steps of one
     /// call newest first (DESIGN.md §17).
@@ -474,6 +467,21 @@ impl DecompressionOperator {
             grads,
             scratch,
         );
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl DecompressionOperator {
+    /// Decompresses `v` (1×in_dim) into a (steps × out_dim) node.
+    ///
+    /// # Panics
+    /// Panics if `steps == 0`.
+    pub fn decompress(&self, g: &mut Graph, v: Var, steps: usize) -> Var {
+        let hs = self.lstm.forward_repeated(g, v, steps);
+        let h_mat = g.concat_rows(&hs);
+        let a = self.fc1.forward(g, h_mat);
+        let b = self.fc2.forward(g, a);
+        g.tanh(b)
     }
 }
 

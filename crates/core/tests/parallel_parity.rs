@@ -156,6 +156,43 @@ fn fit_and_detect_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// The `LEAD-NoGro` MLP trains its accumulation windows data-parallel: its
+/// curve, its weights and its detections must not depend on the thread
+/// count.
+#[test]
+fn no_gro_fit_is_bit_identical_across_thread_counts() {
+    let db = poi_db();
+    let (held_out, _) = synthetic_day(4, 9);
+    let model_bytes = |lead: &Lead| {
+        let mut bytes = Vec::new();
+        lead.write_to(&mut bytes).expect("in-memory write");
+        bytes
+    };
+    let (train, val) = train_val_sets();
+    let fit = |num_threads: usize| {
+        let mut config = LeadConfig::fast_test();
+        config.num_threads = num_threads;
+        // Windows of 3 over 4 samples: a full window and a flushed partial
+        // one every epoch.
+        config.batch_accumulation = 3;
+        Lead::fit(&train, &val, &db, &config, LeadOptions::no_gro()).expect("fit")
+    };
+    let (ref_model, ref_report) = fit(1);
+    assert!(!ref_report.mlp_curve.is_empty(), "the MLP must train");
+    let ref_detection = detection_fingerprint(&ref_model.detect(&held_out, &db));
+    assert!(ref_detection.is_some(), "held-out day must be detectable");
+    let (model, report) = fit(2);
+    assert_eq!(bits(&report.mlp_curve), bits(&ref_report.mlp_curve));
+    assert!(
+        model_bytes(&model) == model_bytes(&ref_model),
+        "weights differ"
+    );
+    assert_eq!(
+        detection_fingerprint(&model.detect(&held_out, &db)),
+        ref_detection
+    );
+}
+
 #[test]
 fn detect_batch_matches_individual_detects() {
     let db = poi_db();

@@ -204,7 +204,6 @@ pub const CRATES: [CrateInfo; 12] = [
         class: Class::Lib,
         allowed: &[
             "lead-geo",
-            "lead-nn",
             "lead-synth",
             "lead-core",
             "lead-baselines",

@@ -16,8 +16,8 @@
 //! # Exactness
 //!
 //! The gradients are `to_bits`-equal to recording each sequence of the
-//! batch on one [`crate::Graph`], in sequence order, and calling
-//! [`crate::Graph::backward`]. The backward pass visits no node in the
+//! batch on one `Graph`, in sequence order, and calling
+//! `Graph::backward`. The backward pass visits no node in the
 //! tape's order, but every gradient buffer receives its terms in the order
 //! the tape adds them, and every term is computed by the same kernel on the
 //! same values:
@@ -52,6 +52,8 @@
 //! starts from `+0.0`, and zeros only enter products and sums on the way.
 
 use crate::infer::{zeroed, Packing};
+use crate::params::{Gradients, ParamId};
+use crate::simd::Kernel;
 
 /// What one packed LSTM pass ([`crate::layers::Lstm::train_forward`])
 /// keeps for its backward pass: every step's gates, cell, `tanh(cell)` and
@@ -72,17 +74,23 @@ pub struct LstmActs {
     pub(crate) h: Vec<f32>,
 }
 
+/// Records in `starts` the first step-major row of every step of `pack`
+/// (and the total row count last); returns that total.
+fn step_starts(pack: &Packing, starts: &mut Vec<usize>) -> usize {
+    let steps = pack.max_len();
+    starts.clear();
+    starts.resize(steps + 1, 0);
+    for t in 0..steps {
+        starts[t + 1] = starts[t] + pack.active(t);
+    }
+    starts[steps]
+}
+
 impl LstmActs {
     /// Records the step offsets of `pack` and sizes every buffer for its
     /// rows, `hidden` wide.
     pub(crate) fn reset(&mut self, pack: &Packing, hidden: usize) {
-        let steps = pack.max_len();
-        self.starts.clear();
-        self.starts.resize(steps + 1, 0);
-        for t in 0..steps {
-            self.starts[t + 1] = self.starts[t] + pack.active(t);
-        }
-        let rows = self.starts[steps];
+        let rows = step_starts(pack, &mut self.starts);
         for buf in [
             &mut self.i,
             &mut self.f,
@@ -93,6 +101,59 @@ impl LstmActs {
             &mut self.h,
         ] {
             zeroed(buf, rows * hidden);
+        }
+    }
+}
+
+/// What one packed GRU pass ([`crate::layers::Gru::train_forward`]) keeps
+/// for its backward pass: every input row's projection, and every step's
+/// recurrent projection, gates and hidden rows. It also holds the forward
+/// pass's temporaries.
+///
+/// Rows are step-major, as in [`LstmActs`]. Buffers grow to the largest
+/// batch they have seen and are never shrunk.
+#[derive(Debug, Default)]
+pub struct GruActs {
+    pub(crate) starts: Vec<usize>,
+    /// `x·Wx` of every input row.
+    pub(crate) gx: Vec<f32>,
+    /// `h·Wh` of every step row, `[z | r | n]` wide.
+    pub(crate) gh: Vec<f32>,
+    pub(crate) z: Vec<f32>,
+    pub(crate) r: Vec<f32>,
+    pub(crate) n: Vec<f32>,
+    /// `1 − z`.
+    pub(crate) omz: Vec<f32>,
+    pub(crate) h: Vec<f32>,
+    pub(crate) pre: Vec<f32>,
+    pub(crate) rnh: Vec<f32>,
+    pub(crate) new: Vec<f32>,
+    pub(crate) keep: Vec<f32>,
+    /// The zero state every sequence starts from.
+    pub(crate) zeros: Vec<f32>,
+}
+
+impl GruActs {
+    /// Records the step offsets of `pack` and sizes every buffer for its
+    /// rows, `hidden` wide, and for `input_rows` input rows.
+    pub(crate) fn reset(&mut self, pack: &Packing, hidden: usize, input_rows: usize) {
+        let rows = step_starts(pack, &mut self.starts);
+        let batch = pack.active(0);
+        zeroed(&mut self.gx, input_rows * 3 * hidden);
+        zeroed(&mut self.gh, rows * 3 * hidden);
+        for buf in [
+            &mut self.z,
+            &mut self.r,
+            &mut self.n,
+            &mut self.omz,
+            &mut self.h,
+        ] {
+            zeroed(buf, rows * hidden);
+        }
+        zeroed(&mut self.pre, hidden);
+        zeroed(&mut self.rnh, hidden);
+        for buf in [&mut self.new, &mut self.keep, &mut self.zeros] {
+            zeroed(buf, batch * hidden);
         }
     }
 }
@@ -166,6 +227,88 @@ pub(crate) struct Work {
     pub(crate) dq: Vec<f32>,
     pub(crate) dk: Vec<f32>,
     pub(crate) dlast: Vec<f32>,
+    /// GRU: the gradients of the recurrent projection (step-major like
+    /// `dpre`, which holds the input projection's), and of one step's
+    /// `z`, `1 − z`, `n`, `n`'s pre-activation and `r`.
+    pub(crate) dgh: Vec<f32>,
+    pub(crate) dz: Vec<f32>,
+    pub(crate) d_omz: Vec<f32>,
+    pub(crate) dn: Vec<f32>,
+    pub(crate) dn_pre: Vec<f32>,
+    pub(crate) dr: Vec<f32>,
+}
+
+/// Accumulates the bias and weight gradients of a packed recurrent pass
+/// into `grads`, in the tape's order (see the module docs). `dgx` holds
+/// every step row's gradient of the input projection `x·Wx` (and of the
+/// bias, which joins it), `dgh` of the recurrent projection `h·Wh`: the
+/// same rows for an LSTM, whose gates sum both projections. Both are
+/// step-major like `starts`, as are the hidden rows `hs`; `xs` holds the
+/// input rows the packing reads.
+///
+/// The bias sums each sequence's steps last to first, then adds the
+/// per-sequence sums last sequence first. The weights gather their rows
+/// last sequence first, steps last to first, for one product each; the
+/// recurrent weights skip step 0, whose `h` is zero.
+#[expect(clippy::too_many_arguments, reason = "one pass's rows and ids")]
+pub(crate) fn recurrent_param_grads(
+    pack: &Packing,
+    reverse: bool,
+    starts: &[usize],
+    xs: &[f32],
+    hs: &[f32],
+    dgx: &[f32],
+    dgh: &[f32],
+    [wx, wh, b]: [ParamId; 3],
+    grads: &mut Gradients,
+    work: &mut Work,
+) {
+    let kernel = crate::simd::active();
+    let (d, h, gw) = (
+        grads.get(wx).rows(),
+        grads.get(wh).rows(),
+        grads.get(b).cols(),
+    );
+    let batch = pack.active(0);
+    work.rank_of.clear();
+    work.rank_of.resize(batch, 0);
+    for rank in 0..batch {
+        work.rank_of[pack.seq_at(rank)] = rank;
+    }
+    zeroed(&mut work.bias_part, gw);
+    let gb = grads.get_mut(b).data_mut();
+    for s in (0..batch).rev() {
+        let rank = work.rank_of[s];
+        work.bias_part.fill(0.0);
+        for t in (0..pack.seq_len(s)).rev() {
+            let p0 = (starts[t] + rank) * gw;
+            kernel.axpy(1.0, &dgx[p0..p0 + gw], &mut work.bias_part);
+        }
+        kernel.axpy(1.0, &work.bias_part, gb);
+    }
+    for recurrent in [false, true] {
+        let (width, dg) = if recurrent { (h, dgh) } else { (d, dgx) };
+        work.rows_a.clear();
+        work.rows_b.clear();
+        for s in (0..batch).rev() {
+            let rank = work.rank_of[s];
+            let first = usize::from(recurrent);
+            for t in (first..pack.seq_len(s)).rev() {
+                let row = if recurrent {
+                    &hs[(starts[t - 1] + rank) * h..][..h]
+                } else {
+                    let (src, _) = pack.step_rows(rank, t, reverse);
+                    &xs[src * d..(src + 1) * d]
+                };
+                work.rows_a.extend_from_slice(row);
+                let p0 = (starts[t] + rank) * gw;
+                work.rows_b.extend_from_slice(&dg[p0..p0 + gw]);
+            }
+        }
+        let n = work.rows_b.len() / gw;
+        let gw_data = grads.get_mut(if recurrent { wh } else { wx }).data_mut();
+        kernel.matmul_at_b_acc(&work.rows_a, &work.rows_b, gw_data, n, width, gw);
+    }
 }
 
 /// Reusable buffers for packed training: the activations a
@@ -191,7 +334,7 @@ impl TrainScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, Lstm, SelfAttention, StackedBiLstm};
+    use crate::layers::{Gru, Linear, Lstm, SelfAttention, StackedBiLstm};
     use crate::{Graph, Matrix, ParamSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -339,6 +482,83 @@ mod tests {
                 assert_eq!(bits(a), bits(b), "{}", ps.name(id));
             }
         }
+    }
+
+    #[test]
+    fn gru_and_linear_gradients_match_the_tape() {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let gru = Gru::new(&mut ps, &mut rng, "g", 5, 4);
+        let head = Linear::new(&mut ps, &mut rng, "o", 4, 1);
+        // Perturb every weight off its initialisation (the biases start at
+        // zero).
+        let ids: Vec<_> = ps.iter().map(|(id, _)| id).collect();
+        for (k, &id) in ids.iter().enumerate() {
+            for (j, v) in ps.value_mut(id).data_mut().iter_mut().enumerate() {
+                *v += ((k * 17 + j) as f32 * 0.53).cos() * 0.4;
+            }
+        }
+        let lens = [3, 1, 4, 2, 4];
+        let rows: usize = lens.iter().sum();
+        let xs = inputs(rows, 5);
+        let target: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.7).cos()).collect();
+
+        // The tape: every sequence in order on one graph, the head on every
+        // step, an MSE over all logits.
+        let mut g = Graph::new(&ps);
+        let mut logits = Vec::new();
+        for (s, &len) in lens.iter().enumerate() {
+            let start: usize = lens[..s].iter().sum();
+            let vars: Vec<_> = (start..start + len)
+                .map(|r| g.constant(Matrix::from_vec(1, 5, xs[r * 5..(r + 1) * 5].to_vec())))
+                .collect();
+            for h in gru.forward(&mut g, &vars) {
+                logits.push(head.forward(&mut g, h));
+            }
+        }
+        let row = g.concat_cols(&logits);
+        let loss = g.mse_loss(row, &Matrix::from_vec(1, rows, target.clone()));
+        let want = g.backward(loss);
+
+        // Twice through one scratch: reuse must not leak state.
+        let pack = Packing::back_to_back(&lens);
+        let mut scratch = TrainScratch::new();
+        let mut acts = GruActs::default();
+        let (mut hs, mut out, mut dy, mut dhs) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..2 {
+            gru.train_forward(&ps, &pack, &xs, &mut acts, &mut hs);
+            head.infer(&ps, &hs, &mut out);
+            assert_eq!(
+                crate::loss::mse(&out, &target).to_bits(),
+                g.scalar(loss).to_bits()
+            );
+            crate::loss::mse_grad(1.0, &out, &target, &mut dy);
+            let mut got = ps.zero_gradients();
+            head.train_backward(&ps, &hs, &dy, &mut dhs, &mut got, &mut scratch);
+            gru.train_backward(&ps, &pack, &xs, &acts, &dhs, &mut got, &mut scratch);
+            for ((id, a), (_, b)) in got.iter().zip(want.iter()) {
+                assert_eq!(bits(a), bits(b), "{}", ps.name(id));
+            }
+        }
+    }
+
+    #[test]
+    fn bce_with_logits_and_its_gradient_match_the_tape() {
+        let mut ps = ParamSet::new();
+        let z = [0.5, -1.2, 0.0, -0.0, 40.0, -40.0, 3.25];
+        let y = [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5];
+        let w = ps.register("z", Matrix::from_vec(1, z.len(), z.to_vec()));
+        let mut g = Graph::new(&ps);
+        let zv = g.param(w);
+        let loss = g.bce_with_logits_loss(zv, &Matrix::from_vec(1, y.len(), y.to_vec()));
+        let want = g.backward(loss);
+        assert_eq!(
+            crate::loss::bce_with_logits(&z, &y).to_bits(),
+            g.scalar(loss).to_bits()
+        );
+        let mut dz = Vec::new();
+        crate::loss::bce_with_logits_grad(1.0, &z, &y, &mut dz);
+        assert_eq!(bits(&Matrix::from_vec(1, z.len(), dz)), bits(want.get(w)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Forward-only evaluation over packed batches of sequences.
 //!
-//! A [`crate::Graph`] records every op so it can be differentiated, which
+//! A `Graph` records every op so it can be differentiated, which
 //! costs a clone of every weight matrix and a tape node per op. Inference
 //! needs none of that. The layers' `infer` methods evaluate the same
 //! networks straight from the [`crate::ParamSet`] into reusable buffers (a
@@ -235,6 +235,8 @@ impl LstmState {
 #[derive(Debug, Default)]
 pub struct Scratch {
     pub(crate) cell: CellScratch,
+    /// A GRU pass's activations ([`crate::layers::Gru::infer`]).
+    pub(crate) gru: crate::bptt::GruActs,
     pub(crate) fwd: Vec<f32>,
     pub(crate) bwd: Vec<f32>,
     pub(crate) cat: Vec<f32>,
@@ -347,7 +349,7 @@ mod parity_tests {
     //! Every `infer` path against the tape, `to_bits`, on ragged batches.
 
     use super::*;
-    use crate::layers::{Linear, Lstm, SelfAttention, StackedBiLstm};
+    use crate::layers::{Gru, Linear, Lstm, SelfAttention, StackedBiLstm};
     use crate::params::ParamSet;
     use crate::tape::{Graph, Var};
     use rand::rngs::StdRng;
@@ -405,6 +407,37 @@ mod parity_tests {
                 }
             }
             assert_eq!(bits(&out), bits(&want), "reverse={reverse}");
+        }
+    }
+
+    #[test]
+    fn gru_matches_the_tape() {
+        let mut ps = ParamSet::new();
+        let gru = Gru::new(&mut ps, &mut StdRng::seed_from_u64(5), "g", 3, 5);
+        // Non-zero biases (they start at zero).
+        let ids: Vec<_> = ps.iter().map(|(id, _)| id).collect();
+        for (k, &id) in ids.iter().enumerate() {
+            for (j, v) in ps.value_mut(id).data_mut().iter_mut().enumerate() {
+                *v += ((k * 13 + j) as f32 * 0.71).sin() * 0.3;
+            }
+        }
+        let lens = [4, 1, 6, 6, 2];
+        let pack = Packing::back_to_back(&lens);
+        let xs = rows(5, pack.input_rows(), 3);
+        let mut s = Scratch::new();
+        let mut out = Vec::new();
+        // Twice through one scratch: reuse must not leak state.
+        for _ in 0..2 {
+            gru.infer(&ps, &pack, &xs, &mut out, &mut s);
+            let mut want = Vec::new();
+            for (seq, &len) in lens.iter().enumerate() {
+                let mut g = Graph::new(&ps);
+                let vars = seq_vars(&mut g, &xs, pack.output_start(seq), len, 3);
+                for h in gru.forward(&mut g, &vars) {
+                    want.extend_from_slice(g.value(h).data());
+                }
+            }
+            assert_eq!(bits(&out), bits(&want));
         }
     }
 

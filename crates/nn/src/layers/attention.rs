@@ -12,6 +12,7 @@ use crate::infer::{affine, zeroed};
 use crate::init::xavier_uniform;
 use crate::params::{Gradients, ParamId, ParamSet};
 use crate::simd::Kernel;
+#[cfg(any(test, feature = "reference"))]
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -66,40 +67,6 @@ impl SelfAttention {
         self.key_dim
     }
 
-    /// Aggregates a sequence of 1×hidden states into a single 1×hidden vector.
-    ///
-    /// Per Equation (3): `q = h_last·Wq + bq`, `K = H·Wk + bk`,
-    /// `s = softmax(q·Kᵀ/√d_k)`, output `= s·H`. The scoring product uses
-    /// the transpose-free `matmul_bt` op (one dispatched blocked `dot` per
-    /// step) instead of materialising `Kᵀ`.
-    ///
-    /// # Panics
-    /// Panics if `hs` is empty.
-    pub fn aggregate(&self, g: &mut Graph, hs: &[Var]) -> Var {
-        assert!(!hs.is_empty(), "attention over an empty sequence");
-        let h_mat = g.concat_rows(hs); // T × hidden
-        #[expect(
-            clippy::expect_used,
-            reason = "hs non-empty is asserted at entry (documented # Panics)"
-        )]
-        let last = *hs.last().expect("non-empty");
-        let wq = g.param(self.wq);
-        let bq = g.param(self.bq);
-        let wk = g.param(self.wk);
-        let bk = g.param(self.bk);
-        let q0 = g.matmul(last, wq);
-        let q = g.add_row_broadcast(q0, bq); // 1 × key_dim
-        let k0 = g.matmul(h_mat, wk);
-        let k = g.add_row_broadcast(k0, bk); // T × key_dim
-        let scores0 = g.matmul_bt(q, k); // 1 × T, q·Kᵀ without the transpose
-        let scores = g.scale(
-            scores0,
-            1.0 / crate::num::exact_usize_f32(self.key_dim).sqrt(),
-        );
-        let s = g.softmax_rows(scores); // 1 × T
-        g.matmul(s, h_mat) // 1 × hidden
-    }
-
     /// The key projections `H·Wk + bk` of every row of `hs` (`hidden`
     /// wide), without a tape. Keys depend only on their own row, so one
     /// projection serves every sequence (and every prefix) the rows belong
@@ -123,7 +90,7 @@ impl SelfAttention {
     /// Aggregates one sequence from its query (`key_dim` wide), its keys
     /// and its hidden states (one row per step), writing the 1×hidden
     /// output into `out`: the scores, softmax and weighted sum of
-    /// [`Self::aggregate`], kernel for kernel. `scores` is scratch.
+    /// `Self::aggregate`, kernel for kernel. `scores` is scratch.
     ///
     /// # Panics
     /// Panics if `keys` and `values` disagree on the number of steps or
@@ -163,7 +130,7 @@ impl SelfAttention {
     /// [`Self::train_backward`] needs in `acts`: `hs` holds the hidden rows
     /// of sequences stored back to back, sequence `i` holding `lens[i]`
     /// rows, and row `i` of `pooled` (`hidden` wide) receives sequence
-    /// `i`'s aggregate. Bit-identical to [`Self::aggregate`] on each
+    /// `i`'s aggregate. Bit-identical to `Self::aggregate` on each
     /// sequence.
     ///
     /// # Panics
@@ -212,8 +179,8 @@ impl SelfAttention {
     /// accumulates the gradients of the query and key projections into
     /// `grads` and writes the gradient of every hidden row to `dh`.
     ///
-    /// `to_bits`-equal to [`Self::aggregate`] on each sequence, in
-    /// sequence order, on one tape and [`crate::Graph::backward`]. The tape
+    /// `to_bits`-equal to `Self::aggregate` on each sequence, in
+    /// sequence order, on one tape and `Graph::backward`. The tape
     /// visits the last sequence first. Within one sequence, a hidden row
     /// receives `(0 + sᵀ·g) + dK·Wkᵀ` through the stacked matrix, and the
     /// last row then adds the query's `dq·Wqᵀ`. The key projection's
@@ -303,6 +270,43 @@ impl SelfAttention {
         }
         let gwq = grads.get_mut(self.wq).data_mut();
         kernel.matmul_at_b_acc(&w.rows_a, &w.rows_b, gwq, lens.len(), h, kd);
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl SelfAttention {
+    /// Aggregates a sequence of 1×hidden states into a single 1×hidden vector.
+    ///
+    /// Per Equation (3): `q = h_last·Wq + bq`, `K = H·Wk + bk`,
+    /// `s = softmax(q·Kᵀ/√d_k)`, output `= s·H`. The scoring product uses
+    /// the transpose-free `matmul_bt` op (one dispatched blocked `dot` per
+    /// step) instead of materialising `Kᵀ`.
+    ///
+    /// # Panics
+    /// Panics if `hs` is empty.
+    pub fn aggregate(&self, g: &mut Graph, hs: &[Var]) -> Var {
+        assert!(!hs.is_empty(), "attention over an empty sequence");
+        let h_mat = g.concat_rows(hs); // T × hidden
+        #[expect(
+            clippy::expect_used,
+            reason = "hs non-empty is asserted at entry (documented # Panics)"
+        )]
+        let last = *hs.last().expect("non-empty");
+        let wq = g.param(self.wq);
+        let bq = g.param(self.bq);
+        let wk = g.param(self.wk);
+        let bk = g.param(self.bk);
+        let q0 = g.matmul(last, wq);
+        let q = g.add_row_broadcast(q0, bq); // 1 × key_dim
+        let k0 = g.matmul(h_mat, wk);
+        let k = g.add_row_broadcast(k0, bk); // T × key_dim
+        let scores0 = g.matmul_bt(q, k); // 1 × T, q·Kᵀ without the transpose
+        let scores = g.scale(
+            scores0,
+            1.0 / crate::num::exact_usize_f32(self.key_dim).sqrt(),
+        );
+        let s = g.softmax_rows(scores); // 1 × T
+        g.matmul(s, h_mat) // 1 × hidden
     }
 
     /// The attention distribution over steps (for diagnostics/tests).

@@ -5,6 +5,7 @@ use crate::bptt::{LayerActs, TrainScratch, Work};
 use crate::infer::{zeroed, Packing, Scratch};
 use crate::layers::{Linear, Lstm};
 use crate::params::{Gradients, ParamSet};
+#[cfg(any(test, feature = "reference"))]
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -50,30 +51,9 @@ impl BiLstm {
         self.hidden
     }
 
-    /// Runs both directions over `xs` and merges per step; output length
-    /// equals input length, each node 1×hidden.
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty.
-    pub fn forward(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
-        assert!(!xs.is_empty(), "BiLSTM over an empty sequence");
-        let hs_fwd = self.fwd.forward(g, xs);
-        let rev: Vec<Var> = xs.iter().rev().copied().collect();
-        let mut hs_bwd = self.bwd.forward(g, &rev);
-        hs_bwd.reverse();
-        hs_fwd
-            .iter()
-            .zip(hs_bwd.iter())
-            .map(|(&hf, &hb)| {
-                let cat = g.concat_cols(&[hf, hb]);
-                self.merge.forward(g, cat)
-            })
-            .collect()
-    }
-
     /// Runs both directions over every sequence of a packed batch and
     /// merges per step, without a tape; `out` is laid out as the packing's
-    /// output, `hidden` wide. Bit-identical to [`Self::forward`] on each
+    /// output, `hidden` wide. Bit-identical to `Self::forward` on each
     /// sequence.
     ///
     /// # Panics
@@ -190,6 +170,30 @@ impl BiLstm {
     }
 }
 
+#[cfg(any(test, feature = "reference"))]
+impl BiLstm {
+    /// Runs both directions over `xs` and merges per step; output length
+    /// equals input length, each node 1×hidden.
+    ///
+    /// # Panics
+    /// Panics if `xs` is empty.
+    pub fn forward(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
+        assert!(!xs.is_empty(), "BiLSTM over an empty sequence");
+        let hs_fwd = self.fwd.forward(g, xs);
+        let rev: Vec<Var> = xs.iter().rev().copied().collect();
+        let mut hs_bwd = self.bwd.forward(g, &rev);
+        hs_bwd.reverse();
+        hs_fwd
+            .iter()
+            .zip(hs_bwd.iter())
+            .map(|(&hf, &hb)| {
+                let cat = g.concat_cols(&[hf, hb]);
+                self.merge.forward(g, cat)
+            })
+            .collect()
+    }
+}
+
 /// Sets `cat` to the rows `[fwd | bwd]` of two `h`-wide row sets: the merge
 /// layer's input.
 fn concat_rows(fwd: &[f32], bwd: &[f32], h: usize, cat: &mut Vec<f32>) {
@@ -246,18 +250,9 @@ impl StackedBiLstm {
         self.layers.first().map_or(0, |l| l.hidden())
     }
 
-    /// Runs the whole stack; output length equals input length.
-    pub fn forward(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
-        let mut seq: Vec<Var> = xs.to_vec();
-        for layer in &self.layers {
-            seq = layer.forward(g, &seq);
-        }
-        seq
-    }
-
     /// Runs the whole stack over every sequence of a packed batch without a
     /// tape; `out` is laid out as the packing's output. Bit-identical to
-    /// [`Self::forward`] on each sequence.
+    /// `Self::forward` on each sequence.
     ///
     /// # Panics
     /// Panics unless the packing reads its input back to back (each
@@ -323,8 +318,8 @@ impl StackedBiLstm {
     /// The backward half of [`Self::train_forward`], run on the same `pack`
     /// and `xs` right after it: from `dy`, the gradient of every output
     /// row, accumulates the gradient of every parameter of the stack into
-    /// `grads`, bit-identical to [`Self::forward`] on each sequence, in
-    /// sequence order, on one tape and [`crate::Graph::backward`] (see
+    /// `grads`, bit-identical to `Self::forward` on each sequence, in
+    /// sequence order, on one tape and `Graph::backward` (see
     /// [`crate::bptt`]). The inputs are constants: no gradient flows into
     /// `xs`.
     ///
@@ -354,6 +349,18 @@ impl StackedBiLstm {
             std::mem::swap(&mut grad, &mut below);
         }
         (work.dy, work.dx) = (grad, below);
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl StackedBiLstm {
+    /// Runs the whole stack; output length equals input length.
+    pub fn forward(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
+        let mut seq: Vec<Var> = xs.to_vec();
+        for layer in &self.layers {
+            seq = layer.forward(g, &seq);
+        }
+        seq
     }
 }
 

@@ -6,6 +6,7 @@ use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{Gradients, ParamId, ParamSet};
 use crate::simd::Kernel;
+#[cfg(any(test, feature = "reference"))]
 use crate::tape::{Graph, Var};
 use rand::Rng;
 use std::ops::Range;
@@ -54,17 +55,8 @@ impl Linear {
         self.out_dim
     }
 
-    /// Applies the layer to a (rows × in_dim) node.
-    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        debug_assert_eq!(g.value(x).cols(), self.in_dim, "linear input width");
-        let w = g.param(self.w);
-        let b = g.param(self.b);
-        let xw = g.matmul(x, w);
-        g.add_row_broadcast(xw, b)
-    }
-
     /// Applies the layer to every row of `x` (`in_dim` wide) without a tape,
-    /// writing `out` (`out_dim` wide); bit-identical to [`Self::forward`].
+    /// writing `out` (`out_dim` wide); bit-identical to `Self::forward`.
     ///
     /// # Panics
     /// Panics if `x` is not a whole number of `in_dim`-wide rows.
@@ -75,8 +67,8 @@ impl Linear {
     /// The backward pass of [`Self::infer`] over the rows of `x`, given the
     /// gradient `dy` of every output row: accumulates the weight and bias
     /// gradients into `grads` and writes the gradient of every input row to
-    /// `dx`. Bit-identical to applying [`Self::forward`] to each row, in
-    /// row order, on one tape and running [`crate::Graph::backward`]: the
+    /// `dx`. Bit-identical to applying `Self::forward` to each row, in
+    /// row order, on one tape and running `Graph::backward`: the
     /// tape visits the rows last to first ([`crate::bptt`]).
     ///
     /// # Panics
@@ -96,7 +88,7 @@ impl Linear {
 
     /// [`Self::train_backward`] for a layer applied once to each block of
     /// consecutive rows, `blocks[i]` rows long, in block order: bit-identical
-    /// to one [`Self::forward`] on each block's matrix, as the paper's
+    /// to one `Self::forward` on each block's matrix, as the paper's
     /// decompression operators apply their FC layers to a whole T×hidden
     /// matrix. The tape visits the blocks last to first, and the rows of
     /// one block in ascending order.
@@ -163,6 +155,18 @@ impl Linear {
         }
         zeroed(dx, rows * d);
         kernel.matmul_a_bt_acc(dy, ps.value(self.w).data(), dx, rows, n, d);
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl Linear {
+    /// Applies the layer to a (rows × in_dim) node.
+    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
+        debug_assert_eq!(g.value(x).cols(), self.in_dim, "linear input width");
+        let w = g.param(self.w);
+        let b = g.param(self.b);
+        let xw = g.matmul(x, w);
+        g.add_row_broadcast(xw, b)
     }
 }
 

@@ -1,12 +1,13 @@
 //! Long short-term memory recurrence (Hochreiter & Schmidhuber 1997), the
 //! paper's Equation (2).
 
-use crate::bptt::{LstmActs, TrainScratch, Work};
+use crate::bptt::{recurrent_param_grads, LstmActs, TrainScratch, Work};
 use crate::infer::{zeroed, CellScratch, LstmState, Packing, Scratch};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{Gradients, ParamId, ParamSet};
 use crate::simd::Kernel;
+#[cfg(any(test, feature = "reference"))]
 use crate::tape::{Graph, Var};
 use rand::Rng;
 
@@ -66,106 +67,6 @@ impl Lstm {
         self.hidden
     }
 
-    /// Zero-valued initial `(h, c)` state.
-    pub fn zero_state(&self, g: &mut Graph) -> (Var, Var) {
-        let h = g.constant(Matrix::zeros(1, self.hidden));
-        let c = g.constant(Matrix::zeros(1, self.hidden));
-        (h, c)
-    }
-
-    /// The four per-gate bias slices `(i, f, g, o)`, recorded once so every
-    /// step of a sequence shares the same nodes.
-    fn bias_slices(&self, g: &mut Graph) -> (Var, Var, Var, Var) {
-        let b = g.param(self.b);
-        let hsz = self.hidden;
-        (
-            g.slice_cols(b, 0, hsz),
-            g.slice_cols(b, hsz, 2 * hsz),
-            g.slice_cols(b, 2 * hsz, 3 * hsz),
-            g.slice_cols(b, 3 * hsz, 4 * hsz),
-        )
-    }
-
-    /// One recurrence step with pre-sliced gate biases; the gates run
-    /// through the fused bias-then-activation kernels, which compute
-    /// `(x·Wx + h·Wh) + b` in the same per-element order the broadcast
-    /// formulation did.
-    fn step_with_bias(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        h: Var,
-        c: Var,
-        bias: (Var, Var, Var, Var),
-    ) -> (Var, Var) {
-        debug_assert_eq!(g.value(x).shape(), (1, self.in_dim), "lstm input shape");
-        let (bi, bf, bg, bo) = bias;
-        let wx = g.param(self.wx);
-        let wh = g.param(self.wh);
-        let gx = g.matmul(x, wx);
-        let gh = g.matmul(h, wh);
-        let pre = g.add(gx, gh);
-        let hsz = self.hidden;
-        let i_pre = g.slice_cols(pre, 0, hsz);
-        let f_pre = g.slice_cols(pre, hsz, 2 * hsz);
-        let g_pre = g.slice_cols(pre, 2 * hsz, 3 * hsz);
-        let o_pre = g.slice_cols(pre, 3 * hsz, 4 * hsz);
-        let i = g.sigmoid_gate(i_pre, bi);
-        let f = g.sigmoid_gate(f_pre, bf);
-        let cand = g.tanh_gate(g_pre, bg);
-        let o = g.sigmoid_gate(o_pre, bo);
-        let fc = g.mul(f, c);
-        let ig = g.mul(i, cand);
-        let c_new = g.add(fc, ig);
-        let c_act = g.tanh(c_new);
-        let h_new = g.mul(o, c_act);
-        (h_new, c_new)
-    }
-
-    /// One recurrence step: consumes `x` (1×in_dim) and state, returns the new
-    /// `(h, c)`.
-    pub fn step(&self, g: &mut Graph, x: Var, h: Var, c: Var) -> (Var, Var) {
-        let bias = self.bias_slices(g);
-        self.step_with_bias(g, x, h, c, bias)
-    }
-
-    /// Runs the recurrence over a sequence of 1×in_dim nodes, returning every
-    /// hidden state (one per step).
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty: the LEAD data model guarantees every stay
-    /// point and move point sequence is non-empty.
-    pub fn forward(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
-        assert!(!xs.is_empty(), "LSTM over an empty sequence");
-        let bias = self.bias_slices(g);
-        let (mut h, mut c) = self.zero_state(g);
-        let mut hs = Vec::with_capacity(xs.len());
-        for &x in xs {
-            let (h2, c2) = self.step_with_bias(g, x, h, c, bias);
-            h = h2;
-            c = c2;
-            hs.push(h);
-        }
-        hs
-    }
-
-    /// Runs the recurrence feeding the *same* input vector at every one of
-    /// `steps` steps — the paper's decompression operator (Equation (5)),
-    /// which unrolls a compressed vector back into a sequence.
-    pub fn forward_repeated(&self, g: &mut Graph, x: Var, steps: usize) -> Vec<Var> {
-        assert!(steps > 0, "decompression over zero steps");
-        let bias = self.bias_slices(g);
-        let (mut h, mut c) = self.zero_state(g);
-        let mut hs = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let (h2, c2) = self.step_with_bias(g, x, h, c, bias);
-            h = h2;
-            c = c2;
-            hs.push(h);
-        }
-        hs
-    }
-
     /// Runs the recurrence over every sequence of a packed batch without a
     /// tape: `xs` holds the input rows (`in_dim` wide) the packing reads,
     /// and `out` receives one hidden row per step, laid out as the
@@ -176,7 +77,7 @@ impl Lstm {
     /// Each sequence starts from its row of `state` ([`LstmState::zeros`]
     /// for a fresh run), and its final state is written back there, so a
     /// run split into consecutive calls is bit-identical to one call over
-    /// the whole sequences, and to [`Self::forward`] on each sequence (see
+    /// the whole sequences, and to `Self::forward` on each sequence (see
     /// [`crate::infer`]).
     ///
     /// # Panics
@@ -303,7 +204,7 @@ impl Lstm {
     /// right), keeping every step's activations in `acts` for
     /// [`Self::train_backward`]. Under [`Packing::repeated`] each
     /// sequence's one input row is projected once and read at every step,
-    /// as [`Self::forward_repeated`] reads its vector.
+    /// as `Self::forward_repeated` reads its vector.
     ///
     /// # Panics
     /// Panics if `xs` has fewer rows than the packing reads or is not a
@@ -496,50 +397,21 @@ impl Lstm {
             }
         }
 
-        work.rank_of.clear();
-        work.rank_of.resize(batch, 0);
-        for rank in 0..batch {
-            work.rank_of[pack.seq_at(rank)] = rank;
-        }
-        // The bias: each sequence's steps last to first, then the
-        // per-sequence sums, last sequence first.
-        zeroed(&mut work.bias_part, g4);
-        let gb = grads.get_mut(self.b).data_mut();
-        for s in (0..batch).rev() {
-            let rank = work.rank_of[s];
-            work.bias_part.fill(0.0);
-            for t in (0..pack.seq_len(s)).rev() {
-                let p0 = (acts.starts[t] + rank) * g4;
-                kernel.axpy(1.0, &work.dpre[p0..p0 + g4], &mut work.bias_part);
-            }
-            kernel.axpy(1.0, &work.bias_part, gb);
-        }
-        // The weights: rows gathered last sequence first, steps last to
-        // first. The recurrent weights skip step 0, whose `h` is zero.
-        for recurrent in [false, true] {
-            let width = if recurrent { h } else { d };
-            work.rows_a.clear();
-            work.rows_b.clear();
-            for s in (0..batch).rev() {
-                let rank = work.rank_of[s];
-                let first = usize::from(recurrent);
-                for t in (first..pack.seq_len(s)).rev() {
-                    let row = if recurrent {
-                        &acts.h[(acts.starts[t - 1] + rank) * h..][..h]
-                    } else {
-                        let (src, _) = pack.step_rows(rank, t, reverse);
-                        &xs[src * d..(src + 1) * d]
-                    };
-                    work.rows_a.extend_from_slice(row);
-                    let p0 = (acts.starts[t] + rank) * g4;
-                    work.rows_b.extend_from_slice(&work.dpre[p0..p0 + g4]);
-                }
-            }
-            let n = work.rows_b.len() / g4;
-            let id = if recurrent { self.wh } else { self.wx };
-            let gw = grads.get_mut(id).data_mut();
-            kernel.matmul_at_b_acc(&work.rows_a, &work.rows_b, gw, n, width, g4);
-        }
+        let dpre = std::mem::take(&mut work.dpre);
+        let ids = [self.wx, self.wh, self.b];
+        recurrent_param_grads(
+            pack,
+            reverse,
+            &acts.starts,
+            xs,
+            &acts.h,
+            &dpre,
+            &dpre,
+            ids,
+            grads,
+            work,
+        );
+        work.dpre = dpre;
         if let Some(dx) = dx {
             zeroed(&mut work.dx_rows, rows * d);
             let wx = ps.value(self.wx).data();
@@ -558,6 +430,109 @@ impl Lstm {
                 }
             }
         }
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+impl Lstm {
+    /// Zero-valued initial `(h, c)` state.
+    pub fn zero_state(&self, g: &mut Graph) -> (Var, Var) {
+        let h = g.constant(Matrix::zeros(1, self.hidden));
+        let c = g.constant(Matrix::zeros(1, self.hidden));
+        (h, c)
+    }
+
+    /// The four per-gate bias slices `(i, f, g, o)`, recorded once so every
+    /// step of a sequence shares the same nodes.
+    fn bias_slices(&self, g: &mut Graph) -> (Var, Var, Var, Var) {
+        let b = g.param(self.b);
+        let hsz = self.hidden;
+        (
+            g.slice_cols(b, 0, hsz),
+            g.slice_cols(b, hsz, 2 * hsz),
+            g.slice_cols(b, 2 * hsz, 3 * hsz),
+            g.slice_cols(b, 3 * hsz, 4 * hsz),
+        )
+    }
+
+    /// One recurrence step with pre-sliced gate biases; the gates run
+    /// through the fused bias-then-activation kernels, which compute
+    /// `(x·Wx + h·Wh) + b` in the same per-element order the broadcast
+    /// formulation did.
+    fn step_with_bias(
+        &self,
+        g: &mut Graph,
+        x: Var,
+        h: Var,
+        c: Var,
+        bias: (Var, Var, Var, Var),
+    ) -> (Var, Var) {
+        debug_assert_eq!(g.value(x).shape(), (1, self.in_dim), "lstm input shape");
+        let (bi, bf, bg, bo) = bias;
+        let wx = g.param(self.wx);
+        let wh = g.param(self.wh);
+        let gx = g.matmul(x, wx);
+        let gh = g.matmul(h, wh);
+        let pre = g.add(gx, gh);
+        let hsz = self.hidden;
+        let i_pre = g.slice_cols(pre, 0, hsz);
+        let f_pre = g.slice_cols(pre, hsz, 2 * hsz);
+        let g_pre = g.slice_cols(pre, 2 * hsz, 3 * hsz);
+        let o_pre = g.slice_cols(pre, 3 * hsz, 4 * hsz);
+        let i = g.sigmoid_gate(i_pre, bi);
+        let f = g.sigmoid_gate(f_pre, bf);
+        let cand = g.tanh_gate(g_pre, bg);
+        let o = g.sigmoid_gate(o_pre, bo);
+        let fc = g.mul(f, c);
+        let ig = g.mul(i, cand);
+        let c_new = g.add(fc, ig);
+        let c_act = g.tanh(c_new);
+        let h_new = g.mul(o, c_act);
+        (h_new, c_new)
+    }
+
+    /// One recurrence step: consumes `x` (1×in_dim) and state, returns the new
+    /// `(h, c)`.
+    pub fn step(&self, g: &mut Graph, x: Var, h: Var, c: Var) -> (Var, Var) {
+        let bias = self.bias_slices(g);
+        self.step_with_bias(g, x, h, c, bias)
+    }
+
+    /// Runs the recurrence over a sequence of 1×in_dim nodes, returning every
+    /// hidden state (one per step).
+    ///
+    /// # Panics
+    /// Panics if `xs` is empty: the LEAD data model guarantees every stay
+    /// point and move point sequence is non-empty.
+    pub fn forward(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
+        assert!(!xs.is_empty(), "LSTM over an empty sequence");
+        let bias = self.bias_slices(g);
+        let (mut h, mut c) = self.zero_state(g);
+        let mut hs = Vec::with_capacity(xs.len());
+        for &x in xs {
+            let (h2, c2) = self.step_with_bias(g, x, h, c, bias);
+            h = h2;
+            c = c2;
+            hs.push(h);
+        }
+        hs
+    }
+
+    /// Runs the recurrence feeding the *same* input vector at every one of
+    /// `steps` steps — the paper's decompression operator (Equation (5)),
+    /// which unrolls a compressed vector back into a sequence.
+    pub fn forward_repeated(&self, g: &mut Graph, x: Var, steps: usize) -> Vec<Var> {
+        assert!(steps > 0, "decompression over zero steps");
+        let bias = self.bias_slices(g);
+        let (mut h, mut c) = self.zero_state(g);
+        let mut hs = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            let (h2, c2) = self.step_with_bias(g, x, h, c, bias);
+            h = h2;
+            c = c2;
+            hs.push(h);
+        }
+        hs
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Layers are plain structs of [`crate::ParamId`] handles; they register their
 //! parameters in a [`crate::ParamSet`] at construction and replay their
-//! computation onto a [`crate::Graph`] per forward pass. On the tape, a
+//! computation onto a `Graph` per forward pass. On the tape, a
 //! sequence is a slice of 1×d nodes, one per timestep, and each tape holds
 //! one training sample. The `infer` methods evaluate the same layers
 //! without a tape over a packed batch of sequences ([`crate::infer`]), and

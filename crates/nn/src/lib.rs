@@ -2,21 +2,20 @@
 //!
 //! The LEAD paper trains three neural systems — a hierarchical LSTM
 //! autoencoder with self-attention, two stacked-BiLSTM detectors, and
-//! GRU/LSTM baselines. No deep-learning dependency is available (or needed:
-//! all models are tiny, hidden sizes 32–128). Training accumulates
-//! gradients over `B` samples, each from a tape or, for the stacked-BiLSTM
-//! detectors and the autoencoder, from packed passes over all of a
-//! sample's sequences; inference packs many variable-length sequences into
-//! one batch. This crate implements the full stack:
+//! GRU/LSTM baselines (plus the `LEAD-NoGro` MLP ablation). No
+//! deep-learning dependency is available (or needed: all models are tiny,
+//! hidden sizes 32–128). Every model trains one way: packed forward passes
+//! over all of a sample's sequences ([`infer`]) and their hand-written
+//! backward halves ([`bptt`]), with gradients accumulated over `B` samples.
+//! An eager autodiff tape is the oracle those passes are held to, bit for
+//! bit; it compiles only under `cfg(test)` or the `reference` feature, so
+//! no production path can build one. This crate implements the full stack:
 //!
-//! - [`matrix`] — dense row-major `f32` matrices with the kernels the tape needs;
-//! - [`tape`] — eager reverse-mode autodiff ([`Graph`], [`Var`]);
-//! - [`infer`] — forward-only evaluation over packed batches of sequences,
-//!   bit-identical to the tape;
+//! - [`matrix`] — dense row-major `f32` matrices;
+//! - [`infer`] — forward-only evaluation over packed batches of sequences;
 //! - [`bptt`] — the packed passes' backward half: backpropagation through
 //!   time with the tape's gradients to the bit;
-//! - [`loss`] — the MSE and KLD losses and their gradients, shared by the
-//!   tape and [`bptt`];
+//! - [`loss`] — the MSE, KLD and sigmoid BCE losses and their gradients;
 //! - [`params`] — parameter arena ([`ParamSet`]) and gradient buffers;
 //! - [`init`] — Xavier/uniform initialisation;
 //! - [`layers`] — `Linear`, `Lstm`, `Gru`, `BiLstm`, `StackedBiLstm`,
@@ -28,29 +27,36 @@
 //!   contract against a safe scalar reference (the `lead-simd` crate,
 //!   re-exported here);
 //! - [`train`] — batch-accumulation loop helpers and early stopping;
-//! - [`testing`] — finite-difference gradient checking.
+//! - `tape` (`reference` only) — eager reverse-mode autodiff (`Graph`,
+//!   `Var`), the parity oracle;
+//! - `testing` (`reference` only) — finite-difference gradient checking
+//!   on the tape.
 //!
 //! ```
-//! use lead_nn::{Graph, Matrix, ParamSet};
+//! use lead_nn::bptt::TrainScratch;
+//! use lead_nn::layers::Linear;
 //! use lead_nn::optim::Adam;
+//! use lead_nn::{loss, ParamSet};
+//! use rand::rngs::StdRng;
+//! use rand::SeedableRng;
 //!
-//! // Fit y = x·W to a target with a few Adam steps.
+//! // Fit a 2 → 1 layer to a target with a few Adam steps: the packed
+//! // forward, the loss gradient, the layer's backward.
 //! let mut params = ParamSet::new();
-//! let w = params.register("w", Matrix::zeros(2, 1));
-//! let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-//! let target = Matrix::from_vec(1, 1, vec![3.0]);
+//! let layer = Linear::new(&mut params, &mut StdRng::seed_from_u64(1), "fc", 2, 1);
+//! let (x, target) = ([1.0, 2.0], [3.0]);
 //! let mut adam = Adam::new(&params, 0.1);
+//! let mut scratch = TrainScratch::new();
+//! let (mut y, mut dy, mut dx) = (Vec::new(), Vec::new(), Vec::new());
 //! for _ in 0..200 {
-//!     let mut g = Graph::new(&params);
-//!     let xv = g.constant(x.clone());
-//!     let wv = g.param(w);
-//!     let y = g.matmul(xv, wv);
-//!     let loss = g.mse_loss(y, &target);
-//!     let grads = g.backward(loss);
+//!     layer.infer(&params, &x, &mut y);
+//!     loss::mse_grad(1.0, &y, &target, &mut dy);
+//!     let mut grads = params.zero_gradients();
+//!     layer.train_backward(&params, &x, &dy, &mut dx, &mut grads, &mut scratch);
 //!     adam.step(&mut params, &grads);
 //! }
-//! let fit = x.matmul(params.value(w));
-//! assert!((fit.at(0, 0) - 3.0).abs() < 0.05);
+//! layer.infer(&params, &x, &mut y);
+//! assert!(loss::mse(&y, &target) < 1e-3);
 //! ```
 
 pub mod bptt;
@@ -65,11 +71,14 @@ pub mod optim;
 #[expect(clippy::disallowed_methods, reason = "R3: sanctioned thread home")]
 pub mod par;
 pub mod params;
+#[cfg(any(test, feature = "reference"))]
 pub mod tape;
+#[cfg(any(test, feature = "reference"))]
 pub mod testing;
 pub mod train;
 
 pub use lead_simd as simd;
 pub use matrix::Matrix;
 pub use params::{Gradients, ParamId, ParamSet};
+#[cfg(any(test, feature = "reference"))]
 pub use tape::{Graph, Var};

@@ -1,9 +1,9 @@
-//! The training losses, shared by the tape and the tape-free training path:
-//! the autoencoder's MSE and the detectors' KLD.
+//! The training losses: the autoencoder's MSE, the detectors' KLD, and the
+//! binary cross-entropy of the `LEAD-NoGro` MLP and the SP-RNN baselines.
 //!
-//! [`crate::Graph::mse_loss`], [`crate::Graph::kld_loss`] and their backward
-//! passes compute exactly these formulas, so a loss or gradient computed
-//! here is `to_bits`-equal to the tape's.
+//! The tape's `mse_loss`, `kld_loss` and `bce_with_logits_loss` and their
+//! backward passes call exactly these functions, so a loss or gradient
+//! computed here is `to_bits`-equal to the tape's.
 
 /// The mean squared error `Σ (y − t)² / n` of `y` against the constant
 /// target `t` (the paper's Equation (8)): the squares summed sequentially
@@ -25,6 +25,33 @@ pub fn mse_grad(gs: f32, y: &[f32], target: &[f32], dy: &mut Vec<f32>) {
     let scale = gs * 2.0 / crate::num::exact_usize_f32(y.len());
     dy.clear();
     dy.extend(y.iter().zip(target).map(|(&yi, &ti)| scale * (yi - ti)));
+}
+
+/// The mean numerically stable binary cross-entropy of logits `z` against
+/// targets `y ∈ [0, 1]`: `Σ (max(z, 0) − z·y + ln(1 + e^{−|z|})) / n`,
+/// summed in index order. The `ln` is the platform's `f32::ln`.
+pub fn bce_with_logits(z: &[f32], y: &[f32]) -> f32 {
+    assert_eq!(z.len(), y.len(), "bce length mismatch");
+    let mut v = 0.0;
+    for (&zi, &yi) in z.iter().zip(y) {
+        debug_assert!((0.0..=1.0).contains(&yi), "bce target outside [0,1]");
+        v += zi.max(0.0) - zi * yi + (1.0 + crate::simd::exp(-zi.abs())).ln();
+    }
+    v / crate::num::exact_usize_f32(y.len())
+}
+
+/// The gradient of [`bce_with_logits`] with respect to `z`, scaled by the
+/// upstream gradient `gs`: `(gs / n) · (sigmoid(z) − y)` per element,
+/// written to `dz`.
+pub fn bce_with_logits_grad(gs: f32, z: &[f32], y: &[f32], dz: &mut Vec<f32>) {
+    assert_eq!(z.len(), y.len(), "bce length mismatch");
+    let scale = gs / crate::num::exact_usize_f32(y.len());
+    dz.clear();
+    dz.extend(
+        z.iter()
+            .zip(y)
+            .map(|(&zi, &yi)| scale * (crate::simd::sigmoid(zi) - yi)),
+    );
 }
 
 /// The KL divergence `Σ p·ln(p/q)` of `q` from the constant distribution

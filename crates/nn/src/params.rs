@@ -1,7 +1,7 @@
 //! Trainable parameters and their gradient buffers.
 //!
 //! Layers own [`ParamId`] handles into a [`ParamSet`] arena. The tape
-//! ([`crate::tape::Graph`]) reads parameter values from the set during the
+//! (`tape::Graph`) reads parameter values from the set during the
 //! forward pass and writes gradients into a separate [`Gradients`] buffer
 //! during the backward pass, so the set itself stays immutable while a graph
 //! is alive. Optimisers ([`crate::optim`]) consume a `Gradients` to update the

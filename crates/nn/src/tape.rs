@@ -347,13 +347,7 @@ impl<'p> Graph<'p> {
     /// Used by the `LEAD-NoGro` ablation's per-candidate sigmoid classifier.
     pub fn bce_with_logits_loss(&mut self, z: Var, y: &Matrix) -> Var {
         assert_eq!(self.value(z).shape(), y.shape(), "bce target shape");
-        let zv = self.value(z);
-        let mut v = 0.0;
-        for (&zi, &yi) in zv.data().iter().zip(y.data().iter()) {
-            debug_assert!((0.0..=1.0).contains(&yi), "bce target outside [0,1]");
-            v += zi.max(0.0) - zi * yi + (1.0 + simd::exp(-zi.abs())).ln();
-        }
-        v /= y.len() as f32;
+        let v = crate::loss::bce_with_logits(self.value(z).data(), y.data());
         let ng = self.needs(z);
         self.push(
             Matrix::from_vec(1, 1, vec![v]),
@@ -580,10 +574,10 @@ impl<'p> Graph<'p> {
                 }
                 Op::BceWithLogitsLoss(z, y) => {
                     if self.needs(*z) {
-                        let gs = g.at(0, 0) / y.len() as f32;
                         let zv = &self.nodes[z.0].value;
-                        // d/dz = sigmoid(z) - y.
-                        let dg = zv.zip_map(y, |zi, yi| gs * (simd::sigmoid(zi) - yi));
+                        let mut dz = Vec::new();
+                        crate::loss::bce_with_logits_grad(g.at(0, 0), zv.data(), y.data(), &mut dz);
+                        let dg = Matrix::from_vec(zv.rows(), zv.cols(), dz);
                         self.grad_slot(&mut grads, *z).add_assign(&dg);
                     }
                 }

@@ -3,9 +3,10 @@
 //!
 //! The paper trains with batch size 1 (inputs have variable shapes) but
 //! back-propagates the *average* loss of `B = 64` consecutive samples as one
-//! optimiser step. [`AccumTrainer`] reproduces that exactly: submit one
-//! gradient per sample; every `B` submissions the mean gradient (optionally
-//! clipped) is applied. Every float loop in the accumulate → average → clip →
+//! optimiser step. [`AccumTrainer`] reproduces that exactly: a window of
+//! samples ([`AccumTrainer::submit_window_with`]) submits one gradient per
+//! sample, in sample order; every `B` submissions the mean gradient
+//! (optionally clipped) is applied. Every float loop in the accumulate → average → clip →
 //! step pipeline runs on the dispatched SIMD kernels (`axpy`, `scale`, `dot`,
 //! `adam_update`), so training is bit-identical across backends.
 
@@ -91,7 +92,7 @@ impl<'p> AccumTrainer<'p> {
 
     /// Submits one sample's gradients; steps the optimiser when the batch
     /// fills.
-    pub fn submit(&mut self, params: &mut ParamSet, grads: Gradients) {
+    pub(crate) fn submit(&mut self, params: &mut ParamSet, grads: Gradients) {
         match &mut self.acc {
             Some(acc) => acc.accumulate(&grads),
             None => self.acc = Some(grads),
@@ -104,38 +105,17 @@ impl<'p> AccumTrainer<'p> {
 
     /// Runs one accumulation window data-parallel: computes every item's
     /// `(loss, gradients)` with `f` against the shared read-only parameter
-    /// snapshot, then submits the gradients **in item order**. Because the
-    /// reduction order is fixed and each item's arithmetic is independent of
-    /// thread interleaving, the resulting parameters (and the returned
-    /// per-item losses) are bit-identical for every `num_threads`, including
-    /// the exact serial path at `num_threads = 1`.
+    /// snapshot, each worker reusing its own state built by `init` (see
+    /// [`crate::par::par_map_with`]), then submits the gradients **in item
+    /// order**. Because the reduction order is fixed and each item's
+    /// arithmetic is independent of thread interleaving, the resulting
+    /// parameters (and the returned per-item losses) are bit-identical for
+    /// every `num_threads`, including the exact serial path at
+    /// `num_threads = 1`.
     ///
-    /// Callers who want parity with a plain per-sample `submit` loop should
-    /// pass windows of at most `batch` items so optimiser steps land on the
-    /// same sample boundaries.
-    pub fn submit_window<T, F>(
-        &mut self,
-        params: &mut ParamSet,
-        num_threads: usize,
-        items: &[T],
-        f: F,
-    ) -> Vec<f32>
-    where
-        T: Sync,
-        F: Fn(usize, &T, &ParamSet) -> (f32, Gradients) + Sync,
-    {
-        self.submit_window_with(
-            params,
-            num_threads,
-            items,
-            || (),
-            |(), i, item, ps| f(i, item, ps),
-        )
-    }
-
-    /// [`Self::submit_window`] with per-worker state built by `init` (see
-    /// [`crate::par::par_map_with`]), so the items of a window can reuse
-    /// buffers.
+    /// Windows of at most `batch` items, starting on a batch boundary, land
+    /// the optimiser steps on the sample boundaries of a serial loop that
+    /// submits one sample at a time, so the two give the same bits.
     pub fn submit_window_with<T, S, I, F>(
         &mut self,
         params: &mut ParamSet,
@@ -392,7 +372,7 @@ mod tests {
             let mut ps = ParamSet::new();
             let w = ps.register("w", Matrix::from_vec(1, 2, vec![0.7, -0.4]));
             let mut tr = AccumTrainer::new(Adam::new(&ps, 0.05), 4).with_clip_norm(5.0);
-            let item_pass = |_: usize, target: &Matrix, ps: &ParamSet| {
+            let item_pass = |(): &mut (), _: usize, target: &Matrix, ps: &ParamSet| {
                 let mut g = Graph::new(ps);
                 let wv = g.param(w);
                 let l = g.mse_loss(wv, target);
@@ -403,11 +383,17 @@ mod tests {
             for _ in 0..3 {
                 if windowed {
                     for chunk in targets.chunks(4) {
-                        losses.extend(tr.submit_window(&mut ps, threads, chunk, item_pass));
+                        losses.extend(tr.submit_window_with(
+                            &mut ps,
+                            threads,
+                            chunk,
+                            || (),
+                            item_pass,
+                        ));
                     }
                 } else {
                     for (i, t) in targets.iter().enumerate() {
-                        let (loss, grads) = item_pass(i, t, &ps);
+                        let (loss, grads) = item_pass(&mut (), i, t, &ps);
                         losses.push(loss);
                         tr.submit(&mut ps, grads);
                     }

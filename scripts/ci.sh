@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
+# The library crates on their own, without the `reference` feature that
+# their tests and lead-bench turn on: the autodiff tape is not compiled, so
+# a `Graph` on a production path fails here.
+echo "==> cargo build --release -p lead-core -p lead-baselines -p lead-eval"
+cargo build --release -p lead-core -p lead-baselines -p lead-eval
+
 # The benchmark drives lead-core only through its public API from its own
 # package; building it here makes a breaking API change fail CI, not the
 # benchmark run.
@@ -27,11 +33,13 @@ cargo test --workspace -q
 # that only the scalar path has (or that AVX2 masks) cannot slip through on
 # AVX2 machines.
 # The tape-free inference and training parity suites ride along: detection
-# and the packed detector and autoencoder gradients must match the tape bit
-# for bit on the reference backend too, and so must every incrementally
-# streamed hypothesis match batch detection.
-echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-simd -p lead-nn"
-LEAD_SIMD_FORCE=scalar cargo test -q -p lead-simd -p lead-nn
+# and the packed detector, autoencoder, MLP, GRU and SP-RNN gradients must
+# match the tape bit for bit on the reference backend too (lead-baselines
+# also pins its SP-RNN digest there), every incrementally streamed
+# hypothesis must match batch detection, and training must not depend on
+# the thread count.
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-simd -p lead-nn -p lead-baselines"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-simd -p lead-nn -p lead-baselines
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test infer_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test train_parity"
@@ -40,6 +48,8 @@ echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test ae_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test ae_parity
 echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity"
 LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test incremental_parity
+echo "==> LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test parallel_parity"
+LEAD_SIMD_FORCE=scalar cargo test -q -p lead-core --test parallel_parity
 # The inference and streaming suites run on the active backend, which is
 # AVX-512 where the CPU has it: pin the 256-bit path too, so it stays
 # covered end to end on an AVX-512 host.
@@ -47,6 +57,14 @@ echo "==> LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test infer_parity"
 LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test infer_parity
 echo "==> LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test incremental_parity"
 LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --test incremental_parity
+# The GRU's packed passes and the SP-RNN and MLP training against the tape
+# (and the SP-RNN digest) on the 256-bit path.
+echo "==> LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-nn --lib gru"
+LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-nn --lib gru
+echo "==> LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-baselines --lib sp_rnn"
+LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-baselines --lib sp_rnn
+echo "==> LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --lib mlp"
+LEAD_SIMD_FORCE=avx2 cargo test -q -p lead-core --lib mlp
 
 # Planted-divergence self-test: the parity battery must actually catch a
 # kernel whose rounding differs (an FMA'd dot, axpy, aᵀ·b product and exp
