@@ -132,7 +132,7 @@ fn loss_and_gradients(
         ps,
         &s.hs[last..],
         &s.dy,
-        &mut s.dlast,
+        Some(&mut s.dlast),
         &mut grads,
         &mut s.train,
     );

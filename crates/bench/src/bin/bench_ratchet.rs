@@ -18,11 +18,13 @@
 //! - `--update-baseline PATH` — run the suite and (re)write the baseline.
 //! - `--self-test` — plant reverts into the ratio rows and require the gate
 //!   to reject each one: the tape detector in place of the packed one, the
-//!   AVX2 tiles in place of the AVX-512 ones in each matrix product, and a
-//!   1.5× delay in the optimised arm of [`DELAYED_ROW`]. Exits non-zero if
-//!   any plant passes. The first two are reverts, which read ≈ 1.0 and
-//!   every bound rejects; only [`DELAYED_ROW`]'s bound is sized to reject a
-//!   1.5× slowdown, and the other rows would pass one.
+//!   AVX2 tiles in place of the AVX-512 ones in each matrix product, AVX2's
+//!   8-lane transcendentals in place of the 16-lane ones in the gates and
+//!   the LSTM cell, and a 1.5× delay in the optimised arm of
+//!   [`DELAYED_ROW`]. Exits non-zero if any plant passes. The first three
+//!   are reverts, which read ≈ 1.0 and every bound rejects; only
+//!   [`DELAYED_ROW`]'s bound is sized to reject a 1.5× slowdown, and the
+//!   other rows would pass one.
 //!
 //! Every bound and setting is a constant here or in [`lead_bench::ratchet`];
 //! nothing is read from the environment.
@@ -56,6 +58,9 @@ enum Plant {
     TapeDetector,
     /// `Backend::Avx512` runs the AVX2 tiles in the three matrix products.
     Avx2Products,
+    /// `Backend::Avx512` runs AVX2's 8-lane transcendentals in the gates
+    /// and the LSTM cell.
+    Avx2Transcendentals,
     /// The optimised arm of [`DELAYED_ROW`] takes 1.5× as long.
     Delay,
 }
@@ -68,7 +73,8 @@ const STREAMING_ROW: &str = "streaming/incremental_over_batch_5000_points";
 
 /// Every ratio row's gate, `(row, seen, bound)`, and the only home of the
 /// bounds. `seen` is the highest median the row read over 22 or more suite
-/// processes on an idle 2-core AVX-512 VM; `bound`, the largest median that
+/// processes on an idle 2-core AVX-512 VM (3 for the two AVX-512 over AVX2
+/// transcendental rows); `bound`, the largest median that
 /// passes, sits halfway between `seen` and 1.0, the ratio a revert reads,
 /// to two decimals. Two rows differ:
 ///
@@ -81,7 +87,7 @@ const STREAMING_ROW: &str = "streaming/incremental_over_batch_5000_points";
 ///   once regressed to reads in the hundreds. Its bound is [`MAX_RATIO`]
 ///   times `seen`, the absolute rows' guard against complexity blow-ups, on
 ///   a measure that cancels clock drift.
-const GATES: [(&str, f64, f64); 12] = [
+const GATES: [(&str, f64, f64); 14] = [
     ("simd/matmul_acc_1x64x256_avx512_over_avx2", 0.570, 0.79),
     ("simd/matmul_acc_6x64x256_avx512_over_avx2", 0.649, 0.82),
     ("simd/matmul_acc_78x64x256_avx512_over_avx2", 0.728, 0.86),
@@ -93,6 +99,8 @@ const GATES: [(&str, f64, f64); 12] = [
     ),
     ("simd/sigmoid_gate_4096_avx2_over_scalar", 0.599, 0.8),
     ("simd/tanh_gate_4096_avx2_over_scalar", 0.620, 0.81),
+    ("simd/sigmoid_gate_4096_avx512_over_avx2", 0.636, 0.82),
+    ("simd/lstm_cell_78x64_avx512_over_avx2", 0.592, 0.8),
     ("detection/packed_over_tape_n14", 0.375, 0.69),
     (DELAYED_ROW, 0.084, 0.1),
     ("poi/grid_over_scan_counts_256_queries", 0.005, 0.5),
@@ -294,39 +302,114 @@ fn product_rows(suite: &mut Suite) {
     }
 }
 
-/// The two fused LSTM gates, AVX2 over the scalar reference. (`dot` has
-/// no row: the compiler vectorises the scalar reference's eight-lane
-/// blocked order, and AVX2 over it read 0.74–1.0 at 1,024–16,384 lanes.)
+/// The two fused LSTM gates, AVX2 over the scalar reference, and the
+/// sigmoid gate AVX-512 over AVX2. (`dot` has no row: the compiler
+/// vectorises the scalar reference's eight-lane blocked order, and AVX2
+/// over it read 0.74–1.0 at 1,024–16,384 lanes.)
 fn gate_rows(suite: &mut Suite) {
     let pre: Vec<f32> = (0..4_096).map(|i| (i as f32 * 0.23).sin() * 2.0).collect();
     let bias: Vec<f32> = (0..4_096).map(|i| (i as f32 * 0.11).cos() * 0.5).collect();
     let (mut out_fast, mut out_ref) = (vec![0.0f32; 4_096], vec![0.0f32; 4_096]);
     type Gate = fn(&Backend, &[f32], &[f32], &mut [f32]);
-    let gates: [(&str, Gate); 2] = [
+    let (wide, narrow) = (backend("avx512"), backend("avx2"));
+    let fast = if suite.planted(Plant::Avx2Transcendentals) {
+        narrow
+    } else {
+        wide
+    };
+    // (name, gate, optimised arm, reference arm, the plants that swap them)
+    type Row = (
+        &'static str,
+        Gate,
+        Option<Backend>,
+        Option<Backend>,
+        &'static [Plant],
+    );
+    let gates: [Row; 3] = [
         (
             "simd/sigmoid_gate_4096_avx2_over_scalar",
             Backend::sigmoid_gate,
+            narrow,
+            Some(Backend::Scalar),
+            &[],
         ),
-        ("simd/tanh_gate_4096_avx2_over_scalar", Backend::tanh_gate),
+        (
+            "simd/tanh_gate_4096_avx2_over_scalar",
+            Backend::tanh_gate,
+            narrow,
+            Some(Backend::Scalar),
+            &[],
+        ),
+        (
+            "simd/sigmoid_gate_4096_avx512_over_avx2",
+            Backend::sigmoid_gate,
+            fast,
+            narrow,
+            &[Plant::Avx2Transcendentals],
+        ),
     ];
-    for (name, gate) in gates {
-        let Some(avx2) = backend("avx2") else {
+    for (name, gate, opt, reference, targets) in gates {
+        let (Some(opt), Some(reference)) = (opt, reference) else {
             skip(name);
             continue;
         };
         suite.ratio(
             name,
-            &[],
+            targets,
             &mut || {
-                gate(&avx2, &pre, &bias, &mut out_fast);
+                gate(&opt, &pre, &bias, &mut out_fast);
                 black_box(&out_fast);
             },
             &mut || {
-                gate(&Backend::Scalar, &pre, &bias, &mut out_ref);
+                gate(&reference, &pre, &bias, &mut out_ref);
                 black_box(&out_ref);
             },
         );
     }
+}
+
+/// One recurrent step's cell updates, AVX-512 over AVX2: `lstm_cell` on
+/// each of 78 rows of the detector's 64 hidden units, as
+/// `Lstm::infer_with` calls it once per running sequence. Each call starts
+/// from the same cell state, so the values do not drift between calls.
+fn cell_rows(suite: &mut Suite) {
+    const ROWS: usize = 78;
+    const HIDDEN: usize = 64;
+    let name = "simd/lstm_cell_78x64_avx512_over_avx2";
+    let (Some(wide), Some(narrow)) = (backend("avx512"), backend("avx2")) else {
+        skip(name);
+        return;
+    };
+    let fast = if suite.planted(Plant::Avx2Transcendentals) {
+        narrow
+    } else {
+        wide
+    };
+    let values = |len: usize, salt: f32| -> Vec<f32> {
+        (0..len).map(|i| (i as f32 * salt).sin() * 3.0).collect()
+    };
+    let (gx, gh) = (
+        values(ROWS * 4 * HIDDEN, 0.37),
+        values(ROWS * 4 * HIDDEN, 0.11),
+    );
+    let (bias, c0) = (values(4 * HIDDEN, 0.53), values(ROWS * HIDDEN, 0.29));
+    let step = |k: &Backend, c: &mut [f32], h: &mut [f32]| {
+        c.copy_from_slice(&c0);
+        let rows = gx.chunks_exact(4 * HIDDEN).zip(gh.chunks_exact(4 * HIDDEN));
+        let state = c.chunks_exact_mut(HIDDEN).zip(h.chunks_exact_mut(HIDDEN));
+        for ((gx, gh), (c, h)) in rows.zip(state) {
+            k.lstm_cell(gx, gh, &bias, c, h);
+        }
+        black_box(&*h);
+    };
+    let (mut c_fast, mut h_fast) = (vec![0.0f32; ROWS * HIDDEN], vec![0.0f32; ROWS * HIDDEN]);
+    let (mut c_ref, mut h_ref) = (c_fast.clone(), h_fast.clone());
+    suite.ratio(
+        name,
+        &[Plant::Avx2Transcendentals],
+        &mut || step(&fast, &mut c_fast, &mut h_fast),
+        &mut || step(&narrow, &mut c_ref, &mut h_ref),
+    );
 }
 
 /// The packed detector and the shared-prefix encoder over their tape-era
@@ -646,6 +729,7 @@ fn run_suite(plant: Option<Plant>) -> Suite {
     let mut suite = Suite::new(plant);
     product_rows(&mut suite);
     gate_rows(&mut suite);
+    cell_rows(&mut suite);
     model_rows(&mut suite, &cfg);
     absolute_rows(&mut suite, &cfg);
     suite
@@ -653,7 +737,12 @@ fn run_suite(plant: Option<Plant>) -> Suite {
 
 /// Runs each plant and requires the gate to reject every row it planted.
 fn self_test() -> Result<(), String> {
-    for plant in [Plant::TapeDetector, Plant::Avx2Products, Plant::Delay] {
+    for plant in [
+        Plant::TapeDetector,
+        Plant::Avx2Products,
+        Plant::Avx2Transcendentals,
+        Plant::Delay,
+    ] {
         println!("==> planted revert: {plant:?}");
         let suite = run_suite(Some(plant));
         if suite.ratios.is_empty() {

@@ -308,7 +308,14 @@ fn loss_and_gradients(
     let loss = lead_nn::loss::kld(label.data(), &q);
     lead_nn::loss::kld_softmax_grad(label.data(), &q, &mut s.dlogits);
     let mut grads = ps.zero_gradients();
-    out.train_backward(ps, &s.hs, &s.dlogits, &mut s.dhs, &mut grads, &mut s.train);
+    out.train_backward(
+        ps,
+        &s.hs,
+        &s.dlogits,
+        Some(&mut s.dhs),
+        &mut grads,
+        &mut s.train,
+    );
     stack.train_backward(ps, &pack, xs, &s.dhs, &mut grads, &mut s.train);
     (loss, grads)
 }

@@ -114,11 +114,12 @@ fn loss_and_gradients(
         ..
     } = s;
     for (layer, input) in [(l4, &*a3), (l3, &*a2), (l2, &*a1)] {
-        layer.train_backward(ps, input, dy, dx, &mut grads, train);
+        layer.train_backward(ps, input, dy, Some(dx), &mut grads, train);
         relu_backward(dx, input);
         std::mem::swap(dy, dx);
     }
-    l1.train_backward(ps, xs, dy, dx, &mut grads, train);
+    // The c-vecs are constants: nothing reads their gradient.
+    l1.train_backward(ps, xs, dy, None, &mut grads, train);
     (loss, grads)
 }
 

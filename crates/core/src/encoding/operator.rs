@@ -354,8 +354,8 @@ fn fc_tanh_backward(
             fc1.train_backward_blocks(ps, x, &acts.da, blocks, &mut acts.dx, grads, scratch);
         }
         None => {
-            fc2.train_backward(ps, &acts.a, &acts.db, &mut acts.da, grads, scratch);
-            fc1.train_backward(ps, x, &acts.da, &mut acts.dx, grads, scratch);
+            fc2.train_backward(ps, &acts.a, &acts.db, Some(&mut acts.da), grads, scratch);
+            fc1.train_backward(ps, x, &acts.da, Some(&mut acts.dx), grads, scratch);
         }
     }
 }

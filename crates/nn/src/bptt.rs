@@ -534,7 +534,7 @@ mod tests {
             );
             crate::loss::mse_grad(1.0, &out, &target, &mut dy);
             let mut got = ps.zero_gradients();
-            head.train_backward(&ps, &hs, &dy, &mut dhs, &mut got, &mut scratch);
+            head.train_backward(&ps, &hs, &dy, Some(&mut dhs), &mut got, &mut scratch);
             gru.train_backward(&ps, &pack, &xs, &acts, &dhs, &mut got, &mut scratch);
             for ((id, a), (_, b)) in got.iter().zip(want.iter()) {
                 assert_eq!(bits(a), bits(b), "{}", ps.name(id));
@@ -605,7 +605,7 @@ mod tests {
             let mut dy = Vec::new();
             crate::loss::mse_grad(1.0, &out, &target, &mut dy);
             let mut got = ps.zero_gradients();
-            head.train_backward(&ps, &hs, &dy, &mut dhs, &mut got, &mut scratch);
+            head.train_backward(&ps, &hs, &dy, Some(&mut dhs), &mut got, &mut scratch);
             stack.train_backward(&ps, &pack, &xs, &dhs, &mut got, &mut scratch);
             for ((id, a), (_, b)) in got.iter().zip(want.iter()) {
                 assert_eq!(bits(a), bits(b), "{}", ps.name(id));

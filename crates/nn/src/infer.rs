@@ -250,20 +250,13 @@ impl Scratch {
     }
 }
 
-/// Per-direction LSTM buffers: input projections for every row, and the
-/// recurrent state and gates of the running sequences.
+/// Per-direction LSTM buffers: input projections for every row, the
+/// recurrent projections of one step, and the recurrent state of the
+/// running sequences.
 #[derive(Debug, Default)]
 pub(crate) struct CellScratch {
     pub(crate) gx: Vec<f32>,
     pub(crate) gh: Vec<f32>,
-    pub(crate) pre: Vec<f32>,
-    pub(crate) i: Vec<f32>,
-    pub(crate) f: Vec<f32>,
-    pub(crate) g: Vec<f32>,
-    pub(crate) o: Vec<f32>,
-    pub(crate) fc: Vec<f32>,
-    pub(crate) ig: Vec<f32>,
-    pub(crate) tc: Vec<f32>,
     pub(crate) h: Vec<f32>,
     pub(crate) c: Vec<f32>,
 }

@@ -138,7 +138,7 @@ impl BiLstm {
         let (mut dhf, mut dhb) = (std::mem::take(&mut work.dhf), std::mem::take(&mut work.dhb));
         let visits = super::linear::rows_last_first(pack.output_rows());
         self.merge
-            .backward_with(ps, &acts.cat, dy, visits, &mut dcat, grads, work);
+            .backward_with(ps, &acts.cat, dy, visits, Some(&mut dcat), grads, work);
         zeroed(&mut dhf, pack.output_rows() * h);
         zeroed(&mut dhb, pack.output_rows() * h);
         for ((row, f), b) in dcat

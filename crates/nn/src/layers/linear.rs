@@ -66,8 +66,8 @@ impl Linear {
 
     /// The backward pass of [`Self::infer`] over the rows of `x`, given the
     /// gradient `dy` of every output row: accumulates the weight and bias
-    /// gradients into `grads` and writes the gradient of every input row to
-    /// `dx`. Bit-identical to applying `Self::forward` to each row, in
+    /// gradients into `grads` and, given `dx`, writes the gradient of every
+    /// input row to it. Bit-identical to applying `Self::forward` to each row, in
     /// row order, on one tape and running `Graph::backward`: the
     /// tape visits the rows last to first ([`crate::bptt`]).
     ///
@@ -78,7 +78,7 @@ impl Linear {
         ps: &ParamSet,
         x: &[f32],
         dy: &[f32],
-        dx: &mut Vec<f32>,
+        dx: Option<&mut Vec<f32>>,
         grads: &mut Gradients,
         scratch: &mut TrainScratch,
     ) {
@@ -116,7 +116,7 @@ impl Linear {
             end -= len;
             end..end + len
         });
-        self.backward_with(ps, x, dy, visits, dx, grads, &mut scratch.work);
+        self.backward_with(ps, x, dy, visits, Some(dx), grads, &mut scratch.work);
     }
 
     /// The backward pass over the temporaries alone, so a BiLSTM can run
@@ -129,7 +129,7 @@ impl Linear {
         x: &[f32],
         dy: &[f32],
         visits: impl Iterator<Item = Range<usize>>,
-        dx: &mut Vec<f32>,
+        dx: Option<&mut Vec<f32>>,
         grads: &mut Gradients,
         work: &mut Work,
     ) {
@@ -153,8 +153,10 @@ impl Linear {
         for dr in work.rows_b.chunks_exact(n) {
             kernel.axpy(1.0, dr, gb);
         }
-        zeroed(dx, rows * d);
-        kernel.matmul_a_bt_acc(dy, ps.value(self.w).data(), dx, rows, n, d);
+        if let Some(dx) = dx {
+            zeroed(dx, rows * d);
+            kernel.matmul_a_bt_acc(dy, ps.value(self.w).data(), dx, rows, n, d);
+        }
     }
 }
 

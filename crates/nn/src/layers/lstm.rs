@@ -124,21 +124,9 @@ impl Lstm {
         let wh = ps.value(self.wh).data();
         let bias = ps.value(self.b).data();
         let batch = pack.active(0);
-        for buf in [
-            &mut cell.i,
-            &mut cell.f,
-            &mut cell.g,
-            &mut cell.o,
-            &mut cell.fc,
-            &mut cell.ig,
-            &mut cell.tc,
-            &mut cell.h,
-            &mut cell.c,
-        ] {
-            zeroed(buf, batch * h);
-        }
+        zeroed(&mut cell.h, batch * h);
+        zeroed(&mut cell.c, batch * h);
         zeroed(&mut cell.gh, batch * g4);
-        zeroed(&mut cell.pre, batch * g4);
         zeroed(out, pack.output_rows() * h);
         let carried = state.is_some();
         if let Some(st) = state.as_deref() {
@@ -162,30 +150,16 @@ impl Lstm {
                 kernel.matmul_acc(&cell.h[..ah], wh, gh, active, h, g4);
             }
             for rank in 0..active {
-                let (src, _) = pack.step_rows(rank, t, reverse);
+                let (src, dst) = pack.step_rows(rank, t, reverse);
                 let (o4, r) = (rank * g4, rank * h..(rank + 1) * h);
-                gates(
-                    kernel,
+                kernel.lstm_cell(
                     &cell.gx[src * g4..(src + 1) * g4],
                     &cell.gh[o4..o4 + g4],
                     bias,
-                    &mut cell.pre[o4..o4 + g4],
-                    [
-                        &mut cell.i[r.clone()],
-                        &mut cell.f[r.clone()],
-                        &mut cell.g[r.clone()],
-                        &mut cell.o[r],
-                    ],
+                    &mut cell.c[r.clone()],
+                    &mut cell.h[r.clone()],
                 );
-            }
-            kernel.mul(&cell.f[..ah], &cell.c[..ah], &mut cell.fc[..ah]);
-            kernel.mul(&cell.i[..ah], &cell.g[..ah], &mut cell.ig[..ah]);
-            kernel.add(&cell.fc[..ah], &cell.ig[..ah], &mut cell.c[..ah]);
-            kernel.tanh(&cell.c[..ah], &mut cell.tc[..ah]);
-            kernel.mul(&cell.o[..ah], &cell.tc[..ah], &mut cell.h[..ah]);
-            for rank in 0..active {
-                let (_, dst) = pack.step_rows(rank, t, reverse);
-                out[dst * h..(dst + 1) * h].copy_from_slice(&cell.h[rank * h..(rank + 1) * h]);
+                out[dst * h..(dst + 1) * h].copy_from_slice(&cell.h[r]);
             }
         }
         // A finished sequence's rows are left alone by later steps, so they
@@ -536,9 +510,9 @@ impl Lstm {
     }
 }
 
-/// The gates of one LSTM step for one row, shared by inference and
-/// training: `pre = gx + gh`, then the fused bias-then-activation kernels
-/// write `[i, f, g, o]`.
+/// The gates of one training step for one row: `pre = gx + gh`, then the
+/// fused bias-then-activation kernels write `[i, f, g, o]`, the sequence
+/// [`Kernel::lstm_cell`] runs in inference.
 #[inline]
 fn gates(
     kernel: crate::simd::Backend,

@@ -47,12 +47,12 @@
 //! let (x, target) = ([1.0, 2.0], [3.0]);
 //! let mut adam = Adam::new(&params, 0.1);
 //! let mut scratch = TrainScratch::new();
-//! let (mut y, mut dy, mut dx) = (Vec::new(), Vec::new(), Vec::new());
+//! let (mut y, mut dy) = (Vec::new(), Vec::new());
 //! for _ in 0..200 {
 //!     layer.infer(&params, &x, &mut y);
 //!     loss::mse_grad(1.0, &y, &target, &mut dy);
 //!     let mut grads = params.zero_gradients();
-//!     layer.train_backward(&params, &x, &dy, &mut dx, &mut grads, &mut scratch);
+//!     layer.train_backward(&params, &x, &dy, None, &mut grads, &mut scratch);
 //!     adam.step(&mut params, &grads);
 //! }
 //! layer.infer(&params, &x, &mut y);

@@ -14,14 +14,9 @@
 //!   reference's exact operation sequence to eight elements at once, and
 //!   every individual operation used (`add`, `sub`, `mul`, `div`, `sqrt`)
 //!   is IEEE correctly rounded, so each element's bits are unchanged.
-//! - The transcendental kernels ([`exp`], [`sigmoid`], [`tanh`] and the
-//!   gates [`sigmoid_gate`], [`tanh_gate`]) mirror the reference's
-//!   libm-free definitions lane for lane: the same constants and the same
-//!   exactly rounded operations in the same order, separate `mul` and `add`
-//!   in every polynomial step, integer lanes for the exponent bits. Where
-//!   the reference branches per element (NaN, `tanh`'s polynomial range,
-//!   the summation order of `sigmoid`'s denominator), both sides are
-//!   computed and each lane takes the one its element would have taken.
+//! - The transcendental kernels ([`map`] of `exp`, `sigmoid` and `tanh`,
+//!   the gates [`gate`], and [`lstm_cell`]) are the [`lanes`] definitions
+//!   at 256 bits, lane for lane the reference's libm-free ones.
 //! - [`matmul_acc`] and [`matmul_at_b_acc`] are the [`tiles`] engine at 256
 //!   bits, which reorders only *which* element is updated when, never the
 //!   per-element sequence of exactly rounded multiply-then-add steps in
@@ -39,11 +34,12 @@ use core::arch::x86_64::{
     _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
     _mm256_div_ps, _mm256_loadu_ps, _mm256_max_epi32, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
     _mm256_or_ps, _mm256_permute2f128_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
-    _mm256_setzero_si256, _mm256_shuffle_ps, _mm256_slli_epi32, _mm256_sqrt_ps, _mm256_srai_epi32,
-    _mm256_storeu_ps, _mm256_sub_epi32, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
-    _mm256_xor_ps, _CMP_LT_OQ, _CMP_UNORD_Q,
+    _mm256_shuffle_ps, _mm256_slli_epi32, _mm256_sqrt_ps, _mm256_srai_epi32, _mm256_storeu_ps,
+    _mm256_sub_epi32, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm256_xor_ps,
+    _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
+use crate::lanes::{self, Activation, Lanes};
 use crate::tiles::{self, Columns, Vector};
 use crate::{scalar, AdamCoeffs, LANES};
 
@@ -200,189 +196,125 @@ pub(super) unsafe fn scale(x: &mut [f32], s: f32) {
 }
 
 // ---- transcendentals -------------------------------------------------------
-//
-// Lane for lane the scalar reference's `exp_one`, `sigmoid_one` and
-// `tanh_one`: the same constants, the same operations in the same order,
-// separate multiply and add. Where the reference branches per element, the
-// vector code computes both sides and selects each lane.
 
-/// Broadcasts one `f32` to every lane.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn splat(x: f32) -> __m256 {
-    _mm256_set1_ps(x)
-}
+impl Lanes for __m256 {
+    type Int = __m256i;
+    type Mask = __m256;
 
-/// `min(hi, max(lo, x))` per lane: the scalar `x.clamp(lo, hi)` for every
-/// non-NaN `x` (NaN lanes are replaced by [`nan_passthrough`] later).
-#[inline]
-#[target_feature(enable = "avx2")]
-fn clamp(x: __m256, lo: f32, hi: f32) -> __m256 {
-    _mm256_min_ps(splat(hi), _mm256_max_ps(splat(lo), x))
-}
-
-/// Puts each NaN lane of `x` back into `y`, unchanged: the reference
-/// returns a NaN input as it is.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn nan_passthrough(x: __m256, y: __m256) -> __m256 {
-    _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
-}
-
-/// `2^e` per lane for `−126 ≤ e ≤ 127`, built from the exponent bits.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn pow2(e: __m256i) -> __m256 {
-    _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-        e,
-        _mm256_set1_epi32(127),
-    )))
-}
-
-/// `y · 2^k` per lane as the reference's `scale_pow2`: two multiplies by
-/// `2^(k >> 1)` and `2^(k − (k >> 1))`, in that order.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn scale_pow2(y: __m256, k: __m256i) -> __m256 {
-    let half = _mm256_srai_epi32::<1>(k);
-    _mm256_mul_ps(
-        _mm256_mul_ps(y, pow2(half)),
-        pow2(_mm256_sub_epi32(k, half)),
-    )
-}
-
-/// The reference's `exp_parts` per lane: `eˣ = 2^k · (1 + q)`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn exp_parts(x: __m256) -> (__m256i, __m256) {
-    let magic = splat(scalar::ROUND_MAGIC);
-    let t = _mm256_add_ps(_mm256_mul_ps(x, splat(scalar::LOG2E)), magic);
-    let kf = _mm256_sub_ps(t, magic);
-    let k = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_castps_si256(magic));
-    let r = _mm256_sub_ps(
-        _mm256_sub_ps(x, _mm256_mul_ps(kf, splat(scalar::LN2_HI))),
-        _mm256_mul_ps(kf, splat(scalar::LN2_LO)),
-    );
-    let [lead, rest @ ..] = scalar::EXP_POLY;
-    let mut p = splat(lead);
-    for c in rest {
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), splat(c));
+    #[inline(always)]
+    unsafe fn sub(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_sub_ps(a, b) }
     }
-    (k, _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r))
-}
 
-/// `exp` on eight lanes, bit-identical to the reference's `exp_one`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn exp8(x: __m256) -> __m256 {
-    let (k, q) = exp_parts(clamp(x, scalar::EXP_MIN, scalar::EXP_MAX));
-    nan_passthrough(x, scale_pow2(_mm256_add_ps(q, splat(1.0)), k))
-}
-
-/// `sigmoid` on eight lanes, bit-identical to the reference's
-/// `sigmoid_one`, including its choice of summation order for `d`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn sigmoid8(x: __m256) -> __m256 {
-    let one = splat(1.0);
-    let neg_x = _mm256_xor_ps(x, splat(-0.0));
-    let (k, q) = exp_parts(clamp(neg_x, -scalar::SIGMOID_ONE, -scalar::EXP_MIN));
-    let neg_k = _mm256_sub_epi32(_mm256_setzero_si256(), k);
-    let h = pow2(_mm256_max_epi32(
-        neg_k,
-        _mm256_set1_epi32(scalar::SIGMOID_MIN_EXP),
-    ));
-    let exact_first = _mm256_add_ps(_mm256_add_ps(one, h), q);
-    let small_first = _mm256_add_ps(one, _mm256_add_ps(h, q));
-    let k_small = _mm256_cmpgt_epi32(_mm256_set1_epi32(scalar::SIGMOID_EXACT_K), k);
-    let d = _mm256_blendv_ps(small_first, exact_first, _mm256_castsi256_ps(k_small));
-    nan_passthrough(x, scale_pow2(_mm256_div_ps(one, d), neg_k))
-}
-
-/// `tanh` on eight lanes, bit-identical to the reference's `tanh_one`.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn tanh8(x: __m256) -> __m256 {
-    let sign = splat(-0.0);
-    let one = splat(1.0);
-    let a = _mm256_andnot_ps(sign, x);
-    let z = _mm256_mul_ps(a, a);
-    let [lead, rest @ ..] = scalar::TANH_POLY;
-    let mut p = splat(lead);
-    for c in rest {
-        p = _mm256_add_ps(_mm256_mul_ps(p, z), splat(c));
+    #[inline(always)]
+    unsafe fn div(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_div_ps(a, b) }
     }
-    let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), a), a);
-    let e = exp8(_mm256_add_ps(a, a));
-    let big = _mm256_sub_ps(one, _mm256_div_ps(splat(2.0), _mm256_add_ps(e, one)));
-    let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(a, splat(scalar::TANH_POLY_MAX));
-    let t = _mm256_blendv_ps(big, small, is_small);
-    // `t.copysign(x)`.
-    let t = _mm256_or_ps(_mm256_andnot_ps(sign, t), _mm256_and_ps(sign, x));
-    nan_passthrough(x, t)
-}
 
-/// Applies `f` to every full chunk of `a` into `out` and `tail` to the
-/// remainder.
-///
-/// # Safety
-///
-/// The caller must be in an AVX2 `target_feature` context.
-// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
-// callers uphold the AVX2 context.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn map8(
-    a: &[f32],
-    out: &mut [f32],
-    f: impl Fn(__m256) -> __m256,
-    tail: fn(&[f32], &mut [f32]),
-) {
-    let n = a.len().min(out.len());
-    let (a, out) = (&a[..n], &mut out[..n]);
-    let mut ca = a.chunks_exact(LANES);
-    let mut co = out.chunks_exact_mut(LANES);
-    for (ka, ko) in ca.by_ref().zip(co.by_ref()) {
-        // SAFETY: in an AVX2 context; chunks are exactly LANES long.
-        let r = f(unsafe { __m256::load(ka) });
-        // SAFETY: in an AVX2 context; `ko` is exactly LANES long.
-        unsafe { __m256::store(ko, r) };
+    #[inline(always)]
+    unsafe fn min(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_min_ps(a, b) }
     }
-    tail(ca.remainder(), co.into_remainder());
-}
 
-/// Applies `f` to `pre + bias` over every full chunk and `tail` to the
-/// remainder: the shape of both gate kernels.
-///
-/// # Safety
-///
-/// The caller must be in an AVX2 `target_feature` context.
-// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
-// callers uphold the AVX2 context.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gate8(
-    pre: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    f: impl Fn(__m256) -> __m256,
-    tail: fn(&[f32], &[f32], &mut [f32]),
-) {
-    let n = pre.len().min(bias.len()).min(out.len());
-    let (pre, bias, out) = (&pre[..n], &bias[..n], &mut out[..n]);
-    let mut cp = pre.chunks_exact(LANES);
-    let mut cb = bias.chunks_exact(LANES);
-    let mut co = out.chunks_exact_mut(LANES);
-    for ((kp, kb), ko) in cp.by_ref().zip(cb.by_ref()).zip(co.by_ref()) {
-        // SAFETY: in an AVX2 context; chunks are exactly LANES long.
-        let r = f(unsafe { _mm256_add_ps(__m256::load(kp), __m256::load(kb)) });
-        // SAFETY: in an AVX2 context; `ko` is exactly LANES long.
-        unsafe { __m256::store(ko, r) };
+    #[inline(always)]
+    unsafe fn max(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_max_ps(a, b) }
     }
-    tail(cp.remainder(), cb.remainder(), co.into_remainder());
+
+    #[inline(always)]
+    unsafe fn neg(x: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_xor_ps(x, _mm256_set1_ps(-0.0)) }
+    }
+
+    #[inline(always)]
+    unsafe fn abs(x: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_andnot_ps(_mm256_set1_ps(-0.0), x) }
+    }
+
+    #[inline(always)]
+    unsafe fn copysign(mag: Self, sign: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe {
+            let s = _mm256_set1_ps(-0.0);
+            _mm256_or_ps(_mm256_andnot_ps(s, mag), _mm256_and_ps(s, sign))
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn bits(x: Self) -> __m256i {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_castps_si256(x) }
+    }
+
+    #[inline(always)]
+    unsafe fn exponent(e: __m256i) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_castsi256_ps(_mm256_slli_epi32::<23>(e)) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_splat(i: i32) -> __m256i {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_set1_epi32(i) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_add(a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_add_epi32(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_sub(a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_sub_epi32(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_max(a: __m256i, b: __m256i) -> __m256i {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_max_epi32(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_halve(k: __m256i) -> __m256i {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_srai_epi32::<1>(k) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_lt(a: __m256i, b: __m256i) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_castsi256_ps(_mm256_cmpgt_epi32(b, a)) }
+    }
+
+    #[inline(always)]
+    unsafe fn lt(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_cmp_ps::<_CMP_LT_OQ>(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn is_nan(x: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x) }
+    }
+
+    #[inline(always)]
+    unsafe fn select(m: Self, a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX2 context, per the trait's contract.
+        unsafe { _mm256_blendv_ps(b, a, m) }
+    }
 }
 
-/// `out = exp(a)` elementwise (tail delegated to scalar).
+/// `out = A(a)` elementwise: [`lanes::map`] at 256 bits, tail delegated to
+/// scalar.
 ///
 /// # Safety
 ///
@@ -390,38 +322,14 @@ unsafe fn gate8(
 // SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn exp(a: &[f32], out: &mut [f32]) {
-    // SAFETY: in an AVX2 context (this fn's own target_feature).
-    unsafe { map8(a, out, |v| exp8(v), scalar::exp) };
+pub(super) unsafe fn map<A: Activation>(a: &[f32], out: &mut [f32]) {
+    // SAFETY: the instance carries no `target_feature` and is inlined
+    // here, under AVX2.
+    let j = unsafe { lanes::map::<__m256, A>(a, out, 0) };
+    lanes::map_tail::<A>(a, out, j);
 }
 
-/// `out = sigmoid(a)` elementwise (tail delegated to scalar).
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
-// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
-// the feature-detection precondition is the entire soundness argument.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn sigmoid(a: &[f32], out: &mut [f32]) {
-    // SAFETY: in an AVX2 context (this fn's own target_feature).
-    unsafe { map8(a, out, |v| sigmoid8(v), scalar::sigmoid) };
-}
-
-/// `out = tanh(a)` elementwise (tail delegated to scalar).
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 (guarded by the `Backend` dispatcher).
-// SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
-// the feature-detection precondition is the entire soundness argument.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn tanh(a: &[f32], out: &mut [f32]) {
-    // SAFETY: in an AVX2 context (this fn's own target_feature).
-    unsafe { map8(a, out, |v| tanh8(v), scalar::tanh) };
-}
-
-/// Fused gate `out = sigmoid(pre + bias)`: the exactly rounded add and the
+/// Fused gate `out = A(pre + bias)`: the exactly rounded add and the
 /// activation both run eight lanes at a time (tail delegated to scalar).
 ///
 /// # Safety
@@ -430,12 +338,14 @@ pub(super) unsafe fn tanh(a: &[f32], out: &mut [f32]) {
 // SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn sigmoid_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
-    // SAFETY: in an AVX2 context (this fn's own target_feature).
-    unsafe { gate8(pre, bias, out, |v| sigmoid8(v), scalar::sigmoid_gate) };
+pub(super) unsafe fn gate<A: Activation>(pre: &[f32], bias: &[f32], out: &mut [f32]) {
+    // SAFETY: as in `map`.
+    let j = unsafe { lanes::gate::<__m256, A>(pre, bias, out, 0) };
+    lanes::gate_tail::<A>(pre, bias, out, j);
 }
 
-/// Fused gate `out = tanh(pre + bias)`; see [`sigmoid_gate`].
+/// One LSTM cell step, [`lanes::lstm_cell`] at 256 bits (tail delegated to
+/// scalar).
 ///
 /// # Safety
 ///
@@ -443,9 +353,10 @@ pub(super) unsafe fn sigmoid_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
 // SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn tanh_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
-    // SAFETY: in an AVX2 context (this fn's own target_feature).
-    unsafe { gate8(pre, bias, out, |v| tanh8(v), scalar::tanh_gate) };
+pub(super) unsafe fn lstm_cell(gx: &[f32], gh: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+    // SAFETY: as in `map`.
+    let j = unsafe { lanes::lstm_cell::<__m256>(gx, gh, bias, c, h, 0) };
+    scalar::lstm_cell_from(gx, gh, bias, c, h, j);
 }
 
 /// Sigmoid backward `out = g * y * (1 - y)`, left-associated exactly like

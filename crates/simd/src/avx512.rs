@@ -1,28 +1,38 @@
-//! The 512-bit register tiles of the AVX-512 backend (x86-64 only).
+//! The 512-bit registers of the AVX-512 backend (x86-64 only).
 //!
-//! [`Backend::Avx512`](crate::Backend::Avx512) runs every kernel through
-//! [`crate::avx2`] except the three products. [`matmul_acc`] and
-//! [`matmul_at_b_acc`] are the [`tiles`] engine at 512 bits: tiles of `V`
-//! registers a row (two for 3–6 rows, four for two, eight for one, so a
-//! short block still keeps six or more sums in flight), then of two, then
-//! the 256-bit order on the columns left over. [`matmul_a_bt_acc`] holds
-//! two dots per register and hands them to AVX2's fold.
+//! [`Backend::Avx512`](crate::Backend::Avx512) runs the three products,
+//! the transcendentals and the LSTM cell here, and every other kernel
+//! through [`crate::avx2`]. [`matmul_acc`] and [`matmul_at_b_acc`] are the
+//! [`tiles`] engine at 512 bits: tiles of `V` registers a row (two for 3–6
+//! rows, four for two, eight for one, so a short block still keeps six or
+//! more sums in flight), then of two, then the 256-bit order on the columns
+//! left over. [`matmul_a_bt_acc`] holds two dots per register and hands
+//! them to AVX2's fold. [`map`] (`exp`, `sigmoid`, `tanh`), [`gate`] and
+//! [`lstm_cell`] are the [`lanes`] definitions 16 lanes at a time, then 8
+//! on the elements left over, then the scalar reference.
 //!
 //! Bit-identity with [`crate::scalar`] holds for the reasons it holds for
-//! the 256-bit kernels: the engine's order is the same at either width. In
+//! the 256-bit kernels: the engine's order is the same at either width, and
+//! so is every lane's sequence of operations in the transcendentals. In
 //! [`matmul_a_bt_acc`] each 256-bit half of a register is one dot's eight
 //! lane accumulators, updated exactly as `dot` updates its own, and folded
 //! by the AVX2 code that folds them.
 
 use core::arch::x86_64::{
-    __m256, __m512, _mm256_castpd_ps, _mm256_castps_pd, _mm256_loadu_ps, _mm256_setzero_ps,
-    _mm512_add_ps, _mm512_broadcast_f64x4, _mm512_castpd256_pd512, _mm512_castpd_ps,
-    _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_insertf64x4, _mm512_loadu_ps, _mm512_mul_ps,
-    _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    __m256, __m512, __m512i, __mmask16, _mm256_castpd_ps, _mm256_castps_pd, _mm256_loadu_ps,
+    _mm256_setzero_ps, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512, _mm512_andnot_si512,
+    _mm512_broadcast_f64x4, _mm512_castpd256_pd512, _mm512_castpd_ps, _mm512_castps_pd,
+    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmp_ps_mask, _mm512_cmplt_epi32_mask,
+    _mm512_div_ps, _mm512_extractf64x4_pd, _mm512_insertf64x4, _mm512_loadu_ps,
+    _mm512_mask_blend_ps, _mm512_max_epi32, _mm512_max_ps, _mm512_min_ps, _mm512_mul_ps,
+    _mm512_or_si512, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_slli_epi32,
+    _mm512_srai_epi32, _mm512_storeu_ps, _mm512_sub_epi32, _mm512_sub_ps, _mm512_xor_si512,
+    _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
+use crate::lanes::{self, Activation, Lanes};
 use crate::tiles::{self, Columns, Vector};
-use crate::{avx2, LANES};
+use crate::{avx2, scalar, LANES};
 
 impl Vector for __m512 {
     const LANES: usize = 16;
@@ -68,6 +78,197 @@ impl Vector for __m512 {
         // SAFETY: in an AVX-512F context, per the trait's contract.
         unsafe { _mm512_mul_ps(a, b) }
     }
+}
+
+impl Lanes for __m512 {
+    type Int = __m512i;
+    type Mask = __mmask16;
+
+    #[inline(always)]
+    unsafe fn sub(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_sub_ps(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn div(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_div_ps(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn min(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_min_ps(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn max(a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_max_ps(a, b) }
+    }
+
+    // The sign-bit operations run on integer lanes: AVX-512F has no
+    // floating-point `xor`, `and` or `or` (those are AVX-512DQ).
+
+    #[inline(always)]
+    unsafe fn neg(x: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_castsi512_ps(_mm512_xor_si512(Self::bits(x), sign_bit())) }
+    }
+
+    #[inline(always)]
+    unsafe fn abs(x: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_castsi512_ps(_mm512_andnot_si512(sign_bit(), Self::bits(x))) }
+    }
+
+    #[inline(always)]
+    unsafe fn copysign(mag: Self, sign: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe {
+            let s = sign_bit();
+            _mm512_castsi512_ps(_mm512_or_si512(
+                _mm512_andnot_si512(s, Self::bits(mag)),
+                _mm512_and_si512(s, Self::bits(sign)),
+            ))
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn bits(x: Self) -> __m512i {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_castps_si512(x) }
+    }
+
+    #[inline(always)]
+    unsafe fn exponent(e: __m512i) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_castsi512_ps(_mm512_slli_epi32::<23>(e)) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_splat(i: i32) -> __m512i {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_set1_epi32(i) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_add(a: __m512i, b: __m512i) -> __m512i {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_add_epi32(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_sub(a: __m512i, b: __m512i) -> __m512i {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_sub_epi32(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_max(a: __m512i, b: __m512i) -> __m512i {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_max_epi32(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_halve(k: __m512i) -> __m512i {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_srai_epi32::<1>(k) }
+    }
+
+    #[inline(always)]
+    unsafe fn int_lt(a: __m512i, b: __m512i) -> __mmask16 {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_cmplt_epi32_mask(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn lt(a: Self, b: Self) -> __mmask16 {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b) }
+    }
+
+    #[inline(always)]
+    unsafe fn is_nan(x: Self) -> __mmask16 {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x) }
+    }
+
+    #[inline(always)]
+    unsafe fn select(m: __mmask16, a: Self, b: Self) -> Self {
+        // SAFETY: in an AVX-512F context, per the trait's contract.
+        unsafe { _mm512_mask_blend_ps(m, b, a) }
+    }
+}
+
+/// The sign bit in every lane.
+///
+/// # Safety
+///
+/// As for [`Lanes`].
+#[inline(always)]
+unsafe fn sign_bit() -> __m512i {
+    // SAFETY: per this fn's contract.
+    unsafe { _mm512_set1_epi32(i32::MIN) }
+}
+
+/// `out = A(a)` elementwise: [`lanes::map`] at 512 bits, then at 256 on
+/// the elements left over, then the scalar tail.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 and AVX-512F (guarded by the
+/// `Backend` dispatcher).
+// SAFETY: `target_feature` makes this fn unsafe-to-call; the
+// feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2,avx512f")]
+pub(super) unsafe fn map<A: Activation>(a: &[f32], out: &mut [f32]) {
+    // SAFETY: both instances carry no `target_feature` and are inlined
+    // here, under AVX2 and AVX-512F.
+    let j = unsafe {
+        let j = lanes::map::<__m512, A>(a, out, 0);
+        lanes::map::<__m256, A>(a, out, j)
+    };
+    lanes::map_tail::<A>(a, out, j);
+}
+
+/// Fused gate `out = A(pre + bias)`: [`lanes::gate`] at 512 bits, then at
+/// 256, then the scalar tail.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 and AVX-512F (guarded by the
+/// `Backend` dispatcher).
+// SAFETY: `target_feature` makes this fn unsafe-to-call; the
+// feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2,avx512f")]
+pub(super) unsafe fn gate<A: Activation>(pre: &[f32], bias: &[f32], out: &mut [f32]) {
+    // SAFETY: as in `map`.
+    let j = unsafe {
+        let j = lanes::gate::<__m512, A>(pre, bias, out, 0);
+        lanes::gate::<__m256, A>(pre, bias, out, j)
+    };
+    lanes::gate_tail::<A>(pre, bias, out, j);
+}
+
+/// One LSTM cell step: [`lanes::lstm_cell`] at 512 bits, then at 256, then
+/// the scalar tail.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 and AVX-512F (guarded by the
+/// `Backend` dispatcher).
+// SAFETY: `target_feature` makes this fn unsafe-to-call; the
+// feature-detection precondition is the entire soundness argument.
+#[target_feature(enable = "avx2,avx512f")]
+pub(super) unsafe fn lstm_cell(gx: &[f32], gh: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+    // SAFETY: as in `map`.
+    let j = unsafe {
+        let j = lanes::lstm_cell::<__m512>(gx, gh, bias, c, h, 0);
+        lanes::lstm_cell::<__m256>(gx, gh, bias, c, h, j)
+    };
+    scalar::lstm_cell_from(gx, gh, bias, c, h, j);
 }
 
 /// The 512-bit column order: tiles of `V` registers, then of two, then the

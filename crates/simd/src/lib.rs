@@ -38,9 +38,12 @@
 //!
 //! Three backends, widest first: [`Backend::Avx512`], [`Backend::Avx2`],
 //! [`Backend::Scalar`]. The AVX-512 backend is the AVX2 backend with
-//! 512-bit register tiles in the three matrix products: `matmul_acc` and
-//! `matmul_at_b_acc` run one register-tile engine at either width, 512-bit
-//! tiles first, and `matmul_a_bt_acc` holds two dots per register.
+//! 512-bit registers in the three matrix products and the transcendental
+//! kernels: `matmul_acc` and `matmul_at_b_acc` run one register-tile engine
+//! at either width, 512-bit tiles first, and `matmul_a_bt_acc` holds two
+//! dots per register; [`exp`], [`sigmoid`] and [`tanh`] are each written
+//! once over the register width, and their kernels, the two gates and
+//! [`Kernel::lstm_cell`] run them 16 lanes at a time, then 8, then scalar.
 //! [`Backend::select`] probes the CPU once at runtime and picks the widest
 //! backend available; hot paths call [`active`], which layers two override
 //! mechanisms over `select` (a programmatic [`force_backend`] and the
@@ -59,6 +62,9 @@ mod avx2;
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 #[cfg(target_arch = "x86_64")]
 mod tiles;
@@ -162,6 +168,16 @@ pub trait Kernel {
     /// `out[i] = tanh(pre[i] + bias[i])`.
     fn tanh_gate(&self, pre: &[f32], bias: &[f32], out: &mut [f32]);
 
+    /// One LSTM cell step for one row, updating `c` and `h` in place. The
+    /// gate rows `gx`, `gh` and `bias` are laid out `[i | f | g | o]`, each
+    /// `c.len()` wide. Every hidden unit `j` takes
+    /// `i, f, o = sigmoid((gx + gh) + bias)` and
+    /// `g = tanh((gx + gh) + bias)`, then `c = f·c + i·g` (both products
+    /// rounded before the add) and `h = o·tanh(c)`: the per-element
+    /// sequence of [`Kernel::add`], the two gates, [`Kernel::mul`],
+    /// [`Kernel::add`] and [`Kernel::tanh`].
+    fn lstm_cell(&self, gx: &[f32], gh: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]);
+
     /// Sigmoid backward `out[i] = g[i] * y[i] * (1 - y[i])` (where `y` is
     /// the forward output), left-associated.
     fn sigmoid_bwd(&self, g: &[f32], y: &[f32], out: &mut [f32]);
@@ -236,9 +252,10 @@ pub enum Backend {
     /// 256-bit AVX2 (x86-64 only; made only by [`Backend::try_avx2`]).
     #[cfg(target_arch = "x86_64")]
     Avx2(Detected<256>),
-    /// AVX2 plus 512-bit register tiles in the three matrix products
-    /// (x86-64 only; made only by [`Backend::try_avx512`], after detection
-    /// of both AVX2 and AVX-512F).
+    /// AVX2 plus 512-bit registers in the three matrix products, the
+    /// transcendentals, the gates and the LSTM cell (x86-64 only; made only
+    /// by [`Backend::try_avx512`], after detection of both AVX2 and
+    /// AVX-512F).
     #[cfg(target_arch = "x86_64")]
     Avx512(Detected<512>),
 }
@@ -266,8 +283,8 @@ impl Backend {
     }
 
     /// The AVX-512 backend, when the running CPU supports both AVX2 (which
-    /// every kernel but the three products runs on) and AVX-512F. This
-    /// constructor is the only source of [`Backend::Avx512`].
+    /// its elementwise kernels, `dot` and `adam_update` run on) and
+    /// AVX-512F. This constructor is the only source of [`Backend::Avx512`].
     pub fn try_avx512() -> Option<Backend> {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2")
@@ -443,10 +460,15 @@ impl Kernel for Backend {
         debug_assert_eq!(a.len(), out.len(), "exp length mismatch");
         match self {
             Backend::Scalar => scalar::exp(a, out),
-            // SAFETY: both AVX variants exist only after `try_avx2`'s or
-            // `try_avx512`'s detection of AVX2 — `avx2::exp`'s sole precondition.
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::map`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::exp(a, out) },
+            Backend::Avx2(_) => unsafe { avx2::map::<lanes::Exp>(a, out) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx512::map`'s sole
+            // precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512(_) => unsafe { avx512::map::<lanes::Exp>(a, out) },
         }
     }
 
@@ -454,10 +476,15 @@ impl Kernel for Backend {
         debug_assert_eq!(a.len(), out.len(), "sigmoid length mismatch");
         match self {
             Backend::Scalar => scalar::sigmoid(a, out),
-            // SAFETY: both AVX variants exist only after `try_avx2`'s or
-            // `try_avx512`'s detection of AVX2 — `avx2::sigmoid`'s sole precondition.
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::map`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::sigmoid(a, out) },
+            Backend::Avx2(_) => unsafe { avx2::map::<lanes::Sigmoid>(a, out) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx512::map`'s sole
+            // precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512(_) => unsafe { avx512::map::<lanes::Sigmoid>(a, out) },
         }
     }
 
@@ -465,10 +492,15 @@ impl Kernel for Backend {
         debug_assert_eq!(a.len(), out.len(), "tanh length mismatch");
         match self {
             Backend::Scalar => scalar::tanh(a, out),
-            // SAFETY: both AVX variants exist only after `try_avx2`'s or
-            // `try_avx512`'s detection of AVX2 — `avx2::tanh`'s sole precondition.
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::map`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::tanh(a, out) },
+            Backend::Avx2(_) => unsafe { avx2::map::<lanes::Tanh>(a, out) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx512::map`'s sole
+            // precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512(_) => unsafe { avx512::map::<lanes::Tanh>(a, out) },
         }
     }
 
@@ -479,10 +511,15 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::sigmoid_gate(pre, bias, out),
-            // SAFETY: both AVX variants exist only after `try_avx2`'s or
-            // `try_avx512`'s detection of AVX2 — `avx2::sigmoid_gate`'s sole precondition.
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::gate`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::sigmoid_gate(pre, bias, out) },
+            Backend::Avx2(_) => unsafe { avx2::gate::<lanes::Sigmoid>(pre, bias, out) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx512::gate`'s sole
+            // precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512(_) => unsafe { avx512::gate::<lanes::Sigmoid>(pre, bias, out) },
         }
     }
 
@@ -493,10 +530,37 @@ impl Kernel for Backend {
         );
         match self {
             Backend::Scalar => scalar::tanh_gate(pre, bias, out),
-            // SAFETY: both AVX variants exist only after `try_avx2`'s or
-            // `try_avx512`'s detection of AVX2 — `avx2::tanh_gate`'s sole precondition.
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::gate`'s sole precondition.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2(_) | Backend::Avx512(_) => unsafe { avx2::tanh_gate(pre, bias, out) },
+            Backend::Avx2(_) => unsafe { avx2::gate::<lanes::Tanh>(pre, bias, out) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx512::gate`'s sole
+            // precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512(_) => unsafe { avx512::gate::<lanes::Tanh>(pre, bias, out) },
+        }
+    }
+
+    fn lstm_cell(&self, gx: &[f32], gh: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+        debug_assert!(
+            h.len() == c.len()
+                && gx.len() == 4 * c.len()
+                && gh.len() == gx.len()
+                && bias.len() == gx.len(),
+            "lstm_cell length mismatch"
+        );
+        match self {
+            Backend::Scalar => scalar::lstm_cell(gx, gh, bias, c, h),
+            // SAFETY: `Backend::Avx2` exists only after `try_avx2`'s
+            // feature detection — `avx2::lstm_cell`'s sole precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2(_) => unsafe { avx2::lstm_cell(gx, gh, bias, c, h) },
+            // SAFETY: `Backend::Avx512` exists only after `try_avx512`'s
+            // detection of AVX2 and AVX-512F — `avx512::lstm_cell`'s sole
+            // precondition.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512(_) => unsafe { avx512::lstm_cell(gx, gh, bias, c, h) },
         }
     }
 

@@ -14,12 +14,13 @@
 //!   sequence written here: separate multiply and add (never a fused
 //!   multiply-add), and division and square root (both IEEE correctly
 //!   rounded, hence vectorisable bit-identically).
-//! - **Transcendental kernels** ([`exp`], [`sigmoid`], [`tanh`] and the two
-//!   gates) are elementwise too. They call no libm: [`exp_one`],
-//!   [`sigmoid_one`] and [`tanh_one`] build them from the operations above
-//!   plus comparisons and bit manipulation, with every constant and the
-//!   order of every operation fixed here. Their branches are per element,
-//!   so a vector backend evaluates both sides and selects lane by lane.
+//! - **Transcendental kernels** ([`exp`], [`sigmoid`], [`tanh`], the two
+//!   gates and [`lstm_cell`]) are elementwise too. They call no libm:
+//!   [`exp_one`], [`sigmoid_one`] and [`tanh_one`] build them from the
+//!   operations above plus comparisons and bit manipulation, with every
+//!   constant and the order of every operation fixed here. Their branches
+//!   are per element, so a vector backend evaluates both sides and selects
+//!   lane by lane.
 //! - **Composite kernels** ([`matmul_acc`], [`matmul_at_b_acc`],
 //!   [`matmul_a_bt_acc`]) are defined as fixed loop nests over the primitive
 //!   kernels above, including the exact-zero sparsity skip, so their bit
@@ -297,6 +298,57 @@ pub(super) fn tanh_gate(pre: &[f32], bias: &[f32], out: &mut [f32]) {
     for ((o, &p), &b) in out[..n].iter_mut().zip(&pre[..n]).zip(&bias[..n]) {
         *o = tanh_one(p + b);
     }
+}
+
+/// The hidden width of one [`lstm_cell`] call: `c`'s length, cut to the
+/// common prefix of `h` and a quarter of each gate row.
+pub(super) fn cell_width(gx: &[f32], gh: &[f32], bias: &[f32], c: &[f32], h: &[f32]) -> usize {
+    c.len()
+        .min(h.len())
+        .min(gx.len() / 4)
+        .min(gh.len() / 4)
+        .min(bias.len() / 4)
+}
+
+/// One LSTM cell step for one row, in place: with the gate rows laid out
+/// `[i | f | g | o]`, each `n` wide, every hidden unit `j` takes
+/// `i, f, o = sigmoid((gx + gh) + b)` and `g = tanh((gx + gh) + b)`, then
+/// `c = f·c + i·g`, both products rounded before the add, and
+/// `h = o·tanh(c)`.
+pub(super) fn lstm_cell(gx: &[f32], gh: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+    lstm_cell_from(gx, gh, bias, c, h, 0);
+}
+
+/// [`lstm_cell`]'s hidden units from `j0` on: the tail no register covers.
+pub(super) fn lstm_cell_from(
+    gx: &[f32],
+    gh: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+    h: &mut [f32],
+    j0: usize,
+) {
+    let n = cell_width(gx, gh, bias, c, h);
+    let j0 = j0.min(n);
+    let gates = |v| gate_rows(v, n, j0);
+    let (x, y, b) = (gates(gx), gates(gh), gates(bias));
+    for (j, (cj, hj)) in c[j0..n].iter_mut().zip(&mut h[j0..n]).enumerate() {
+        let pre = |q: usize| (x[q][j] + y[q][j]) + b[q][j];
+        let (i, f, g, o) = (
+            sigmoid_one(pre(0)),
+            sigmoid_one(pre(1)),
+            tanh_one(pre(2)),
+            sigmoid_one(pre(3)),
+        );
+        let (fc, ig) = (f * *cj, i * g);
+        *cj = fc + ig;
+        *hj = o * tanh_one(*cj);
+    }
+}
+
+/// Units `j0..n` of each of the four `n`-wide gates in `v`.
+fn gate_rows(v: &[f32], n: usize, j0: usize) -> [&[f32]; 4] {
+    core::array::from_fn(|q| &v[q * n + j0..(q + 1) * n])
 }
 
 /// Sigmoid backward: `out[i] = g[i] * y[i] * (1 - y[i])` (left-associated,

@@ -20,7 +20,9 @@
 //!    detect a contraction-rounding bug in a reduction, an update, a
 //!    register-blocked product and a transcendental. A second fixture whose
 //!    `matmul_acc` drops the exact-zero skip must be caught too: that is
-//!    the bug a tile taking its branch-free `k` loop wrongly would have.
+//!    the bug a tile taking its branch-free `k` loop wrongly would have. A
+//!    third, whose `lstm_cell` computes `f·c + i·g` with one FMA, must fail
+//!    the `lstm_cell` battery.
 
 #![expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 
@@ -336,6 +338,69 @@ const GATES: [(&str, BinaryOp); 2] = [
     ("tanh_gate", |k, a, b, o| k.tanh_gate(a, b, o)),
 ];
 
+/// Hidden widths of the `lstm_cell` battery: on AVX-512 the 16-lane body,
+/// the 8-lane step and the scalar tail each run on some of them, on AVX2
+/// the 8-lane body and the scalar tail.
+const CELL_WIDTHS: [usize; 10] = [1, 5, 8, 13, 16, 24, 32, 64, 72, 75];
+
+/// The inputs of one `lstm_cell` call of hidden width `n`, cut from `v`
+/// (at least `13·n` long): `(gx, gh, bias, c)`, the gate rows `4·n` wide.
+fn cell_operands(v: &[f32], n: usize) -> (&[f32], &[f32], &[f32], &[f32]) {
+    (
+        &v[..4 * n],
+        &v[4 * n..8 * n],
+        &v[8 * n..12 * n],
+        &v[12 * n..13 * n],
+    )
+}
+
+/// Whether `lstm_cell` on backend `k` leaves `c` or `h` with other bits
+/// than the scalar reference, over the first `13·n` values of `v`. The
+/// backend's `h` starts as a NaN the kernels never make, so a unit it
+/// leaves unwritten shows.
+fn cell_diverges(k: &dyn Kernel, v: &[f32], n: usize) -> bool {
+    let (gx, gh, bias, c) = cell_operands(v, n);
+    let (mut got_c, mut want_c) = (c.to_vec(), c.to_vec());
+    let mut got_h = vec![f32::from_bits(0x7fc0_dead); n];
+    let mut want_h = vec![0.0f32; n];
+    k.lstm_cell(gx, gh, bias, &mut got_c, &mut got_h);
+    Backend::Scalar.lstm_cell(gx, gh, bias, &mut want_c, &mut want_h);
+    !same_bits(&got_c, &want_c) || !same_bits(&got_h, &want_h)
+}
+
+/// The `lstm_cell` battery's zoo without drawn NaNs: normals across the
+/// whole range, ±0, subnormals and ±∞, half the time replaced by a value in
+/// [-12, 12), where no gate saturates. The NaNs `∞ − ∞` and `0 · ∞` make
+/// are all x86's default one, so where two meet either operand order gives
+/// the same bits.
+fn cell_f32() -> impl Strategy<Value = f32> {
+    let zoo = prop::num::f32::NORMAL
+        | prop::num::f32::ZERO
+        | prop::num::f32::SUBNORMAL
+        | prop::num::f32::INFINITE;
+    (zoo, -12.0..12.0f32, 0u8..2).prop_map(|(w, r, pick)| if pick == 0 { w } else { r })
+}
+
+/// `v` (`13·n` finite values) with one quiet NaN of payload `payloads[j]`
+/// among the 13 inputs of hidden unit `j` where `slots[j] < 13` (slot `s`
+/// is gate `s % 4` of `gx`, `gh` or `bias` for `s < 12`, and `c` for 12):
+/// one NaN meeting finite values, whose payload every backend must carry.
+fn with_cell_nans(v: &[f32], n: usize, slots: &[u8], payloads: &[u32]) -> Vec<f32> {
+    let mut v = v[..13 * n].to_vec();
+    for (j, (&s, &p)) in slots[..n].iter().zip(payloads).enumerate() {
+        let s = usize::from(s);
+        if s < 13 {
+            let at = if s < 12 {
+                (s / 4) * 4 * n + (s % 4) * n + j
+            } else {
+                12 * n + j
+            };
+            v[at] = f32::from_bits(p | 0x7fc0_0000);
+        }
+    }
+    v
+}
+
 proptest! {
     #[test]
     fn every_kernel_is_bit_identical_to_scalar_on_every_backend(
@@ -560,6 +625,69 @@ proptest! {
     }
 
     #[test]
+    fn lstm_cell_is_bit_identical_to_scalar_on_every_backend(
+        width in 0..CELL_WIDTHS.len(),
+        zoo in prop::collection::vec(cell_f32(), 13 * 75),
+        // Finite values: no sum overflows to meet an opposite infinity, so
+        // the planted NaN is the only one in its unit.
+        finite in prop::collection::vec(
+            (prop::num::f32::NORMAL | prop::num::f32::ZERO | prop::num::f32::SUBNORMAL,
+                -12.0..12.0f32, 0u8..2)
+                .prop_map(|(w, r, pick)| if pick == 0 { w } else { r }),
+            13 * 75,
+        ),
+        // Half the units get one NaN, in one of their 13 inputs.
+        slots in prop::collection::vec(0u8..26, 75),
+        payloads in prop::collection::vec(any::<u32>(), 75),
+    ) {
+        let n = CELL_WIDTHS[width];
+        let nans = with_cell_nans(&finite, n, &slots, &payloads);
+        for backend in Backend::available() {
+            for v in [&zoo[..], &finite[..], &nans[..]] {
+                prop_assert!(!cell_diverges(&backend, v, n),
+                    "backend `{}` diverged in `lstm_cell` at width {}", backend.name(), n);
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_lstm_cell_is_the_composed_kernels(
+        width in 0..CELL_WIDTHS.len(),
+        v in prop::collection::vec(cell_f32(), 13 * 75),
+    ) {
+        // The reference's per-element sequence, kernel by kernel: `add`,
+        // the four gates, `mul`, `mul`, `add`, `tanh`, `mul`.
+        let n = CELL_WIDTHS[width];
+        let (gx, gh, bias, c) = cell_operands(&v, n);
+        let k = Backend::Scalar;
+        let mut pre = vec![0.0f32; 4 * n];
+        k.add(gx, gh, &mut pre);
+        let mut gates = vec![0.0f32; 4 * n];
+        for q in 0..4 {
+            let r = q * n..(q + 1) * n;
+            if q == 2 {
+                k.tanh_gate(&pre[r.clone()], &bias[r.clone()], &mut gates[r]);
+            } else {
+                k.sigmoid_gate(&pre[r.clone()], &bias[r.clone()], &mut gates[r]);
+            }
+        }
+        let (i, rest) = gates.split_at(n);
+        let (f, rest) = rest.split_at(n);
+        let (g, o) = rest.split_at(n);
+        let (mut fc, mut ig, mut want_c) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
+        k.mul(f, c, &mut fc);
+        k.mul(i, g, &mut ig);
+        k.add(&fc, &ig, &mut want_c);
+        let (mut tc, mut want_h) = (vec![0.0f32; n], vec![0.0f32; n]);
+        k.tanh(&want_c, &mut tc);
+        k.mul(o, &tc, &mut want_h);
+        let (mut got_c, mut got_h) = (c.to_vec(), vec![0.0f32; n]);
+        k.lstm_cell(gx, gh, bias, &mut got_c, &mut got_h);
+        prop_assert!(same_bits(&got_c, &want_c) && same_bits(&got_h, &want_h),
+            "scalar `lstm_cell` is not the composed kernels at width {}", n);
+    }
+
+    #[test]
     fn kernels_preserve_signed_zero_and_denormals(
         zeros in prop::collection::vec(prop::num::f32::ZERO, 1..64),
         denorms in prop::collection::vec(prop::num::f32::SUBNORMAL, 1..64),
@@ -636,7 +764,7 @@ fn kernel_sweep_bits(kernel_name: &str) -> Vec<u32> {
                     bits.extend(bits_of(&v));
                 }
             }
-            "matmul_acc" | "matmul_at_b_acc" | "matmul_a_bt_acc" => {} // fixed shapes below
+            "matmul_acc" | "matmul_at_b_acc" | "matmul_a_bt_acc" | "lstm_cell" => {} // below
             other => panic!("unknown kernel `{other}` in sweep"),
         }
     }
@@ -680,6 +808,21 @@ fn kernel_sweep_bits(kernel_name: &str) -> Vec<u32> {
             bits.extend(bits_of(&out));
         }
     }
+    if kernel_name == "lstm_cell" {
+        // Every hidden width of the battery; gate pre-activations in
+        // [-12, 12) and cell states in [-6, 6).
+        for (case, &n) in CELL_WIDTHS.iter().enumerate() {
+            let v: Vec<f32> = test_vector(0xcccc_000c + case as u64, 13 * n)
+                .iter()
+                .map(|x| x * 6.0)
+                .collect();
+            let (gx, gh, bias, c) = cell_operands(&v, n);
+            let (mut c, mut h) = (c.to_vec(), vec![0.0f32; n]);
+            k.lstm_cell(gx, gh, bias, &mut c, &mut h);
+            bits.extend(bits_of(&c));
+            bits.extend(bits_of(&h));
+        }
+    }
     if kernel_name == "matmul_a_bt_acc" {
         // Dot lengths with and without tails; groups of four dots and
         // leftovers.
@@ -709,7 +852,7 @@ fn scalar_kernel_fingerprints_are_pinned() {
     // Pins the reference semantics of every kernel. If one of these fails,
     // the determinism contract changed and every stored model downstream is
     // suspect — audit the change, do not just update the constant.
-    let pinned: [(&str, u64); 17] = [
+    let pinned: [(&str, u64); 18] = [
         ("dot", 0xa584_0c6d_458d_3b66),
         ("axpy", 0xb155_7dfd_b33c_0adf),
         ("add", 0xd7d4_bbc7_56b7_e6e0),
@@ -727,6 +870,7 @@ fn scalar_kernel_fingerprints_are_pinned() {
         ("adam_update", 0xdaa8_8743_87ef_597a),
         ("matmul_at_b_acc", 0x7349_391d_36c1_e614),
         ("matmul_a_bt_acc", 0xdb65_5f65_1bfe_59bf),
+        ("lstm_cell", 0xf112_3227_d4ff_108e),
     ];
     let mut failures = Vec::new();
     for (name, want) in pinned {
@@ -753,6 +897,9 @@ enum Bug {
     Fma,
     /// `matmul_acc` adds every `0 * b` instead of skipping it.
     NoZeroSkip,
+    /// `lstm_cell` computes `f·c + i·g` with one FMA, so `f·c` is never
+    /// rounded on its own.
+    FusedCell,
 }
 
 /// A deliberately broken backend: the kernels its [`Bug`] names are wrong,
@@ -797,6 +944,7 @@ impl Kernel for Planted {
         match self.0 {
             Bug::Fma => "fma-fixture",
             Bug::NoZeroSkip => "skipless-fixture",
+            Bug::FusedCell => "fused-cell-fixture",
         }
     }
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -850,6 +998,19 @@ impl Kernel for Planted {
     }
     fn tanh_gate(&self, pre: &[f32], bias: &[f32], out: &mut [f32]) {
         Backend::Scalar.tanh_gate(pre, bias, out);
+    }
+    fn lstm_cell(&self, gx: &[f32], gh: &[f32], bias: &[f32], c: &mut [f32], h: &mut [f32]) {
+        if self.0 != Bug::FusedCell {
+            return Backend::Scalar.lstm_cell(gx, gh, bias, c, h);
+        }
+        let n = c.len();
+        let pre = |q: usize, j: usize| (gx[q * n + j] + gh[q * n + j]) + bias[q * n + j];
+        for j in 0..n {
+            let (i, f) = (lead_simd::sigmoid(pre(0, j)), lead_simd::sigmoid(pre(1, j)));
+            let (g, o) = (lead_simd::tanh(pre(2, j)), lead_simd::sigmoid(pre(3, j)));
+            c[j] = f.mul_add(c[j], i * g);
+            h[j] = o * lead_simd::tanh(c[j]);
+        }
     }
     fn sigmoid_bwd(&self, g: &[f32], y: &[f32], out: &mut [f32]) {
         Backend::Scalar.sigmoid_bwd(g, y, out);
@@ -1013,6 +1174,30 @@ fn matmul_acc_zero_skip_keeps_signed_zeros_on_every_backend() {
             bits_of(&out),
             bits_of(&want),
             "backend `{}`",
+            backend.name()
+        );
+    }
+}
+
+#[test]
+fn planted_fused_cell_is_caught_by_the_battery() {
+    // The `lstm_cell` battery's comparison must flag a cell whose `f·c` is
+    // fused into the add: the same per-unit formula up to one rounding, so
+    // only bit comparison can tell. Every real backend passes the same
+    // inputs.
+    let n = 72;
+    let v: Vec<f32> = test_vector(0xce11_0001, 13 * n)
+        .iter()
+        .map(|x| x * 6.0)
+        .collect();
+    assert!(
+        cell_diverges(&Planted(Bug::FusedCell), &v, n),
+        "the lstm_cell battery must catch an FMA'd cell update"
+    );
+    for backend in Backend::available() {
+        assert!(
+            !cell_diverges(&backend, &v, n),
+            "backend `{}` diverged from scalar",
             backend.name()
         );
     }

@@ -78,6 +78,10 @@ cargo test -q -p lead-simd --test proptest_simd planted_fma_kernel_is_caught_by_
 # must fail the matmul_acc battery.
 echo "==> simd parity self-test (planted skip-less matmul_acc must be caught)"
 cargo test -q -p lead-simd --test proptest_simd planted_skipless_kernel_is_caught_by_the_battery
+# The same for the LSTM cell: an lstm_cell that fuses f*c into the add with
+# one FMA must fail the lstm_cell battery's bit comparison.
+echo "==> simd parity self-test (planted FMA'd lstm_cell must be caught)"
+cargo test -q -p lead-simd --test proptest_simd planted_fused_cell_is_caught_by_the_battery
 
 # The libm-free exp, sigmoid and tanh over all 2^32 f32 inputs: within 2 ulp
 # of an f64 reference, and every backend bit-identical to scalar. Ignored in
@@ -133,7 +137,7 @@ fi
 # wall-clock times and are not compared.
 echo "==> repro all tiny (deterministic artefacts vs results/*_tiny.*)"
 # `cargo build --release` above builds the root package only; `repro`
-# lives in lead-bench.
+# lives in lead-bench, and builds without the tape.
 cargo build -q --release -p lead-bench --bin repro
 REPRO_TMP="target/tmp/repro-smoke"
 rm -rf "$REPRO_TMP"
@@ -147,29 +151,38 @@ for f in table3_tiny.txt table3_tiny.csv table4_tiny.txt table4_tiny.csv iou_tin
     fi
 done
 
+# bench_ratchet times the packed detector against the autodiff tape, so it
+# needs lead-bench's `reference` feature (`required-features`): without it
+# `cargo test --workspace` skips the binary, and its test of the GATES
+# table runs here.
+echo "==> cargo test -q -p lead-bench --features reference --bin bench_ratchet"
+cargo test -q -p lead-bench --features reference --bin bench_ratchet
+
 # Planted reverts, each of which the ratio rows' bounds must reject:
 # GroupDetector::probabilities replaced by the tape's forward_graph,
 # Backend::Avx512 running the AVX2 tiles in matmul_acc, matmul_at_b_acc and
-# matmul_a_bt_acc, and a 1.5x delay in the optimised arm of the encoding row
-# (encode_all over per-candidate encode_value), the one row whose bound is
-# sized to reject a 1.5x slowdown.
+# matmul_a_bt_acc, Backend::Avx512 running AVX2's 8-lane transcendentals in
+# the sigmoid gate and lstm_cell, and a 1.5x delay in the optimised arm of
+# the encoding row (encode_all over per-candidate encode_value), the one row
+# whose bound is sized to reject a 1.5x slowdown.
 echo "==> bench-ratchet self-test (the gate must reject each planted revert)"
-cargo run -q -p lead-bench --release --bin bench_ratchet -- --self-test
+cargo run -q -p lead-bench --release --features reference --bin bench_ratchet -- --self-test
 
 # The record goes under target/: CI must not rewrite a committed file.
 # results/BENCH_10.json stays as the history of the run it recorded.
 echo "==> bench-ratchet gate (target/bench-ratchet/BENCH.json vs bench.baseline)"
 mkdir -p target/bench-ratchet
-cargo run -q -p lead-bench --release --bin bench_ratchet -- \
+cargo run -q -p lead-bench --release --features reference --bin bench_ratchet -- \
     --write target/bench-ratchet/BENCH.json --baseline bench.baseline
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# With lead-bench's `reference` feature, so bench_ratchet is linted too.
+echo "==> cargo clippy --workspace --all-targets --features lead-bench/reference -- -D warnings"
+cargo clippy --workspace --all-targets --features lead-bench/reference -- -D warnings
 
 # Rustdoc warnings fail the gate: a doc link to a deleted or private item,
 # or an ambiguous one, would otherwise dangle unnoticed.
-echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --features lead-bench/reference"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --features lead-bench/reference
 
 # Deterministic artifact listing: uploads of results/ must not depend on
 # filesystem enumeration order or locale.
