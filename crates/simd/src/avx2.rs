@@ -39,7 +39,7 @@ use core::arch::x86_64::{
     _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
-use crate::lanes::{self, Activation, Lanes};
+use crate::lanes::{self, Activation, Gate, Lanes};
 use crate::tiles::{self, Columns, Vector};
 use crate::{scalar, AdamCoeffs, LANES};
 
@@ -326,7 +326,7 @@ pub(super) unsafe fn map<A: Activation>(a: &[f32], out: &mut [f32]) {
     // SAFETY: the instance carries no `target_feature` and is inlined
     // here, under AVX2.
     let j = unsafe { lanes::map::<__m256, A>(a, out, 0) };
-    lanes::map_tail::<A>(a, out, j);
+    A::MAP(&a[j..], &mut out[j..]);
 }
 
 /// Fused gate `out = A(pre + bias)`: the exactly rounded add and the
@@ -338,10 +338,10 @@ pub(super) unsafe fn map<A: Activation>(a: &[f32], out: &mut [f32]) {
 // SAFETY: `target_feature(enable = "avx2")` makes this fn unsafe-to-call;
 // the feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn gate<A: Activation>(pre: &[f32], bias: &[f32], out: &mut [f32]) {
+pub(super) unsafe fn gate<A: Gate>(pre: &[f32], bias: &[f32], out: &mut [f32]) {
     // SAFETY: as in `map`.
     let j = unsafe { lanes::gate::<__m256, A>(pre, bias, out, 0) };
-    lanes::gate_tail::<A>(pre, bias, out, j);
+    A::GATE(&pre[j..], &bias[j..], &mut out[j..]);
 }
 
 /// One LSTM cell step, [`lanes::lstm_cell`] at 256 bits (tail delegated to

@@ -30,7 +30,7 @@ use core::arch::x86_64::{
     _CMP_LT_OQ, _CMP_UNORD_Q,
 };
 
-use crate::lanes::{self, Activation, Lanes};
+use crate::lanes::{self, Activation, Gate, Lanes};
 use crate::tiles::{self, Columns, Vector};
 use crate::{avx2, scalar, LANES};
 
@@ -230,7 +230,7 @@ pub(super) unsafe fn map<A: Activation>(a: &[f32], out: &mut [f32]) {
         let j = lanes::map::<__m512, A>(a, out, 0);
         lanes::map::<__m256, A>(a, out, j)
     };
-    lanes::map_tail::<A>(a, out, j);
+    A::MAP(&a[j..], &mut out[j..]);
 }
 
 /// Fused gate `out = A(pre + bias)`: [`lanes::gate`] at 512 bits, then at
@@ -243,13 +243,13 @@ pub(super) unsafe fn map<A: Activation>(a: &[f32], out: &mut [f32]) {
 // SAFETY: `target_feature` makes this fn unsafe-to-call; the
 // feature-detection precondition is the entire soundness argument.
 #[target_feature(enable = "avx2,avx512f")]
-pub(super) unsafe fn gate<A: Activation>(pre: &[f32], bias: &[f32], out: &mut [f32]) {
+pub(super) unsafe fn gate<A: Gate>(pre: &[f32], bias: &[f32], out: &mut [f32]) {
     // SAFETY: as in `map`.
     let j = unsafe {
         let j = lanes::gate::<__m512, A>(pre, bias, out, 0);
         lanes::gate::<__m256, A>(pre, bias, out, j)
     };
-    lanes::gate_tail::<A>(pre, bias, out, j);
+    A::GATE(&pre[j..], &bias[j..], &mut out[j..]);
 }
 
 /// One LSTM cell step: [`lanes::lstm_cell`] at 512 bits, then at 256, then

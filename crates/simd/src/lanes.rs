@@ -73,17 +73,24 @@ pub(super) trait Lanes: Vector {
     unsafe fn select(m: Self::Mask, a: Self, b: Self) -> Self;
 }
 
-/// An elementwise transcendental: the scalar reference's definition for
-/// one element and its lane-for-lane vector form.
+/// An elementwise transcendental: the scalar reference's slice kernels and
+/// the lane-for-lane vector form of their one-element definition.
 pub(super) trait Activation {
-    /// The scalar reference on one element.
-    fn one(x: f32) -> f32;
-    /// The same on every lane of `x`, bit for bit.
+    /// The scalar reference over a slice, `out[i] = A(a[i])`: what a vector
+    /// backend runs on the elements past its last whole register.
+    const MAP: fn(&[f32], &mut [f32]);
+    /// The scalar reference on every lane of `x`, bit for bit.
     ///
     /// # Safety
     ///
     /// As for [`Lanes`].
     unsafe fn lanes<V: Lanes>(x: V) -> V;
+}
+
+/// An [`Activation`] the LSTM and GRU gates apply after adding a bias.
+pub(super) trait Gate: Activation {
+    /// The scalar reference's fused gate, `out[i] = A(pre[i] + bias[i])`.
+    const GATE: fn(&[f32], &[f32], &mut [f32]);
 }
 
 /// `eˣ`, the reference's `exp_one`.
@@ -152,10 +159,7 @@ unsafe fn exp_parts<V: Lanes>(x: V) -> (V::Int, V) {
 }
 
 impl Activation for Exp {
-    #[inline(always)]
-    fn one(x: f32) -> f32 {
-        scalar::exp_one(x)
-    }
+    const MAP: fn(&[f32], &mut [f32]) = scalar::exp;
 
     #[inline(always)]
     unsafe fn lanes<V: Lanes>(x: V) -> V {
@@ -167,11 +171,12 @@ impl Activation for Exp {
     }
 }
 
+impl Gate for Sigmoid {
+    const GATE: fn(&[f32], &[f32], &mut [f32]) = scalar::sigmoid_gate;
+}
+
 impl Activation for Sigmoid {
-    #[inline(always)]
-    fn one(x: f32) -> f32 {
-        scalar::sigmoid_one(x)
-    }
+    const MAP: fn(&[f32], &mut [f32]) = scalar::sigmoid;
 
     /// Including the reference's choice of summation order for `d`.
     #[inline(always)]
@@ -191,11 +196,12 @@ impl Activation for Sigmoid {
     }
 }
 
+impl Gate for Tanh {
+    const GATE: fn(&[f32], &[f32], &mut [f32]) = scalar::tanh_gate;
+}
+
 impl Activation for Tanh {
-    #[inline(always)]
-    fn one(x: f32) -> f32 {
-        scalar::tanh_one(x)
-    }
+    const MAP: fn(&[f32], &mut [f32]) = scalar::tanh;
 
     #[inline(always)]
     unsafe fn lanes<V: Lanes>(x: V) -> V {
@@ -232,10 +238,10 @@ pub(super) unsafe fn map<V: Lanes, A: Activation>(
 ) -> usize {
     let n = a.len().min(out.len());
     while j + V::LANES <= n {
-        let r = j..j + V::LANES;
+        let e = j + V::LANES;
         // SAFETY: per this fn's contract; both sub-slices are exactly
         // `LANES` long.
-        unsafe { V::store(&mut out[r.clone()], A::lanes(V::load(&a[r]))) };
+        unsafe { V::store(&mut out[j..e], A::lanes(V::load(&a[j..e]))) };
         j += V::LANES;
     }
     j
@@ -249,7 +255,7 @@ pub(super) unsafe fn map<V: Lanes, A: Activation>(
 ///
 /// As for [`Lanes`].
 #[inline(always)]
-pub(super) unsafe fn gate<V: Lanes, A: Activation>(
+pub(super) unsafe fn gate<V: Lanes, A: Gate>(
     pre: &[f32],
     bias: &[f32],
     out: &mut [f32],
@@ -257,35 +263,16 @@ pub(super) unsafe fn gate<V: Lanes, A: Activation>(
 ) -> usize {
     let n = pre.len().min(bias.len()).min(out.len());
     while j + V::LANES <= n {
-        let r = j..j + V::LANES;
+        let e = j + V::LANES;
         // SAFETY: per this fn's contract; every sub-slice is exactly
         // `LANES` long.
         unsafe {
-            let x = V::add(V::load(&pre[r.clone()]), V::load(&bias[r.clone()]));
-            V::store(&mut out[r], A::lanes(x));
+            let x = V::add(V::load(&pre[j..e]), V::load(&bias[j..e]));
+            V::store(&mut out[j..e], A::lanes(x));
         }
         j += V::LANES;
     }
     j
-}
-
-/// [`map`]'s elements from `j` on, by the scalar reference.
-#[inline(always)]
-pub(super) fn map_tail<A: Activation>(a: &[f32], out: &mut [f32], j: usize) {
-    let n = a.len().min(out.len());
-    for (o, &x) in out[j.min(n)..n].iter_mut().zip(&a[j.min(n)..n]) {
-        *o = A::one(x);
-    }
-}
-
-/// [`gate`]'s elements from `j` on, by the scalar reference.
-#[inline(always)]
-pub(super) fn gate_tail<A: Activation>(pre: &[f32], bias: &[f32], out: &mut [f32], j: usize) {
-    let n = pre.len().min(bias.len()).min(out.len());
-    let r = j.min(n)..n;
-    for ((o, &p), &b) in out[r.clone()].iter_mut().zip(&pre[r.clone()]).zip(&bias[r]) {
-        *o = A::one(p + b);
-    }
 }
 
 /// One LSTM cell step, the scalar reference's `lstm_cell`, over the whole
@@ -308,7 +295,7 @@ pub(super) unsafe fn lstm_cell<V: Lanes>(
 ) -> usize {
     let n = scalar::cell_width(gx, gh, bias, c, h);
     while j + V::LANES <= n {
-        let r = j..j + V::LANES;
+        let e = j + V::LANES;
         // SAFETY: per this fn's contract; every sub-slice is exactly
         // `LANES` long.
         unsafe {
@@ -316,9 +303,9 @@ pub(super) unsafe fn lstm_cell<V: Lanes>(
             let f = Sigmoid::lanes(pre::<V>(gx, gh, bias, n + j));
             let g = Tanh::lanes(pre::<V>(gx, gh, bias, 2 * n + j));
             let o = Sigmoid::lanes(pre::<V>(gx, gh, bias, 3 * n + j));
-            let c_new = V::add(V::mul(f, V::load(&c[r.clone()])), V::mul(i, g));
-            V::store(&mut c[r.clone()], c_new);
-            V::store(&mut h[r], V::mul(o, Tanh::lanes(c_new)));
+            let c_new = V::add(V::mul(f, V::load(&c[j..e])), V::mul(i, g));
+            V::store(&mut c[j..e], c_new);
+            V::store(&mut h[j..e], V::mul(o, Tanh::lanes(c_new)));
         }
         j += V::LANES;
     }
@@ -332,13 +319,13 @@ pub(super) unsafe fn lstm_cell<V: Lanes>(
 /// As for [`Lanes`].
 #[inline(always)]
 unsafe fn pre<V: Lanes>(gx: &[f32], gh: &[f32], bias: &[f32], at: usize) -> V {
-    let r = at..at + V::LANES;
+    let e = at + V::LANES;
     // SAFETY: per this fn's contract; every sub-slice is exactly `LANES`
     // long.
     unsafe {
         V::add(
-            V::add(V::load(&gx[r.clone()]), V::load(&gh[r.clone()])),
-            V::load(&bias[r]),
+            V::add(V::load(&gx[at..e]), V::load(&gh[at..e])),
+            V::load(&bias[at..e]),
         )
     }
 }

@@ -319,7 +319,14 @@ pub(super) fn lstm_cell(gx: &[f32], gh: &[f32], bias: &[f32], c: &mut [f32], h: 
     lstm_cell_from(gx, gh, bias, c, h, 0);
 }
 
+/// The hidden units [`lstm_cell_from`] takes at a time, each step of the
+/// cell one slice kernel over the block.
+const CELL_BLOCK: usize = 64;
+
 /// [`lstm_cell`]'s hidden units from `j0` on: the tail no register covers.
+/// Each block of up to [`CELL_BLOCK`] units runs the composed kernels, in
+/// order: [`add`] and a gate per gate row, then [`mul`], [`mul`], [`add`],
+/// [`tanh`] and [`mul`] for the cell.
 pub(super) fn lstm_cell_from(
     gx: &[f32],
     gh: &[f32],
@@ -329,26 +336,27 @@ pub(super) fn lstm_cell_from(
     j0: usize,
 ) {
     let n = cell_width(gx, gh, bias, c, h);
-    let j0 = j0.min(n);
-    let gates = |v| gate_rows(v, n, j0);
-    let (x, y, b) = (gates(gx), gates(gh), gates(bias));
-    for (j, (cj, hj)) in c[j0..n].iter_mut().zip(&mut h[j0..n]).enumerate() {
-        let pre = |q: usize| (x[q][j] + y[q][j]) + b[q][j];
-        let (i, f, g, o) = (
-            sigmoid_one(pre(0)),
-            sigmoid_one(pre(1)),
-            tanh_one(pre(2)),
-            sigmoid_one(pre(3)),
-        );
-        let (fc, ig) = (f * *cj, i * g);
-        *cj = fc + ig;
-        *hj = o * tanh_one(*cj);
+    let mut j = j0.min(n);
+    while j < n {
+        let w = (n - j).min(CELL_BLOCK);
+        let mut pre = [0.0f32; CELL_BLOCK];
+        let mut act = [[0.0f32; CELL_BLOCK]; 4];
+        for (q, a) in act.iter_mut().enumerate() {
+            let (lo, hi) = (q * n + j, q * n + j + w);
+            add(&gx[lo..hi], &gh[lo..hi], &mut pre[..w]);
+            let gate = if q == 2 { tanh_gate } else { sigmoid_gate };
+            gate(&pre[..w], &bias[lo..hi], &mut a[..w]);
+        }
+        let [i, f, g, o] = &act;
+        let (c, h) = (&mut c[j..j + w], &mut h[j..j + w]);
+        let [mut fc, mut ig, mut tc] = [[0.0f32; CELL_BLOCK]; 3];
+        mul(&f[..w], c, &mut fc[..w]);
+        mul(&i[..w], &g[..w], &mut ig[..w]);
+        add(&fc[..w], &ig[..w], c);
+        tanh(c, &mut tc[..w]);
+        mul(&o[..w], &tc[..w], h);
+        j += w;
     }
-}
-
-/// Units `j0..n` of each of the four `n`-wide gates in `v`.
-fn gate_rows(v: &[f32], n: usize, j0: usize) -> [&[f32]; 4] {
-    core::array::from_fn(|q| &v[q * n + j0..(q + 1) * n])
 }
 
 /// Sigmoid backward: `out[i] = g[i] * y[i] * (1 - y[i])` (left-associated,
